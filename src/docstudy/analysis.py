@@ -3,11 +3,23 @@
 Rule-based replacements for statistical taggers so that task generation
 is reproducible bit-for-bit. All offsets are Unicode scalar offsets into
 the document body, never bytes.
+
+Cost contract for ``analyze_document``: the body is segmented once and
+each sentence is tokenized once; those tokens feed both entity candidates
+and preposition detection and are dropped before the next sentence.
+Overlapping entity candidates are resolved greedily against an occupancy
+map of one byte per body character: O(E log E) to sort E candidates plus
+O(n) character tests for a body of n characters, whatever the sentence
+structure. Beyond that map and the sentence, entity and preposition lists
+it returns, memory is O(longest sentence). The packaged lexicon and
+abbreviations are read once per process.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -27,6 +39,7 @@ _ACRONYM = re.compile(r"[A-Z]{2,6}")
 _INITIAL = re.compile(r"[A-Z]\.")
 _WORD = re.compile(r"[^\W_]+")
 _TERMINAL = re.compile(r"[.?!]+")
+_NEXT_AFTER_SPACE = re.compile(r"\s+(\S)")
 _SPLIT_TRIGGER = "\"'“‘([0123456789"
 
 _CONNECTORS = {
@@ -39,31 +52,53 @@ _LEAD_PUNCT = "([{<\"'“‘«"
 _TRAIL_PUNCT = ")]}>\"'”’»,;:!?"
 
 
-@lru_cache(maxsize=None)
 def _packaged_lines(filename: str) -> tuple[str, ...]:
     text = resources.files("docstudy").joinpath("data", filename).read_text("utf-8")
     return tuple(line.strip() for line in text.splitlines() if line.strip())
 
 
+def _file_lines(path) -> tuple[str, ...]:
+    with open(path, encoding="utf-8") as handle:
+        return tuple(line.strip() for line in handle if line.strip())
+
+
+@lru_cache(maxsize=None)
+def _packaged_lexicon() -> frozenset[str]:
+    return frozenset(entry.lower() for entry in _packaged_lines("prepositions.txt"))
+
+
+@lru_cache(maxsize=None)
+def _packaged_abbreviations() -> frozenset[str]:
+    return frozenset(_packaged_lines("abbreviations.txt"))
+
+
 def load_lexicon(path=None) -> frozenset[str]:
-    """Preposition lexicon; single words plus multiword units like 'as well as'."""
+    """Preposition lexicon; single words plus multiword units like 'as well as'.
+
+    Without a path, the packaged lexicon: one frozenset shared per process.
+    """
     if path is None:
-        entries = _packaged_lines("prepositions.txt")
-    else:
-        entries = tuple(
-            line.strip() for line in open(path, encoding="utf-8") if line.strip()
-        )
-    return frozenset(entry.lower() for entry in entries)
+        return _packaged_lexicon()
+    return frozenset(entry.lower() for entry in _file_lines(path))
 
 
 def load_abbreviations(path=None) -> frozenset[str]:
     if path is None:
-        entries = _packaged_lines("abbreviations.txt")
-    else:
-        entries = tuple(
-            line.strip() for line in open(path, encoding="utf-8") if line.strip()
-        )
-    return frozenset(entries)
+        return _packaged_abbreviations()
+    return frozenset(_file_lines(path))
+
+
+@lru_cache(maxsize=8)
+def _lowered(entries: frozenset[str]) -> frozenset[str]:
+    return frozenset(entry.lower() for entry in entries)
+
+
+@lru_cache(maxsize=8)
+def _lexicon_split(lexicon: frozenset[str]) -> tuple[tuple[list[str], ...], frozenset[str]]:
+    """(multiword units longest first, single words) of a lexicon; callers
+    must not mutate the unit lists."""
+    units = sorted((entry.split() for entry in lexicon if " " in entry), key=len, reverse=True)
+    return tuple(units), frozenset(entry for entry in lexicon if " " not in entry)
 
 
 @dataclass(frozen=True)
@@ -129,8 +164,8 @@ def segment_sentences(body: str, abbreviations: frozenset[str] | None = None) ->
     """
     if not body.strip():
         return []
-    abbrevs = abbreviations if abbreviations is not None else load_abbreviations()
-    abbrevs_lower = {a.lower() for a in abbrevs}
+    abbrevs = frozenset(abbreviations) if abbreviations is not None else load_abbreviations()
+    abbrevs_lower = _lowered(abbrevs)
 
     boundaries = []
     depth = 0
@@ -139,11 +174,10 @@ def segment_sentences(body: str, abbreviations: frozenset[str] | None = None) ->
         depth += body.count("(", pos, match.start()) - body.count(")", pos, match.start())
         pos = match.start()
         end = match.end()
-        rest = body[end:]
-        stripped = rest.lstrip()
-        if not stripped or stripped == rest:
+        after = _NEXT_AFTER_SPACE.match(body, end)
+        if after is None:
             continue  # end of text, or no whitespace after the punctuation
-        nxt = stripped[0]
+        nxt = after.group(1)
         if not (nxt.isupper() or nxt in _SPLIT_TRIGGER):
             continue
         if depth > 0:
@@ -172,14 +206,14 @@ def segment_sentences(body: str, abbreviations: frozenset[str] | None = None) ->
     return spans
 
 
-def _entity_candidates(text: str, offset: int, sentence_initial_token: int = 0):
-    """Candidate (start, end, kind, rank) tuples for one sentence."""
+def _entity_candidates(
+    text: str, offset: int, tokens: list[Token], sentence_initial_token: int = 0
+):
+    """Candidate (start, end, kind, rank) tuples for one sentence, given its tokens."""
     candidates = []
     for pattern in _DATE_PATTERNS:
         for match in pattern.finditer(text):
             candidates.append((offset + match.start(), offset + match.end(), "date", 0))
-
-    tokens = sentence_tokens(text)
 
     def is_capword(tok: Token) -> bool:
         return bool(tok.core) and tok.core[0].isalpha() and tok.core[0].isupper() and not _INITIAL.fullmatch(tok.core)
@@ -245,22 +279,38 @@ def _entity_candidates(text: str, offset: int, sentence_initial_token: int = 0):
 
 
 def extract_entities(
-    body: str, abbreviations: frozenset[str] | None = None
+    body: str,
+    abbreviations: frozenset[str] | None = None,
+    sentences: Iterable[tuple[SentenceSpan, list[Token]]] | None = None,
 ) -> list[EntitySpan]:
-    """Entities per fixed rules; overlaps resolved longest-match, then leftmost."""
+    """Entities per fixed rules; overlaps resolved longest-match, then leftmost.
+
+    A caller that has already segmented and tokenized ``body`` passes
+    ``sentences``: an iterable of ``(span, tokens)`` pairs, one per
+    ``segment_sentences`` span with that sentence's ``sentence_tokens``. It
+    is read once, in order, so it may be a generator.
+    """
     if not body.strip():
         return []
+    if sentences is None:
+        sentences = (
+            (span, sentence_tokens(body[span.start : span.end]))
+            for span in segment_sentences(body, abbreviations=abbreviations)
+        )
     candidates = []
-    for span in segment_sentences(body, abbreviations=abbreviations):
-        candidates.extend(_entity_candidates(body[span.start : span.end], span.start))
+    for span, tokens in sentences:
+        candidates.extend(_entity_candidates(body[span.start : span.end], span.start, tokens))
 
     candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], c[3]))
+    # taken[i] is 1 where a chosen entity covers body[i]. Candidates of one
+    # rule never overlap each other, so testing them all scans O(len(body))
+    # characters in total.
+    taken = bytearray(len(body))
     chosen: list[tuple[int, int, str]] = []
-    occupied: list[tuple[int, int]] = []
     for start, end, kind, _rank in candidates:
-        if any(start < e and s < end for s, e in occupied):
+        if taken.find(1, start, end) != -1:
             continue
-        occupied.append((start, end))
+        taken[start:end] = b"\x01" * (end - start)
         chosen.append((start, end, kind))
     chosen.sort()
     return [
@@ -268,19 +318,20 @@ def extract_entities(
     ]
 
 
-def find_prepositions(sentence: str, lexicon: frozenset[str] | None = None) -> list[int]:
+def find_prepositions(
+    sentence: str, lexicon: frozenset[str] | None = None, tokens: list[Token] | None = None
+) -> list[int]:
     """Token positions of closed-class prepositions.
 
     Multiword units ("as well as") match as one unit whose recorded
     position is the final token; their member words are not re-matched.
+    ``tokens`` skips re-tokenizing when the caller has ``sentence_tokens(sentence)``.
     """
-    lex = lexicon if lexicon is not None else load_lexicon()
-    units = sorted(
-        (entry.split() for entry in lex if " " in entry), key=len, reverse=True
-    )
-    singles = {entry for entry in lex if " " not in entry}
+    lex = frozenset(lexicon) if lexicon is not None else load_lexicon()
+    units, singles = _lexicon_split(lex)
 
-    tokens = sentence_tokens(sentence)
+    if tokens is None:
+        tokens = sentence_tokens(sentence)
     forms = [tok.core.lower() for tok in tokens]
     positions = []
     i = 0
@@ -312,19 +363,32 @@ class AnalyzedDocument:
     sentences: list[SentenceSpan] = field(default_factory=list)
     entities: list[EntitySpan] = field(default_factory=list)
     prepositions: list[list[int]] = field(default_factory=list)
+    # per sentence: the end offset within the sentence of its final
+    # preposition token, or None without prepositions
+    final_preposition_ends: list[int | None] = field(default_factory=list)
 
     def sentence_text(self, index: int) -> str:
         span = self.sentences[index]
         return self.doc.body[span.start : span.end]
 
-    def entities_in_sentence(self, index: int) -> list[EntitySpan]:
+    def entity_range(self, index: int) -> tuple[int, int]:
+        """The [lo, hi) slice of ``entities`` inside sentence ``index``.
+
+        Entities are sorted and disjoint, so their ends are sorted too, and
+        none crosses a sentence boundary.
+        """
         span = self.sentences[index]
-        return [e for e in self.entities if span.start <= e.start and e.end <= span.end]
+        lo = bisect_left(self.entities, span.start, key=lambda e: e.start)
+        return lo, bisect_right(self.entities, span.end, lo, key=lambda e: e.end)
+
+    def entities_in_sentence(self, index: int) -> list[EntitySpan]:
+        lo, hi = self.entity_range(index)
+        return self.entities[lo:hi]
 
     def sentence_of_entity(self, entity: EntitySpan) -> int | None:
-        for span in self.sentences:
-            if span.start <= entity.start and entity.end <= span.end:
-                return span.index
+        i = bisect_right(self.sentences, entity.start, key=lambda span: span.start) - 1
+        if i >= 0 and entity.end <= self.sentences[i].end:
+            return self.sentences[i].index
         return None
 
 
@@ -333,12 +397,28 @@ def analyze_document(
     lexicon: frozenset[str] | None = None,
     abbreviations: frozenset[str] | None = None,
 ) -> AnalyzedDocument:
-    sentences = segment_sentences(doc.body, abbreviations=abbreviations)
-    entities = extract_entities(doc.body, abbreviations=abbreviations)
-    prepositions = [
-        find_prepositions(doc.body[span.start : span.end], lexicon=lexicon)
-        for span in sentences
-    ]
+    body = doc.body
+    lexicon = lexicon if lexicon is not None else load_lexicon()
+    sentences = segment_sentences(body, abbreviations=abbreviations)
+    prepositions: list[list[int]] = []
+    final_preposition_ends: list[int | None] = []
+
+    def tokenized():
+        # the one tokenization of each sentence: its prepositions are read
+        # here and its tokens handed to extract_entities, then dropped
+        for span in sentences:
+            text = body[span.start : span.end]
+            tokens = sentence_tokens(text)
+            positions = find_prepositions(text, lexicon=lexicon, tokens=tokens)
+            prepositions.append(positions)
+            final_preposition_ends.append(tokens[positions[-1]].end if positions else None)
+            yield span, tokens
+
+    entities = extract_entities(body, sentences=tokenized())
     return AnalyzedDocument(
-        doc=doc, sentences=sentences, entities=entities, prepositions=prepositions
+        doc=doc,
+        sentences=sentences,
+        entities=entities,
+        prepositions=prepositions,
+        final_preposition_ends=final_preposition_ends,
     )

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import AnalyzedDocument, EntitySpan, sentence_tokens
+from .analysis import AnalyzedDocument, EntitySpan
 from .errors import DataError
 from .rng import stream_for
 
@@ -158,11 +158,7 @@ def render_document(adoc: AnalyzedDocument, config: TaskConfig | None = None) ->
 
 
 def _gist_keywords(adoc: AnalyzedDocument) -> list[str]:
-    seen = []
-    for entity in adoc.entities:
-        if entity.surface not in seen:
-            seen.append(entity.surface)
-    return seen
+    return list(dict.fromkeys(entity.surface for entity in adoc.entities))
 
 
 def gen_memorization(adoc: AnalyzedDocument, config: TaskConfig | None = None) -> TaskExample:
@@ -235,10 +231,9 @@ def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig | None = None) 
         )
     ]
 
-    inside = [
-        e for e in adoc.entities if span.start <= e.start and e.end <= span.end
-    ]
-    outside = [e for e in adoc.entities if e.end <= span.start or e.start >= span.end]
+    lo, hi = adoc.entity_range(sent_index)
+    inside = adoc.entities[lo:hi]
+    outside = adoc.entities[:lo] + adoc.entities[hi:]
     candidates = [
         (target, repl)
         for target in inside
@@ -349,23 +344,22 @@ def gen_multichoice(adoc: AnalyzedDocument, rng, config: TaskConfig | None = Non
     )
 
 
-def _completion_split(sentence: str, positions: list[int]) -> tuple[int, str] | None:
-    """Character split point after the final preposition, or None if the
-    sentence cannot be rebuilt as ``prefix + " " + answer + "."``."""
-    if not positions or not sentence.endswith("."):
+def _completion_split(sentence: str, prep_end: int | None) -> tuple[int, str] | None:
+    """Character split point after the final preposition, which ends at
+    ``prep_end``, or None if there is none or the sentence cannot be
+    rebuilt as ``prefix + " " + answer + "."``."""
+    if prep_end is None or not sentence.endswith("."):
         return None
-    tokens = sentence_tokens(sentence)
-    prep = tokens[positions[-1]]
-    if prep.end >= len(sentence.rstrip(".")):
+    if prep_end >= len(sentence.rstrip(".")):
         return None
-    prefix = sentence[: prep.end]
-    rest = sentence[prep.end :]
+    prefix = sentence[:prep_end]
+    rest = sentence[prep_end:]
     if not rest.startswith(" "):
         return None
     answer = rest[1:-1]
     if not answer.strip() or "\n" in rest or sentence != prefix + " " + answer + ".":
         return None
-    return prep.end, answer
+    return prep_end, answer
 
 
 def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig | None = None) -> TaskExample | None:
@@ -373,7 +367,7 @@ def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig | None = None
     qualifying = []
     for span in adoc.sentences:
         sentence = adoc.doc.body[span.start : span.end]
-        split = _completion_split(sentence, adoc.prepositions[span.index])
+        split = _completion_split(sentence, adoc.final_preposition_ends[span.index])
         if split is not None:
             qualifying.append((span.index, sentence, split))
     if not qualifying:

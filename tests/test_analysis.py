@@ -1,7 +1,12 @@
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from conftest import MORITZ_BODY, ROBERT_BODY
+from docstudy import analysis
 from docstudy.analysis import (
+    EntitySpan,
     analyze_document,
     extract_entities,
     find_prepositions,
@@ -49,6 +54,12 @@ class TestSegmentation:
         spans = segment_sentences("just a fragment without an end")
         assert len(spans) == 1
         assert spans[0].start == 0
+
+    def test_any_whitespace_after_terminal_splits(self):
+        for space in (" ", "  ", "\n", "\t", "\xa0", "\u2003", " \n "):
+            assert len(segment_sentences(f"A b.{space}C d.")) == 2, repr(space)
+        assert len(segment_sentences("A b.C d.")) == 1
+        assert len(segment_sentences("A b. \n ")) == 1
 
     def test_moritz_body_four_sentences(self):
         assert len(segment_sentences(MORITZ_BODY)) == 4
@@ -199,3 +210,79 @@ class TestDeterminism:
         doc = RawDocument(id="x", title="T", body="Alice met Bob in Oslo. They toured the fjords.")
         adoc = analyze_document(doc)
         assert len(adoc.prepositions) == len(adoc.sentences)
+
+
+def quadratic_entities(body):
+    """Oracle: the plain global greedy resolver, O(E^2) in candidates."""
+    if not body.strip():
+        return []
+    candidates = []
+    for span in segment_sentences(body):
+        text = body[span.start : span.end]
+        candidates.extend(analysis._entity_candidates(text, span.start, sentence_tokens(text)))
+    candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], c[3]))
+    chosen, occupied = [], []
+    for start, end, kind, _rank in candidates:
+        if any(start < e and s < end for s, e in occupied):
+            continue
+        occupied.append((start, end))
+        chosen.append((start, end, kind))
+    chosen.sort()
+    return [EntitySpan(start=s, end=e, surface=body[s:e], kind=k) for s, e, k in chosen]
+
+
+WORDS = st.sampled_from(
+    [
+        # capitalised words, connectors, initials and abbreviations
+        "Alice", "Becker", "United", "States", "Oslo", "IUGG", "MLB", "Mr.", "Inc.",
+        "of", "the", "van", "de", "W.", "J.", "U.S.",
+        # dates and numbers, plain and glued to punctuation
+        "4 May 1990", "March 3, 1921", "September", "May", "4", "1946", "12", "3.5",
+        "1,000", "(born", "1946)", "(MLB)", "(1", "November", "2022)", "Baseball,", "\"Go",
+        # lowercase words, prepositions included
+        "went", "to", "with", "as", "well", "in", "for",
+    ]
+)
+TERMINALS = st.sampled_from(["", "", "", ".", "!", "?", "...", ".)"])
+SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\n", "\t", "\xa0"])
+BODIES = st.lists(st.tuples(WORDS, TERMINALS, SEPARATORS), min_size=1, max_size=60).map(
+    lambda parts: "".join(w + t + sep for w, t, sep in parts)
+)
+
+
+class TestLinearAnalysisEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(BODIES)
+    # dates overlapping by one character: "September 4" and "4 May 1990"
+    @example("He left September 4 May 1990 and came back.")
+    def test_sweep_matches_quadratic_resolver(self, body):
+        entities = extract_entities(body)
+        assert entities == quadratic_entities(body)
+
+        adoc = analyze_document(RawDocument(id="p", title="P", body=body))
+        assert adoc.entities == entities
+        assert adoc.sentences == segment_sentences(body)
+        for span in adoc.sentences:
+            text = body[span.start : span.end]
+            tokens = sentence_tokens(text)
+            positions = find_prepositions(text)
+            assert adoc.prepositions[span.index] == positions
+            assert adoc.final_preposition_ends[span.index] == (
+                tokens[positions[-1]].end if positions else None
+            )
+            assert adoc.entities_in_sentence(span.index) == [
+                e for e in entities if span.start <= e.start and e.end <= span.end
+            ]
+        for entity in entities:
+            homes = [
+                s.index for s in adoc.sentences if s.start <= entity.start and entity.end <= s.end
+            ]
+            assert [adoc.sentence_of_entity(entity)] == homes
+
+    def test_unpunctuated_run_on_body(self):
+        body = " ".join(
+            f"Alice Becker met Hugo Keller of Oslo in {1900 + i % 100} with {i} friends"
+            for i in range(150)
+        )
+        assert len(segment_sentences(body)) == 1
+        assert extract_entities(body) == quadratic_entities(body)

@@ -88,6 +88,27 @@ class TestPipeline:
         }
         assert abs(sum(payload["percent"].values()) - 100.0) <= 0.05
 
+    def test_gen_tasks_analyzer_overrides(self, tmp_path):
+        corpus = tmp_path / "one.jsonl"
+        body = "Alice Becker lived in Oslo. Later Hugo Keller moved to Dublin."
+        write_jsonl([{"id": "d", "title": "D", "body": body}], corpus)
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("nowhere\n", "utf-8")
+        abbreviations = tmp_path / "abbreviations.txt"
+        abbreviations.write_text("Oslo.\n", "utf-8")
+
+        def counts(*flags):
+            out = tmp_path / "-".join(("o",) + tuple(Path(f).stem for f in flags))
+            assert run("--out", out, "gen-tasks", "--corpus", corpus, "--name", "c", *flags) == 0
+            return json.loads((out / "c_tasks_stats.json").read_text("utf-8"))["counts"]
+
+        default = counts()
+        assert default["completion"] == 1 and default["nli"] == 2
+        # no lexicon word occurs, so no sentence can be completed
+        assert counts("--lexicon", lexicon)["completion"] == 0
+        # "Oslo." no longer ends a sentence: one sentence, no corrupted NLI
+        assert counts("--abbreviations", abbreviations)["nli"] == 1
+
     def test_verify_command(self, tmp_path, corpus_path):
         out = tmp_path / "o"
         assert run("--seed", 3, "--out", out, "gen-tasks", "--corpus", corpus_path, "--name", "c") == 0

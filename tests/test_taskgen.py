@@ -1,7 +1,11 @@
+import hashlib
+
 import pytest
 
-from conftest import ROBERT_BODY, ROBERT_TITLE
+from conftest import DATA, ROBERT_BODY, ROBERT_TITLE
+from docstudy import analysis
 from docstudy.analysis import analyze_document
+from docstudy.cli import main
 from docstudy.corpus import RawDocument, document_from_record
 from docstudy.errors import DataError
 from docstudy.rng import stream_for
@@ -22,7 +26,7 @@ from docstudy.taskgen import (
     gen_teaching,
 )
 
-from _synth import synthetic_records
+from _synth import synthetic_records, write_jsonl
 
 ROBERT_DOC_TEXT = f"<{ROBERT_TITLE} - Wikipedia> {ROBERT_BODY}"
 GIST_ANSWER = (
@@ -380,3 +384,73 @@ class TestFill:
 
     def test_unknown_placeholder_left_alone(self):
         assert taskgen.fill("keep {unknown}", title="x") == "keep {unknown}"
+
+
+class TestAnalysisCallBudget:
+    def test_segment_once_tokenize_each_sentence_at_most_once(self, monkeypatch):
+        calls = {"segment_sentences": 0, "sentence_tokens": 0, "load_lexicon": 0}
+
+        def counted(name):
+            original = getattr(analysis, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        docs = [document_from_record(r) for r in golden_synth_records()]
+        sentences = 0
+        for doc in docs:
+            adoc = analysis.analyze_document(doc)
+            build_suite(adoc, seed=1)
+            sentences += len(adoc.sentences)
+        assert calls["segment_sentences"] == len(docs)
+        assert calls["sentence_tokens"] <= sentences
+        assert calls["load_lexicon"] <= len(docs)
+
+
+def golden_synth_records() -> list[dict]:
+    """The synthetic corpus plus two stress bodies built from it: one long
+    many-sentence document and one giant sentence with every period gone."""
+    records = synthetic_records(40, seed=11)
+    joined = " ".join(r["body"] for r in records)
+    records.append({"id": "joined", "title": "Joined", "body": joined, "source": "synthetic"})
+    records.append(
+        {"id": "unpunctuated", "title": "Unpunctuated", "body": joined.replace(".", ""), "source": "synthetic"}
+    )
+    return records
+
+
+def gen_tasks_digests(tmp_path, corpus_path, seed) -> dict:
+    out = tmp_path / "out"
+    argv = ["--seed", str(seed), "--out", str(out), "gen-tasks", "--corpus", str(corpus_path), "--name", "g", "--reading"]
+    assert main(argv) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+ROBERT_DIGESTS = {
+    "g_reading.jsonl": "8515771320b69cb88047a7e8c6ffe129be49afea9a169267b8279ff75f695a50",
+    "g_tasks.jsonl": "8aec7d359cfee571d95d4e85bf4348b3da33c3417aafa566dfb52e474c0fed18",
+    "g_tasks_stats.json": "2155e9aa7479535b4fbeab10b99cc2e1f8cb57a7f21efb0015e837a32891f06a",
+}
+SYNTH_DIGESTS = {
+    "g_reading.jsonl": "d8a66344ba79f3f06ef20f4fb98bf8462b87b2ca940176db5a3f19dff4dc3161",
+    "g_tasks.jsonl": "485ec8c9a54b62411a3e8f1ece932fcc9186c17e7cd32e53283e0569516a2e24",
+    "g_tasks_stats.json": "d9fcbea9046aea453025029dad200b84939b7a534954d7cab6e8bcfa8693c91e",
+}
+
+
+class TestGoldenOutputs:
+    """`gen-tasks --reading` output bytes, pinned so that analyzer rewrites
+    are checked for byte identity."""
+
+    def test_robert_fixture(self, tmp_path):
+        assert gen_tasks_digests(tmp_path, DATA / "robert_anderson.jsonl", seed=0) == ROBERT_DIGESTS
+
+    def test_synthetic_corpus(self, tmp_path):
+        path = tmp_path / "synth.jsonl"
+        write_jsonl(golden_synth_records(), path)
+        assert gen_tasks_digests(tmp_path, path, seed=4) == SYNTH_DIGESTS
