@@ -253,15 +253,27 @@ def cmd_plan(args, config) -> int:
     return 0
 
 
-def _read_jsonl(path) -> list[dict]:
+def _read_jsonl(path, fields: dict[str, type]) -> list[dict]:
+    """Rows of a JSONL file: each a JSON object holding `fields` keys of those types."""
     rows = []
     for line_no, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
-            rows.append(json.loads(line))
+            row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(row, dict):
+            raise DataError(f"{path}:{line_no}: expected a JSON object, got {type(row).__name__}")
+        for key, kind in fields.items():
+            if key not in row:
+                raise DataError(f"{path}:{line_no}: missing key {key!r}")
+            if not isinstance(row[key], kind):
+                raise DataError(
+                    f"{path}:{line_no}: {key!r} must be a {kind.__name__}, "
+                    f"got {type(row[key]).__name__}"
+                )
+        rows.append(row)
     return rows
 
 
@@ -274,7 +286,7 @@ def cmd_eval(args, config) -> int:
     if args.logprobs:
         records = [
             metrics.LogProbRecord(doc_id=row["doc_id"], logprobs=row["logprobs"])
-            for row in _read_jsonl(args.logprobs)
+            for row in _read_jsonl(args.logprobs, {"doc_id": str, "logprobs": list})
         ]
         ppl = metrics.aggregate_ppl(records)
 
@@ -283,8 +295,13 @@ def cmd_eval(args, config) -> int:
     if args.predictions:
         if not args.references:
             raise UsageError("--predictions requires --references")
-        predictions = {row["item_id"]: row["prediction"] for row in _read_jsonl(args.predictions)}
-        references = {row["item_id"]: row for row in _read_jsonl(args.references)}
+        predictions = {
+            row["item_id"]: row["prediction"]
+            for row in _read_jsonl(args.predictions, {"item_id": str, "prediction": str})
+        }
+        references = {
+            row["item_id"]: row for row in _read_jsonl(args.references, {"item_id": str})
+        }
         judgments, diagnostics = metrics.score_items(predictions, references)
 
     if judgments is not None:

@@ -18,13 +18,11 @@ from .analysis import tokenize_words
 from .corpus import Corpus
 from .errors import DataError
 from .rng import Stream, mix_key
+from .taskgen import ANSWER_ONLY, FULL_SEQUENCE
 
 KIND_DOC = "doc"
 KIND_TASK = "task"
 KIND_QA = "qa"
-
-FULL_SEQUENCE = "full_sequence"
-ANSWER_ONLY = "answer_only"
 
 
 class DegenerateSplitError(DataError):

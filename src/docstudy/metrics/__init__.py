@@ -15,11 +15,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import DataError
-from ._lcs import BACKEND as LCS_BACKEND
 from ._lcs import lcs_length, lcs_length_python
 
 __all__ = [
-    "LCS_BACKEND",
     "GenerationJudgment",
     "JudgeUnavailableError",
     "LogProbRecord",
@@ -41,7 +39,6 @@ __all__ = [
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
-NLI_OPTION_STRINGS = ("Yes", "It's impossible to say", "No")
 _LABELS = ("Yes", "Impossible", "No")
 
 
@@ -169,7 +166,11 @@ class LogProbRecord:
     logprobs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "logprobs", tuple(float(x) for x in self.logprobs))
+        try:
+            values = tuple(float(x) for x in self.logprobs)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"logprob record {self.doc_id!r} has a non-numeric value") from exc
+        object.__setattr__(self, "logprobs", values)
         if not self.logprobs:
             raise DataError(f"logprob record {self.doc_id!r} has no tokens")
         if any(x > 0 for x in self.logprobs):

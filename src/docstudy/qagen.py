@@ -20,13 +20,13 @@ from pathlib import Path
 
 from .corpus import RawDocument
 from .errors import DataError, UsageError
+from .taskgen import NLI_OPTIONS
 
 logger = logging.getLogger(__name__)
 
 TASK_GENERATION = "generation"
 TASK_NLI = "nli"
 
-NLI_OPTION_STRINGS = ("Yes", "It's impossible to say", "No")
 LABEL_YES = "Yes"
 LABEL_NO = "No"
 LABEL_IMPOSSIBLE = "Impossible"
@@ -172,12 +172,12 @@ def parse_qa_response(raw: str, task: str, doc_id: str = "") -> ParsedResponse:
         if task == TASK_NLI:
             opt_split = _OPTIONS_MARK.split(question_part, maxsplit=1)
             question = opt_split[0].strip()
-            options = NLI_OPTION_STRINGS
+            options = NLI_OPTIONS
             label = canonical_label(answer.splitlines()[0]) if answer else None
             if label is None:
                 discarded += 1
                 continue
-            answer = NLI_OPTION_STRINGS[(LABEL_YES, LABEL_IMPOSSIBLE, LABEL_NO).index(label)]
+            answer = NLI_OPTIONS[(LABEL_YES, LABEL_IMPOSSIBLE, LABEL_NO).index(label)]
         else:
             answer = answer.strip()
         if not question or not answer:
@@ -207,7 +207,7 @@ def render_qa_pairs(pairs: list[QAPair]) -> str:
         if pair.task == TASK_NLI:
             blocks.append(
                 f"Question: {pair.question}\nOptions:\n"
-                + "\n".join(f"- {o}" for o in pair.options or NLI_OPTION_STRINGS)
+                + "\n".join(f"- {o}" for o in pair.options or NLI_OPTIONS)
                 + f"\nAnswer: {pair.answer}"
             )
         else:

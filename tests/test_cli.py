@@ -1,3 +1,4 @@
+import hashlib
 import http.server
 import json
 import threading
@@ -170,6 +171,26 @@ class TestEval:
     def test_eval_without_inputs_is_usage_error(self, tmp_path):
         assert run("--out", tmp_path / "o", "eval") == 1
 
+    def test_fixture_report_golden_bytes(self, tmp_path, eval_fixture):
+        # sha256 of the whole report (every metric, item and ppl), recorded while
+        # Rouge-L still ran on the two-row DP: scoring or rendering drift shows here
+        paths = {}
+        for key in ("predictions", "references", "logprobs"):
+            paths[key] = tmp_path / f"{key}.jsonl"
+            paths[key].write_text(
+                "".join(json.dumps(r) + "\n" for r in eval_fixture[key]), "utf-8"
+            )
+        out = tmp_path / "o"
+        assert run(
+            "--out", out, "eval",
+            "--predictions", paths["predictions"],
+            "--references", paths["references"],
+            "--logprobs", paths["logprobs"],
+            "--name", "fixture",
+        ) == 0
+        digest = hashlib.sha256((out / "fixture_report.json").read_bytes()).hexdigest()
+        assert digest == "9a57de92a9b3e4b22d63c162c33c7ad856fa9e0ac332ac76db379a3387def59d"
+
 
 class TestStats:
     def test_nli_label_distribution(self, tmp_path, corpus_path):
@@ -206,6 +227,39 @@ class TestErrors:
         blocker.write_text("file, not a dir", "utf-8")
         assert run("--out", blocker, "ingest", "--corpus", corpus_path) == 3
         assert run("--out", blocker / "sub", "ingest", "--corpus", corpus_path) == 3
+
+    @pytest.mark.parametrize(
+        "flag, rows, line",
+        [
+            ("predictions", [{"item_id": "i1", "prediction": "x"}, {"item_id": "i2"}], 2),
+            ("predictions", [{"item_id": "i1", "prediction": 3}], 1),
+            ("predictions", [{"prediction": "x"}], 1),
+            ("references", [{"item_id": "i1", "golds": ["x"]}, ["item_id", "golds"]], 2),
+            ("logprobs", [{"doc_id": "d1", "logprobs": [-0.1]}, {"logprobs": [-0.2]}], 2),
+            ("logprobs", [{"doc_id": "d1", "logprobs": -0.1}], 1),
+            ("logprobs", ["d1"], 1),
+        ],
+        ids=[
+            "no-prediction", "prediction-not-str", "no-item-id", "array-row",
+            "no-doc-id", "logprobs-not-list", "string-row",
+        ],
+    )
+    def test_malformed_eval_row_names_file_and_line(self, tmp_path, capsys, flag, rows, line):
+        inputs = {
+            "predictions": [{"item_id": "i1", "prediction": "x"}],
+            "references": [{"item_id": "i1", "golds": ["x"]}],
+            "logprobs": [{"doc_id": "d1", "logprobs": [-0.1]}],
+            flag: rows,
+        }
+        argv = ["--out", tmp_path / "o", "eval"]
+        for key, key_rows in inputs.items():
+            path = tmp_path / f"{key}.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in key_rows), "utf-8")
+            argv += [f"--{key}", path]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / flag}.jsonl:{line}: ")
+        assert "Traceback" not in err
 
     def test_missing_manifest_refs(self, tmp_path):
         code = run("--out", tmp_path / "o", "plan", "--preset", "continued_pretraining",

@@ -2,10 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from docstudy.errors import DataError
 from docstudy.metrics import (
-    LCS_BACKEND,
     JudgeUnavailableError,
     LogProbRecord,
     aggregate_ppl,
@@ -117,21 +118,28 @@ class TestRougeL:
             assert rouge_l(text, text) == 1.0
 
 
+_TOKEN_RUNS = st.integers(0, 200).flatmap(
+    lambda n: st.lists(st.integers(0, 3), min_size=n, max_size=n)
+)
+
+
 class TestLcsBackends:
     def test_python_reference_values(self):
         assert lcs_length_python([1, 2, 3], [1, 3]) == 2
         assert lcs_length_python([], [1]) == 0
 
-    def test_backends_agree(self):
-        if LCS_BACKEND != "cython":
-            pytest.skip("compiled kernel not built")
-        from docstudy.metrics._lcs_fast import lcs_length as fast
-
-        rng = random.Random(9)
-        for _ in range(300):
-            a = [rng.randint(0, 12) for _ in range(rng.randint(0, 40))]
-            b = [rng.randint(0, 12) for _ in range(rng.randint(0, 40))]
-            assert fast(a, b) == lcs_length_python(a, b)
+    # a 4-token alphabet gives many repeats; the length is drawn first
+    # because plain st.lists rarely exceeds ~30 items, and lengths up to
+    # 200 take the match masks well past one 64-bit word
+    @settings(max_examples=200, deadline=None)
+    @given(a=_TOKEN_RUNS, b=_TOKEN_RUNS)
+    @example(a=[], b=[1, 2])
+    @example(a=[0, 1], b=[])
+    @example(a=[2] * 130, b=[2] * 200)
+    @example(a="the cat and the hat".split(), b="a hat and the cat sat".split())
+    def test_bit_parallel_matches_dp(self, a, b):
+        assert lcs_length(a, b) == lcs_length_python(a, b)
+        assert lcs_length(b, a) == lcs_length(a, b)
 
     def test_dispatcher_interns_tokens(self):
         assert lcs_length(["a", "b", "a"], ["b", "a"]) == 2
@@ -195,6 +203,11 @@ class TestPerplexity:
     def test_empty_record_rejected(self):
         with pytest.raises(DataError):
             LogProbRecord(doc_id="d", logprobs=[])
+
+    @pytest.mark.parametrize("value", ["x", None, [-0.1]])
+    def test_non_numeric_logprob_rejected(self, value):
+        with pytest.raises(DataError):
+            LogProbRecord(doc_id="d", logprobs=[-0.2, value])
 
     def test_zero_tokens_error(self):
         with pytest.raises(DataError):
