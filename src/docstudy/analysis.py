@@ -23,6 +23,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 
 from .corpus import RawDocument
 
@@ -52,24 +53,21 @@ _LEAD_PUNCT = "([{<\"'“‘«"
 _TRAIL_PUNCT = ")]}>\"'”’»,;:!?"
 
 
-def _packaged_lines(filename: str) -> tuple[str, ...]:
-    text = resources.files("docstudy").joinpath("data", filename).read_text("utf-8")
-    return tuple(line.strip() for line in text.splitlines() if line.strip())
-
-
-def _file_lines(path) -> tuple[str, ...]:
-    with open(path, encoding="utf-8") as handle:
-        return tuple(line.strip() for line in handle if line.strip())
+def _word_list(source) -> tuple[str, ...]:
+    """Non-blank stripped lines of a file or a packaged data file."""
+    text = source.read_text("utf-8")
+    return tuple(line.strip() for line in text.split("\n") if line.strip())
 
 
 @lru_cache(maxsize=None)
 def _packaged_lexicon() -> frozenset[str]:
-    return frozenset(entry.lower() for entry in _packaged_lines("prepositions.txt"))
+    words = _word_list(resources.files("docstudy") / "data" / "prepositions.txt")
+    return frozenset(entry.lower() for entry in words)
 
 
 @lru_cache(maxsize=None)
 def _packaged_abbreviations() -> frozenset[str]:
-    return frozenset(_packaged_lines("abbreviations.txt"))
+    return frozenset(_word_list(resources.files("docstudy") / "data" / "abbreviations.txt"))
 
 
 def load_lexicon(path=None) -> frozenset[str]:
@@ -79,13 +77,13 @@ def load_lexicon(path=None) -> frozenset[str]:
     """
     if path is None:
         return _packaged_lexicon()
-    return frozenset(entry.lower() for entry in _file_lines(path))
+    return frozenset(entry.lower() for entry in _word_list(Path(path)))
 
 
 def load_abbreviations(path=None) -> frozenset[str]:
     if path is None:
         return _packaged_abbreviations()
-    return frozenset(_file_lines(path))
+    return frozenset(_word_list(Path(path)))
 
 
 @lru_cache(maxsize=8)
@@ -366,10 +364,6 @@ class AnalyzedDocument:
     # per sentence: the end offset within the sentence of its final
     # preposition token, or None without prepositions
     final_preposition_ends: list[int | None] = field(default_factory=list)
-
-    def sentence_text(self, index: int) -> str:
-        span = self.sentences[index]
-        return self.doc.body[span.start : span.end]
 
     def entity_range(self, index: int) -> tuple[int, int]:
         """The [lo, hi) slice of ``entities`` inside sentence ``index``.

@@ -9,16 +9,17 @@ all randomness flows from --seed.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import analysis, curriculum, dataset, metrics, qagen, stats, taskgen
-from .corpus import Corpus, ingest_jsonl, serialize_corpus
+from .corpus import ingest_jsonl, serialize_corpus
 from .errors import DataError, UsageError
+from .jsonio import atomic_write, iter_jsonl, read_json, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -32,24 +33,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    tmp.replace(path)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-
-
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        config = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file {path}: {exc.msg}") from exc
+        config = read_json(path)
+    except DataError as exc:
+        raise UsageError(f"config file {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return config
@@ -87,43 +77,34 @@ def _analyzer_overrides(args) -> dict:
     return overrides
 
 
-def _build_suites(corpus: Corpus, config: taskgen.TaskConfig, seed: int, jobs: int, overrides: dict):
-    def one(doc):
-        adoc = analysis.analyze_document(doc, **overrides)
-        return taskgen.build_suite(adoc, config, seed=seed)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, corpus.documents))
-    return [one(doc) for doc in corpus.documents]
-
-
 def cmd_ingest(args, config) -> int:
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     corpus = ingest_jsonl(args.corpus, name=args.name, seed=seed)
     target = out / f"{corpus.name}.jsonl"
-    _atomic_write(target, serialize_corpus(corpus))
+    atomic_write(target, serialize_corpus(corpus))
     print(f"ingested {len(corpus)} documents -> {target}")
     return 0
 
 
 def cmd_gen_tasks(args, config) -> int:
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
-    jobs = _resolve(args.jobs, config, "jobs", JOBS_ENV, 1, int)
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     task_config = (
         taskgen.TaskConfig.from_file(args.task_config) if args.task_config else taskgen.TaskConfig()
     )
     corpus = ingest_jsonl(args.corpus, name=args.name, seed=seed)
-    suites = _build_suites(corpus, task_config, seed, jobs, _analyzer_overrides(args))
+    overrides = _analyzer_overrides(args)
+    suites = [
+        taskgen.build_suite(analysis.analyze_document(doc, **overrides), task_config, seed=seed)
+        for doc in corpus.documents
+    ]
 
     records = [dataset.task_record(ex) for suite in suites for ex in suite.examples]
     name = args.name or corpus.name
     manifest_path = out / f"{name}_tasks.jsonl"
-    manifest = dataset.build_manifest(records, name=name, split="train", seed=seed)
-    _atomic_write(manifest_path, dataset.manifest_bytes(manifest))
-    _write_json(out / f"{name}_tasks_stats.json", stats.suite_stats(suites))
+    dataset.write_manifest(records, name=name, split="train", path=manifest_path, seed=seed)
+    write_json(out / f"{name}_tasks_stats.json", stats.suite_stats(suites))
 
     if args.reading:
         reading_records = []
@@ -135,8 +116,10 @@ def cmd_gen_tasks(args, config) -> int:
                     "payload": {"id": doc.id, "title": doc.title, "body": text},
                 }
             )
-        reading = dataset.build_manifest(reading_records, name=f"{name}_reading", split="train", seed=seed)
-        _atomic_write(out / f"{name}_reading.jsonl", dataset.manifest_bytes(reading))
+        dataset.write_manifest(
+            reading_records, name=f"{name}_reading", split="train",
+            path=out / f"{name}_reading.jsonl", seed=seed,
+        )
 
     print(f"generated {len(records)} task records over {len(corpus)} documents -> {manifest_path}")
     return 0
@@ -144,18 +127,15 @@ def cmd_gen_tasks(args, config) -> int:
 
 def cmd_gen_qa(args, config) -> int:
     jobs = _resolve(args.jobs, config, "jobs", JOBS_ENV, 1, int)
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     corpus = ingest_jsonl(args.corpus, name=args.name, seed=0)
     cache_dir = Path(args.cache_dir) if args.cache_dir else out / "qa_cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
 
-    uncached = [
-        doc
-        for doc in corpus.documents
-        if not qagen.cache_path(cache_dir, doc.id, args.task).exists()
-    ]
     client = None
-    if uncached:
+    if not all(qagen.cache_path(cache_dir, doc.id, args.task).exists() for doc in corpus.documents):
         client = qagen.ChatClient(
             endpoint=args.endpoint,
             api_key=args.api_key,
@@ -168,11 +148,8 @@ def cmd_gen_qa(args, config) -> int:
     def one(doc):
         return qagen.generate_for_document(doc, args.task, client, cache_dir)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parsed = list(pool.map(one, corpus.documents))
-    else:
-        parsed = [one(doc) for doc in corpus.documents]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        parsed = list(pool.map(one, corpus.documents))
 
     pairs = [pair for result in parsed for pair in result.pairs]
     discarded = sum(result.discarded for result in parsed)
@@ -190,9 +167,9 @@ def cmd_split(args, config) -> int:
     spec = dataset.SplitSpec(test_fraction=args.fraction, seed=seed, ngram_size=args.ngram)
     train, test = dataset.split_corpus(corpus, spec)
     name = args.name or corpus.name
-    _atomic_write(out / f"{name}_train.jsonl", serialize_corpus(train))
-    _atomic_write(out / f"{name}_test.jsonl", serialize_corpus(test))
-    _write_json(out / f"{name}_overlap.json", dataset.overlap_report(train, test, spec.ngram_size))
+    atomic_write(out / f"{name}_train.jsonl", serialize_corpus(train))
+    atomic_write(out / f"{name}_test.jsonl", serialize_corpus(test))
+    write_json(out / f"{name}_overlap.json", dataset.overlap_report(train, test, spec.ngram_size))
 
     if args.qa:
         pairs = qagen.read_qa_jsonl(args.qa)
@@ -213,9 +190,9 @@ def cmd_split(args, config) -> int:
 
 
 def _parse_refs(args) -> dict:
-    refs = {}
-    if args.refs_file:
-        refs.update(json.loads(Path(args.refs_file).read_text("utf-8")))
+    refs = read_json(args.refs_file) if args.refs_file else {}
+    if not isinstance(refs, dict) or not all(isinstance(v, str) for v in refs.values()):
+        raise DataError(f"{args.refs_file}: expected a JSON object of name -> path strings")
     for item in args.ref or []:
         if "=" not in item:
             raise UsageError(f"--ref expects name=path, got {item!r}")
@@ -234,7 +211,7 @@ def cmd_plan(args, config) -> int:
         raise DataError(f"referenced manifest files do not exist: {', '.join(missing_files)}")
     stage_plan = curriculum.plan(args.preset, refs, seed=seed, cross_domain=args.cross_domain)
     target = out / f"{args.preset}_plan.json"
-    _write_json(target, stage_plan.to_dict())
+    curriculum.write_plan(stage_plan, target)
 
     if args.render:
         manifests = {
@@ -242,37 +219,33 @@ def cmd_plan(args, config) -> int:
         }
         for stage in stage_plan.stages:
             records = curriculum.render_stage_inputs(stage_plan, stage.index, manifests)
-            rendered = dataset.build_manifest(
-                records, name=f"{args.preset}_stage{stage.index}", split="train", seed=seed
-            )
-            _atomic_write(
-                out / f"{args.preset}_stage{stage.index}.jsonl",
-                dataset.manifest_bytes(rendered),
+            stage_name = f"{args.preset}_stage{stage.index}"
+            dataset.write_manifest(
+                records, name=stage_name, split="train", path=out / f"{stage_name}.jsonl", seed=seed
             )
     print(f"planned {args.preset}: {len(stage_plan.stages)} stages -> {target}")
     return 0
 
 
-def _read_jsonl(path, fields: dict[str, type]) -> list[dict]:
-    """Rows of a JSONL file: each a JSON object holding `fields` keys of those types."""
+def _read_jsonl(path, fields: dict, optional: dict | None = None) -> list[dict]:
+    """Rows of a JSONL file: each a JSON object holding `fields` keys, and
+    `optional` keys unless absent or null, of those types (`list[str]`
+    checks the items too)."""
+    checks = [
+        (key, key in fields, typing.get_origin(kind) or kind, typing.get_args(kind), kind)
+        for key, kind in {**fields, **(optional or {})}.items()
+    ]
     rows = []
-    for line_no, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(row, dict):
-            raise DataError(f"{path}:{line_no}: expected a JSON object, got {type(row).__name__}")
-        for key, kind in fields.items():
+    for line_no, row in iter_jsonl(path):
+        for key, required, outer, items, kind in checks:
+            value = row.get(key)
+            if value is None and not required:
+                continue
             if key not in row:
                 raise DataError(f"{path}:{line_no}: missing key {key!r}")
-            if not isinstance(row[key], kind):
-                raise DataError(
-                    f"{path}:{line_no}: {key!r} must be a {kind.__name__}, "
-                    f"got {type(row[key]).__name__}"
-                )
+            if not isinstance(value, outer) or (items and not all(isinstance(v, items) for v in value)):
+                want, got = kind if items else kind.__name__, type(value).__name__
+                raise DataError(f"{path}:{line_no}: {key!r} must be a {want}, got {got}")
         rows.append(row)
     return rows
 
@@ -300,7 +273,10 @@ def cmd_eval(args, config) -> int:
             for row in _read_jsonl(args.predictions, {"item_id": str, "prediction": str})
         }
         references = {
-            row["item_id"]: row for row in _read_jsonl(args.references, {"item_id": str})
+            row["item_id"]: row
+            for row in _read_jsonl(
+                args.references, {"item_id": str}, {"golds": list[str], "gold_label": str}
+            )
         }
         judgments, diagnostics = metrics.score_items(predictions, references)
 
@@ -310,7 +286,7 @@ def cmd_eval(args, config) -> int:
     elif ppl is not None:
         payload = {"metrics": {}, "count": 0, "items": [], "diagnostics": {}, "ppl": round(ppl, 6)}
     target = out / f"{args.name}_report.json"
-    _write_json(target, payload)
+    write_json(target, payload)
     print(f"evaluation report -> {target}")
     return 0
 
@@ -321,7 +297,7 @@ def cmd_stats(args, config) -> int:
     qa_pairs = qagen.read_qa_jsonl(args.qa) if args.qa else None
     name = args.name or corpus.name
     target = out / f"{name}_stats.json"
-    _write_json(target, stats.corpus_stats(corpus, qa_pairs))
+    write_json(target, stats.corpus_stats(corpus, qa_pairs))
     print(f"statistics -> {target}")
     return 0
 
@@ -344,7 +320,7 @@ def cmd_verify(args, config) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="docstudy", description=__doc__)
     parser.add_argument("--seed", type=int, default=None, help="master random seed")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    parser.add_argument("--jobs", type=int, default=None, help="concurrent gen-qa requests")
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("-v", "--verbose", action="store_true")

@@ -8,12 +8,12 @@ decoration from titles, and truncates bodies to their first paragraph.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DataError
+from .errors import DataError, MalformedLineError
+from .jsonio import canonical_line, iter_jsonl
 
 _WIKI_SUFFIX = " - Wikipedia"
 _PARA_BREAK = re.compile(r"\n[ \t]*\n")
@@ -21,12 +21,6 @@ _PARA_BREAK = re.compile(r"\n[ \t]*\n")
 
 class HeaderError(DataError):
     """Header stripped down to an empty title."""
-
-
-class MalformedLineError(DataError):
-    def __init__(self, path, line_no: int, reason: str):
-        super().__init__(f"{path}:{line_no}: {reason}")
-        self.line_no = line_no
 
 
 class DuplicateIdError(DataError):
@@ -143,18 +137,18 @@ class Corpus:
         raise KeyError(doc_id)
 
 
-def document_from_record(record: dict, line_ref: str = "<record>") -> RawDocument:
+def document_from_record(record: dict) -> RawDocument:
     """Build a normalized document from one JSONL record."""
     title_raw = record.get("title")
     body_raw = record.get("body")
     if not isinstance(title_raw, str) or not isinstance(body_raw, str):
-        raise DataError(f"{line_ref}: record needs string 'title' and 'body' fields")
+        raise DataError("record needs string 'title' and 'body' fields")
     if "\n" in title_raw.strip("\n"):
-        raise DataError(f"{line_ref}: title must be a single line")
+        raise DataError("title must be a single line")
     title = parse_header(normalize_text(title_raw))
     body = first_paragraph(normalize_text(body_raw)) if body_raw.strip() else ""
     if not body:
-        raise DataError(f"{line_ref}: body is empty after normalization")
+        raise DataError("body is empty after normalization")
     doc_id = record.get("id") or content_id(title, body)
     return RawDocument(
         id=str(doc_id),
@@ -174,37 +168,21 @@ def ingest_jsonl(path, name: str | None = None, seed: int = 0) -> Corpus:
     path = Path(path)
     documents: list[RawDocument] = []
     seen: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLineError(path, line_no, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise MalformedLineError(path, line_no, "record is not a JSON object")
-            try:
-                doc = document_from_record(record, line_ref=f"{path}:{line_no}")
-            except HeaderError:
-                raise
-            except DataError as exc:
-                raise MalformedLineError(path, line_no, str(exc)) from exc
-            if doc.id in seen:
-                raise DuplicateIdError(doc.id, seen[doc.id], line_no)
-            seen[doc.id] = line_no
-            documents.append(doc)
+    for line_no, record in iter_jsonl(path):
+        try:
+            doc = document_from_record(record)
+        except HeaderError:
+            raise
+        except DataError as exc:
+            raise MalformedLineError(path, line_no, str(exc)) from exc
+        if doc.id in seen:
+            raise DuplicateIdError(doc.id, seen[doc.id], line_no)
+        seen[doc.id] = line_no
+        documents.append(doc)
     return Corpus(name=name or path.stem, seed=seed, documents=tuple(documents))
 
 
 def serialize_corpus(corpus: Corpus) -> bytes:
     """Canonical JSONL bytes: sorted keys, UTF-8, LF line endings."""
-    lines = [
-        json.dumps(doc.to_record(), sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-        for doc in corpus.documents
-    ]
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-
-
-def write_corpus(corpus: Corpus, path) -> None:
-    Path(path).write_bytes(serialize_corpus(corpus))
+    lines = (canonical_line(doc.to_record()) + "\n" for doc in corpus.documents)
+    return "".join(lines).encode("utf-8")

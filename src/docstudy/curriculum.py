@@ -12,10 +12,10 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 from .dataset import KIND_DOC, DatasetManifest
 from .errors import DataError, UsageError
+from .jsonio import write_json
 from .rng import Stream, mix_key
 
 MIX_CONCAT = "concat"
@@ -222,9 +222,7 @@ def render_stage_inputs(
 
 
 def write_plan(stage_plan: StagePlan, path) -> None:
-    Path(path).write_text(
-        json.dumps(stage_plan.to_dict(), indent=2, sort_keys=True) + "\n", "utf-8"
-    )
+    write_json(path, stage_plan.to_dict())
 
 
 def plan_schema() -> dict:

@@ -9,14 +9,14 @@ between sides is reported, never enforced.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import tokenize_words
 from .corpus import Corpus
 from .errors import DataError
+from .jsonio import atomic_write, canonical_line, parse_object
 from .rng import Stream, mix_key
 from .taskgen import ANSWER_ONLY, FULL_SEQUENCE
 
@@ -30,7 +30,9 @@ class DegenerateSplitError(DataError):
 
 
 class ManifestError(DataError):
-    pass
+    def __init__(self, path, reason: str, record: int | None = None):
+        super().__init__(f"{path}: {reason}" + ("" if record is None else f" (record {record})"))
+        self.reason, self.record = reason, record
 
 
 @dataclass(frozen=True)
@@ -130,10 +132,6 @@ def attach_loss_policy(record: dict) -> dict:
     return stamped
 
 
-def _canonical_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-
-
 @dataclass(frozen=True)
 class DatasetManifest:
     name: str
@@ -146,61 +144,81 @@ class DatasetManifest:
         return len(self.records)
 
 
-def build_manifest(records, name: str, split: str, seed: int = 0) -> DatasetManifest:
+def _encode(records, name: str, split: str, seed: int) -> tuple[DatasetManifest, list[bytes]]:
+    """The stamped manifest and its record lines, each record encoded once."""
     if not records:
         raise DataError("manifest needs at least one record")
     stamped = tuple(attach_loss_policy(dict(r)) for r in records)
+    lines = [(canonical_line(record) + "\n").encode("utf-8") for record in stamped]
     digest = hashlib.sha256()
-    for record in stamped:
-        digest.update(_canonical_line(record).encode("utf-8"))
-        digest.update(b"\n")
-    return DatasetManifest(
-        name=name, split=split, records=stamped, checksum=digest.hexdigest(), seed=seed
-    )
+    for line in lines:
+        digest.update(line)
+    manifest = DatasetManifest(name, split, stamped, digest.hexdigest(), seed)
+    return manifest, lines
 
 
-def manifest_bytes(manifest: DatasetManifest) -> bytes:
-    lines = [_canonical_line(record) for record in manifest.records]
-    footer = _canonical_line(
-        {"checksum": manifest.checksum, "count": len(manifest.records), "seed": manifest.seed}
-    )
-    return ("\n".join(lines + [footer]) + "\n").encode("utf-8")
+def build_manifest(records, name: str, split: str, seed: int = 0) -> DatasetManifest:
+    return _encode(records, name, split, seed)[0]
 
 
 def write_manifest(records, name: str, split: str, path, seed: int = 0) -> DatasetManifest:
-    manifest = build_manifest(records, name=name, split=split, seed=seed)
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_bytes(manifest_bytes(manifest))
-    tmp.replace(target)
+    """The one manifest writer: canonical record lines closed by the checksum footer."""
+    manifest, lines = _encode(records, name, split, seed)
+    footer = {"checksum": manifest.checksum, "count": len(manifest), "seed": seed}
+    lines.append((canonical_line(footer) + "\n").encode("utf-8"))
+    atomic_write(path, b"".join(lines))
     return manifest
 
 
-def read_manifest(path, name: str | None = None, split: str = "") -> DatasetManifest:
-    path = Path(path)
-    lines = path.read_text("utf-8").splitlines()
-    if not lines:
-        raise ManifestError(f"{path}: empty manifest")
-    records = []
-    for line_no, line in enumerate(lines[:-1], 1):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+def _scan(path, records: list | None = None) -> dict:
+    """Parse, check and hash every line of a manifest in one pass; return its footer.
+
+    Each record line must be the canonical encoding of a JSON object (kept
+    in `records` when given); the last line is the footer, whose count and
+    checksum must match the body. Raises ManifestError at the first fault.
+    """
+    count = 0
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        line = handle.readline()
+        # one line of lookahead: a line is a record only if another follows it
+        for following in handle:
+            try:
+                text = line.decode("utf-8").removesuffix("\n")
+                record = parse_object(text)
+            except ValueError as exc:
+                raise ManifestError(path, f"unparseable record: {exc}", count) from None
+            if canonical_line(record) != text:
+                raise ManifestError(path, "non-canonical record encoding", count)
+            digest.update(line)
+            if records is not None:
+                records.append(record)
+            count += 1
+            line = following
+    if not line:
+        raise ManifestError(path, "empty file", 0)
     try:
-        footer = json.loads(lines[-1])
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}:{len(lines)}: invalid footer ({exc.msg})") from exc
-    if not isinstance(footer, dict) or "checksum" not in footer:
-        raise ManifestError(f"{path}: missing checksum footer")
-    return DatasetManifest(
-        name=name or path.stem,
-        split=split,
-        records=tuple(records),
-        checksum=footer["checksum"],
-        seed=footer.get("seed", 0),
-    )
+        footer = parse_object(line.decode("utf-8"))
+    except ValueError as exc:
+        raise ManifestError(path, f"unparseable footer: {exc}", count) from None
+    expected = footer.get("count")
+    if "checksum" not in footer or not isinstance(expected, int):
+        raise ManifestError(path, "missing checksum footer", count)
+    if count > expected:
+        raise ManifestError(path, "more records than footer count", expected)
+    if count < expected:
+        raise ManifestError(path, f"truncated: {count} of {expected} records", max(count - 1, 0))
+    if digest.hexdigest() != footer["checksum"]:
+        raise ManifestError(path, "checksum mismatch")
+    return footer
+
+
+def read_manifest(path, name: str | None = None, split: str = "") -> DatasetManifest:
+    """Load a manifest that passes every check `verify_manifest` makes."""
+    records: list[dict] = []
+    footer = _scan(path, records)
+    name = name or Path(path).stem
+    return DatasetManifest(name, split, tuple(records), footer["checksum"], footer.get("seed", 0))
 
 
 @dataclass(frozen=True)
@@ -212,37 +230,8 @@ class VerifyResult:
 
 def verify_manifest(path) -> VerifyResult:
     """Recompute the checksum and compare against the stored footer."""
-    path = Path(path)
-    raw_lines = path.read_text("utf-8").splitlines()
-    if not raw_lines:
-        return VerifyResult(False, "empty file", 0)
     try:
-        footer = json.loads(raw_lines[-1])
-    except json.JSONDecodeError:
-        return VerifyResult(False, "unparseable footer", len(raw_lines) - 1)
-    if not isinstance(footer, dict) or "checksum" not in footer or "count" not in footer:
-        return VerifyResult(False, "missing checksum footer", len(raw_lines) - 1)
-
-    body = raw_lines[:-1]
-    expected_count = footer["count"]
-    digest = hashlib.sha256()
-    for index, line in enumerate(body):
-        if index >= expected_count:
-            return VerifyResult(False, "more records than footer count", expected_count)
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            return VerifyResult(False, "unparseable record", index)
-        if _canonical_line(record) != line:
-            return VerifyResult(False, "non-canonical record encoding", index)
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    if len(body) < expected_count:
-        return VerifyResult(
-            False,
-            f"truncated: {len(body)} of {expected_count} records",
-            max(len(body) - 1, 0),
-        )
-    if digest.hexdigest() != footer["checksum"]:
-        return VerifyResult(False, "checksum mismatch", None)
+        _scan(path)
+    except ManifestError as exc:
+        return VerifyResult(False, exc.reason, exc.record)
     return VerifyResult(True)

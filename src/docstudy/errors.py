@@ -15,3 +15,9 @@ class UsageError(DocstudyError):
 
 class DataError(DocstudyError):
     """Input data violates a documented contract."""
+
+
+class MalformedLineError(DataError):
+    def __init__(self, path, line_no: int, reason: str):
+        super().__init__(f"{path}:{line_no}: {reason}")
+        self.line_no = line_no

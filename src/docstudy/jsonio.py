@@ -1,0 +1,72 @@
+"""The one way docstudy reads and writes JSON data files.
+
+A canonical line keeps U+0085, U+2028 and U+2029 raw, so only "\\n" ends a
+line when reading (`str.splitlines` would split inside a record).
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+from .errors import DataError, MalformedLineError
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+def canonical_line(obj) -> str:
+    return _CANONICAL.encode(obj)
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Replace `path` with `data`, or leave it untouched if anything fails."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # unique per call, so concurrent writers never share a temp file; mode
+    # 0o666 leaves permissions to the umask, as a plain write does
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, obj) -> None:
+    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+
+
+def read_json(path):
+    try:
+        return json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def parse_object(line: str) -> dict:
+    """The JSON object on one line; the ValueError says why there is none."""
+    try:
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"invalid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def iter_jsonl(path):
+    """Yield (line number, object) for each non-blank line of a JSONL file."""
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8")
+                if line.isspace():
+                    continue
+                obj = parse_object(line)
+            except ValueError as exc:
+                raise MalformedLineError(path, line_no, str(exc)) from None
+            yield line_no, obj

@@ -8,7 +8,6 @@ replay from disk instead of re-billing.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
@@ -19,7 +18,8 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import RawDocument
-from .errors import DataError, UsageError
+from .errors import DataError, MalformedLineError, UsageError
+from .jsonio import atomic_write, canonical_line, iter_jsonl, read_json, write_json
 from .taskgen import NLI_OPTIONS
 
 logger = logging.getLogger(__name__)
@@ -79,11 +79,6 @@ def build_type_prompt(doc: RawDocument, qas: list["QAPair"]) -> str:
     return _instantiate(_prompt_asset("qa_types.txt"), paragraph=doc.body, QA=qa_text)
 
 
-def five_shot_eval_prompt() -> str:
-    """Static few-shot preamble for downstream open-ended evaluation."""
-    return _prompt_asset("eval_five_shot.txt").rstrip("\n")
-
-
 @dataclass(frozen=True)
 class QAPair:
     doc_id: str
@@ -115,7 +110,12 @@ class QAPair:
 
     @classmethod
     def from_record(cls, record: dict) -> "QAPair":
+        for key in ("doc_id", "task", "question", "answer"):
+            if not isinstance(record.get(key), str):
+                raise DataError(f"QA record needs a string {key!r}")
         options = record.get("options")
+        if not isinstance(options, (list, type(None))):
+            raise DataError("QA record 'options' must be a list")
         return cls(
             doc_id=record["doc_id"],
             task=record["task"],
@@ -216,22 +216,6 @@ def render_qa_pairs(pairs: list[QAPair]) -> str:
 
 
 @dataclass(frozen=True)
-class ChatRequest:
-    model: str
-    prompt: str
-    temperature: float
-    max_tokens: int
-
-    def to_payload(self) -> dict:
-        return {
-            "model": self.model,
-            "messages": [{"role": "user", "content": self.prompt}],
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-        }
-
-
-@dataclass(frozen=True)
 class ChatResponse:
     text: str
     finish_reason: str = ""
@@ -287,12 +271,12 @@ class ChatClient:
         self._gate = threading.Semaphore(max(1, max_concurrency))
 
     def complete(self, prompt: str) -> ChatResponse:
-        request = ChatRequest(
-            model=self.model,
-            prompt=prompt,
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-        )
+        payload = {
+            "model": self.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": self.temperature,
+            "max_tokens": self.max_tokens,
+        }
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -303,9 +287,7 @@ class ChatClient:
                 self._sleep(self.backoff * (2 ** (attempt - 1)))
             try:
                 with self._gate:
-                    status, body = self._transport(
-                        self.endpoint, headers, request.to_payload(), self.timeout
-                    )
+                    status, body = self._transport(self.endpoint, headers, payload, self.timeout)
             except ConnectionError as exc:
                 last_error = f"connection error: {exc}"
                 continue
@@ -346,8 +328,14 @@ def generate_for_document(
         raise UsageError(f"unknown QA task {task!r}")
     path = cache_path(cache_dir, doc.id, task)
     if path.exists():
-        cached = json.loads(path.read_text("utf-8"))
-        pairs = [QAPair.from_record(rec) for rec in cached["pairs"]]
+        cached = read_json(path)
+        records = cached.get("pairs") if isinstance(cached, dict) else None
+        if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
+            raise DataError(f"{path}: cache file needs a 'pairs' list of objects")
+        try:
+            pairs = [QAPair.from_record(rec) for rec in records]
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
         return ParsedResponse(pairs=pairs, discarded=cached.get("discarded", 0))
     if client is None:
         raise UsageError(f"no cached response for ({doc.id}, {task}) and no client configured")
@@ -355,7 +343,6 @@ def generate_for_document(
     prompt = PROMPT_BUILDERS[task](doc)
     response = client.complete(prompt)
     parsed = parse_qa_response(response.text, task, doc_id=doc.id)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "request": {
             "model": client.model,
@@ -371,23 +358,20 @@ def generate_for_document(
         "pairs": [pair.to_record() for pair in parsed.pairs],
         "discarded": parsed.discarded,
     }
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload, ensure_ascii=False, indent=2), "utf-8")
-    tmp.replace(path)
+    write_json(path, payload)
     return parsed
 
 
 def write_qa_jsonl(pairs: list[QAPair], path) -> None:
-    lines = [
-        json.dumps(pair.to_record(), sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-        for pair in pairs
-    ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
+    lines = (canonical_line(pair.to_record()) + "\n" for pair in pairs)
+    atomic_write(path, "".join(lines).encode("utf-8"))
 
 
 def read_qa_jsonl(path) -> list[QAPair]:
     pairs = []
-    for line in Path(path).read_text("utf-8").splitlines():
-        if line.strip():
-            pairs.append(QAPair.from_record(json.loads(line)))
+    for line_no, record in iter_jsonl(path):
+        try:
+            pairs.append(QAPair.from_record(record))
+        except DataError as exc:
+            raise MalformedLineError(path, line_no, str(exc)) from exc
     return pairs

@@ -8,13 +8,12 @@ function of (seed, document, config).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .analysis import AnalyzedDocument, EntitySpan
 from .errors import DataError
+from .jsonio import read_json
 from .rng import stream_for
 
 FULL_SEQUENCE = "full_sequence"
@@ -100,7 +99,9 @@ class TaskConfig:
 
     @classmethod
     def from_file(cls, path) -> "TaskConfig":
-        raw = json.loads(Path(path).read_text("utf-8"))
+        raw = read_json(path)
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: task config must be a JSON object")
         return cls(
             enabled=tuple(raw.get("enabled", KIND_ORDER)),
             option_count=int(raw.get("option_count", 4)),

@@ -238,10 +238,12 @@ class TestErrors:
             ("logprobs", [{"doc_id": "d1", "logprobs": [-0.1]}, {"logprobs": [-0.2]}], 2),
             ("logprobs", [{"doc_id": "d1", "logprobs": -0.1}], 1),
             ("logprobs", ["d1"], 1),
+            ("references", [{"item_id": "i1", "golds": [1]}], 1),
+            ("references", [{"item_id": "i1", "golds": "x"}], 1),
         ],
         ids=[
             "no-prediction", "prediction-not-str", "no-item-id", "array-row",
-            "no-doc-id", "logprobs-not-list", "string-row",
+            "no-doc-id", "logprobs-not-list", "string-row", "golds-item-not-str", "golds-str",
         ],
     )
     def test_malformed_eval_row_names_file_and_line(self, tmp_path, capsys, flag, rows, line):
@@ -260,6 +262,64 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {tmp_path / flag}.jsonl:{line}: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, content, argv, code, where",
+        [
+            ("qa.jsonl", '{"doc_id": "d1", "question": "Q?", "answer": "A."}\n',
+             ["split", "--corpus", "{corpus}", "--qa", "{file}"], 2, "{file}:1: "),
+            ("qa.jsonl", '{"doc_id": "d1", "task": "generation", "question": "Q?", "answer": "A."}\n{\n',
+             ["split", "--corpus", "{corpus}", "--qa", "{file}"], 2, "{file}:2: "),
+            ("qa.jsonl", "not json\n", ["stats", "--corpus", "{corpus}", "--qa", "{file}"], 2, "{file}:1: "),
+            ("cache/d1.generation.json", '{"pairs": [',
+             ["gen-qa", "--corpus", "{one}", "--task", "generation", "--cache-dir", "{dir}"], 2, "{file}: "),
+            ("cache/d1.generation.json", '{"pairs": {}}',
+             ["gen-qa", "--corpus", "{one}", "--task", "generation", "--cache-dir", "{dir}"], 2, "{file}: "),
+            ("task.json", "{", ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"], 2, "{file}: "),
+            ("task.json", "[]", ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"], 2, "{file}: "),
+            ("refs.json", "{", ["plan", "--preset", "pit", "--refs-file", "{file}"], 2, "{file}: "),
+            ("refs.json", '["train_qa"]', ["plan", "--preset", "pit", "--refs-file", "{file}"], 2, "{file}: "),
+            ("config.json", "\udcff{}", ["--config", "{file}", "ingest", "--corpus", "{corpus}"], 1,
+             "config file {file}: "),
+            ("unused.txt", "", ["--jobs", "0", "gen-qa", "--corpus", "{corpus}", "--task", "nli"], 1,
+             "jobs must be at least 1"),
+        ],
+        ids=[
+            "qa-row-without-task", "qa-line-not-json", "stats-qa-line-not-json", "truncated-qa-cache",
+            "qa-cache-pairs-not-list", "task-config-not-json", "task-config-list", "refs-file-not-json",
+            "refs-file-list", "config-not-utf8", "jobs-0",
+        ],
+    )
+    def test_malformed_input_names_file(self, tmp_path, capsys, monkeypatch, name, content, argv, code, where):
+        monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)
+        corpus = tmp_path / "corpus.jsonl"
+        one = tmp_path / "one.jsonl"
+        docs = [{"id": f"d{i}", "title": f"T{i}", "body": "Alice Becker lived in Oslo."} for i in (1, 2)]
+        write_jsonl(docs, corpus)
+        write_jsonl(docs[:1], one)
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(content.encode("utf-8", "surrogateescape"))
+        fill = {"corpus": corpus, "one": one, "file": path, "dir": path.parent}
+        assert run("--out", tmp_path / "o", *[arg.format(**fill) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(("usage" if code == 1 else "data") + " error: " + where.format(**fill))
+        assert "Traceback" not in err
+
+    def test_unicode_line_breaks_survive_the_pipeline(self, tmp_path, capsys):
+        # U+2028 and U+0085 stay raw inside canonical lines; only "\n" may end one
+        corpus = tmp_path / "raw.jsonl"
+        body = "Alice Becker lived in Oslo.\u2028Later Hugo Keller moved\x85to Dublin."
+        write_jsonl([{"id": "d", "title": "D", "body": body}], corpus)
+        out = tmp_path / "o"
+        assert run("--out", out, "gen-tasks", "--corpus", corpus, "--name", "c", "--reading") == 0
+        assert "\u2028" in (out / "c_reading.jsonl").read_text("utf-8")
+        reading = f"test_doc={out / 'c_reading.jsonl'}"
+        assert run("--out", out, "plan", "--preset", "continued_pretraining", "--ref", reading, "--render") == 0
+        manifests = [out / "c_tasks.jsonl", out / "c_reading.jsonl", out / "continued_pretraining_stage1.jsonl"]
+        capsys.readouterr()
+        assert run("verify", *manifests) == 0
+        assert capsys.readouterr().out == "".join(f"{m}: ok\n" for m in manifests)
 
     def test_missing_manifest_refs(self, tmp_path):
         code = run("--out", tmp_path / "o", "plan", "--preset", "continued_pretraining",

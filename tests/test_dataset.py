@@ -6,11 +6,11 @@ from docstudy.analysis import analyze_document
 from docstudy.corpus import Corpus, document_from_record, ingest_jsonl
 from docstudy.dataset import (
     DegenerateSplitError,
+    ManifestError,
     SplitSpec,
     attach_loss_policy,
     build_manifest,
     doc_record,
-    manifest_bytes,
     overlap_report,
     qa_record,
     read_manifest,
@@ -169,7 +169,8 @@ class TestManifests:
         loaded = read_manifest(tmp_path / "m.jsonl", name="m", split="train")
         assert loaded.records == manifest.records
         assert loaded.checksum == manifest.checksum
-        assert manifest_bytes(loaded) == (tmp_path / "m.jsonl").read_bytes()
+        write_manifest(loaded.records, "m", "train", tmp_path / "again.jsonl", seed=loaded.seed)
+        assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "m.jsonl").read_bytes()
 
 
 class TestVerify:
@@ -181,6 +182,15 @@ class TestVerify:
         write_manifest(records, "m", "train", path)
         return path
 
+    def _rejected(self, path):
+        """verify's result, after checking that read_manifest refuses the file for the same reason."""
+        result = verify_manifest(path)
+        with pytest.raises(ManifestError) as err:
+            read_manifest(path)
+        assert (err.value.reason, err.value.record) == (result.reason, result.first_divergence)
+        assert not result.ok
+        return result
+
     def test_untouched_ok(self, tmp_path):
         assert verify_manifest(self._write(tmp_path)).ok
 
@@ -188,8 +198,7 @@ class TestVerify:
         path = self._write(tmp_path)
         lines = path.read_text("utf-8").splitlines()
         path.write_text("\n".join(lines[:3] + lines[-1:]) + "\n", "utf-8")
-        result = verify_manifest(path)
-        assert not result.ok
+        result = self._rejected(path)
         assert "truncated" in result.reason
         assert result.first_divergence == 2
 
@@ -199,24 +208,29 @@ class TestVerify:
         target = raw.find(b"doc-00002")
         raw[target] = ord("X")
         path.write_bytes(bytes(raw))
-        assert not verify_manifest(path).ok
+        assert self._rejected(path).reason == "checksum mismatch"
 
     def test_reordered_records_rejected(self, tmp_path):
         path = self._write(tmp_path)
         lines = path.read_text("utf-8").splitlines()
         lines[0], lines[1] = lines[1], lines[0]
         path.write_text("\n".join(lines) + "\n", "utf-8")
-        result = verify_manifest(path)
-        assert not result.ok
+        self._rejected(path)
+
+    def test_non_canonical_record_localized(self, tmp_path):
+        path = self._write(tmp_path)
+        lines = path.read_text("utf-8").splitlines()
+        lines[3] = json.dumps(json.loads(lines[3]))
+        path.write_text("\n".join(lines) + "\n", "utf-8")
+        result = self._rejected(path)
+        assert (result.reason, result.first_divergence) == ("non-canonical record encoding", 3)
 
     def test_unparseable_record_localized(self, tmp_path):
         path = self._write(tmp_path)
         lines = path.read_text("utf-8").splitlines()
         lines[4] = "garbage{"
         path.write_text("\n".join(lines) + "\n", "utf-8")
-        result = verify_manifest(path)
-        assert not result.ok
-        assert result.first_divergence == 4
+        assert self._rejected(path).first_divergence == 4
 
 
 class TestSideFollowing:

@@ -272,6 +272,19 @@ class TestCacheReplay:
         second = generate_for_document(MORITZ, "generation", None, tmp_path)
         assert second.pairs == first.pairs
 
+    def test_replays_cache_file_in_the_unsorted_format(self, tmp_path):
+        # older cache files: insertion-ordered keys, raw UTF-8, no final newline
+        payload = {
+            "request": {"model": "m", "prompt": "p", "temperature": 0.0, "max_tokens": 8},
+            "response": {"text": "Question: Wer?\nAnswer: Jürgen.", "finish_reason": "stop", "usage": {}},
+            "pairs": [{"doc_id": "moritz", "task": "generation", "question": "Wer?", "answer": "Jürgen."}],
+            "discarded": 1,
+        }
+        (tmp_path / "moritz.generation.json").write_text(json.dumps(payload, ensure_ascii=False, indent=2), "utf-8")
+        replay = generate_for_document(MORITZ, "generation", None, tmp_path)
+        assert [p.answer for p in replay.pairs] == ["Jürgen."]
+        assert replay.discarded == 1
+
     def test_no_cache_and_no_client_is_usage_error(self, tmp_path):
         with pytest.raises(UsageError):
             generate_for_document(MORITZ, "generation", None, tmp_path)
@@ -293,6 +306,8 @@ class TestQaJsonl:
                 options=("Yes", "It's impossible to say", "No"),
                 answer_label="No",
             ),
+            # canonical lines keep these raw; str.splitlines would split the record
+            QAPair(doc_id="d", task="generation", question="Q\x85?", answer="A\u2028B\u2029."),
         ]
         path = tmp_path / "qa.jsonl"
         write_qa_jsonl(pairs, path)
