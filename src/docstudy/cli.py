@@ -50,10 +50,15 @@ def _resolve(flag_value, config: dict, key: str, env: str | None, default, cast)
     if flag_value is not None:
         return flag_value
     if key in config:
-        return cast(config[key])
-    if env and os.environ.get(env):
-        return cast(os.environ[env])
-    return default
+        source, value = f"config key {key!r}", config[key]
+    elif env and os.environ.get(env):
+        source, value = env, os.environ[env]
+    else:
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{source}: cannot read {value!r} as {cast.__name__}") from None
 
 
 def _ensure_out(out: str) -> Path:

@@ -17,6 +17,9 @@ from .jsonio import canonical_line, iter_jsonl
 
 _WIKI_SUFFIX = " - Wikipedia"
 _PARA_BREAK = re.compile(r"\n[ \t]*\n")
+# JSON's \u escapes can spell a lone surrogate, which UTF-8 cannot encode
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+_TEXT_KEYS = ("id", "title", "body", "source", "collected_at")
 
 
 class HeaderError(DataError):
@@ -143,6 +146,11 @@ def document_from_record(record: dict) -> RawDocument:
     body_raw = record.get("body")
     if not isinstance(title_raw, str) or not isinstance(body_raw, str):
         raise DataError("record needs string 'title' and 'body' fields")
+    for key in _TEXT_KEYS:
+        value = record.get(key)
+        # isascii is O(1), so ASCII text costs no scan
+        if isinstance(value, str) and not value.isascii() and _SURROGATE.search(value):
+            raise DataError(f"{key!r} holds a lone surrogate, which UTF-8 cannot encode")
     if "\n" in title_raw.strip("\n"):
         raise DataError("title must be a single line")
     title = parse_header(normalize_text(title_raw))
@@ -171,8 +179,6 @@ def ingest_jsonl(path, name: str | None = None, seed: int = 0) -> Corpus:
     for line_no, record in iter_jsonl(path):
         try:
             doc = document_from_record(record)
-        except HeaderError:
-            raise
         except DataError as exc:
             raise MalformedLineError(path, line_no, str(exc)) from exc
         if doc.id in seen:

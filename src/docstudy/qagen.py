@@ -8,6 +8,8 @@ replay from disk instead of re-billing.
 
 from __future__ import annotations
 
+import functools
+import json
 import logging
 import os
 import re
@@ -16,7 +18,9 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from urllib.parse import urlsplit
 
+from . import __version__
 from .corpus import RawDocument
 from .errors import DataError, MalformedLineError, UsageError
 from .jsonio import atomic_write, canonical_line, iter_jsonl, read_json, write_json
@@ -41,12 +45,15 @@ _LABEL_CANON = {
 
 ENDPOINT_ENV = "DOCSTUDY_CHAT_ENDPOINT"
 API_KEY_ENV = "DOCSTUDY_API_KEY"
+# some gateways reject the default Python-urllib/* agent
+USER_AGENT = f"docstudy/{__version__}"
 
 
 class ParseError(DataError):
     """Raw response contained no parseable question/answer block."""
 
 
+@functools.cache
 def _prompt_asset(name: str) -> str:
     return resources.files("docstudy").joinpath("data", "prompts", name).read_text("utf-8")
 
@@ -229,14 +236,46 @@ class ChatError(DataError):
 _TRANSIENT_STATUSES = {429, 500, 502, 503, 504}
 
 
+def _decode_body(raw: bytes):
+    """A response body as JSON; one that is not JSON keeps its first 200
+    characters under "raw", so the caller still acts on the status."""
+    if not raw:
+        return {}
+    try:
+        return json.loads(raw)
+    except ValueError:
+        return {"raw": raw.decode("utf-8", "replace")[:200]}
+
+
 def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
-    import requests
+    """POST `payload` as JSON and return (status, body) for any HTTP reply.
+
+    The standard library's default opener honours HTTP(S)_PROXY and
+    NO_PROXY and verifies HTTPS against the system CA store. It is imported
+    here, so commands that send no request never load it.
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
 
     try:
-        response = requests.post(url, headers=headers, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
+        request = urllib.request.Request(
+            url,
+            data=json.dumps(payload, allow_nan=False).encode("utf-8"),
+            headers={"User-Agent": USER_AGENT, **headers},
+            method="POST",
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return response.status, _decode_body(response.read())
+        except urllib.error.HTTPError as exc:  # an OSError too, so caught first
+            with exc:
+                return exc.code, _decode_body(exc.read())
+    # URLError and timeouts are OSErrors; IncompleteRead and BadStatusLine are not
+    except (OSError, http.client.HTTPException) as exc:
         raise ConnectionError(str(exc)) from exc
-    return response.status_code, response.json() if response.content else {}
+    except ValueError as exc:  # a NaN in the payload, a newline in a header
+        raise UsageError(f"cannot send a request to {url}: {exc}") from exc
 
 
 class ChatClient:
@@ -260,6 +299,8 @@ class ChatClient:
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not self.endpoint:
             raise UsageError(f"no chat endpoint configured (set {ENDPOINT_ENV})")
+        if urlsplit(self.endpoint).scheme not in ("http", "https"):
+            raise UsageError(f"chat endpoint {self.endpoint!r} is not an http(s) URL")
         self.model = model
         self.temperature = temperature
         self.max_tokens = max_tokens
@@ -299,6 +340,8 @@ class ChatClient:
             try:
                 choice = body["choices"][0]
                 text = choice["message"]["content"]
+                if not isinstance(text, str):
+                    raise TypeError("content is not a string")
             except (KeyError, IndexError, TypeError) as exc:
                 raise ChatError(f"malformed chat response: {body}") from exc
             return ChatResponse(

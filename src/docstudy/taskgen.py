@@ -90,6 +90,10 @@ class TaskConfig:
             raise DataError(f"unknown task kinds in config: {unknown}")
         if self.option_count < 2:
             raise DataError("option_count must be at least 2")
+        if not all(isinstance(cap, int) for cap in self.multiplicity.values()):
+            raise DataError("multiplicity values must be integers")
+        if not all(isinstance(template, str) for template in self.templates.values()):
+            raise DataError("templates must be strings")
 
     def template(self, kind: str) -> str:
         return self.templates.get(kind, TEMPLATES[kind])
@@ -102,12 +106,15 @@ class TaskConfig:
         raw = read_json(path)
         if not isinstance(raw, dict):
             raise DataError(f"{path}: task config must be a JSON object")
-        return cls(
-            enabled=tuple(raw.get("enabled", KIND_ORDER)),
-            option_count=int(raw.get("option_count", 4)),
-            multiplicity=dict(raw.get("multiplicity", {})),
-            templates=dict(raw.get("templates", {})),
-        )
+        try:
+            return cls(
+                enabled=tuple(raw.get("enabled", KIND_ORDER)),
+                option_count=int(raw.get("option_count", 4)),
+                multiplicity=dict(raw.get("multiplicity", {})),
+                templates=dict(raw.get("templates", {})),
+            )
+        except (TypeError, ValueError, DataError) as exc:
+            raise DataError(f"{path}: bad task config ({exc})") from exc
 
 
 @dataclass(frozen=True)

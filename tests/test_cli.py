@@ -283,11 +283,25 @@ class TestErrors:
              "config file {file}: "),
             ("unused.txt", "", ["--jobs", "0", "gen-qa", "--corpus", "{corpus}", "--task", "nli"], 1,
              "jobs must be at least 1"),
+            ("config.json", '{"seed": "x"}', ["--config", "{file}", "ingest", "--corpus", "{corpus}"], 1,
+             "config key 'seed': "),
+            ("task.json", '{"option_count": "x"}', ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"],
+             2, "{file}: "),
+            ("task.json", '{"multiplicity": {"nli": "x"}}',
+             ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"], 2, "{file}: "),
+            ("task.json", '{"templates": {"gist": 5}}',
+             ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"], 2, "{file}: "),
+            ("raw.jsonl", '{"title": "<  - Wikipedia>", "body": "A b."}\n', ["ingest", "--corpus", "{file}"], 2,
+             "{file}:1: header "),
+            ("raw.jsonl", '{"title": "T", "body": "A \\ud800 b."}\n', ["ingest", "--corpus", "{file}"], 2,
+             "{file}:1: 'body' holds a lone surrogate"),
         ],
         ids=[
             "qa-row-without-task", "qa-line-not-json", "stats-qa-line-not-json", "truncated-qa-cache",
             "qa-cache-pairs-not-list", "task-config-not-json", "task-config-list", "refs-file-not-json",
-            "refs-file-list", "config-not-utf8", "jobs-0",
+            "refs-file-list", "config-not-utf8", "jobs-0", "config-seed-not-int", "task-config-option-count-not-int",
+            "task-config-multiplicity-not-int", "task-config-template-not-str",
+            "header-leaves-empty-title", "lone-surrogate-in-body",
         ],
     )
     def test_malformed_input_names_file(self, tmp_path, capsys, monkeypatch, name, content, argv, code, where):
@@ -304,6 +318,13 @@ class TestErrors:
         assert run("--out", tmp_path / "o", *[arg.format(**fill) for arg in argv]) == code
         err = capsys.readouterr().err
         assert err.startswith(("usage" if code == 1 else "data") + " error: " + where.format(**fill))
+        assert "Traceback" not in err
+
+    def test_environment_seed_not_int_is_usage_error(self, tmp_path, capsys, monkeypatch, corpus_path):
+        monkeypatch.setenv("DOCSTUDY_SEED", "abc")
+        assert run("--out", tmp_path / "o", "ingest", "--corpus", corpus_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: DOCSTUDY_SEED: ")
         assert "Traceback" not in err
 
     def test_unicode_line_breaks_survive_the_pipeline(self, tmp_path, capsys):
@@ -385,6 +406,20 @@ class TestGenQa:
             assert _ChatHandler.hits == 3
         finally:
             server.shutdown()
+
+    # an HTML 502 is retried (tests/test_qagen.py); these fail at once
+    @pytest.mark.parametrize("status", [200, 400])
+    def test_html_response_is_a_data_error(self, tmp_path, capsys, chat_server, status):
+        chat_server.script = [(status, "text/html", b"<html><body>gateway says no</body></html>")]
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(1, seed=1), corpus)
+        code = run("--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation",
+                   "--endpoint", chat_server.url)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "gateway says no" in err
+        assert "Traceback" not in err
 
     def test_without_endpoint_or_cache_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import pytest
 
 from conftest import DATA, MORITZ_BODY, MORITZ_TITLE
+import docstudy
 from docstudy.corpus import RawDocument
 from docstudy.errors import UsageError
 from docstudy.qagen import (
@@ -222,6 +227,11 @@ class TestChatClient:
         with pytest.raises(ChatError):
             client.complete("p")
 
+    def test_null_content_is_malformed(self):
+        client = make_client([(200, None)])
+        with pytest.raises(ChatError, match="malformed chat response"):
+            client.complete("p")
+
     def test_missing_endpoint_is_usage_error(self, monkeypatch):
         monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)
         with pytest.raises(UsageError):
@@ -255,6 +265,89 @@ class TestChatClient:
         for t in threads:
             t.join()
         assert active["peak"] <= 2
+
+
+def _chat_body(text: str) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": text}, "finish_reason": "stop"}]}).encode("utf-8")
+
+
+def real_client(endpoint: str) -> ChatClient:
+    sleeps = []
+    client = ChatClient(endpoint=endpoint, api_key="sekret", max_retries=2, backoff=0.25, sleep=sleeps.append)
+    client._sleeps = sleeps
+    return client
+
+
+class TestHttpTransport:
+    def test_happy_path_sends_json_with_auth_and_user_agent(self, chat_server):
+        chat_server.script = [(200, "application/json", _chat_body("Question: Q?\nAnswer: A."))]
+        response = real_client(chat_server.url).complete("préface")
+        assert response.text == "Question: Q?\nAnswer: A."
+        assert response.finish_reason == "stop"
+        [(path, headers, payload)] = chat_server.seen
+        assert path == "/v1/chat/completions"
+        assert headers["Authorization"] == "Bearer sekret"
+        assert headers["User-Agent"] == f"docstudy/{docstudy.__version__}"
+        assert headers["Content-Type"] == "application/json"
+        assert payload["messages"] == [{"role": "user", "content": "préface"}]
+
+    @pytest.mark.parametrize(
+        "failure",
+        [(502, "text/html", b"<html><body>Bad gateway</body></html>"), (200, "truncate", b'{"choices": [')],
+        ids=["html-502", "incomplete-read"],
+    )
+    def test_transient_failure_is_retried(self, chat_server, failure):
+        chat_server.script = [failure, (200, "application/json", _chat_body("ok"))]
+        client = real_client(chat_server.url)
+        assert client.complete("p").text == "ok"
+        assert client._sleeps == [0.25]
+
+    def test_json_401_raises_without_retry(self, chat_server):
+        chat_server.script = [(401, "application/json", b'{"error": "bad key"}')]
+        with pytest.raises(ChatError, match="HTTP 401: {'error': 'bad key'}"):
+            real_client(chat_server.url).complete("p")
+        assert len(chat_server.seen) == 1
+
+    def test_non_json_200_raises(self, chat_server):
+        chat_server.script = [(200, "text/html", b"<html>" + b"x" * 500 + b"</html>")]
+        with pytest.raises(ChatError) as info:
+            real_client(chat_server.url).complete("p")
+        # the body's first 200 characters
+        assert str(info.value) == "malformed chat response: {'raw': '<html>" + "x" * 194 + "'}"
+
+    def test_refused_port_is_retried_then_raises(self, chat_server):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        client = real_client(f"http://127.0.0.1:{port}/v1/chat/completions")
+        with pytest.raises(ChatError, match="after 3 attempts \\(connection error"):
+            client.complete("p")
+        assert client._sleeps == [0.25, 0.5]
+
+    def test_http_proxy_receives_absolute_uri(self, chat_server, monkeypatch):
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{chat_server.server_port}")
+        chat_server.script = [(200, "application/json", _chat_body("via proxy"))]
+        assert real_client("http://chat.test/v1/chat/completions").complete("p").text == "via proxy"
+        assert chat_server.seen[0][0] == "http://chat.test/v1/chat/completions"
+
+    @pytest.mark.parametrize(
+        "options", [{"temperature": float("nan")}, {"api_key": "line\nbreak"}], ids=["nan-temperature", "newline-in-key"]
+    )
+    def test_unsendable_request_is_usage_error(self, chat_server, options):
+        client = ChatClient(endpoint=chat_server.url, **options)
+        with pytest.raises(UsageError, match="cannot send a request"):
+            client.complete("p")
+        assert chat_server.seen == []
+
+    def test_endpoint_without_http_scheme_is_usage_error(self):
+        with pytest.raises(UsageError, match="not an http"):
+            ChatClient(endpoint="127.0.0.1:8080/v1/chat/completions")
+
+    def test_cli_import_loads_no_http_client(self):
+        code = "import sys, docstudy.cli; print(sorted(m for m in ('requests', 'urllib.request', 'http.client') if m in sys.modules))"
+        env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"
 
 
 class TestCacheReplay:
