@@ -56,6 +56,8 @@ def _resolve(flag_value, config: dict, key: str, env: str | None, default, cast)
     else:
         return default
     try:
+        if cast is int and isinstance(value, (bool, float)):
+            raise ValueError  # int() would truncate 2.9 and read true as 1
         return cast(value)
     except (TypeError, ValueError):
         raise UsageError(f"{source}: cannot read {value!r} as {cast.__name__}") from None
@@ -96,7 +98,7 @@ def cmd_gen_tasks(args, config) -> int:
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     task_config = (
-        taskgen.TaskConfig.from_file(args.task_config) if args.task_config else taskgen.TaskConfig()
+        taskgen.TaskConfig.from_file(args.task_config) if args.task_config else taskgen.DEFAULT_CONFIG
     )
     corpus = ingest_jsonl(args.corpus, name=args.name, seed=seed)
     overrides = _analyzer_overrides(args)
@@ -114,7 +116,7 @@ def cmd_gen_tasks(args, config) -> int:
     if args.reading:
         reading_records = []
         for doc, suite in zip(corpus.documents, suites):
-            text = taskgen.format_reading_comprehension(suite, task_config)
+            text = taskgen.format_reading_comprehension(suite)
             reading_records.append(
                 {
                     "kind": dataset.KIND_DOC,
@@ -147,7 +149,6 @@ def cmd_gen_qa(args, config) -> int:
             model=args.model,
             temperature=args.temperature,
             max_tokens=args.max_tokens,
-            max_concurrency=jobs,
         )
 
     def one(doc):
@@ -219,9 +220,7 @@ def cmd_plan(args, config) -> int:
     curriculum.write_plan(stage_plan, target)
 
     if args.render:
-        manifests = {
-            name: dataset.read_manifest(refs[name], name=name) for name in sorted(needed)
-        }
+        manifests = {name: curriculum.read_ref(name, refs[name]) for name in sorted(needed)}
         for stage in stage_plan.stages:
             records = curriculum.render_stage_inputs(stage_plan, stage.index, manifests)
             stage_name = f"{args.preset}_stage{stage.index}"

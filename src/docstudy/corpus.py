@@ -13,12 +13,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError, MalformedLineError
-from .jsonio import canonical_line, iter_jsonl
+from .jsonio import canonical_line, iter_jsonl, reject_lone_surrogates
 
 _WIKI_SUFFIX = " - Wikipedia"
 _PARA_BREAK = re.compile(r"\n[ \t]*\n")
-# JSON's \u escapes can spell a lone surrogate, which UTF-8 cannot encode
-_SURROGATE = re.compile(r"[\ud800-\udfff]")
 _TEXT_KEYS = ("id", "title", "body", "source", "collected_at")
 
 
@@ -146,11 +144,7 @@ def document_from_record(record: dict) -> RawDocument:
     body_raw = record.get("body")
     if not isinstance(title_raw, str) or not isinstance(body_raw, str):
         raise DataError("record needs string 'title' and 'body' fields")
-    for key in _TEXT_KEYS:
-        value = record.get(key)
-        # isascii is O(1), so ASCII text costs no scan
-        if isinstance(value, str) and not value.isascii() and _SURROGATE.search(value):
-            raise DataError(f"{key!r} holds a lone surrogate, which UTF-8 cannot encode")
+    reject_lone_surrogates({key: record.get(key) for key in _TEXT_KEYS})
     if "\n" in title_raw.strip("\n"):
         raise DataError("title must be a single line")
     title = parse_header(normalize_text(title_raw))

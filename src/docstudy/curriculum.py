@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .dataset import KIND_DOC, DatasetManifest
+from .dataset import KIND_DOC, KIND_QA, KIND_TASK, DatasetManifest, read_manifest
 from .errors import DataError, UsageError
 from .jsonio import write_json
 from .rng import Stream, mix_key
@@ -23,6 +23,15 @@ MIX_INTERLEAVE = "interleave"
 MIX_PREFIX_PAIR = "prefix_pair"
 
 TEST_DOC_REF = "test_doc"
+
+# the record kind every manifest behind a preset ref must hold
+REF_KINDS = {
+    "train_doc": KIND_DOC,
+    TEST_DOC_REF: KIND_DOC,
+    "train_doc_reading": KIND_DOC,
+    "train_self": KIND_TASK,
+    "train_qa": KIND_QA,
+}
 
 
 @lru_cache(maxsize=1)
@@ -138,6 +147,18 @@ def plan(preset: str, refs: dict, seed: int = 0, cross_domain: bool = False) -> 
             )
         )
     return StagePlan(method=preset, stages=tuple(stages))
+
+
+def read_ref(name: str, path) -> DatasetManifest:
+    """Load the manifest behind ref `name`, refusing a record of another kind."""
+    manifest = read_manifest(path, name=name)
+    needs = REF_KINDS[name]
+    for index, record in enumerate(manifest.records):
+        if record.get("kind") != needs:
+            raise DataError(
+                f"{path}: record {index} is kind {record.get('kind')!r}; ref {name} needs {needs!r}"
+            )
+    return manifest
 
 
 def fairness_epochs(stage_plan: StagePlan, test_ref: str = TEST_DOC_REF) -> int:

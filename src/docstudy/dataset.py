@@ -18,7 +18,7 @@ from .corpus import Corpus
 from .errors import DataError
 from .jsonio import atomic_write, canonical_line, parse_object
 from .rng import Stream, mix_key
-from .taskgen import ANSWER_ONLY, FULL_SEQUENCE
+from .taskgen import ANSWER_ONLY, FULL_SEQUENCE, loss_policy
 
 KIND_DOC = "doc"
 KIND_TASK = "task"
@@ -115,12 +115,7 @@ def attach_loss_policy(record: dict) -> dict:
     if kind == KIND_DOC:
         policy = FULL_SEQUENCE
     elif kind == KIND_TASK:
-        # memorization tasks carry full-sequence loss, the rest answer-only
-        policy = record.get("loss_policy") or (
-            FULL_SEQUENCE
-            if record.get("payload", {}).get("kind") == "memorization"
-            else ANSWER_ONLY
-        )
+        policy = record.get("loss_policy") or loss_policy(record.get("payload", {}).get("kind"))
     elif kind == KIND_QA:
         policy = ANSWER_ONLY
     else:

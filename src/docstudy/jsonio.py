@@ -8,15 +8,26 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 from .errors import DataError, MalformedLineError
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+# JSON's \u escapes can spell a lone surrogate, which UTF-8 cannot encode
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def canonical_line(obj) -> str:
     return _CANONICAL.encode(obj)
+
+
+def reject_lone_surrogates(fields: dict) -> None:
+    """Raise DataError naming the first string value that UTF-8 cannot encode."""
+    for key, value in fields.items():
+        # isascii is O(1), so ASCII text costs no scan
+        if isinstance(value, str) and not value.isascii() and _SURROGATE.search(value):
+            raise DataError(f"{key!r} holds a lone surrogate, which UTF-8 cannot encode")
 
 
 def atomic_write(path, data: bytes) -> None:

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import DataError
+from ..taskgen import NLI_LABELS
 from ._lcs import lcs_length, lcs_length_python
 
 __all__ = [
@@ -38,8 +39,6 @@ __all__ = [
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
-
-_LABELS = ("Yes", "Impossible", "No")
 
 
 def normalize_answer(text: str) -> str:
@@ -143,14 +142,14 @@ def parse_nli_prediction(pred: str) -> str | None:
         for form in forms:
             pos = _find_subsequence(tokens, form)
             if pos >= 0:
-                hits.append((pos, -len(form), _LABELS.index(label), label))
+                hits.append((pos, -len(form), NLI_LABELS.index(label), label))
     if not hits:
         return None
     return min(hits)[3]
 
 
 def nli_accuracy(pred: str, gold_label: str, diagnostics: dict | None = None) -> int:
-    if gold_label not in _LABELS:
+    if gold_label not in NLI_LABELS:
         raise DataError(f"unknown gold label {gold_label!r}")
     parsed = parse_nli_prediction(pred)
     if parsed is None:

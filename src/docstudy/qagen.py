@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -23,24 +22,21 @@ from urllib.parse import urlsplit
 from . import __version__
 from .corpus import RawDocument
 from .errors import DataError, MalformedLineError, UsageError
-from .jsonio import atomic_write, canonical_line, iter_jsonl, read_json, write_json
-from .taskgen import NLI_OPTIONS
+from .jsonio import (
+    atomic_write, canonical_line, iter_jsonl, read_json, reject_lone_surrogates, write_json,
+)
+from .taskgen import NLI_LABELS, NLI_OPTIONS, options_block
 
 logger = logging.getLogger(__name__)
 
 TASK_GENERATION = "generation"
 TASK_NLI = "nli"
 
-LABEL_YES = "Yes"
-LABEL_NO = "No"
-LABEL_IMPOSSIBLE = "Impossible"
-
+# a reply may give an NLI label, its option text, or the option without "'"
 _LABEL_CANON = {
-    "yes": LABEL_YES,
-    "no": LABEL_NO,
-    "impossible": LABEL_IMPOSSIBLE,
-    "it's impossible to say": LABEL_IMPOSSIBLE,
-    "its impossible to say": LABEL_IMPOSSIBLE,
+    form.lower(): label
+    for option, label in zip(NLI_OPTIONS, NLI_LABELS)
+    for form in (label, option, option.replace("'", ""))
 }
 
 ENDPOINT_ENV = "DOCSTUDY_CHAT_ENDPOINT"
@@ -86,6 +82,9 @@ def build_type_prompt(doc: RawDocument, qas: list["QAPair"]) -> str:
     return _instantiate(_prompt_asset("qa_types.txt"), paragraph=doc.body, QA=qa_text)
 
 
+_TEXT_FIELDS = ("doc_id", "task", "question", "answer", "answer_label")
+
+
 @dataclass(frozen=True)
 class QAPair:
     doc_id: str
@@ -96,8 +95,11 @@ class QAPair:
     answer_label: str | None = None
 
     def __post_init__(self):
+        fields = {key: getattr(self, key) for key in _TEXT_FIELDS}
+        fields.update((f"options[{i}]", option) for i, option in enumerate(self.options or ()))
+        reject_lone_surrogates(fields)
         if self.task == TASK_NLI:
-            if self.answer_label not in (LABEL_YES, LABEL_NO, LABEL_IMPOSSIBLE):
+            if self.answer_label not in NLI_LABELS:
                 raise DataError(f"bad NLI label {self.answer_label!r}")
         elif not self.answer:
             raise DataError("generation answer must be non-empty")
@@ -184,7 +186,7 @@ def parse_qa_response(raw: str, task: str, doc_id: str = "") -> ParsedResponse:
             if label is None:
                 discarded += 1
                 continue
-            answer = NLI_OPTIONS[(LABEL_YES, LABEL_IMPOSSIBLE, LABEL_NO).index(label)]
+            answer = NLI_OPTIONS[NLI_LABELS.index(label)]
         else:
             answer = answer.strip()
         if not question or not answer:
@@ -214,7 +216,7 @@ def render_qa_pairs(pairs: list[QAPair]) -> str:
         if pair.task == TASK_NLI:
             blocks.append(
                 f"Question: {pair.question}\nOptions:\n"
-                + "\n".join(f"- {o}" for o in pair.options or NLI_OPTIONS)
+                + options_block(pair.options or NLI_OPTIONS)
                 + f"\nAnswer: {pair.answer}"
             )
         else:
@@ -279,7 +281,7 @@ def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
 
 
 class ChatClient:
-    """Thread-safe chat-completion client with retry and bounded dispatch."""
+    """Thread-safe chat-completion client with retry; callers bound requests in flight."""
 
     def __init__(
         self,
@@ -290,7 +292,6 @@ class ChatClient:
         max_tokens: int = 2048,
         max_retries: int = 5,
         backoff: float = 0.5,
-        max_concurrency: int = 4,
         timeout: float = 60.0,
         transport=None,
         sleep=time.sleep,
@@ -309,7 +310,6 @@ class ChatClient:
         self.timeout = timeout
         self._transport = transport or _http_transport
         self._sleep = sleep
-        self._gate = threading.Semaphore(max(1, max_concurrency))
 
     def complete(self, prompt: str) -> ChatResponse:
         payload = {
@@ -327,8 +327,7 @@ class ChatClient:
             if attempt:
                 self._sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                with self._gate:
-                    status, body = self._transport(self.endpoint, headers, payload, self.timeout)
+                status, body = self._transport(self.endpoint, headers, payload, self.timeout)
             except ConnectionError as exc:
                 last_error = f"connection error: {exc}"
                 continue

@@ -5,6 +5,7 @@ from __future__ import annotations
 from .analysis import tokenize_words
 from .corpus import Corpus
 from .qagen import TASK_NLI, QAPair
+from .taskgen import NLI_LABELS
 
 
 def _mean(values) -> float:
@@ -35,7 +36,7 @@ def corpus_stats(corpus: Corpus, qa_pairs: list[QAPair] | None = None) -> dict:
         if nli:
             total = len(nli)
             dist = {}
-            for label in ("Yes", "No", "Impossible"):
+            for label in NLI_LABELS:
                 hits = sum(1 for p in nli if p.answer_label == label)
                 dist[label] = round(100.0 * hits / total, 2)
             stats["nli_pairs"] = total

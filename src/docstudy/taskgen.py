@@ -1,9 +1,11 @@
 """Generate the nine self-supervised study tasks for one document.
 
 One record per kind per document (the NLI generator may add a corrupted
-false statement as a second record). All sampling draws from per-document
-streams keyed by (corpus seed, doc id, kind), so suites are a pure
-function of (seed, document, config).
+false statement as a second record). `GENERATORS` declares each kind
+once, in `KIND_ORDER`: its generator, and whether that generator samples.
+All sampling draws from per-document streams keyed by (corpus seed,
+doc id, kind), so suites are a pure function of (seed, document, config).
+A kind also fixes its loss policy (`loss_policy`).
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ KIND_ORDER = (
 )
 
 NLI_OPTIONS = ("Yes", "It's impossible to say", "No")
+# the short label of each option, index-paired with NLI_OPTIONS
+NLI_LABELS = ("Yes", "Impossible", "No")
 BLANK = "--"
 
 TEMPLATES = {
@@ -77,7 +81,12 @@ def options_block(options) -> str:
     return "\n".join(f"- {opt}" for opt in options)
 
 
-@dataclass
+def loss_policy(kind: str) -> str:
+    """Memorization trains on the whole rendered document, the rest on the answer."""
+    return FULL_SEQUENCE if kind == MEMORIZATION else ANSWER_ONLY
+
+
+@dataclass(frozen=True)
 class TaskConfig:
     enabled: tuple[str, ...] = KIND_ORDER
     option_count: int = 4
@@ -88,9 +97,10 @@ class TaskConfig:
         unknown = [k for k in self.enabled if k not in KIND_ORDER]
         if unknown:
             raise DataError(f"unknown task kinds in config: {unknown}")
-        if self.option_count < 2:
-            raise DataError("option_count must be at least 2")
-        if not all(isinstance(cap, int) for cap in self.multiplicity.values()):
+        # `type(x) is int`, unlike isinstance, also refuses true and false
+        if type(self.option_count) is not int or self.option_count < 2:
+            raise DataError(f"option_count must be an integer of at least 2: {self.option_count!r}")
+        if not all(type(cap) is int for cap in self.multiplicity.values()):
             raise DataError("multiplicity values must be integers")
         if not all(isinstance(template, str) for template in self.templates.values()):
             raise DataError("templates must be strings")
@@ -109,12 +119,15 @@ class TaskConfig:
         try:
             return cls(
                 enabled=tuple(raw.get("enabled", KIND_ORDER)),
-                option_count=int(raw.get("option_count", 4)),
+                option_count=raw.get("option_count", 4),
                 multiplicity=dict(raw.get("multiplicity", {})),
                 templates=dict(raw.get("templates", {})),
             )
         except (TypeError, ValueError, DataError) as exc:
             raise DataError(f"{path}: bad task config ({exc})") from exc
+
+
+DEFAULT_CONFIG = TaskConfig()
 
 
 @dataclass(frozen=True)
@@ -123,7 +136,6 @@ class TaskExample:
     question: str
     answer: str
     doc_id: str
-    loss_policy: str
     options: tuple[str, ...] | None = None
     provenance: dict = field(default_factory=dict)
 
@@ -133,9 +145,10 @@ class TaskExample:
         wants_options = self.kind in (NLI, MULTICHOICE)
         if wants_options != (self.options is not None):
             raise DataError(f"options presence mismatch for kind {self.kind}")
-        expected = FULL_SEQUENCE if self.kind == MEMORIZATION else ANSWER_ONLY
-        if self.loss_policy != expected:
-            raise DataError(f"loss policy {self.loss_policy} invalid for {self.kind}")
+
+    @property
+    def loss_policy(self) -> str:
+        return loss_policy(self.kind)
 
     def to_record(self) -> dict:
         record = {
@@ -160,8 +173,8 @@ class TaskSuite:
         return [ex for ex in self.examples if ex.kind == kind]
 
 
-def render_document(adoc: AnalyzedDocument, config: TaskConfig | None = None) -> str:
-    template = (config or TaskConfig()).template(MEMORIZATION)
+def render_document(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> str:
+    template = config.template(MEMORIZATION)
     return fill(template, title=adoc.doc.title, body=adoc.doc.body)
 
 
@@ -169,31 +182,26 @@ def _gist_keywords(adoc: AnalyzedDocument) -> list[str]:
     return list(dict.fromkeys(entity.surface for entity in adoc.entities))
 
 
-def gen_memorization(adoc: AnalyzedDocument, config: TaskConfig | None = None) -> TaskExample:
-    config = config or TaskConfig()
+def gen_memorization(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample:
     return TaskExample(
         kind=MEMORIZATION,
         question="",
         answer=render_document(adoc, config),
         doc_id=adoc.doc.id,
-        loss_policy=FULL_SEQUENCE,
     )
 
 
-def gen_summarization(adoc: AnalyzedDocument, config: TaskConfig | None = None) -> TaskExample:
-    config = config or TaskConfig()
+def gen_summarization(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample:
     question = fill(config.template(SUMMARIZATION), document=render_document(adoc, config))
     return TaskExample(
         kind=SUMMARIZATION,
         question=question,
         answer=adoc.doc.title,
         doc_id=adoc.doc.id,
-        loss_policy=ANSWER_ONLY,
     )
 
 
-def gen_gist(adoc: AnalyzedDocument, config: TaskConfig | None = None) -> TaskExample | None:
-    config = config or TaskConfig()
+def gen_gist(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
     keywords = _gist_keywords(adoc)
     if not keywords:
         return None
@@ -203,7 +211,6 @@ def gen_gist(adoc: AnalyzedDocument, config: TaskConfig | None = None) -> TaskEx
         question=question,
         answer="; ".join(keywords),
         doc_id=adoc.doc.id,
-        loss_policy=ANSWER_ONLY,
     )
 
 
@@ -217,10 +224,9 @@ def _nli_question(adoc, statement, config):
     )
 
 
-def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig | None = None) -> list[TaskExample]:
+def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> list[TaskExample]:
     """True statement from a sampled sentence, plus a corrupted false one
     when a same-kind entity from another sentence can substitute in."""
-    config = config or TaskConfig()
     if not adoc.sentences:
         return []
     sent_index = rng.below(len(adoc.sentences))
@@ -233,7 +239,6 @@ def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig | None = None) 
             question=_nli_question(adoc, statement, config),
             answer="Yes",
             doc_id=adoc.doc.id,
-            loss_policy=ANSWER_ONLY,
             options=NLI_OPTIONS,
             provenance={"sentence_index": sent_index, "corrupted": False},
         )
@@ -259,7 +264,6 @@ def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig | None = None) 
                 question=_nli_question(adoc, corrupted, config),
                 answer="No",
                 doc_id=adoc.doc.id,
-                loss_policy=ANSWER_ONLY,
                 options=NLI_OPTIONS,
                 provenance={
                     "sentence_index": sent_index,
@@ -274,19 +278,16 @@ def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig | None = None) 
     return examples
 
 
-def gen_teaching(adoc: AnalyzedDocument, config: TaskConfig | None = None) -> TaskExample:
-    config = config or TaskConfig()
+def gen_teaching(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample:
     return TaskExample(
         kind=TEACHING,
         question=fill(config.template(TEACHING), title=adoc.doc.title),
         answer=adoc.doc.body,
         doc_id=adoc.doc.id,
-        loss_policy=ANSWER_ONLY,
     )
 
 
-def gen_flashcards(adoc: AnalyzedDocument, config: TaskConfig | None = None) -> TaskExample | None:
-    config = config or TaskConfig()
+def gen_flashcards(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
     keywords = _gist_keywords(adoc)
     if not keywords:
         return None
@@ -298,7 +299,6 @@ def gen_flashcards(adoc: AnalyzedDocument, config: TaskConfig | None = None) -> 
         question=question,
         answer=adoc.doc.body,
         doc_id=adoc.doc.id,
-        loss_policy=ANSWER_ONLY,
     )
 
 
@@ -307,8 +307,7 @@ def _blank_body(adoc: AnalyzedDocument, entity: EntitySpan) -> str:
     return body[: entity.start] + BLANK + body[entity.end :]
 
 
-def gen_cloze(adoc: AnalyzedDocument, rng, config: TaskConfig | None = None) -> TaskExample | None:
-    config = config or TaskConfig()
+def gen_cloze(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
     if not adoc.entities:
         return None
     entity = adoc.entities[rng.below(len(adoc.entities))]
@@ -320,13 +319,11 @@ def gen_cloze(adoc: AnalyzedDocument, rng, config: TaskConfig | None = None) -> 
         question=question,
         answer=entity.surface,
         doc_id=adoc.doc.id,
-        loss_policy=ANSWER_ONLY,
         provenance={"entity_start": entity.start, "entity_end": entity.end},
     )
 
 
-def gen_multichoice(adoc: AnalyzedDocument, rng, config: TaskConfig | None = None) -> TaskExample | None:
-    config = config or TaskConfig()
+def gen_multichoice(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
     surfaces = _gist_keywords(adoc)
     if len(surfaces) < config.option_count:
         return None
@@ -346,7 +343,6 @@ def gen_multichoice(adoc: AnalyzedDocument, rng, config: TaskConfig | None = Non
         question=question,
         answer=entity.surface,
         doc_id=adoc.doc.id,
-        loss_policy=ANSWER_ONLY,
         options=tuple(options),
         provenance={"entity_start": entity.start, "entity_end": entity.end},
     )
@@ -370,8 +366,7 @@ def _completion_split(sentence: str, prep_end: int | None) -> tuple[int, str] | 
     return prep_end, answer
 
 
-def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig | None = None) -> TaskExample | None:
-    config = config or TaskConfig()
+def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
     qualifying = []
     for span in adoc.sentences:
         sentence = adoc.doc.body[span.start : span.end]
@@ -387,73 +382,68 @@ def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig | None = None
         question=question,
         answer=answer,
         doc_id=adoc.doc.id,
-        loss_policy=ANSWER_ONLY,
         provenance={"sentence_index": sent_index, "split_offset": cut},
     )
 
 
-def build_suite(adoc: AnalyzedDocument, config: TaskConfig | None = None, seed: int = 0) -> TaskSuite:
+# kind -> (generator, whether it samples from the kind's rng stream);
+# build_suite runs them in this order, which is KIND_ORDER
+GENERATORS = {
+    MEMORIZATION: (gen_memorization, False),
+    SUMMARIZATION: (gen_summarization, False),
+    GIST: (gen_gist, False),
+    NLI: (gen_nli_pair, True),
+    TEACHING: (gen_teaching, False),
+    FLASHCARDS: (gen_flashcards, False),
+    CLOZE: (gen_cloze, True),
+    MULTICHOICE: (gen_multichoice, True),
+    COMPLETION: (gen_completion, True),
+}
+
+
+def build_suite(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, seed: int = 0) -> TaskSuite:
     """Run every enabled generator in fixed order, honoring skip rules."""
-    config = config or TaskConfig()
     doc_id = adoc.doc.id
     examples: list[TaskExample] = []
-
-    def rng_for(kind: str):
-        return stream_for(seed, doc_id, kind)
-
-    for kind in KIND_ORDER:
-        if kind not in config.enabled or config.cap(kind) < 1:
-            continue
-        if kind == MEMORIZATION:
-            produced = [gen_memorization(adoc, config)]
-        elif kind == SUMMARIZATION:
-            produced = [gen_summarization(adoc, config)]
-        elif kind == GIST:
-            produced = [gen_gist(adoc, config)]
-        elif kind == NLI:
-            produced = gen_nli_pair(adoc, rng_for(kind), config)
-        elif kind == TEACHING:
-            produced = [gen_teaching(adoc, config)]
-        elif kind == FLASHCARDS:
-            produced = [gen_flashcards(adoc, config)]
-        elif kind == CLOZE:
-            produced = [gen_cloze(adoc, rng_for(kind), config)]
-        elif kind == MULTICHOICE:
-            produced = [gen_multichoice(adoc, rng_for(kind), config)]
-        else:
-            produced = [gen_completion(adoc, rng_for(kind), config)]
-        produced = [ex for ex in produced if ex is not None][: config.cap(kind)]
-        examples.extend(produced)
-
     counts = {kind: 0 for kind in config.enabled}
-    for ex in examples:
-        counts[ex.kind] += 1
+    for kind, (generate, samples) in GENERATORS.items():
+        cap = config.cap(kind)
+        if kind not in counts or cap < 1:
+            continue
+        if samples:
+            produced = generate(adoc, stream_for(seed, doc_id, kind), config)
+        else:
+            produced = generate(adoc, config)
+        # NLI yields a list; the others one example, or None on a skip
+        if not isinstance(produced, list):
+            produced = [] if produced is None else [produced]
+        produced = produced[:cap]
+        examples.extend(produced)
+        counts[kind] = len(produced)
     return TaskSuite(doc_id=doc_id, examples=tuple(examples), counts=counts)
 
 
 READING_PREAMBLE = "Answer the questions based on the article:"
 
 
-def format_reading_comprehension(suite: TaskSuite, config: TaskConfig | None = None) -> str:
+def format_reading_comprehension(suite: TaskSuite) -> str:
     """Concatenate the document and its Q/A blocks into one training text.
 
     Questions that embed the full document rendering (summarization, gist,
     NLI) drop it, since the article already opens the text.
     """
-    memorization = suite.by_kind(MEMORIZATION)
-    if not memorization:
+    # examples are in KIND_ORDER, so the one memorization example leads
+    examples = suite.examples
+    if not examples or examples[0].kind != MEMORIZATION:
         raise DataError(f"suite for {suite.doc_id} has no memorization example")
-    doc_text = memorization[0].answer
+    doc_text = examples[0].answer
 
     blocks = [doc_text, READING_PREAMBLE]
-    for kind in KIND_ORDER:
-        if kind == MEMORIZATION:
-            continue
-        for example in suite.by_kind(kind):
-            question = example.question
-            if question.endswith(doc_text):
-                question = question[: -len(doc_text)].rstrip()
-            elif question.startswith(doc_text):
-                question = question[len(doc_text) :].lstrip()
-            blocks.append(f"Question: {question}\nAnswer:{example.answer}")
+    for example in examples[1:]:
+        question = example.question
+        if question.endswith(doc_text):
+            question = question[: -len(doc_text)].rstrip()
+        elif question.startswith(doc_text):
+            question = question[len(doc_text) :].lstrip()
+        blocks.append(f"Question: {question}\nAnswer:{example.answer}")
     return "\n\n".join(blocks)

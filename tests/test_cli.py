@@ -2,12 +2,14 @@ import hashlib
 import http.server
 import json
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import DATA
-from docstudy.cli import main
+from docstudy import qagen
+from docstudy.cli import JOBS_ENV, _resolve, main
 
 from _synth import synthetic_records, write_jsonl
 
@@ -295,13 +297,28 @@ class TestErrors:
              "{file}:1: header "),
             ("raw.jsonl", '{"title": "T", "body": "A \\ud800 b."}\n', ["ingest", "--corpus", "{file}"], 2,
              "{file}:1: 'body' holds a lone surrogate"),
+            ("qa.jsonl", '{"doc_id": "a", "task": "generation", "question": "Q \\ud800?", "answer": "A."}\n',
+             ["split", "--corpus", "{corpus}", "--qa", "{file}"], 2, "{file}:1: 'question' holds a lone surrogate"),
+            ("task.json", '{"option_count": 2.5}', ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"],
+             2, "{file}: "),
+            ("task.json", '{"option_count": true}', ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"],
+             2, "{file}: "),
+            ("task.json", '{"option_count": "4"}', ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"],
+             2, "{file}: "),
+            ("config.json", '{"jobs": 2.9}',
+             ["--config", "{file}", "gen-qa", "--corpus", "{corpus}", "--task", "nli"], 1,
+             "config key 'jobs': cannot read 2.9 as int"),
+            ("config.json", '{"seed": true}', ["--config", "{file}", "ingest", "--corpus", "{corpus}"], 1,
+             "config key 'seed': cannot read True as int"),
         ],
         ids=[
             "qa-row-without-task", "qa-line-not-json", "stats-qa-line-not-json", "truncated-qa-cache",
             "qa-cache-pairs-not-list", "task-config-not-json", "task-config-list", "refs-file-not-json",
             "refs-file-list", "config-not-utf8", "jobs-0", "config-seed-not-int", "task-config-option-count-not-int",
             "task-config-multiplicity-not-int", "task-config-template-not-str",
-            "header-leaves-empty-title", "lone-surrogate-in-body",
+            "header-leaves-empty-title", "lone-surrogate-in-body", "lone-surrogate-in-qa-row",
+            "task-config-option-count-float", "task-config-option-count-bool", "task-config-option-count-str",
+            "config-jobs-float", "config-seed-bool",
         ],
     )
     def test_malformed_input_names_file(self, tmp_path, capsys, monkeypatch, name, content, argv, code, where):
@@ -341,6 +358,21 @@ class TestErrors:
         capsys.readouterr()
         assert run("verify", *manifests) == 0
         assert capsys.readouterr().out == "".join(f"{m}: ok\n" for m in manifests)
+
+    def test_environment_jobs_string_still_parses(self, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV, "3")
+        assert _resolve(None, {}, "jobs", JOBS_ENV, 1, int) == 3
+
+    def test_render_refuses_a_ref_of_the_wrong_kind(self, tmp_path, capsys, corpus_path):
+        out = tmp_path / "o"
+        assert run("--out", out, "gen-tasks", "--corpus", corpus_path, "--name", "c") == 0
+        tasks = out / "c_tasks.jsonl"
+        capsys.readouterr()
+        code = run("--out", out, "plan", "--preset", "continued_pretraining", "--ref", f"test_doc={tasks}", "--render")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {tasks}: record 0 is kind 'task'; ref test_doc needs 'doc'\n"
+        assert not (out / "continued_pretraining_stage1.jsonl").exists()
 
     def test_missing_manifest_refs(self, tmp_path):
         code = run("--out", tmp_path / "o", "plan", "--preset", "continued_pretraining",
@@ -419,6 +451,41 @@ class TestGenQa:
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert "gateway says no" in err
+        assert "Traceback" not in err
+
+    def test_jobs_bounds_requests_in_flight(self, tmp_path, monkeypatch):
+        state = {"now": 0, "peak": 0, "calls": 0}
+        lock = threading.Lock()
+
+        def transport(url, headers, payload, timeout):
+            with lock:
+                state["now"] += 1
+                state["calls"] += 1
+                state["peak"] = max(state["peak"], state["now"])
+            time.sleep(0.01)
+            with lock:
+                state["now"] -= 1
+            return 200, {"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}
+
+        monkeypatch.setattr(qagen, "_http_transport", transport)
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(8, seed=3), corpus)
+        code = run("--jobs", 2, "--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation",
+                   "--endpoint", "http://chat.test")
+        assert code == 0
+        assert state["calls"] == 8
+        assert 1 <= state["peak"] <= 2
+
+    def test_lone_surrogate_in_reply_is_a_data_error(self, tmp_path, capsys, chat_server):
+        body = b'{"choices": [{"message": {"content": "Question: Q?\\nAnswer: A \\ud800."}}]}'
+        chat_server.script = [(200, "application/json", body)]
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(1, seed=1), corpus)
+        code = run("--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation",
+                   "--endpoint", chat_server.url)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: 'answer' holds a lone surrogate")
         assert "Traceback" not in err
 
     def test_without_endpoint_or_cache_is_usage_error(self, tmp_path, monkeypatch):

@@ -4,17 +4,19 @@ import pytest
 
 from docstudy.corpus import document_from_record
 from docstudy.curriculum import (
+    REF_KINDS,
     StagePlan,
     fairness_epochs,
     plan,
     plan_schema,
     preset_ids,
+    read_ref,
     render_stage_inputs,
     required_refs,
     sample_replay,
     write_plan,
 )
-from docstudy.dataset import build_manifest, doc_record, qa_record
+from docstudy.dataset import build_manifest, doc_record, qa_record, write_manifest
 from docstudy.errors import DataError, UsageError
 from docstudy.qagen import QAPair
 
@@ -67,6 +69,12 @@ class TestPresetCoverage:
         for preset in ALL_PRESETS:
             built = plan(preset, REFS, seed=0).to_dict()
             assert built == golden_plans[preset], preset
+
+    def test_every_preset_ref_declares_its_record_kind(self):
+        refs = set()
+        for preset in ALL_PRESETS:
+            refs |= required_refs(preset) | required_refs(preset, cross_domain=True)
+        assert refs == set(REF_KINDS)
 
     def test_cross_domain_tail_schedule(self, golden_plans):
         built = plan("self_tuning", REFS, seed=0, cross_domain=True).to_dict()
@@ -125,6 +133,21 @@ class TestPresetCoverage:
     def test_plan_json_round_trip(self):
         built = plan("self_tuning", REFS, seed=2)
         assert StagePlan.from_dict(built.to_dict()) == built
+
+
+class TestReadRef:
+    def test_matching_kind_loads(self, tmp_path):
+        path = tmp_path / "qa.jsonl"
+        manifest = _qa_manifest(["a", "b"])
+        write_manifest(manifest.records, name="qa", split="train", path=path)
+        assert read_ref("train_qa", path).records == manifest.records
+
+    def test_first_record_of_another_kind_is_named(self, tmp_path):
+        path = tmp_path / "mixed.jsonl"
+        docs = _doc_manifest(2)
+        write_manifest(_qa_manifest(["a"]).records + docs.records, name="mixed", split="train", path=path)
+        with pytest.raises(DataError, match=r"record 2 is kind 'doc'; ref train_qa needs 'qa'"):
+            read_ref("train_qa", path)
 
 
 class TestSampleReplay:

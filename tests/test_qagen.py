@@ -1,10 +1,10 @@
 import hashlib
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -12,7 +12,7 @@ import pytest
 from conftest import DATA, MORITZ_BODY, MORITZ_TITLE
 import docstudy
 from docstudy.corpus import RawDocument
-from docstudy.errors import UsageError
+from docstudy.errors import DataError, UsageError
 from docstudy.qagen import (
     ChatClient,
     ChatError,
@@ -242,30 +242,6 @@ class TestChatClient:
         client = ChatClient(transport=make_transport([(200, "hi")]))
         assert client.endpoint == "http://env.test"
 
-    def test_concurrency_bound(self):
-        active = {"now": 0, "peak": 0}
-        lock = threading.Lock()
-        barrier_delay = threading.Event()
-
-        def transport(url, headers, payload, timeout):
-            with lock:
-                active["now"] += 1
-                active["peak"] = max(active["peak"], active["now"])
-            barrier_delay.wait(0.01)
-            with lock:
-                active["now"] -= 1
-            return 200, {"choices": [{"message": {"content": "x"}}]}
-
-        client = ChatClient(
-            endpoint="http://chat.test", transport=transport, max_concurrency=2
-        )
-        threads = [threading.Thread(target=client.complete, args=("p",)) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert active["peak"] <= 2
-
 
 def _chat_body(text: str) -> bytes:
     return json.dumps({"choices": [{"message": {"content": text}, "finish_reason": "stop"}]}).encode("utf-8")
@@ -405,3 +381,25 @@ class TestQaJsonl:
         path = tmp_path / "qa.jsonl"
         write_qa_jsonl(pairs, path)
         assert read_qa_jsonl(path) == pairs
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("doc_id", "x \ud800", "doc_id"),
+            ("task", "x \udfff", "task"),
+            ("question", "x \ud800", "question"),
+            ("answer", "x \ud800", "answer"),
+            ("answer_label", "x \ud800", "answer_label"),
+            ("options", ["A.", "x \ud800"], "options[1]"),
+        ],
+        ids=["doc_id", "task", "question", "answer", "answer_label", "options"],
+    )
+    def test_lone_surrogate_is_a_data_error(self, tmp_path, key, value, named):
+        good = {"doc_id": "d", "task": "generation", "question": "Q?", "answer": "A."}
+        row = {**good, key: value}
+        with pytest.raises(DataError, match=re.escape(f"'{named}' holds a lone surrogate")):
+            QAPair.from_record(row)
+        path = tmp_path / "qa.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n", "utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: "):
+            read_qa_jsonl(path)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -322,6 +323,21 @@ class TestBuildSuite:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DataError):
             TaskConfig(enabled=("memorization", "bogus"))
+
+    @pytest.mark.parametrize("option_count", [2.5, True, "4"])
+    def test_option_count_must_be_an_integer(self, option_count):
+        with pytest.raises(DataError, match="option_count must be an integer"):
+            TaskConfig(option_count=option_count)
+
+    def test_default_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            taskgen.DEFAULT_CONFIG.option_count = 5
+
+    def test_generator_table_is_in_kind_order(self):
+        assert tuple(taskgen.GENERATORS) == KIND_ORDER
+
+    def test_loss_policy_follows_the_kind(self):
+        assert [taskgen.loss_policy(kind) for kind in KIND_ORDER] == ["full_sequence"] + ["answer_only"] * 8
 
 
 def parse_reading(text):
