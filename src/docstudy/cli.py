@@ -13,13 +13,15 @@ import logging
 import os
 import sys
 import typing
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import analysis, curriculum, dataset, metrics, qagen, stats, taskgen
-from .corpus import ingest_jsonl, serialize_corpus
+from .corpus import ingest_jsonl, iter_documents
 from .errors import DataError, UsageError
-from .jsonio import atomic_write, iter_jsonl, read_json, write_json
+from .jsonio import iter_jsonl, read_json, write_json, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -85,12 +87,12 @@ def _analyzer_overrides(args) -> dict:
 
 
 def cmd_ingest(args, config) -> int:
-    seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
+    # the seed changes no ingested byte; it is resolved to refuse a bad value
+    _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
-    corpus = ingest_jsonl(args.corpus, name=args.name, seed=seed)
-    target = out / f"{corpus.name}.jsonl"
-    atomic_write(target, serialize_corpus(corpus))
-    print(f"ingested {len(corpus)} documents -> {target}")
+    target = out / f"{args.name or Path(args.corpus).stem}.jsonl"
+    count = write_jsonl(target, (doc.to_record() for doc in iter_documents(args.corpus)))
+    print(f"ingested {count} documents -> {target}")
     return 0
 
 
@@ -100,35 +102,29 @@ def cmd_gen_tasks(args, config) -> int:
     task_config = (
         taskgen.TaskConfig.from_file(args.task_config) if args.task_config else taskgen.DEFAULT_CONFIG
     )
-    corpus = ingest_jsonl(args.corpus, name=args.name, seed=seed)
     overrides = _analyzer_overrides(args)
-    suites = [
-        taskgen.build_suite(analysis.analyze_document(doc, **overrides), task_config, seed=seed)
-        for doc in corpus.documents
-    ]
-
-    records = [dataset.task_record(ex) for suite in suites for ex in suite.examples]
-    name = args.name or corpus.name
+    name = args.name or Path(args.corpus).stem
     manifest_path = out / f"{name}_tasks.jsonl"
-    dataset.write_manifest(records, name=name, split="train", path=manifest_path, seed=seed)
-    write_json(out / f"{name}_tasks_stats.json", stats.suite_stats(suites))
-
-    if args.reading:
-        reading_records = []
-        for doc, suite in zip(corpus.documents, suites):
-            text = taskgen.format_reading_comprehension(suite)
-            reading_records.append(
-                {
-                    "kind": dataset.KIND_DOC,
-                    "payload": {"id": doc.id, "title": doc.title, "body": text},
-                }
-            )
-        dataset.write_manifest(
-            reading_records, name=f"{name}_reading", split="train",
-            path=out / f"{name}_reading.jsonl", seed=seed,
-        )
-
-    print(f"generated {len(records)} task records over {len(corpus)} documents -> {manifest_path}")
+    counts = Counter()
+    docs = 0
+    # one document at a time: only the per-kind counts outlive its suite
+    with ExitStack() as stack:
+        add_task = stack.enter_context(dataset.manifest_writer(manifest_path, seed))
+        if args.reading:
+            add_reading = stack.enter_context(dataset.manifest_writer(out / f"{name}_reading.jsonl", seed))
+        for doc in iter_documents(args.corpus):
+            suite = taskgen.build_suite(analysis.analyze_document(doc, **overrides), task_config, seed=seed)
+            for example in suite.examples:
+                add_task(dataset.task_record(example))
+            if args.reading:
+                text = taskgen.format_reading_comprehension(suite)
+                add_reading(
+                    {"kind": dataset.KIND_DOC, "payload": {"id": doc.id, "title": doc.title, "body": text}}
+                )
+            counts.update(suite.counts)
+            docs += 1
+    write_json(out / f"{name}_tasks_stats.json", stats.suite_stats(counts))
+    print(f"generated {sum(counts.values())} task records over {docs} documents -> {manifest_path}")
     return 0
 
 
@@ -173,8 +169,8 @@ def cmd_split(args, config) -> int:
     spec = dataset.SplitSpec(test_fraction=args.fraction, seed=seed, ngram_size=args.ngram)
     train, test = dataset.split_corpus(corpus, spec)
     name = args.name or corpus.name
-    atomic_write(out / f"{name}_train.jsonl", serialize_corpus(train))
-    atomic_write(out / f"{name}_test.jsonl", serialize_corpus(test))
+    write_jsonl(out / f"{name}_train.jsonl", (doc.to_record() for doc in train))
+    write_jsonl(out / f"{name}_test.jsonl", (doc.to_record() for doc in test))
     write_json(out / f"{name}_overlap.json", dataset.overlap_report(train, test, spec.ngram_size))
 
     if args.qa:

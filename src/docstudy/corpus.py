@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError, MalformedLineError
-from .jsonio import canonical_line, iter_jsonl, reject_lone_surrogates
+from .jsonio import iter_jsonl, reject_lone_surrogates
 
 _WIKI_SUFFIX = " - Wikipedia"
 _PARA_BREAK = re.compile(r"\n[ \t]*\n")
@@ -161,14 +161,13 @@ def document_from_record(record: dict) -> RawDocument:
     )
 
 
-def ingest_jsonl(path, name: str | None = None, seed: int = 0) -> Corpus:
-    """Read one-record-per-line JSONL into a Corpus.
+def iter_documents(path):
+    """Yield the documents of a one-record-per-line JSONL corpus in order.
 
     Ids are taken from the records when present, otherwise derived from
-    the content hash. Duplicate ids are rejected with both line numbers.
+    the content hash. A duplicate id is rejected with both line numbers;
+    only an id-to-line map is kept for that check.
     """
-    path = Path(path)
-    documents: list[RawDocument] = []
     seen: dict[str, int] = {}
     for line_no, record in iter_jsonl(path):
         try:
@@ -178,11 +177,10 @@ def ingest_jsonl(path, name: str | None = None, seed: int = 0) -> Corpus:
         if doc.id in seen:
             raise DuplicateIdError(doc.id, seen[doc.id], line_no)
         seen[doc.id] = line_no
-        documents.append(doc)
-    return Corpus(name=name or path.stem, seed=seed, documents=tuple(documents))
+        yield doc
 
 
-def serialize_corpus(corpus: Corpus) -> bytes:
-    """Canonical JSONL bytes: sorted keys, UTF-8, LF line endings."""
-    lines = (canonical_line(doc.to_record()) + "\n" for doc in corpus.documents)
-    return "".join(lines).encode("utf-8")
+def ingest_jsonl(path, name: str | None = None, seed: int = 0) -> Corpus:
+    """Read a JSONL corpus into memory (see `iter_documents`)."""
+    path = Path(path)
+    return Corpus(name=name or path.stem, seed=seed, documents=tuple(iter_documents(path)))

@@ -151,7 +151,7 @@ def plan(preset: str, refs: dict, seed: int = 0, cross_domain: bool = False) -> 
 
 def read_ref(name: str, path) -> DatasetManifest:
     """Load the manifest behind ref `name`, refusing a record of another kind."""
-    manifest = read_manifest(path, name=name)
+    manifest = read_manifest(path)
     needs = REF_KINDS[name]
     for index, record in enumerate(manifest.records):
         if record.get("kind") != needs:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 from .analysis import tokenize_words
 from .corpus import Corpus
 from .errors import DataError
-from .jsonio import atomic_write, canonical_line, parse_object
+from .jsonio import atomic_writer, encode_line, parse_object
 from .rng import Stream, mix_key
 from .taskgen import ANSWER_ONLY, FULL_SEQUENCE, loss_policy
 
@@ -129,40 +129,41 @@ def attach_loss_policy(record: dict) -> dict:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    name: str
-    split: str
     records: tuple[dict, ...]
     checksum: str
     seed: int
 
-    def __len__(self):
-        return len(self.records)
 
+@contextmanager
+def manifest_writer(path, seed: int = 0):
+    """Yield `add(record)`, which stamps, encodes, hashes and writes one record.
 
-def _encode(records, name: str, split: str, seed: int) -> tuple[DatasetManifest, list[bytes]]:
-    """The stamped manifest and its record lines, each record encoded once."""
-    if not records:
-        raise DataError("manifest needs at least one record")
-    stamped = tuple(attach_loss_policy(dict(r)) for r in records)
-    lines = [(canonical_line(record) + "\n").encode("utf-8") for record in stamped]
+    `add` returns the footer so far; a clean exit gives it the checksum and
+    writes it as the last line. On any exception `path` is left untouched.
+    """
     digest = hashlib.sha256()
-    for line in lines:
-        digest.update(line)
-    manifest = DatasetManifest(name, split, stamped, digest.hexdigest(), seed)
-    return manifest, lines
+    footer = {"checksum": None, "count": 0, "seed": seed}
+    with atomic_writer(path) as handle:
+        def add(record: dict) -> dict:
+            line = encode_line(attach_loss_policy(record))
+            digest.update(line)
+            handle.write(line)
+            footer["count"] += 1
+            return footer
+
+        yield add
+        if not footer["count"]:
+            raise DataError("manifest needs at least one record")
+        footer["checksum"] = digest.hexdigest()
+        handle.write(encode_line(footer))
 
 
-def build_manifest(records, name: str, split: str, seed: int = 0) -> DatasetManifest:
-    return _encode(records, name, split, seed)[0]
-
-
-def write_manifest(records, name: str, split: str, path, seed: int = 0) -> DatasetManifest:
-    """The one manifest writer: canonical record lines closed by the checksum footer."""
-    manifest, lines = _encode(records, name, split, seed)
-    footer = {"checksum": manifest.checksum, "count": len(manifest), "seed": seed}
-    lines.append((canonical_line(footer) + "\n").encode("utf-8"))
-    atomic_write(path, b"".join(lines))
-    return manifest
+def write_manifest(records, name: str, split: str, path, seed: int = 0) -> dict:
+    """Write `records` as one manifest and return its footer; `name` and `split` are not stored."""
+    with manifest_writer(path, seed) as add:
+        for record in records:
+            footer = add(record)
+    return footer
 
 
 def _scan(path, records: list | None = None) -> dict:
@@ -179,11 +180,10 @@ def _scan(path, records: list | None = None) -> dict:
         # one line of lookahead: a line is a record only if another follows it
         for following in handle:
             try:
-                text = line.decode("utf-8").removesuffix("\n")
-                record = parse_object(text)
+                record = parse_object(line.decode("utf-8"))
             except ValueError as exc:
                 raise ManifestError(path, f"unparseable record: {exc}", count) from None
-            if canonical_line(record) != text:
+            if encode_line(record) != line:
                 raise ManifestError(path, "non-canonical record encoding", count)
             digest.update(line)
             if records is not None:
@@ -208,12 +208,11 @@ def _scan(path, records: list | None = None) -> dict:
     return footer
 
 
-def read_manifest(path, name: str | None = None, split: str = "") -> DatasetManifest:
+def read_manifest(path) -> DatasetManifest:
     """Load a manifest that passes every check `verify_manifest` makes."""
     records: list[dict] = []
     footer = _scan(path, records)
-    name = name or Path(path).stem
-    return DatasetManifest(name, split, tuple(records), footer["checksum"], footer.get("seed", 0))
+    return DatasetManifest(tuple(records), footer["checksum"], footer.get("seed", 0))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import DataError, MalformedLineError
@@ -18,8 +19,9 @@ _CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
-def canonical_line(obj) -> str:
-    return _CANONICAL.encode(obj)
+def encode_line(obj) -> bytes:
+    """The canonical JSONL line of `obj`: sorted keys, no spaces, raw UTF-8, LF."""
+    return (_CANONICAL.encode(obj) + "\n").encode("utf-8")
 
 
 def reject_lone_surrogates(fields: dict) -> None:
@@ -30,8 +32,12 @@ def reject_lone_surrogates(fields: dict) -> None:
             raise DataError(f"{key!r} holds a lone surrogate, which UTF-8 cannot encode")
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Replace `path` with `data`, or leave it untouched if anything fails."""
+@contextmanager
+def atomic_writer(path):
+    """Yield a binary handle whose bytes replace `path` on a clean exit.
+
+    On any exception `path` is left untouched and nothing is left behind.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # unique per call, so concurrent writers never share a temp file; mode
@@ -40,11 +46,25 @@ def atomic_write(path, data: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write(path, data: bytes) -> None:
+    with atomic_writer(path) as handle:
+        handle.write(data)
+
+
+def write_jsonl(path, objs) -> int:
+    """Atomically write one canonical line per object; return the line count."""
+    count = 0
+    with atomic_writer(path) as handle:
+        for count, obj in enumerate(objs, 1):
+            handle.write(encode_line(obj))
+    return count
 
 
 def write_json(path, obj) -> None:

@@ -22,10 +22,8 @@ from urllib.parse import urlsplit
 from . import __version__
 from .corpus import RawDocument
 from .errors import DataError, MalformedLineError, UsageError
-from .jsonio import (
-    atomic_write, canonical_line, iter_jsonl, read_json, reject_lone_surrogates, write_json,
-)
-from .taskgen import NLI_LABELS, NLI_OPTIONS, options_block
+from .jsonio import iter_jsonl, read_json, reject_lone_surrogates, write_json, write_jsonl
+from .taskgen import NLI_LABELS, NLI_OPTIONS, fill, options_block
 
 logger = logging.getLogger(__name__)
 
@@ -54,32 +52,23 @@ def _prompt_asset(name: str) -> str:
     return resources.files("docstudy").joinpath("data", "prompts", name).read_text("utf-8")
 
 
-def _instantiate(template: str, **values: str) -> str:
-    # plain replace keeps braces inside substituted values literal and
-    # leaves the exemplar blocks untouched
-    out = template
-    for key, value in values.items():
-        out = out.replace("{" + key + "}", value)
-    return out.rstrip("\n")
-
-
 def build_generation_prompt(doc: RawDocument) -> str:
     if not doc.title or not doc.body:
         raise DataError("document needs a title and body")
-    return _instantiate(_prompt_asset("qa_generation.txt"), topic=doc.title, paragraph=doc.body)
+    return fill(_prompt_asset("qa_generation.txt"), topic=doc.title, paragraph=doc.body).rstrip("\n")
 
 
 def build_nli_prompt(doc: RawDocument) -> str:
     if not doc.title or not doc.body:
         raise DataError("document needs a title and body")
-    return _instantiate(_prompt_asset("qa_nli.txt"), topic=doc.title, paragraph=doc.body)
+    return fill(_prompt_asset("qa_nli.txt"), topic=doc.title, paragraph=doc.body).rstrip("\n")
 
 
 def build_type_prompt(doc: RawDocument, qas: list["QAPair"]) -> str:
     if not qas:
         raise DataError("type annotation prompt needs at least one QA pair")
     qa_text = "\n".join(f"Question: {qa.question}\nAnswer: {qa.answer}" for qa in qas)
-    return _instantiate(_prompt_asset("qa_types.txt"), paragraph=doc.body, QA=qa_text)
+    return fill(_prompt_asset("qa_types.txt"), paragraph=doc.body, QA=qa_text).rstrip("\n")
 
 
 _TEXT_FIELDS = ("doc_id", "task", "question", "answer", "answer_label")
@@ -383,8 +372,11 @@ def generate_for_document(
         raise UsageError(f"no cached response for ({doc.id}, {task}) and no client configured")
 
     prompt = PROMPT_BUILDERS[task](doc)
-    response = client.complete(prompt)
-    parsed = parse_qa_response(response.text, task, doc_id=doc.id)
+    try:
+        response = client.complete(prompt)
+        parsed = parse_qa_response(response.text, task, doc_id=doc.id)
+    except DataError as exc:  # ChatError, ParseError, or a reply QAPair refuses
+        raise type(exc)(f"{exc} (document {doc.id!r})") from exc
     payload = {
         "request": {
             "model": client.model,
@@ -405,8 +397,7 @@ def generate_for_document(
 
 
 def write_qa_jsonl(pairs: list[QAPair], path) -> None:
-    lines = (canonical_line(pair.to_record()) + "\n" for pair in pairs)
-    atomic_write(path, "".join(lines).encode("utf-8"))
+    write_jsonl(path, (pair.to_record() for pair in pairs))
 
 
 def read_qa_jsonl(path) -> list[QAPair]:

@@ -38,20 +38,15 @@ class Stream:
         self._state = self.key
 
     def next_u64(self) -> int:
+        value = _splitmix64(self._state)
         self._state = (self._state + _GOLDEN) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (z ^ (z >> 31)) & _MASK
+        return value
 
     def below(self, n: int) -> int:
         """Draw an integer in [0, n) via multiply-shift."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return (self.next_u64() * n) >> 64
-
-    def choice(self, items):
-        return items[self.below(len(items))]
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates."""

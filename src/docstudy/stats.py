@@ -44,12 +44,8 @@ def corpus_stats(corpus: Corpus, qa_pairs: list[QAPair] | None = None) -> dict:
     return stats
 
 
-def suite_stats(suites) -> dict:
-    """Per-kind example counts and percentages across generated suites."""
-    counts: dict[str, int] = {}
-    for suite in suites:
-        for kind, value in suite.counts.items():
-            counts[kind] = counts.get(kind, 0) + value
+def suite_stats(counts: dict) -> dict:
+    """Example total and per-kind percentages from per-kind example counts."""
     total = sum(counts.values())
     percent = {
         kind: round(100.0 * value / total, 2) if total else 0.0

@@ -11,7 +11,7 @@ A kind also fixes its loss policy (`loss_policy`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .analysis import AnalyzedDocument, EntitySpan
 from .errors import DataError
@@ -94,14 +94,14 @@ class TaskConfig:
     templates: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        unknown = [k for k in self.enabled if k not in KIND_ORDER]
+        unknown = [k for k in (*self.enabled, *self.multiplicity, *self.templates) if k not in KIND_ORDER]
         if unknown:
             raise DataError(f"unknown task kinds in config: {unknown}")
         # `type(x) is int`, unlike isinstance, also refuses true and false
         if type(self.option_count) is not int or self.option_count < 2:
             raise DataError(f"option_count must be an integer of at least 2: {self.option_count!r}")
-        if not all(type(cap) is int for cap in self.multiplicity.values()):
-            raise DataError("multiplicity values must be integers")
+        if not all(type(cap) is int and cap >= 0 for cap in self.multiplicity.values()):
+            raise DataError("multiplicity values must be non-negative integers")
         if not all(isinstance(template, str) for template in self.templates.values()):
             raise DataError("templates must be strings")
 
@@ -116,6 +116,9 @@ class TaskConfig:
         raw = read_json(path)
         if not isinstance(raw, dict):
             raise DataError(f"{path}: task config must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DataError(f"{path}: unknown task config keys {unknown}")
         try:
             return cls(
                 enabled=tuple(raw.get("enabled", KIND_ORDER)),

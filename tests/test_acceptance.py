@@ -18,7 +18,7 @@ from docstudy.analysis import analyze_document
 from docstudy.cli import main as cli_main
 from docstudy.corpus import document_from_record, ingest_jsonl, Corpus
 from docstudy.curriculum import fairness_epochs, plan, preset_ids, render_stage_inputs
-from docstudy.dataset import SplitSpec, build_manifest, doc_record, qa_record, read_manifest, split_corpus
+from docstudy.dataset import SplitSpec, doc_record, qa_record, read_manifest, split_corpus, write_manifest
 from docstudy.metrics import (
     aggregate_ppl,
     exact_match,
@@ -250,7 +250,7 @@ def test_criterion_3_metric_oracle_equivalence():
             assert abs(aggregate_ppl(parts) - pooled) <= 1e-12
 
 
-def test_criterion_4_curriculum_golden_files(golden_plans):
+def test_criterion_4_curriculum_golden_files(golden_plans, tmp_path):
     with criterion("criterion 4: ten preset plans match goldens; pairing sound"):
         refs = {
             "train_doc": "train_doc.jsonl",
@@ -277,7 +277,8 @@ def test_criterion_4_curriculum_golden_files(golden_plans):
 
         # rendered PIT stage 1: every QA record directly precedes its document
         docs = [doc_record(document_from_record(r)) for r in synthetic_records(12, seed=3)]
-        doc_manifest = build_manifest(docs, name="train_doc", split="train")
+        write_manifest(docs, name="train_doc", split="train", path=tmp_path / "train_doc.jsonl")
+        doc_manifest = read_manifest(tmp_path / "train_doc.jsonl")
         qa_records = []
         for record in synthetic_records(12, seed=3):
             for k in range(2):
@@ -285,7 +286,8 @@ def test_criterion_4_curriculum_golden_files(golden_plans):
                     qa_record(QAPair(doc_id=record["id"], task="generation",
                                      question=f"Q{k}?", answer="A."))
                 )
-        qa_manifest = build_manifest(qa_records, name="train_qa", split="train")
+        write_manifest(qa_records, name="train_qa", split="train", path=tmp_path / "train_qa.jsonl")
+        qa_manifest = read_manifest(tmp_path / "train_qa.jsonl")
         rendered = render_stage_inputs(pit, 1, {"train_doc": doc_manifest, "train_qa": qa_manifest})
         for pos, record in enumerate(rendered):
             if record["kind"] != "qa":

@@ -3,6 +3,7 @@ import http.server
 import json
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,23 @@ class TestPipeline:
         assert counts("--lexicon", lexicon)["completion"] == 0
         # "Oslo." no longer ends a sentence: one sentence, no corrupted NLI
         assert counts("--abbreviations", abbreviations)["nli"] == 1
+
+    def test_gen_tasks_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        def peak(n):
+            corpus = tmp_path / f"raw{n}.jsonl"
+            write_jsonl(synthetic_records(n, seed=2), corpus)
+            tracemalloc.start()
+            try:
+                assert run("--out", tmp_path / f"o{n}", "gen-tasks", "--corpus", corpus, "--reading") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # loads the lexicons and prompt assets once
+        small, large = peak(100), peak(400)
+        # holding the outputs costs about 24 KB a document; the duplicate-id
+        # map, the one thing kept per document, about 0.2 KB
+        assert (large - small) / 300 < 2048, (small, large)
 
     def test_verify_command(self, tmp_path, corpus_path):
         out = tmp_path / "o"
@@ -310,6 +328,14 @@ class TestErrors:
              "config key 'jobs': cannot read 2.9 as int"),
             ("config.json", '{"seed": true}', ["--config", "{file}", "ingest", "--corpus", "{corpus}"], 1,
              "config key 'seed': cannot read True as int"),
+            ("task.json", '{"option_cout": 5}', ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"],
+             2, "{file}: unknown task config keys ['option_cout']"),
+            ("task.json", '{"multiplicity": {"nil": 0}}',
+             ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"], 2, "{file}: "),
+            ("task.json", '{"templates": {"bogus": "x"}}',
+             ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"], 2, "{file}: "),
+            ("task.json", '{"multiplicity": {"cloze": -3}}',
+             ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"], 2, "{file}: "),
         ],
         ids=[
             "qa-row-without-task", "qa-line-not-json", "stats-qa-line-not-json", "truncated-qa-cache",
@@ -318,7 +344,9 @@ class TestErrors:
             "task-config-multiplicity-not-int", "task-config-template-not-str",
             "header-leaves-empty-title", "lone-surrogate-in-body", "lone-surrogate-in-qa-row",
             "task-config-option-count-float", "task-config-option-count-bool", "task-config-option-count-str",
-            "config-jobs-float", "config-seed-bool",
+            "config-jobs-float", "config-seed-bool", "task-config-unknown-key",
+            "task-config-multiplicity-unknown-kind", "task-config-template-unknown-kind",
+            "task-config-multiplicity-negative",
         ],
     )
     def test_malformed_input_names_file(self, tmp_path, capsys, monkeypatch, name, content, argv, code, where):
@@ -373,6 +401,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"data error: {tasks}: record 0 is kind 'task'; ref test_doc needs 'doc'\n"
         assert not (out / "continued_pretraining_stage1.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "bad_line", ["{not json}", '{"id": "doc-00002", "title": "Again", "body": "A b."}'],
+        ids=["malformed-line", "duplicate-id"],
+    )
+    def test_data_error_mid_corpus_keeps_old_outputs(self, tmp_path, capsys, bad_line):
+        good, bad, out = tmp_path / "good.jsonl", tmp_path / "bad.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(12, seed=4), good)
+        lines = good.read_text("utf-8").splitlines(keepends=True)
+        bad.write_text("".join(lines[:9]) + bad_line + "\n" + "".join(lines[9:]), "utf-8")
+        commands = (["ingest", "--name", "c"], ["gen-tasks", "--name", "c", "--reading"])
+        for command in commands:
+            assert run("--out", out, *command, "--corpus", good) == 0
+        before = tree_bytes(out)
+        assert {"c.jsonl", "c_tasks.jsonl", "c_reading.jsonl"} <= set(before)
+        # the tenth document fails after nine were written to the temp files
+        for command in commands:
+            assert run("--out", out, *command, "--corpus", bad) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not list(out.glob(".*.tmp"))
+        assert tree_bytes(out) == before
 
     def test_missing_manifest_refs(self, tmp_path):
         code = run("--out", tmp_path / "o", "plan", "--preset", "continued_pretraining",
@@ -486,7 +535,19 @@ class TestGenQa:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: 'answer' holds a lone surrogate")
+        assert err.endswith(" (document 'doc-00000')\n")
         assert "Traceback" not in err
+
+    def test_unparseable_reply_names_its_document(self, tmp_path, capsys, chat_server):
+        body = b'{"choices": [{"message": {"content": "I cannot help with that."}}]}'
+        chat_server.script = [(200, "application/json", body)]
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(1, seed=1), corpus)
+        code = run("--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation",
+                   "--endpoint", chat_server.url)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "data error: no question/answer blocks found (discarded 1) (document 'doc-00000')\n"
 
     def test_without_endpoint_or_cache_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)

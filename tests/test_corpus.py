@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import MORITZ_BODY
+from docstudy import jsonio
 from docstudy.corpus import (
     Corpus,
     DuplicateIdError,
@@ -14,7 +15,6 @@ from docstudy.corpus import (
     ingest_jsonl,
     normalize_text,
     parse_header,
-    serialize_corpus,
 )
 from docstudy.errors import DataError
 
@@ -134,10 +134,11 @@ class TestRoundTrip:
         path = tmp_path / "c.jsonl"
         write_jsonl(synthetic_records(25, seed=3), path)
         corpus = ingest_jsonl(path, name="c", seed=9)
-        first = serialize_corpus(corpus)
-        (tmp_path / "round.jsonl").write_bytes(first)
-        second = serialize_corpus(ingest_jsonl(tmp_path / "round.jsonl", name="c", seed=9))
-        assert first == second
+        jsonio.write_jsonl(tmp_path / "round.jsonl", (doc.to_record() for doc in corpus))
+        first = (tmp_path / "round.jsonl").read_bytes()
+        again = ingest_jsonl(tmp_path / "round.jsonl", name="c", seed=9)
+        jsonio.write_jsonl(tmp_path / "again.jsonl", (doc.to_record() for doc in again))
+        assert (tmp_path / "again.jsonl").read_bytes() == first
 
     def test_order_stable(self, tmp_path):
         path = tmp_path / "c.jsonl"

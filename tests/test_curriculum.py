@@ -16,7 +16,7 @@ from docstudy.curriculum import (
     sample_replay,
     write_plan,
 )
-from docstudy.dataset import build_manifest, doc_record, qa_record, write_manifest
+from docstudy.dataset import doc_record, qa_record, read_manifest, write_manifest
 from docstudy.errors import DataError, UsageError
 from docstudy.qagen import QAPair
 
@@ -44,12 +44,18 @@ REFS = {
 }
 
 
-def _doc_manifest(n, seed=0, name="docs"):
+def _manifest(tmp_path, records, name, seed=0):
+    path = tmp_path / f"{name}.jsonl"
+    write_manifest(records, name=name, split="train", path=path, seed=seed)
+    return read_manifest(path)
+
+
+def _doc_manifest(tmp_path, n, seed=0, name="docs"):
     records = [doc_record(document_from_record(r)) for r in synthetic_records(n, seed=seed)]
-    return build_manifest(records, name=name, split="train", seed=seed)
+    return _manifest(tmp_path, records, name, seed)
 
 
-def _qa_manifest(doc_ids, per_doc=2, name="qa"):
+def _qa_manifest(tmp_path, doc_ids, per_doc=2, name="qa"):
     records = []
     for doc_id in doc_ids:
         for k in range(per_doc):
@@ -58,7 +64,7 @@ def _qa_manifest(doc_ids, per_doc=2, name="qa"):
                     QAPair(doc_id=doc_id, task="generation", question=f"Q{k} about {doc_id}?", answer=f"A{k}.")
                 )
             )
-    return build_manifest(records, name=name, split="train", seed=0)
+    return _manifest(tmp_path, records, name)
 
 
 class TestPresetCoverage:
@@ -138,57 +144,57 @@ class TestPresetCoverage:
 class TestReadRef:
     def test_matching_kind_loads(self, tmp_path):
         path = tmp_path / "qa.jsonl"
-        manifest = _qa_manifest(["a", "b"])
+        manifest = _qa_manifest(tmp_path, ["a", "b"])
         write_manifest(manifest.records, name="qa", split="train", path=path)
         assert read_ref("train_qa", path).records == manifest.records
 
     def test_first_record_of_another_kind_is_named(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
-        docs = _doc_manifest(2)
-        write_manifest(_qa_manifest(["a"]).records + docs.records, name="mixed", split="train", path=path)
+        docs = _doc_manifest(tmp_path, 2)
+        write_manifest(_qa_manifest(tmp_path, ["a"]).records + docs.records, name="mixed", split="train", path=path)
         with pytest.raises(DataError, match=r"record 2 is kind 'doc'; ref train_qa needs 'qa'"):
             read_ref("train_qa", path)
 
 
 class TestSampleReplay:
-    def test_sixty_four_distinct_from_large_manifest(self):
-        manifest = _qa_manifest([f"doc-{i:05d}" for i in range(3068)], per_doc=2)
+    def test_sixty_four_distinct_from_large_manifest(self, tmp_path):
+        manifest = _qa_manifest(tmp_path, [f"doc-{i:05d}" for i in range(3068)], per_doc=2)
         sampled = sample_replay(manifest, 64, seed=5)
         assert len(sampled) == 64
         keys = [json.dumps(r, sort_keys=True) for r in sampled]
         assert len(set(keys)) == 64
 
-    def test_full_set_in_original_order(self):
-        manifest = _qa_manifest(["a", "b", "c"], per_doc=1)
+    def test_full_set_in_original_order(self, tmp_path):
+        manifest = _qa_manifest(tmp_path, ["a", "b", "c"], per_doc=1)
         sampled = sample_replay(manifest, 3, seed=9)
         assert sampled == list(manifest.records)
 
-    def test_stable_order_by_original_index(self):
-        manifest = _qa_manifest([f"d{i}" for i in range(50)], per_doc=1)
+    def test_stable_order_by_original_index(self, tmp_path):
+        manifest = _qa_manifest(tmp_path, [f"d{i}" for i in range(50)], per_doc=1)
         sampled = sample_replay(manifest, 10, seed=4)
         positions = [manifest.records.index(r) for r in sampled]
         assert positions == sorted(positions)
 
-    def test_same_seed_identical(self):
-        manifest = _qa_manifest([f"d{i}" for i in range(40)], per_doc=1)
+    def test_same_seed_identical(self, tmp_path):
+        manifest = _qa_manifest(tmp_path, [f"d{i}" for i in range(40)], per_doc=1)
         assert sample_replay(manifest, 8, seed=6) == sample_replay(manifest, 8, seed=6)
 
-    def test_size_exceeds_error(self):
-        manifest = _qa_manifest(["a"], per_doc=1)
+    def test_size_exceeds_error(self, tmp_path):
+        manifest = _qa_manifest(tmp_path, ["a"], per_doc=1)
         with pytest.raises(DataError):
             sample_replay(manifest, 2, seed=0)
 
 
 class TestRender:
-    def _manifests(self, n_docs=6):
-        docs = _doc_manifest(n_docs, name="train_doc")
+    def _manifests(self, tmp_path, n_docs=6):
+        docs = _doc_manifest(tmp_path, n_docs, name="train_doc")
         doc_ids = [r["payload"]["id"] for r in docs.records]
-        qa = _qa_manifest(doc_ids, per_doc=2, name="train_qa")
-        test_docs = _doc_manifest(3, seed=99, name="test_doc")
+        qa = _qa_manifest(tmp_path, doc_ids, per_doc=2, name="train_qa")
+        test_docs = _doc_manifest(tmp_path, 3, seed=99, name="test_doc")
         return {"train_doc": docs, "train_qa": qa, "test_doc": test_docs}
 
-    def test_concat_is_a_plus_b(self):
-        manifests = self._manifests()
+    def test_concat_is_a_plus_b(self, tmp_path):
+        manifests = self._manifests(tmp_path)
         stage_plan = StagePlan.from_dict(
             {
                 "method": "custom",
@@ -201,8 +207,8 @@ class TestRender:
         expected = list(manifests["train_doc"].records) + list(manifests["test_doc"].records)
         assert records == expected
 
-    def test_interleave_conserves_and_is_deterministic(self):
-        manifests = self._manifests()
+    def test_interleave_conserves_and_is_deterministic(self, tmp_path):
+        manifests = self._manifests(tmp_path)
         stage_plan = StagePlan.from_dict(
             {
                 "method": "custom",
@@ -216,8 +222,8 @@ class TestRender:
         assert a == b
         assert len(a) == len(manifests["train_doc"].records) + len(manifests["train_qa"].records)
 
-    def test_pit_pairing_places_qa_immediately_before_doc(self):
-        manifests = self._manifests()
+    def test_pit_pairing_places_qa_immediately_before_doc(self, tmp_path):
+        manifests = self._manifests(tmp_path)
         pit = plan("pit", REFS, seed=0)
         records = render_stage_inputs(pit, 1, manifests)
         assert len(records) == len(manifests["train_doc"].records) + len(
@@ -243,32 +249,30 @@ class TestRender:
             assert records[doc_pos - 1]["kind"] == "qa"
             assert records[doc_pos - 1]["payload"]["doc_id"] == doc_id
 
-    def test_pairing_with_dangling_doc_id_errors(self):
-        manifests = self._manifests()
+    def test_pairing_with_dangling_doc_id_errors(self, tmp_path):
+        manifests = self._manifests(tmp_path)
         orphan = qa_record(
             QAPair(doc_id="missing-doc", task="generation", question="Q?", answer="A.")
         )
-        manifests["train_qa"] = build_manifest(
-            list(manifests["train_qa"].records) + [orphan], name="train_qa", split="train"
-        )
+        manifests["train_qa"] = _manifest(tmp_path, list(manifests["train_qa"].records) + [orphan], "train_qa")
         pit = plan("pit", REFS, seed=0)
         with pytest.raises(DataError) as err:
             render_stage_inputs(pit, 1, manifests)
         assert "missing-doc" in str(err.value)
 
-    def test_replay_merged_into_final_stage(self):
-        manifests = self._manifests(n_docs=100)
+    def test_replay_merged_into_final_stage(self, tmp_path):
+        manifests = self._manifests(tmp_path, n_docs=100)
         assert len(manifests["train_qa"].records) == 200
         st = plan("self_tuning", {**REFS}, seed=1)
-        manifests["train_self"] = _doc_manifest(2, seed=5, name="train_self")
+        manifests["train_self"] = _doc_manifest(tmp_path, 2, seed=5, name="train_self")
         records = render_stage_inputs(st, 3, manifests)
         qa_records = [r for r in records if r["kind"] == "qa"]
         assert len(qa_records) == 128
         doc_count = len(manifests["test_doc"].records)
         assert len(records) == doc_count + 128
 
-    def test_unknown_stage_index(self):
-        manifests = self._manifests()
+    def test_unknown_stage_index(self, tmp_path):
+        manifests = self._manifests(tmp_path)
         stage_plan = plan("continued_pretraining", REFS, seed=0)
         with pytest.raises(DataError):
             render_stage_inputs(stage_plan, 9, manifests)

@@ -9,7 +9,6 @@ from docstudy.dataset import (
     ManifestError,
     SplitSpec,
     attach_loss_policy,
-    build_manifest,
     doc_record,
     overlap_report,
     qa_record,
@@ -140,12 +139,12 @@ class TestManifests:
         a = write_manifest(records, "m", "train", tmp_path / "a.jsonl", seed=4)
         b = write_manifest(records, "m", "train", tmp_path / "b.jsonl", seed=4)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-        assert a.checksum == b.checksum
+        assert a["checksum"] == b["checksum"]
 
     def test_single_record_manifest(self, tmp_path):
         records = self._records(1)[:1]
-        manifest = write_manifest(records, "m", "train", tmp_path / "m.jsonl")
-        assert len(manifest) == 1
+        footer = write_manifest(records, "m", "train", tmp_path / "m.jsonl")
+        assert footer["count"] == 1
         assert verify_manifest(tmp_path / "m.jsonl").ok
 
     def test_empty_manifest_rejected(self, tmp_path):
@@ -153,8 +152,8 @@ class TestManifests:
             write_manifest([], "m", "train", tmp_path / "m.jsonl")
 
     def test_every_record_has_one_policy(self, tmp_path):
-        manifest = write_manifest(self._records(), "m", "train", tmp_path / "m.jsonl")
-        for record in manifest.records:
+        write_manifest(self._records(), "m", "train", tmp_path / "m.jsonl")
+        for record in read_manifest(tmp_path / "m.jsonl").records:
             assert record["loss_policy"] in ("full_sequence", "answer_only")
 
     def test_footer_schema(self, tmp_path):
@@ -165,10 +164,11 @@ class TestManifests:
         assert footer["seed"] == 9
 
     def test_read_round_trip(self, tmp_path):
-        manifest = write_manifest(self._records(), "m", "train", tmp_path / "m.jsonl", seed=1)
-        loaded = read_manifest(tmp_path / "m.jsonl", name="m", split="train")
-        assert loaded.records == manifest.records
-        assert loaded.checksum == manifest.checksum
+        records = self._records()
+        footer = write_manifest(records, "m", "train", tmp_path / "m.jsonl", seed=1)
+        loaded = read_manifest(tmp_path / "m.jsonl")
+        assert loaded.records == tuple(attach_loss_policy(record) for record in records)
+        assert loaded.checksum == footer["checksum"]
         write_manifest(loaded.records, "m", "train", tmp_path / "again.jsonl", seed=loaded.seed)
         assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "m.jsonl").read_bytes()
 

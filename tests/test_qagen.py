@@ -71,6 +71,14 @@ class TestPrompts:
         assert "Weird {title} Co" in prompt
         assert "Body with {paragraph} inside." in prompt
 
+    def test_placeholders_inside_values_stay_literal(self):
+        plain = RawDocument(id="x", title="TITLE_X", body="BODY_X.")
+        odd = RawDocument(id="x", title="A {paragraph} B", body="Body {topic} and {QA} end.")
+        pairs = [QAPair(doc_id="x", task="generation", question="Q?", answer="A.")]
+        for build in (build_generation_prompt, build_nli_prompt, lambda doc: build_type_prompt(doc, pairs)):
+            expected = build(plain).replace("BODY_X.", odd.body).replace("TITLE_X", odd.title)
+            assert build(odd) == expected
+
     def test_prompts_differ_only_in_substituted_fields(self):
         a = build_generation_prompt(MORITZ)
         b = build_generation_prompt(OTHER)
