@@ -5,21 +5,27 @@ is reproducible bit-for-bit. All offsets are Unicode scalar offsets into
 the document body, never bytes.
 
 Cost contract for ``analyze_document``: the body is segmented once and
-each sentence is tokenized once; those tokens feed both entity candidates
-and preposition detection and are dropped before the next sentence.
-Overlapping entity candidates are resolved greedily against an occupancy
-map of one byte per body character: O(E log E) to sort E candidates plus
-O(n) character tests for a body of n characters, whatever the sentence
-structure. Beyond that map and the sentence, entity and preposition lists
-it returns, memory is O(longest sentence). The packaged lexicon and
-abbreviations are read once per process.
+the date patterns run once over it. Each sentence is then scanned once
+(``_scan``): every token is read once, stripped with ``str.lstrip`` and
+``str.rstrip``, and classified once as a capitalised word, an initial, a
+connector, a number or none of these. That one record per token feeds
+both the name-run state machine and preposition matching, which visit
+only the tokens the scan marked, and it is dropped before the next
+sentence. Overlapping entity candidates are resolved greedily against an
+occupancy map of one byte per body character: O(E log E) to sort E
+candidates plus O(n) character tests for a body of n characters, whatever
+the sentence structure. Beyond that map and the sentence, entity and
+preposition lists it returns, memory is O(longest sentence). The packaged
+lexicon and abbreviations are read once per process.
+
+``sentence_tokens``, ``find_prepositions`` and ``extract_entities`` are
+built on the same scan.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -37,7 +43,6 @@ _DATE_PATTERNS = [
 ]
 _NUMBER = re.compile(r"\d+(?:[.,]\d+)+|\d+")
 _ACRONYM = re.compile(r"[A-Z]{2,6}")
-_INITIAL = re.compile(r"[A-Z]\.")
 _WORD = re.compile(r"[^\W_]+")
 _TERMINAL = re.compile(r"[.?!]+")
 _NEXT_AFTER_SPACE = re.compile(r"\s+(\S)")
@@ -92,11 +97,14 @@ def _lowered(entries: frozenset[str]) -> frozenset[str]:
 
 
 @lru_cache(maxsize=8)
-def _lexicon_split(lexicon: frozenset[str]) -> tuple[tuple[list[str], ...], frozenset[str]]:
-    """(multiword units longest first, single words) of a lexicon; callers
-    must not mutate the unit lists."""
-    units = sorted((entry.split() for entry in lexicon if " " in entry), key=len, reverse=True)
-    return tuple(units), frozenset(entry for entry in lexicon if " " not in entry)
+def _lexicon_split(lexicon: frozenset[str]) -> tuple[dict[str, tuple[list[str], ...]], frozenset[str], frozenset[str]]:
+    """(multiword units by first word, longest first; single words; every
+    word a match can start with) of a lexicon. Callers must not mutate it."""
+    units: dict[str, list[list[str]]] = {}
+    for unit in sorted((entry.split() for entry in lexicon if " " in entry), key=len, reverse=True):
+        units.setdefault(unit[0], []).append(unit)
+    singles = frozenset(entry for entry in lexicon if " " not in entry)
+    return {head: tuple(group) for head, group in units.items()}, singles, singles.union(units)
 
 
 @dataclass(frozen=True)
@@ -125,32 +133,74 @@ class Token:
     core: str
 
 
-def sentence_tokens(text: str) -> list[Token]:
+def _is_initial(word: str) -> bool:
+    """One ASCII capital and a period, as in "W."."""
+    return len(word) == 2 and word[1] == "." and "A" <= word[0] <= "Z"
+
+
+# the class of a token, set once by _scan
+_OTHER, _CAPWORD, _INITIAL, _CONNECTOR, _NUMERAL = range(5)
+_NAME_PART = (_CAPWORD, _INITIAL)
+_JOINER = (_INITIAL, _CONNECTOR)
+
+
+def _scan(text: str, heads: frozenset[str] = frozenset()) -> tuple[list[tuple], list[int], list[int]]:
+    """The one pass over a sentence's tokens: each is read and classified once.
+
+    Returns ``(tokens, marks, hits)``:
+      tokens: one ``(start, end, core_start, core_end, core, form, kind,
+        joined)`` tuple per whitespace-delimited token. ``core`` is the
+        token with its lead and trail punctuation taken off, ``form`` its
+        lowercase, ``kind`` its class, and ``joined`` says that no
+        punctuation was taken off either side of its joint with the
+        previous token.
+      marks: the positions where an entity may start: capitalised words,
+        initials and numbers.
+      hits: the positions whose form is in ``heads``.
+    """
     tokens = []
-    for match in re.finditer(r"\S+", text):
-        raw = match.group()
-        lead = 0
-        while lead < len(raw) and raw[lead] in _LEAD_PUNCT:
-            lead += 1
-        trail = len(raw)
-        while trail > lead and raw[trail - 1] in _TRAIL_PUNCT:
-            trail -= 1
-        core = raw[lead:trail]
-        # keep a final period only for initials ("W.") and dotted
-        # abbreviations ("U.S."), strip it from ordinary words
-        while core.endswith(".") and not (_INITIAL.fullmatch(core) or "." in core[:-1]):
-            core = core[:-1]
-            trail -= 1
+    marks = []
+    hits = []
+    end = 0
+    bare_end = False
+    for raw in text.split():
+        # only whitespace lies between the previous token and this one
+        start = text.find(raw, end)
+        end = start + len(raw)
+        core = raw.lstrip(_LEAD_PUNCT)
+        core_start = end - len(core)
+        core = core.rstrip(_TRAIL_PUNCT)
+        kind = _OTHER
+        if core[-1:] == ".":
+            # keep a final period only for initials ("W.") and dotted
+            # abbreviations ("U.S."), strip it from ordinary words
+            if _is_initial(core):
+                kind = _INITIAL
+            elif core.find(".") == len(core) - 1:
+                core = core[:-1]
+        core_end = core_start + len(core)
+        form = core.lower()
+        if kind == _OTHER:
+            first = core[:1]
+            if first.isalpha() and first.isupper():
+                kind = _CAPWORD
+            elif form in _CONNECTORS:
+                kind = _CONNECTOR
+            elif first.isdigit() and _NUMBER.fullmatch(core):
+                kind = _NUMERAL
+        if kind != _OTHER and kind != _CONNECTOR:
+            marks.append(len(tokens))
+        if form in heads:
+            hits.append(len(tokens))
         tokens.append(
-            Token(
-                start=match.start(),
-                end=match.end(),
-                core_start=match.start() + lead,
-                core_end=match.start() + trail,
-                core=core,
-            )
+            (start, end, core_start, core_end, core, form, kind, bare_end and core_start == start)
         )
-    return tokens
+        bare_end = core_end == end
+    return tokens, marks, hits
+
+
+def sentence_tokens(text: str) -> list[Token]:
+    return [Token(*token[:5]) for token in _scan(text)[0]]
 
 
 def segment_sentences(body: str, abbreviations: frozenset[str] | None = None) -> list[SentenceSpan]:
@@ -186,7 +236,7 @@ def segment_sentences(body: str, abbreviations: frozenset[str] | None = None) ->
         word = body[word_start:end]
         if word in abbrevs or word.lower() in abbrevs_lower:
             continue
-        if _INITIAL.fullmatch(word):
+        if _is_initial(word):
             continue
         boundaries.append(end)
 
@@ -204,101 +254,69 @@ def segment_sentences(body: str, abbreviations: frozenset[str] | None = None) ->
     return spans
 
 
-def _entity_candidates(
-    text: str, offset: int, tokens: list[Token], sentence_initial_token: int = 0
-):
-    """Candidate (start, end, kind, rank) tuples for one sentence, given its tokens."""
+def _date_candidates(body: str) -> list[tuple]:
+    """Date (start, end, kind, rank) candidates of a whole body.
+
+    A date holds no terminal punctuation and every sentence but the last
+    ends in one, so no match crosses a sentence boundary, and one pass
+    over the body finds what a pass over each sentence would.
+    """
+    return [
+        (match.start(), match.end(), "date", 0)
+        for pattern in _DATE_PATTERNS
+        for match in pattern.finditer(body)
+    ]
+
+
+def _entity_candidates(offset: int, tokens: list[tuple], marks: list[int]) -> list[tuple]:
+    """Name, acronym and number (start, end, kind, rank) candidates of one
+    sentence at ``offset``, given its scan."""
     candidates = []
-    for pattern in _DATE_PATTERNS:
-        for match in pattern.finditer(text):
-            candidates.append((offset + match.start(), offset + match.end(), "date", 0))
-
-    def is_capword(tok: Token) -> bool:
-        return bool(tok.core) and tok.core[0].isalpha() and tok.core[0].isupper() and not _INITIAL.fullmatch(tok.core)
-
-    def is_initial(tok: Token) -> bool:
-        return bool(_INITIAL.fullmatch(tok.core))
-
-    def is_connector(tok: Token) -> bool:
-        return tok.core.lower() in _CONNECTORS or is_initial(tok)
-
     n = len(tokens)
-    # a run may only cross token joints with no stripped punctuation,
-    # so "Baseball (MLB)" or "Anderson, George" never merge
-    flows = [False] * n
-    for j in range(1, n):
-        flows[j] = (
-            tokens[j - 1].core_end == tokens[j - 1].end
-            and tokens[j].core_start == tokens[j].start
-        )
-
-    i = 0
-    while i < n:
-        tok = tokens[i]
-        if is_capword(tok) or is_initial(tok):
-            last = i
-            j = i + 1
-            while j < n and flows[j]:
-                if is_capword(tokens[j]) or is_initial(tokens[j]):
-                    last = j
-                    j += 1
-                elif is_connector(tokens[j]):
-                    m = j
-                    while m < n and flows[m] and is_connector(tokens[m]) and not is_capword(tokens[m]):
-                        m += 1
-                    if m < n and flows[m] and (is_capword(tokens[m]) or is_initial(tokens[m])):
-                        last = m
-                        j = m + 1
-                    else:
-                        break
+    resume = 0
+    for i in marks:
+        _, _, core_start, core_end, core, _, kind, _ = tokens[i]
+        if kind == _NUMERAL:
+            candidates.append((offset + core_start, offset + core_end, "number", 3))
+            continue
+        if i < resume:
+            continue
+        # a run may only cross joined tokens, so "Baseball (MLB)" or
+        # "Anderson, George" never merge; connectors ("of", "van", "W.")
+        # stay in it only when a capitalised word follows them
+        last = i
+        j = i + 1
+        while j < n and tokens[j][7]:
+            if tokens[j][6] in _NAME_PART:
+                last = j
+                j += 1
+            elif tokens[j][6] == _CONNECTOR:
+                m = j
+                while m < n and tokens[m][7] and tokens[m][6] in _JOINER:
+                    m += 1
+                if m < n and tokens[m][7] and tokens[m][6] in _NAME_PART:
+                    last = m
+                    j = m + 1
                 else:
                     break
-            run = tokens[i : last + 1]
-            has_word = any(
-                len(t.core) >= 2 and not _INITIAL.fullmatch(t.core) for t in run
-            )
-            single = len(run) == 1
-            forced_initial = i == sentence_initial_token and single
-            if has_word and not forced_initial:
-                start = run[0].core_start
-                end = run[-1].core_end
-                if single and _ACRONYM.fullmatch(run[0].core):
-                    candidates.append((offset + start, offset + end, "acronym", 1))
-                else:
-                    candidates.append((offset + start, offset + end, "name", 2))
-            i = j
+            else:
+                break
+        resume = j
+        single = last == i
+        if single and i == 0:
+            continue  # every sentence starts with a capital
+        if not any(len(t[4]) >= 2 and t[6] != _INITIAL for t in tokens[i : last + 1]):
+            continue
+        end = offset + tokens[last][3]
+        if single and _ACRONYM.fullmatch(core):
+            candidates.append((offset + core_start, end, "acronym", 1))
         else:
-            i += 1
-
-    for tok in tokens:
-        if _NUMBER.fullmatch(tok.core):
-            candidates.append((offset + tok.core_start, offset + tok.core_end, "number", 3))
+            candidates.append((offset + core_start, end, "name", 2))
     return candidates
 
 
-def extract_entities(
-    body: str,
-    abbreviations: frozenset[str] | None = None,
-    sentences: Iterable[tuple[SentenceSpan, list[Token]]] | None = None,
-) -> list[EntitySpan]:
-    """Entities per fixed rules; overlaps resolved longest-match, then leftmost.
-
-    A caller that has already segmented and tokenized ``body`` passes
-    ``sentences``: an iterable of ``(span, tokens)`` pairs, one per
-    ``segment_sentences`` span with that sentence's ``sentence_tokens``. It
-    is read once, in order, so it may be a generator.
-    """
-    if not body.strip():
-        return []
-    if sentences is None:
-        sentences = (
-            (span, sentence_tokens(body[span.start : span.end]))
-            for span in segment_sentences(body, abbreviations=abbreviations)
-        )
-    candidates = []
-    for span, tokens in sentences:
-        candidates.extend(_entity_candidates(body[span.start : span.end], span.start, tokens))
-
+def _resolve_overlaps(body: str, candidates: list[tuple]) -> list[EntitySpan]:
+    """Longest candidate first, then leftmost, then by rank; overlaps dropped."""
     candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], c[3]))
     # taken[i] is 1 where a chosen entity covers body[i]. Candidates of one
     # rule never overlap each other, so testing them all scans O(len(body))
@@ -316,38 +334,45 @@ def extract_entities(
     ]
 
 
-def find_prepositions(
-    sentence: str, lexicon: frozenset[str] | None = None, tokens: list[Token] | None = None
-) -> list[int]:
+def extract_entities(body: str, abbreviations: frozenset[str] | None = None) -> list[EntitySpan]:
+    """Entities per fixed rules; overlaps resolved longest-match, then leftmost."""
+    candidates = _date_candidates(body)
+    for span in segment_sentences(body, abbreviations=abbreviations):
+        tokens, marks, _ = _scan(body[span.start : span.end])
+        candidates.extend(_entity_candidates(span.start, tokens, marks))
+    return _resolve_overlaps(body, candidates)
+
+
+def _preposition_positions(tokens: list[tuple], hits: list[int], units: dict, singles: frozenset[str]) -> list[int]:
+    """Greedy left-to-right lexicon matching over a sentence's scan."""
+    positions = []
+    free = 0  # tokens before this one belong to a matched unit
+    for i in hits:
+        if i < free:
+            continue
+        form = tokens[i][5]
+        for unit in units.get(form, ()):
+            k = len(unit)
+            if [token[5] for token in tokens[i : i + k]] == unit:
+                positions.append(i + k - 1)
+                free = i + k
+                break
+        else:
+            if form in singles:
+                positions.append(i)
+    return positions
+
+
+def find_prepositions(sentence: str, lexicon: frozenset[str] | None = None) -> list[int]:
     """Token positions of closed-class prepositions.
 
     Multiword units ("as well as") match as one unit whose recorded
     position is the final token; their member words are not re-matched.
-    ``tokens`` skips re-tokenizing when the caller has ``sentence_tokens(sentence)``.
     """
     lex = frozenset(lexicon) if lexicon is not None else load_lexicon()
-    units, singles = _lexicon_split(lex)
-
-    if tokens is None:
-        tokens = sentence_tokens(sentence)
-    forms = [tok.core.lower() for tok in tokens]
-    positions = []
-    i = 0
-    while i < len(forms):
-        matched = False
-        for unit in units:
-            k = len(unit)
-            if forms[i : i + k] == unit:
-                positions.append(i + k - 1)
-                i += k
-                matched = True
-                break
-        if matched:
-            continue
-        if forms[i] in singles:
-            positions.append(i)
-        i += 1
-    return positions
+    units, singles, heads = _lexicon_split(lex)
+    tokens, _, hits = _scan(sentence, heads)
+    return _preposition_positions(tokens, hits, units, singles)
 
 
 def tokenize_words(text: str) -> list[str]:
@@ -392,27 +417,24 @@ def analyze_document(
     abbreviations: frozenset[str] | None = None,
 ) -> AnalyzedDocument:
     body = doc.body
-    lexicon = lexicon if lexicon is not None else load_lexicon()
+    lexicon = frozenset(lexicon) if lexicon is not None else load_lexicon()
+    units, singles, heads = _lexicon_split(lexicon)
     sentences = segment_sentences(body, abbreviations=abbreviations)
+    candidates = _date_candidates(body)
     prepositions: list[list[int]] = []
     final_preposition_ends: list[int | None] = []
-
-    def tokenized():
-        # the one tokenization of each sentence: its prepositions are read
-        # here and its tokens handed to extract_entities, then dropped
-        for span in sentences:
-            text = body[span.start : span.end]
-            tokens = sentence_tokens(text)
-            positions = find_prepositions(text, lexicon=lexicon, tokens=tokens)
-            prepositions.append(positions)
-            final_preposition_ends.append(tokens[positions[-1]].end if positions else None)
-            yield span, tokens
-
-    entities = extract_entities(body, sentences=tokenized())
+    # one scan of each sentence feeds its entity candidates and its
+    # prepositions; its tokens are dropped before the next sentence
+    for span in sentences:
+        tokens, marks, hits = _scan(body[span.start : span.end], heads)
+        candidates.extend(_entity_candidates(span.start, tokens, marks))
+        positions = _preposition_positions(tokens, hits, units, singles)
+        prepositions.append(positions)
+        final_preposition_ends.append(tokens[positions[-1]][1] if positions else None)
     return AnalyzedDocument(
         doc=doc,
         sentences=sentences,
-        entities=entities,
+        entities=_resolve_overlaps(body, candidates),
         prepositions=prepositions,
         final_preposition_ends=final_preposition_ends,
     )

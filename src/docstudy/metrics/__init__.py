@@ -64,9 +64,8 @@ def _require_golds(golds) -> list[str]:
     return golds
 
 
-def exact_match(pred: str, golds) -> int:
-    norm = normalize_answer(pred)
-    return int(any(norm == normalize_answer(g) for g in _require_golds(golds)))
+def _gold_tokens(golds) -> list[list[str]]:
+    return [_overlap_tokens(gold) for gold in _require_golds(golds)]
 
 
 def _precision_recall(pred_tokens, gold_tokens) -> tuple[float, float]:
@@ -78,25 +77,32 @@ def _precision_recall(pred_tokens, gold_tokens) -> tuple[float, float]:
     return common / len(pred_tokens), common / len(gold_tokens)
 
 
+def _overlap_scores(pred_tokens: list[str], gold_tokens: list[list[str]]) -> tuple[int, float, float]:
+    """(EM, token F1, token recall) of normalised tokens, best over the golds.
+
+    Normalised answers are equal exactly when their tokens are, because
+    normalising joins the tokens with single spaces.
+    """
+    em, f1, best_recall = 0, 0.0, 0.0
+    for tokens in gold_tokens:
+        em = em or int(pred_tokens == tokens)
+        precision, recall = _precision_recall(pred_tokens, tokens)
+        if precision + recall:
+            f1 = max(f1, 2 * precision * recall / (precision + recall))
+        best_recall = max(best_recall, recall)
+    return em, f1, best_recall
+
+
+def exact_match(pred: str, golds) -> int:
+    return _overlap_scores(_overlap_tokens(pred), _gold_tokens(golds))[0]
+
+
 def token_f1(pred: str, golds) -> float:
-    pred_tokens = _overlap_tokens(pred)
-    best = 0.0
-    for gold in _require_golds(golds):
-        precision, recall = _precision_recall(pred_tokens, _overlap_tokens(gold))
-        if precision + recall == 0:
-            score = 0.0
-        else:
-            score = 2 * precision * recall / (precision + recall)
-        best = max(best, score)
-    return best
+    return _overlap_scores(_overlap_tokens(pred), _gold_tokens(golds))[1]
 
 
 def token_recall(pred: str, golds) -> float:
-    pred_tokens = _overlap_tokens(pred)
-    return max(
-        _precision_recall(pred_tokens, _overlap_tokens(gold))[1]
-        for gold in _require_golds(golds)
-    )
+    return _overlap_scores(_overlap_tokens(pred), _gold_tokens(golds))[2]
 
 
 def rouge_l(pred: str, gold: str) -> float:
@@ -136,7 +142,10 @@ def parse_nli_prediction(pred: str) -> str | None:
     When extra words surround an option, the earliest occurrence wins;
     ties prefer the longer option string.
     """
-    tokens = _overlap_tokens(pred)
+    return _parse_nli_tokens(_overlap_tokens(pred))
+
+
+def _parse_nli_tokens(tokens: list[str]) -> str | None:
     hits = []
     for label, forms in _LABEL_TOKEN_FORMS.items():
         for form in forms:
@@ -149,9 +158,13 @@ def parse_nli_prediction(pred: str) -> str | None:
 
 
 def nli_accuracy(pred: str, gold_label: str, diagnostics: dict | None = None) -> int:
+    return _nli_score(_overlap_tokens(pred), gold_label, diagnostics)
+
+
+def _nli_score(pred_tokens: list[str], gold_label: str, diagnostics: dict | None) -> int:
     if gold_label not in NLI_LABELS:
         raise DataError(f"unknown gold label {gold_label!r}")
-    parsed = parse_nli_prediction(pred)
+    parsed = _parse_nli_tokens(pred_tokens)
     if parsed is None:
         if diagnostics is not None:
             diagnostics["unparseable_nli"] = diagnostics.get("unparseable_nli", 0) + 1
@@ -247,16 +260,16 @@ def score_items(predictions: dict, references: dict, judge=None) -> tuple[list[G
         ref = references[item_id]
         golds = ref.get("golds") or []
         gold_label = ref.get("gold_label")
+        # the prediction and each gold are normalised once, for every score
+        pred_tokens = _overlap_tokens(pred)
         if golds:
-            em = exact_match(pred, golds)
-            f1 = token_f1(pred, golds)
-            recall = token_recall(pred, golds)
+            em, f1, recall = _overlap_scores(pred_tokens, _gold_tokens(golds))
             rouge = max(rouge_l(pred, g) for g in golds)
         else:
             em, f1, recall, rouge = 0, 0.0, 0.0, 0.0
         nli = None
         if gold_label is not None:
-            nli = nli_accuracy(pred, gold_label, diagnostics)
+            nli = _nli_score(pred_tokens, gold_label, diagnostics)
         acc = None
         if judge is not None and golds:
             try:

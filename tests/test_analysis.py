@@ -4,9 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MORITZ_BODY, ROBERT_BODY
-from docstudy import analysis
 from docstudy.analysis import (
-    EntitySpan,
     analyze_document,
     extract_entities,
     find_prepositions,
@@ -16,6 +14,7 @@ from docstudy.analysis import (
 )
 from docstudy.corpus import RawDocument, document_from_record
 
+import _analysis_oracle as oracle
 from _synth import synthetic_records
 
 ROBERT_ENTITIES = {
@@ -212,25 +211,6 @@ class TestDeterminism:
         assert len(adoc.prepositions) == len(adoc.sentences)
 
 
-def quadratic_entities(body):
-    """Oracle: the plain global greedy resolver, O(E^2) in candidates."""
-    if not body.strip():
-        return []
-    candidates = []
-    for span in segment_sentences(body):
-        text = body[span.start : span.end]
-        candidates.extend(analysis._entity_candidates(text, span.start, sentence_tokens(text)))
-    candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], c[3]))
-    chosen, occupied = [], []
-    for start, end, kind, _rank in candidates:
-        if any(start < e and s < end for s, e in occupied):
-            continue
-        occupied.append((start, end))
-        chosen.append((start, end, kind))
-    chosen.sort()
-    return [EntitySpan(start=s, end=e, surface=body[s:e], kind=k) for s, e, k in chosen]
-
-
 WORDS = st.sampled_from(
     [
         # capitalised words, connectors, initials and abbreviations
@@ -241,6 +221,13 @@ WORDS = st.sampled_from(
         "1,000", "(born", "1946)", "(MLB)", "(1", "November", "2022)", "Baseball,", "\"Go",
         # lowercase words, prepositions included
         "went", "to", "with", "as", "well", "in", "for",
+        # non-ASCII capitals, a title-case letter and a non-ASCII capital
+        # with a period, which is not an initial
+        "Émile", "Øresund", "Ωmega", "ǅemal", "Ø.",
+        # digits that are not ASCII: "٣" is a decimal digit, "²" is not
+        "٣", "²",
+        # punctuation-only tokens, periods and punctuation on both sides
+        "—", "(\"", "...", "Inc..", "e.g.", "«Né»", "¡Hola!",
     ]
 )
 TERMINALS = st.sampled_from(["", "", "", ".", "!", "?", "...", ".)"])
@@ -251,21 +238,29 @@ BODIES = st.lists(st.tuples(WORDS, TERMINALS, SEPARATORS), min_size=1, max_size=
 
 
 class TestLinearAnalysisEquivalence:
+    """The one-pass scanner and the linear resolver against the pre-scanner
+    per-token passes and the quadratic resolver in `_analysis_oracle`."""
+
     @settings(max_examples=300, deadline=None)
     @given(BODIES)
     # dates overlapping by one character: "September 4" and "4 May 1990"
     @example("He left September 4 May 1990 and came back.")
+    # an initial ("W."), a non-ASCII capital with a period ("Ø.") and
+    # title-case, non-ASCII digit and punctuation-only tokens
+    @example("Émile W. Ø. Becker of ǅemal met Ωmega ( \"Øresund\" — ٣ ² «Né» e.g. Inc.. ¡Hola!")
     def test_sweep_matches_quadratic_resolver(self, body):
         entities = extract_entities(body)
-        assert entities == quadratic_entities(body)
+        assert entities == oracle.quadratic_entities(body)
 
         adoc = analyze_document(RawDocument(id="p", title="P", body=body))
         assert adoc.entities == entities
         assert adoc.sentences == segment_sentences(body)
         for span in adoc.sentences:
             text = body[span.start : span.end]
-            tokens = sentence_tokens(text)
-            positions = find_prepositions(text)
+            tokens = oracle.sentence_tokens(text)
+            positions = oracle.find_prepositions(text)
+            assert sentence_tokens(text) == tokens
+            assert find_prepositions(text) == positions
             assert adoc.prepositions[span.index] == positions
             assert adoc.final_preposition_ends[span.index] == (
                 tokens[positions[-1]].end if positions else None
@@ -285,4 +280,4 @@ class TestLinearAnalysisEquivalence:
             for i in range(150)
         )
         assert len(segment_sentences(body)) == 1
-        assert extract_entities(body) == quadratic_entities(body)
+        assert extract_entities(body) == oracle.quadratic_entities(body)

@@ -487,6 +487,7 @@ class TestGenQa:
             assert _ChatHandler.hits == 3
         finally:
             server.shutdown()
+            server.server_close()
 
     # an HTML 502 is retried (tests/test_qagen.py); these fail at once
     @pytest.mark.parametrize("status", [200, 400])
