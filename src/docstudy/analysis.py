@@ -32,6 +32,7 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import RawDocument
+from .errors import DataError
 
 _MONTHS = (
     "January|February|March|April|May|June|July|August|September|October|November|December"
@@ -60,7 +61,10 @@ _TRAIL_PUNCT = ")]}>\"'”’»,;:!?"
 
 def _word_list(source) -> tuple[str, ...]:
     """Non-blank stripped lines of a file or a packaged data file."""
-    text = source.read_text("utf-8")
+    try:
+        text = source.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{source}: not UTF-8 ({exc})") from None
     return tuple(line.strip() for line in text.split("\n") if line.strip())
 
 

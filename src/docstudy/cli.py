@@ -19,8 +19,8 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from . import analysis, curriculum, dataset, metrics, qagen, stats, taskgen
-from .corpus import ingest_jsonl, iter_documents
-from .errors import DataError, UsageError
+from .corpus import iter_documents
+from .errors import DataError, MalformedLineError, UsageError
 from .jsonio import iter_jsonl, read_json, write_json, write_jsonl
 
 logger = logging.getLogger(__name__)
@@ -77,6 +77,11 @@ def _ensure_out(out: str) -> Path:
     return path
 
 
+def _name(args) -> str:
+    """Output name: --name, else the corpus file's stem."""
+    return args.name or Path(args.corpus).stem
+
+
 def _analyzer_overrides(args) -> dict:
     overrides = {}
     if getattr(args, "lexicon", None):
@@ -90,7 +95,7 @@ def cmd_ingest(args, config) -> int:
     # the seed changes no ingested byte; it is resolved to refuse a bad value
     _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
-    target = out / f"{args.name or Path(args.corpus).stem}.jsonl"
+    target = out / f"{_name(args)}.jsonl"
     count = write_jsonl(target, (doc.to_record() for doc in iter_documents(args.corpus)))
     print(f"ingested {count} documents -> {target}")
     return 0
@@ -103,7 +108,7 @@ def cmd_gen_tasks(args, config) -> int:
         taskgen.TaskConfig.from_file(args.task_config) if args.task_config else taskgen.DEFAULT_CONFIG
     )
     overrides = _analyzer_overrides(args)
-    name = args.name or Path(args.corpus).stem
+    name = _name(args)
     manifest_path = out / f"{name}_tasks.jsonl"
     counts = Counter()
     docs = 0
@@ -133,12 +138,12 @@ def cmd_gen_qa(args, config) -> int:
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
-    corpus = ingest_jsonl(args.corpus, name=args.name, seed=0)
+    docs = list(iter_documents(args.corpus))
     cache_dir = Path(args.cache_dir) if args.cache_dir else out / "qa_cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
 
     client = None
-    if not all(qagen.cache_path(cache_dir, doc.id, args.task).exists() for doc in corpus.documents):
+    if not all(qagen.cache_path(cache_dir, doc.id, args.task).exists() for doc in docs):
         client = qagen.ChatClient(
             endpoint=args.endpoint,
             api_key=args.api_key,
@@ -151,12 +156,11 @@ def cmd_gen_qa(args, config) -> int:
         return qagen.generate_for_document(doc, args.task, client, cache_dir)
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parsed = list(pool.map(one, corpus.documents))
+        parsed = list(pool.map(one, docs))
 
     pairs = [pair for result in parsed for pair in result.pairs]
     discarded = sum(result.discarded for result in parsed)
-    name = args.name or corpus.name
-    target = out / f"{name}_qa_{args.task}.jsonl"
+    target = out / f"{_name(args)}_qa_{args.task}.jsonl"
     qagen.write_qa_jsonl(pairs, target)
     print(f"collected {len(pairs)} QA pairs ({discarded} blocks discarded) -> {target}")
     return 0
@@ -165,29 +169,30 @@ def cmd_gen_qa(args, config) -> int:
 def cmd_split(args, config) -> int:
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
-    corpus = ingest_jsonl(args.corpus, name=args.name, seed=seed)
     spec = dataset.SplitSpec(test_fraction=args.fraction, seed=seed, ngram_size=args.ngram)
-    train, test = dataset.split_corpus(corpus, spec)
-    name = args.name or corpus.name
+    docs = list(iter_documents(args.corpus))
+    train, test = dataset.split_corpus(docs, spec)
+    name = _name(args)
     write_jsonl(out / f"{name}_train.jsonl", (doc.to_record() for doc in train))
     write_jsonl(out / f"{name}_test.jsonl", (doc.to_record() for doc in test))
     write_json(out / f"{name}_overlap.json", dataset.overlap_report(train, test, spec.ngram_size))
 
     if args.qa:
-        pairs = qagen.read_qa_jsonl(args.qa)
-        train_ids, test_ids = train.ids(), test.ids()
+        train_ids, test_ids = {doc.id for doc in train}, {doc.id for doc in test}
         qa_train, qa_test = [], []
-        for pair in pairs:
+        for line_no, pair in qagen.iter_qa_jsonl(args.qa):
             if pair.doc_id in train_ids:
                 qa_train.append(pair)
             elif pair.doc_id in test_ids:
                 qa_test.append(pair)
             else:
-                raise DataError(f"QA pair references unknown document id {pair.doc_id!r}")
+                raise MalformedLineError(
+                    args.qa, line_no, f"QA pair references unknown document id {pair.doc_id!r}"
+                )
         qagen.write_qa_jsonl(qa_train, out / f"{name}_qa_train.jsonl")
         qagen.write_qa_jsonl(qa_test, out / f"{name}_qa_test.jsonl")
 
-    print(f"split {len(corpus)} documents into {len(train)} train / {len(test)} test")
+    print(f"split {len(docs)} documents into {len(train)} train / {len(test)} test")
     return 0
 
 
@@ -227,26 +232,34 @@ def cmd_plan(args, config) -> int:
     return 0
 
 
-def _read_jsonl(path, fields: dict, optional: dict | None = None) -> list[dict]:
-    """Rows of a JSONL file: each a JSON object holding `fields` keys, and
-    `optional` keys unless absent or null, of those types (`list[str]`
-    checks the items too)."""
+def _read_jsonl(path, fields: dict, optional: dict | None = None):
+    """Yield (line number, row) for each row of a JSONL file: each a JSON
+    object holding `fields` keys, and `optional` keys unless absent or
+    null, of those types (`list[str]` checks the items too)."""
     checks = [
         (key, key in fields, typing.get_origin(kind) or kind, typing.get_args(kind), kind)
         for key, kind in {**fields, **(optional or {})}.items()
     ]
-    rows = []
     for line_no, row in iter_jsonl(path):
         for key, required, outer, items, kind in checks:
             value = row.get(key)
             if value is None and not required:
                 continue
             if key not in row:
-                raise DataError(f"{path}:{line_no}: missing key {key!r}")
+                raise MalformedLineError(path, line_no, f"missing key {key!r}")
             if not isinstance(value, outer) or (items and not all(isinstance(v, items) for v in value)):
                 want, got = kind if items else kind.__name__, type(value).__name__
-                raise DataError(f"{path}:{line_no}: {key!r} must be a {want}, got {got}")
-        rows.append(row)
+                raise MalformedLineError(path, line_no, f"{key!r} must be a {want}, got {got}")
+        yield line_no, row
+
+
+def _rows_by_item_id(path, fields: dict, optional: dict | None = None) -> dict:
+    """`_read_jsonl` rows keyed by `item_id`, which no two rows may share."""
+    rows = {}
+    for line_no, row in _read_jsonl(path, {"item_id": str, **fields}, optional):
+        if row["item_id"] in rows:
+            raise MalformedLineError(path, line_no, f"duplicate item_id {row['item_id']!r}")
+        rows[row["item_id"]] = row
     return rows
 
 
@@ -257,10 +270,12 @@ def cmd_eval(args, config) -> int:
 
     ppl = None
     if args.logprobs:
-        records = [
-            metrics.LogProbRecord(doc_id=row["doc_id"], logprobs=row["logprobs"])
-            for row in _read_jsonl(args.logprobs, {"doc_id": str, "logprobs": list})
-        ]
+        records = []
+        for line_no, row in _read_jsonl(args.logprobs, {"doc_id": str, "logprobs": list}):
+            try:
+                records.append(metrics.LogProbRecord(doc_id=row["doc_id"], logprobs=row["logprobs"]))
+            except DataError as exc:
+                raise MalformedLineError(args.logprobs, line_no, str(exc)) from exc
         ppl = metrics.aggregate_ppl(records)
 
     judgments = None
@@ -269,15 +284,10 @@ def cmd_eval(args, config) -> int:
         if not args.references:
             raise UsageError("--predictions requires --references")
         predictions = {
-            row["item_id"]: row["prediction"]
-            for row in _read_jsonl(args.predictions, {"item_id": str, "prediction": str})
+            item_id: row["prediction"]
+            for item_id, row in _rows_by_item_id(args.predictions, {"prediction": str}).items()
         }
-        references = {
-            row["item_id"]: row
-            for row in _read_jsonl(
-                args.references, {"item_id": str}, {"golds": list[str], "gold_label": str}
-            )
-        }
+        references = _rows_by_item_id(args.references, {}, {"golds": list[str], "gold_label": str})
         judgments, diagnostics = metrics.score_items(predictions, references)
 
     if judgments is not None:
@@ -293,11 +303,10 @@ def cmd_eval(args, config) -> int:
 
 def cmd_stats(args, config) -> int:
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
-    corpus = ingest_jsonl(args.corpus, name=args.name)
     qa_pairs = qagen.read_qa_jsonl(args.qa) if args.qa else None
-    name = args.name or corpus.name
+    name = _name(args)
     target = out / f"{name}_stats.json"
-    write_json(target, stats.corpus_stats(corpus, qa_pairs))
+    write_json(target, stats.corpus_stats(name, iter_documents(args.corpus), qa_pairs))
     print(f"statistics -> {target}")
     return 0
 

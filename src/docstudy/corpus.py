@@ -1,16 +1,16 @@
 """Canonical document model and JSONL corpus ingestion.
 
-A corpus is an ordered list of single-paragraph documents with stable,
-unique ids. Ingestion normalizes whitespace, strips wiki-style header
-decoration from titles, and truncates bodies to their first paragraph.
+A corpus is a JSONL file of single-paragraph documents with stable,
+unique ids, read one document at a time. Ingestion normalizes
+whitespace, strips wiki-style header decoration from titles, and
+truncates bodies to their first paragraph.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from .errors import DataError, MalformedLineError
 from .jsonio import iter_jsonl, reject_lone_surrogates
@@ -103,41 +103,6 @@ class RawDocument:
         return record
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Immutable ordered document collection with distinct ids."""
-
-    name: str
-    seed: int
-    documents: tuple[RawDocument, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "documents", tuple(self.documents))
-        seen: dict[str, int] = {}
-        for pos, doc in enumerate(self.documents):
-            if doc.id in seen:
-                raise DuplicateIdError(doc.id, seen[doc.id] + 1, pos + 1)
-            seen[doc.id] = pos
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def __iter__(self):
-        return iter(self.documents)
-
-    def ids(self) -> set[str]:
-        return {doc.id for doc in self.documents}
-
-    def titles(self) -> list[str]:
-        return [doc.title for doc in self.documents]
-
-    def by_id(self, doc_id: str) -> RawDocument:
-        for doc in self.documents:
-            if doc.id == doc_id:
-                return doc
-        raise KeyError(doc_id)
-
-
 def document_from_record(record: dict) -> RawDocument:
     """Build a normalized document from one JSONL record."""
     title_raw = record.get("title")
@@ -180,7 +145,9 @@ def iter_documents(path):
         yield doc
 
 
-def ingest_jsonl(path, name: str | None = None, seed: int = 0) -> Corpus:
-    """Read a JSONL corpus into memory (see `iter_documents`)."""
-    path = Path(path)
-    return Corpus(name=name or path.stem, seed=seed, documents=tuple(iter_documents(path)))
+def ingest_jsonl(path, seed: int = 0) -> list[RawDocument]:
+    """Every document of a JSONL corpus, in order (see `iter_documents`).
+
+    `seed` changes nothing; it is accepted for callers that still pass it.
+    """
+    return list(iter_documents(path))

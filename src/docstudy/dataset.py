@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .analysis import tokenize_words
-from .corpus import Corpus
+from .corpus import RawDocument
 from .errors import DataError
 from .jsonio import atomic_writer, encode_line, parse_object
 from .rng import Stream, mix_key
@@ -44,17 +45,22 @@ class SplitSpec:
     def __post_init__(self):
         if not 0 < self.test_fraction < 1:
             raise DataError(f"test fraction {self.test_fraction} outside (0,1)")
+        if self.ngram_size < 1:
+            raise DataError(f"n-gram size {self.ngram_size} is not at least 1")
 
 
-def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
-    """Partition by seeded shuffle; both sides keep the original order."""
-    n = len(corpus)
+def split_corpus(docs: list[RawDocument], spec: SplitSpec) -> tuple[list[RawDocument], list[RawDocument]]:
+    """Partition by seeded shuffle; both sides keep the original order.
+
+    Ids and titles must be distinct, so no document or title lands on both sides.
+    """
+    n = len(docs)
     if n < 2:
         raise DegenerateSplitError("need at least 2 documents to split")
-    titles = corpus.titles()
-    if len(set(titles)) != len(titles):
-        dupes = sorted({t for t in titles if titles.count(t) > 1})
-        raise DataError(f"duplicate titles prevent a zero-overlap split: {dupes}")
+    for what, values in (("ids", [doc.id for doc in docs]), ("titles", [doc.title for doc in docs])):
+        dupes = sorted(value for value, count in Counter(values).items() if count > 1)
+        if dupes:
+            raise DataError(f"duplicate {what} prevent a zero-overlap split: {dupes}")
 
     n_test = math.ceil(spec.test_fraction * n)
     if n_test >= n or n_test < 1:
@@ -64,10 +70,8 @@ def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus]:
     order = list(range(n))
     Stream(mix_key(spec.seed, "split")).shuffle(order)
     test_idx = set(order[:n_test])
-    train_docs = [doc for i, doc in enumerate(corpus) if i not in test_idx]
-    test_docs = [doc for i, doc in enumerate(corpus) if i in test_idx]
-    train = Corpus(name=f"{corpus.name}_train", seed=corpus.seed, documents=tuple(train_docs))
-    test = Corpus(name=f"{corpus.name}_test", seed=corpus.seed, documents=tuple(test_docs))
+    train = [doc for i, doc in enumerate(docs) if i not in test_idx]
+    test = [doc for i, doc in enumerate(docs) if i in test_idx]
     return train, test
 
 
@@ -76,7 +80,7 @@ def _ngrams(body: str, n: int) -> set[tuple[str, ...]]:
     return {tuple(words[i : i + n]) for i in range(len(words) - n + 1)}
 
 
-def overlap_report(train: Corpus, test: Corpus, ngram_size: int = 8) -> dict:
+def overlap_report(train: list[RawDocument], test: list[RawDocument], ngram_size: int = 8) -> dict:
     """Advisory report of word n-grams shared across the split."""
     train_grams: set[tuple[str, ...]] = set()
     for doc in train:
@@ -98,11 +102,7 @@ def doc_record(doc) -> dict:
 
 
 def task_record(example) -> dict:
-    return {
-        "kind": KIND_TASK,
-        "payload": example.to_record(),
-        "loss_policy": example.loss_policy,
-    }
+    return {"kind": KIND_TASK, "payload": example.to_record()}
 
 
 def qa_record(pair) -> dict:
@@ -110,12 +110,15 @@ def qa_record(pair) -> dict:
 
 
 def attach_loss_policy(record: dict) -> dict:
-    """Stamp the loss policy implied by the record kind; idempotent."""
+    """Stamp the loss policy implied by the record kind; idempotent.
+
+    Any policy the record already holds is replaced, never trusted.
+    """
     kind = record.get("kind")
     if kind == KIND_DOC:
         policy = FULL_SEQUENCE
     elif kind == KIND_TASK:
-        policy = record.get("loss_policy") or loss_policy(record.get("payload", {}).get("kind"))
+        policy = loss_policy(record.get("payload", {}).get("kind"))
     elif kind == KIND_QA:
         policy = ANSWER_ONLY
     else:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 import string
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -172,6 +173,10 @@ def _nli_score(pred_tokens: list[str], gold_label: str, diagnostics: dict | None
     return int(parsed == gold_label)
 
 
+# the largest x for which math.exp(x) is a finite float
+_MAX_EXP = math.log(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class LogProbRecord:
     doc_id: str
@@ -185,6 +190,8 @@ class LogProbRecord:
         object.__setattr__(self, "logprobs", values)
         if not self.logprobs:
             raise DataError(f"logprob record {self.doc_id!r} has no tokens")
+        if not all(math.isfinite(x) for x in self.logprobs):
+            raise DataError(f"logprob record {self.doc_id!r} has a non-finite value")
         if any(x > 0 for x in self.logprobs):
             raise DataError(f"logprob record {self.doc_id!r} has positive values")
 
@@ -196,7 +203,10 @@ def aggregate_ppl(records) -> float:
     count = sum(len(r.logprobs) for r in records)
     if count == 0:
         raise DataError("no tokens to aggregate")
-    return math.exp(-total / count)
+    mean_nll = -total / count
+    if mean_nll > _MAX_EXP:
+        raise DataError(f"perplexity exp({mean_nll:.6g}) is too large for a float")
+    return math.exp(mean_nll)
 
 
 class JudgeUnavailableError(DataError):

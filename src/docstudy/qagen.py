@@ -400,11 +400,15 @@ def write_qa_jsonl(pairs: list[QAPair], path) -> None:
     write_jsonl(path, (pair.to_record() for pair in pairs))
 
 
-def read_qa_jsonl(path) -> list[QAPair]:
-    pairs = []
+def iter_qa_jsonl(path):
+    """Yield (line number, pair) for each row of a QA JSONL file."""
     for line_no, record in iter_jsonl(path):
         try:
-            pairs.append(QAPair.from_record(record))
+            pair = QAPair.from_record(record)
         except DataError as exc:
             raise MalformedLineError(path, line_no, str(exc)) from exc
-    return pairs
+        yield line_no, pair
+
+
+def read_qa_jsonl(path) -> list[QAPair]:
+    return [pair for _, pair in iter_qa_jsonl(path)]

@@ -3,36 +3,35 @@
 from __future__ import annotations
 
 from .analysis import tokenize_words
-from .corpus import Corpus
 from .qagen import TASK_NLI, QAPair
 from .taskgen import NLI_LABELS
 
 
-def _mean(values) -> float:
-    values = list(values)
-    return round(sum(values) / len(values), 2) if values else 0.0
+def _mean(total: int, count: int) -> float:
+    return round(total / count, 2) if count else 0.0
 
 
-def corpus_stats(corpus: Corpus, qa_pairs: list[QAPair] | None = None) -> dict:
+def corpus_stats(name: str, docs, qa_pairs: list[QAPair] | None = None) -> dict:
     """Counts, word-length means, and the NLI answer-label distribution.
 
-    Lengths are whitespace-word counts, not model-tokenizer counts.
+    Lengths are whitespace-word counts, not model-tokenizer counts. `docs`
+    is read once, one document at a time, so an iterator holds no corpus.
     """
-    stats: dict = {
-        "name": corpus.name,
-        "docs": len(corpus),
-        "doc_words_mean": _mean(len(tokenize_words(doc.body)) for doc in corpus),
-    }
+    count = words = 0
+    for doc in docs:
+        count += 1
+        words += len(tokenize_words(doc.body))
+    stats: dict = {"name": name, "docs": count, "doc_words_mean": _mean(words, count)}
     if qa_pairs is not None:
         generation = [p for p in qa_pairs if p.task != TASK_NLI]
         nli = [p for p in qa_pairs if p.task == TASK_NLI]
         stats["qa_pairs"] = len(qa_pairs)
         stats["question_words_mean"] = _mean(
-            len(tokenize_words(p.question)) for p in qa_pairs
+            sum(len(tokenize_words(p.question)) for p in qa_pairs), len(qa_pairs)
         )
         stats["answer_words_mean"] = _mean(
-            len(tokenize_words(p.answer)) for p in generation
-        ) if generation else 0.0
+            sum(len(tokenize_words(p.answer)) for p in generation), len(generation)
+        )
         if nli:
             total = len(nli)
             dist = {}

@@ -32,12 +32,12 @@ MORITZ_BODY = (
 
 @pytest.fixture(scope="session")
 def robert_corpus():
-    return ingest_jsonl(DATA / "robert_anderson.jsonl", name="robert", seed=0)
+    return ingest_jsonl(DATA / "robert_anderson.jsonl")
 
 
 @pytest.fixture(scope="session")
 def robert_adoc(robert_corpus):
-    return analyze_document(robert_corpus.documents[0])
+    return analyze_document(robert_corpus[0])
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import pytest
 from conftest import DATA, ROBERT_BODY, ROBERT_TITLE
 from docstudy.analysis import analyze_document
 from docstudy.cli import main as cli_main
-from docstudy.corpus import document_from_record, ingest_jsonl, Corpus
+from docstudy.corpus import document_from_record, ingest_jsonl
 from docstudy.curriculum import fairness_epochs, plan, preset_ids, render_stage_inputs
 from docstudy.dataset import SplitSpec, doc_record, qa_record, read_manifest, split_corpus, write_manifest
 from docstudy.metrics import (
@@ -109,7 +109,7 @@ def test_criterion_1_appendix_fixture_reproduction(robert_corpus, robert_adoc):
         gist = suite.by_kind("gist")[0]
         assert set(gist.answer.split("; ")) == GIST_SET
 
-        _structural_checks(robert_corpus.documents[0], suite)
+        _structural_checks(robert_corpus[0], suite)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
 
@@ -299,19 +299,18 @@ def test_criterion_4_curriculum_golden_files(golden_plans, tmp_path):
 
 def test_criterion_5_split_guarantee():
     with criterion("criterion 5: 100 seeded splits of 1,000 docs, disjoint and reproducible"):
-        docs = tuple(document_from_record(r) for r in synthetic_records(1000, seed=55))
-        corpus = Corpus(name="big", seed=0, documents=docs)
-        all_ids = corpus.ids()
+        docs = [document_from_record(r) for r in synthetic_records(1000, seed=55)]
+        all_ids = {d.id for d in docs}
         for seed in range(100):
             spec = SplitSpec(test_fraction=0.1, seed=seed)
-            train_a, test_a = split_corpus(corpus, spec)
-            train_b, test_b = split_corpus(corpus, spec)
+            train_a, test_a = split_corpus(docs, spec)
+            train_b, test_b = split_corpus(docs, spec)
             assert [d.id for d in train_a] == [d.id for d in train_b]
             assert [d.id for d in test_a] == [d.id for d in test_b]
-            assert train_a.ids() & test_a.ids() == set()
-            assert set(train_a.titles()) & set(test_a.titles()) == set()
+            assert {d.id for d in train_a} & {d.id for d in test_a} == set()
+            assert {d.title for d in train_a} & {d.title for d in test_a} == set()
             assert len(train_a) + len(test_a) == 1000
-            assert train_a.ids() | test_a.ids() == all_ids
+            assert {d.id for d in train_a} | {d.id for d in test_a} == all_ids
 
 
 def _pipeline(workdir: Path, raw: Path, seed: int):

@@ -34,6 +34,22 @@ def corpus_path(tmp_path):
     return path
 
 
+def _peaks(tmp_path, *command):
+    """tracemalloc peaks of one command on 100- and 400-document corpora."""
+    def peak(n):
+        corpus = tmp_path / f"raw{n}.jsonl"
+        write_jsonl(synthetic_records(n, seed=2), corpus)
+        tracemalloc.start()
+        try:
+            assert run("--out", tmp_path / f"o{n}", command[0], "--corpus", corpus, *command[1:]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # loads the lexicons and prompt assets once
+    return peak(100), peak(400)
+
+
 class TestPipeline:
     def test_full_pipeline_and_idempotence(self, tmp_path, corpus_path):
         out_a = tmp_path / "a"
@@ -114,18 +130,7 @@ class TestPipeline:
         assert counts("--abbreviations", abbreviations)["nli"] == 1
 
     def test_gen_tasks_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
-        def peak(n):
-            corpus = tmp_path / f"raw{n}.jsonl"
-            write_jsonl(synthetic_records(n, seed=2), corpus)
-            tracemalloc.start()
-            try:
-                assert run("--out", tmp_path / f"o{n}", "gen-tasks", "--corpus", corpus, "--reading") == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak(10)  # loads the lexicons and prompt assets once
-        small, large = peak(100), peak(400)
+        small, large = _peaks(tmp_path, "gen-tasks", "--reading")
         # holding the outputs costs about 24 KB a document; the duplicate-id
         # map, the one thing kept per document, about 0.2 KB
         assert (large - small) / 300 < 2048, (small, large)
@@ -230,6 +235,12 @@ class TestStats:
         assert payload["docs"] == 24
         assert payload["nli_label_distribution"] == {"Yes": 66.67, "No": 33.33, "Impossible": 0.0}
 
+    def test_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        small, large = _peaks(tmp_path, "stats")
+        # holding the documents costs about 0.6 KB a document; the duplicate-id
+        # map about 0.16 KB
+        assert (large - small) / 300 < 384, (small, large)
+
 
 class TestErrors:
     def test_unknown_preset_exit_1_and_lists_ids(self, tmp_path, capsys):
@@ -260,10 +271,18 @@ class TestErrors:
             ("logprobs", ["d1"], 1),
             ("references", [{"item_id": "i1", "golds": [1]}], 1),
             ("references", [{"item_id": "i1", "golds": "x"}], 1),
+            ("logprobs", [{"doc_id": "d1", "logprobs": [-0.1, float("nan")]}], 1),
+            ("logprobs", [{"doc_id": "d1", "logprobs": [-0.1]}, {"doc_id": "d2", "logprobs": [float("-inf")]}], 2),
+            ("logprobs", [{"doc_id": "d1", "logprobs": [-0.1]}, {"doc_id": "d2", "logprobs": ["x"]}], 2),
+            ("logprobs", [{"doc_id": "d1", "logprobs": [-0.1]}, {"doc_id": "d2", "logprobs": [0.5]}], 2),
+            ("references", [{"item_id": "i1", "golds": ["x"]}, {"item_id": "i1", "golds": ["y"]}], 2),
+            ("predictions", [{"item_id": "i1", "prediction": "x"}, {"item_id": "i1", "prediction": "y"}], 2),
         ],
         ids=[
             "no-prediction", "prediction-not-str", "no-item-id", "array-row",
             "no-doc-id", "logprobs-not-list", "string-row", "golds-item-not-str", "golds-str",
+            "logprob-nan", "logprob-minus-infinity", "logprob-not-numeric", "logprob-positive",
+            "duplicate-reference", "duplicate-prediction",
         ],
     )
     def test_malformed_eval_row_names_file_and_line(self, tmp_path, capsys, flag, rows, line):
@@ -336,6 +355,16 @@ class TestErrors:
              ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"], 2, "{file}: "),
             ("task.json", '{"multiplicity": {"cloze": -3}}',
              ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"], 2, "{file}: "),
+            ("words.txt", "\udcffof\n", ["gen-tasks", "--corpus", "{corpus}", "--lexicon", "{file}"], 2,
+             "{file}: not UTF-8"),
+            ("words.txt", "\udcffDr.\n", ["gen-tasks", "--corpus", "{corpus}", "--abbreviations", "{file}"], 2,
+             "{file}: not UTF-8"),
+            ("unused.txt", "", ["split", "--corpus", "{corpus}", "--ngram", "0"], 2, "n-gram size 0 "),
+            ("unused.txt", "", ["split", "--corpus", "{corpus}", "--ngram", "-3"], 2, "n-gram size -3 "),
+            ("qa.jsonl", '{"doc_id": "d1", "task": "generation", "question": "Q?", "answer": "A."}\n'
+             '{"doc_id": "zzz", "task": "generation", "question": "Q?", "answer": "A."}\n',
+             ["split", "--corpus", "{corpus}", "--qa", "{file}"], 2,
+             "{file}:2: QA pair references unknown document id 'zzz'"),
         ],
         ids=[
             "qa-row-without-task", "qa-line-not-json", "stats-qa-line-not-json", "truncated-qa-cache",
@@ -346,7 +375,8 @@ class TestErrors:
             "task-config-option-count-float", "task-config-option-count-bool", "task-config-option-count-str",
             "config-jobs-float", "config-seed-bool", "task-config-unknown-key",
             "task-config-multiplicity-unknown-kind", "task-config-template-unknown-kind",
-            "task-config-multiplicity-negative",
+            "task-config-multiplicity-negative", "lexicon-not-utf8", "abbreviations-not-utf8",
+            "split-ngram-0", "split-ngram-negative", "qa-row-unknown-document",
         ],
     )
     def test_malformed_input_names_file(self, tmp_path, capsys, monkeypatch, name, content, argv, code, where):

@@ -6,7 +6,6 @@ import pytest
 from conftest import MORITZ_BODY
 from docstudy import jsonio
 from docstudy.corpus import (
-    Corpus,
     DuplicateIdError,
     HeaderError,
     MalformedLineError,
@@ -69,7 +68,7 @@ class TestIngest:
         write_jsonl(synthetic_records(2), path)
         corpus = ingest_jsonl(path)
         assert len(corpus) == 2
-        assert corpus.documents[0].id == "doc-00000"
+        assert corpus[0].id == "doc-00000"
 
     def test_duplicate_ids_name_both_lines(self, tmp_path):
         records = synthetic_records(7)
@@ -103,22 +102,22 @@ class TestIngest:
         path = tmp_path / "c.jsonl"
         path.write_text('{"title": "T", "body": "Some body."}\n')
         corpus = ingest_jsonl(path)
-        assert len(corpus.documents[0].id) == 16
+        assert len(corpus[0].id) == 16
         again = ingest_jsonl(path)
-        assert corpus.documents[0].id == again.documents[0].id
+        assert corpus[0].id == again[0].id
 
     def test_wiki_suffix_stripped_from_title(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"title": "<Foo Bar - Wikipedia>", "body": "Body text."}\n')
         corpus = ingest_jsonl(path)
-        assert corpus.documents[0].title == "Foo Bar"
+        assert corpus[0].title == "Foo Bar"
 
     def test_body_cut_to_first_paragraph(self, tmp_path):
         path = tmp_path / "c.jsonl"
         record = {"title": "T", "body": "First para.\n\nSecond para."}
         path.write_text(json.dumps(record) + "\n")
         corpus = ingest_jsonl(path)
-        assert corpus.documents[0].body == "First para."
+        assert corpus[0].body == "First para."
 
 
 class TestNormalization:
@@ -133,10 +132,10 @@ class TestRoundTrip:
     def test_serialize_ingest_serialize_is_identity(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(synthetic_records(25, seed=3), path)
-        corpus = ingest_jsonl(path, name="c", seed=9)
+        corpus = ingest_jsonl(path, seed=9)
         jsonio.write_jsonl(tmp_path / "round.jsonl", (doc.to_record() for doc in corpus))
         first = (tmp_path / "round.jsonl").read_bytes()
-        again = ingest_jsonl(tmp_path / "round.jsonl", name="c", seed=9)
+        again = ingest_jsonl(tmp_path / "round.jsonl", seed=9)
         jsonio.write_jsonl(tmp_path / "again.jsonl", (doc.to_record() for doc in again))
         assert (tmp_path / "again.jsonl").read_bytes() == first
 
@@ -148,11 +147,6 @@ class TestRoundTrip:
 
 
 class TestCorpusInvariants:
-    def test_duplicate_ids_rejected_at_construction(self):
-        doc = RawDocument(id="x", title="T", body="B.")
-        with pytest.raises(DuplicateIdError):
-            Corpus(name="c", seed=0, documents=(doc, doc))
-
     def test_title_newline_rejected(self):
         with pytest.raises(DataError):
             RawDocument(id="x", title="a\nb", body="B.")

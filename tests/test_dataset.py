@@ -3,7 +3,7 @@ import json
 import pytest
 
 from docstudy.analysis import analyze_document
-from docstudy.corpus import Corpus, document_from_record, ingest_jsonl
+from docstudy.corpus import RawDocument, document_from_record, ingest_jsonl
 from docstudy.dataset import (
     DegenerateSplitError,
     ManifestError,
@@ -25,9 +25,12 @@ from docstudy.taskgen import build_suite
 from _synth import synthetic_records, write_jsonl
 
 
-def make_corpus(n, seed=0, tmp_path=None, name="c"):
-    docs = tuple(document_from_record(r) for r in synthetic_records(n, seed=seed))
-    return Corpus(name=name, seed=seed, documents=docs)
+def make_corpus(n, seed=0):
+    return [document_from_record(r) for r in synthetic_records(n, seed=seed)]
+
+
+def ids(docs):
+    return {doc.id for doc in docs}
 
 
 class TestSplit:
@@ -44,18 +47,21 @@ class TestSplit:
     def test_duplicate_title_rejected_before_split(self):
         records = synthetic_records(4)
         records[3]["title"] = records[0]["title"]
-        docs = tuple(document_from_record(r) for r in records)
-        corpus = Corpus(name="c", seed=0, documents=docs)
+        docs = [document_from_record(r) for r in records]
         with pytest.raises(DataError):
-            split_corpus(corpus, SplitSpec(test_fraction=0.5, seed=1))
+            split_corpus(docs, SplitSpec(test_fraction=0.5, seed=1))
+
+    def test_duplicate_id_rejected_before_split(self):
+        docs = [RawDocument(id="x", title="T", body="B."), RawDocument(id="x", title="U", body="C.")]
+        with pytest.raises(DataError, match=r"duplicate ids prevent a zero-overlap split: \['x'\]"):
+            split_corpus(docs, SplitSpec(test_fraction=0.5, seed=1))
 
     def test_degenerate_split_rejected(self):
         corpus = make_corpus(2)
         with pytest.raises(DegenerateSplitError):
             split_corpus(corpus, SplitSpec(test_fraction=0.95, seed=1))
         with pytest.raises(DegenerateSplitError):
-            split_corpus(Corpus(name="c", seed=0, documents=make_corpus(1).documents),
-                         SplitSpec(test_fraction=0.5, seed=1))
+            split_corpus(make_corpus(1), SplitSpec(test_fraction=0.5, seed=1))
 
     def test_disjoint_conserving_deterministic(self):
         corpus = make_corpus(100, seed=3)
@@ -64,17 +70,17 @@ class TestSplit:
         train_b, test_b = split_corpus(corpus, spec)
         assert [d.id for d in train_a] == [d.id for d in train_b]
         assert [d.id for d in test_a] == [d.id for d in test_b]
-        assert train_a.ids() & test_a.ids() == set()
-        assert set(train_a.titles()) & set(test_a.titles()) == set()
+        assert ids(train_a) & ids(test_a) == set()
+        assert {d.title for d in train_a} & {d.title for d in test_a} == set()
         assert len(train_a) + len(test_a) == len(corpus)
-        assert train_a.ids() | test_a.ids() == corpus.ids()
+        assert ids(train_a) | ids(test_a) == ids(corpus)
 
     def test_order_preserved_within_sides(self):
         corpus = make_corpus(50, seed=5)
         train, test = split_corpus(corpus, SplitSpec(test_fraction=0.3, seed=11))
         original = [d.id for d in corpus]
-        assert [d.id for d in train] == [i for i in original if i in train.ids()]
-        assert [d.id for d in test] == [i for i in original if i in test.ids()]
+        assert [d.id for d in train] == [i for i in original if i in ids(train)]
+        assert [d.id for d in test] == [i for i in original if i in ids(test)]
 
     def test_fraction_bounds_validated(self):
         with pytest.raises(DataError):
@@ -88,13 +94,12 @@ class TestSplit:
         shared = "they walked along the harbor road toward the old lighthouse keeper"
         records[0]["body"] += f" {shared}."
         records[5]["body"] += f" {shared}."
-        docs = tuple(document_from_record(r) for r in records)
-        corpus = Corpus(name="c", seed=0, documents=docs)
+        corpus = [document_from_record(r) for r in records]
         train, test = split_corpus(corpus, SplitSpec(test_fraction=0.34, seed=2))
         report = overlap_report(train, test, ngram_size=8)
         assert report["ngram_size"] == 8
         sides = {r["id"] for r in (records[0], records[5])}
-        if sides & train.ids() and sides & test.ids():
+        if sides & ids(train) and sides & ids(test):
             assert report["documents_with_overlap"] >= 1
 
 
@@ -114,6 +119,18 @@ class TestLossPolicy:
     def test_qa_answer_only(self):
         record = {"kind": "qa", "payload": {}}
         assert attach_loss_policy(record)["loss_policy"] == "answer_only"
+
+    @pytest.mark.parametrize(
+        "record, policy",
+        [
+            ({"kind": "task", "loss_policy": "bogus", "payload": {"kind": "cloze"}}, "answer_only"),
+            ({"kind": "task", "loss_policy": "answer_only", "payload": {"kind": "memorization"}}, "full_sequence"),
+            ({"kind": "doc", "loss_policy": "bogus", "payload": {"id": "x"}}, "full_sequence"),
+        ],
+        ids=["task-bogus", "task-wrong", "doc-bogus"],
+    )
+    def test_claimed_policy_is_replaced(self, record, policy):
+        assert attach_loss_policy(record)["loss_policy"] == policy
 
     def test_idempotent(self):
         record = attach_loss_policy({"kind": "qa", "payload": {}})
@@ -238,13 +255,13 @@ class TestSideFollowing:
         records = synthetic_records(30, seed=8)
         path = tmp_path / "c.jsonl"
         write_jsonl(records, path)
-        corpus = ingest_jsonl(path, name="c", seed=0)
+        corpus = ingest_jsonl(path)
         train, test = split_corpus(corpus, SplitSpec(test_fraction=0.25, seed=13))
         pairs = [
             QAPair(doc_id=rec["id"], task="generation", question="Q?", answer="A.")
             for rec in records
         ]
-        train_ids, test_ids = train.ids(), test.ids()
+        train_ids, test_ids = ids(train), ids(test)
         routed_train = [p for p in pairs if p.doc_id in train_ids]
         routed_test = [p for p in pairs if p.doc_id in test_ids]
         assert len(routed_train) + len(routed_test) == len(pairs)
@@ -257,7 +274,7 @@ class TestRecordBuilders:
         doc = document_from_record(synthetic_records(1)[0])
         suite = build_suite(analyze_document(doc), seed=0)
         memorization = suite.by_kind("memorization")[0]
-        record = task_record(memorization)
+        record = attach_loss_policy(task_record(memorization))
         assert record["loss_policy"] == "full_sequence"
         assert record["payload"]["kind"] == "memorization"
 

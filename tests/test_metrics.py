@@ -209,6 +209,11 @@ class TestPerplexity:
         with pytest.raises(DataError):
             LogProbRecord(doc_id="d", logprobs=[-0.2, value])
 
+    @pytest.mark.parametrize("logprobs", [[-1000.0], [-1e308, -1e308]], ids=["exp-overflows", "sum-overflows"])
+    def test_overflowing_perplexity_rejected(self, logprobs):
+        with pytest.raises(DataError, match="too large for a float"):
+            aggregate_ppl([LogProbRecord(doc_id="d", logprobs=logprobs)])
+
     def test_zero_tokens_error(self):
         with pytest.raises(DataError):
             aggregate_ppl([])
