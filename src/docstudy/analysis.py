@@ -1,4 +1,4 @@
-"""Deterministic text analysis: sentences, entities, prepositions, words.
+"""Deterministic text analysis: sentences, entities, prepositions.
 
 Rule-based replacements for statistical taggers so that task generation
 is reproducible bit-for-bit. All offsets are Unicode scalar offsets into
@@ -44,7 +44,6 @@ _DATE_PATTERNS = [
 ]
 _NUMBER = re.compile(r"\d+(?:[.,]\d+)+|\d+")
 _ACRONYM = re.compile(r"[A-Z]{2,6}")
-_WORD = re.compile(r"[^\W_]+")
 _TERMINAL = re.compile(r"[.?!]+")
 _NEXT_AFTER_SPACE = re.compile(r"\s+(\S)")
 _SPLIT_TRIGGER = "\"'“‘([0123456789"
@@ -377,11 +376,6 @@ def find_prepositions(sentence: str, lexicon: frozenset[str] | None = None) -> l
     units, singles, heads = _lexicon_split(lex)
     tokens, _, hits = _scan(sentence, heads)
     return _preposition_positions(tokens, hits, units, singles)
-
-
-def tokenize_words(text: str) -> list[str]:
-    """Lowercase word tokens: letters and digits kept, punctuation dropped."""
-    return [match.group().lower() for match in _WORD.finditer(text)]
 
 
 @dataclass(frozen=True)

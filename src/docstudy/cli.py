@@ -3,27 +3,23 @@ stats, verify.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 I/O error. Every
 command overwrites byte-identical outputs when re-run on identical inputs;
-all randomness flows from --seed.
+all randomness flows from --seed. Each command imports the modules it
+runs when it starts, so a process loads no layer it does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 import typing
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
 
-from . import analysis, curriculum, dataset, metrics, qagen, stats, taskgen
-from .corpus import iter_documents
 from .errors import DataError, MalformedLineError, UsageError
 from .jsonio import iter_jsonl, read_json, write_json, write_jsonl
-
-logger = logging.getLogger(__name__)
+from .vocab import TASK_GENERATION, TASK_NLI
 
 SEED_ENV = "DOCSTUDY_SEED"
 JOBS_ENV = "DOCSTUDY_JOBS"
@@ -82,16 +78,9 @@ def _name(args) -> str:
     return args.name or Path(args.corpus).stem
 
 
-def _analyzer_overrides(args) -> dict:
-    overrides = {}
-    if getattr(args, "lexicon", None):
-        overrides["lexicon"] = analysis.load_lexicon(args.lexicon)
-    if getattr(args, "abbreviations", None):
-        overrides["abbreviations"] = analysis.load_abbreviations(args.abbreviations)
-    return overrides
-
-
 def cmd_ingest(args, config) -> int:
+    from .corpus import iter_documents
+
     # the seed changes no ingested byte; it is resolved to refuse a bad value
     _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
@@ -102,12 +91,19 @@ def cmd_ingest(args, config) -> int:
 
 
 def cmd_gen_tasks(args, config) -> int:
+    from . import analysis, dataset, stats, taskgen
+    from .corpus import iter_documents
+
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     task_config = (
         taskgen.TaskConfig.from_file(args.task_config) if args.task_config else taskgen.DEFAULT_CONFIG
     )
-    overrides = _analyzer_overrides(args)
+    overrides = {}
+    if args.lexicon:
+        overrides["lexicon"] = analysis.load_lexicon(args.lexicon)
+    if args.abbreviations:
+        overrides["abbreviations"] = analysis.load_abbreviations(args.abbreviations)
     name = _name(args)
     manifest_path = out / f"{name}_tasks.jsonl"
     counts = Counter()
@@ -134,6 +130,11 @@ def cmd_gen_tasks(args, config) -> int:
 
 
 def cmd_gen_qa(args, config) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import qagen
+    from .corpus import iter_documents
+
     jobs = _resolve(args.jobs, config, "jobs", JOBS_ENV, 1, int)
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
@@ -142,18 +143,14 @@ def cmd_gen_qa(args, config) -> int:
     cache_dir = Path(args.cache_dir) if args.cache_dir else out / "qa_cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
 
+    # a cache file replays only if it holds the request this run would send
+    settings = {"model": args.model, "temperature": args.temperature, "max_tokens": args.max_tokens}
     client = None
-    if not all(qagen.cache_path(cache_dir, doc.id, args.task).exists() for doc in docs):
-        client = qagen.ChatClient(
-            endpoint=args.endpoint,
-            api_key=args.api_key,
-            model=args.model,
-            temperature=args.temperature,
-            max_tokens=args.max_tokens,
-        )
+    if args.endpoint or os.environ.get(qagen.ENDPOINT_ENV):
+        client = qagen.ChatClient(endpoint=args.endpoint, api_key=args.api_key, **settings)
 
     def one(doc):
-        return qagen.generate_for_document(doc, args.task, client, cache_dir)
+        return qagen.generate_for_document(doc, args.task, client, cache_dir, settings)
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         parsed = list(pool.map(one, docs))
@@ -167,19 +164,19 @@ def cmd_gen_qa(args, config) -> int:
 
 
 def cmd_split(args, config) -> int:
+    from . import dataset, qagen
+    from .corpus import iter_documents
+
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     spec = dataset.SplitSpec(test_fraction=args.fraction, seed=seed, ngram_size=args.ngram)
     docs = list(iter_documents(args.corpus))
     train, test = dataset.split_corpus(docs, spec)
-    name = _name(args)
-    write_jsonl(out / f"{name}_train.jsonl", (doc.to_record() for doc in train))
-    write_jsonl(out / f"{name}_test.jsonl", (doc.to_record() for doc in test))
-    write_json(out / f"{name}_overlap.json", dataset.overlap_report(train, test, spec.ngram_size))
-
+    # every QA row is routed before any output is written, so a bad row
+    # leaves the previous run's files as they were
+    qa_train, qa_test = [], []
     if args.qa:
         train_ids, test_ids = {doc.id for doc in train}, {doc.id for doc in test}
-        qa_train, qa_test = [], []
         for line_no, pair in qagen.iter_qa_jsonl(args.qa):
             if pair.doc_id in train_ids:
                 qa_train.append(pair)
@@ -189,6 +186,12 @@ def cmd_split(args, config) -> int:
                 raise MalformedLineError(
                     args.qa, line_no, f"QA pair references unknown document id {pair.doc_id!r}"
                 )
+
+    name = _name(args)
+    write_jsonl(out / f"{name}_train.jsonl", (doc.to_record() for doc in train))
+    write_jsonl(out / f"{name}_test.jsonl", (doc.to_record() for doc in test))
+    write_json(out / f"{name}_overlap.json", dataset.overlap_report(train, test, spec.ngram_size))
+    if args.qa:
         qagen.write_qa_jsonl(qa_train, out / f"{name}_qa_train.jsonl")
         qagen.write_qa_jsonl(qa_test, out / f"{name}_qa_test.jsonl")
 
@@ -209,6 +212,8 @@ def _parse_refs(args) -> dict:
 
 
 def cmd_plan(args, config) -> int:
+    from . import curriculum, dataset
+
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     refs = _parse_refs(args)
@@ -264,6 +269,8 @@ def _rows_by_item_id(path, fields: dict, optional: dict | None = None) -> dict:
 
 
 def cmd_eval(args, config) -> int:
+    from . import metrics
+
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     if not args.predictions and not args.logprobs:
         raise UsageError("eval needs --predictions/--references and/or --logprobs")
@@ -302,6 +309,9 @@ def cmd_eval(args, config) -> int:
 
 
 def cmd_stats(args, config) -> int:
+    from . import qagen, stats
+    from .corpus import iter_documents
+
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     qa_pairs = qagen.read_qa_jsonl(args.qa) if args.qa else None
     name = _name(args)
@@ -312,6 +322,8 @@ def cmd_stats(args, config) -> int:
 
 
 def cmd_verify(args, config) -> int:
+    from . import dataset
+
     failures = 0
     for path in args.paths:
         result = dataset.verify_manifest(path)
@@ -332,7 +344,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--jobs", type=int, default=None, help="concurrent gen-qa requests")
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="normalize a raw JSONL corpus")
@@ -351,7 +362,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-qa", help="generate QA pairs via a chat endpoint")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--task", choices=[qagen.TASK_GENERATION, qagen.TASK_NLI], required=True)
+    p.add_argument("--task", choices=[TASK_GENERATION, TASK_NLI], required=True)
     p.add_argument("--name", default=None)
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--endpoint", default=None)
@@ -401,7 +412,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
         config = _load_config(args.config)
         return args.func(args, config)
     except UsageError as exc:

@@ -32,6 +32,8 @@ REF_KINDS = {
     "train_self": KIND_TASK,
     "train_qa": KIND_QA,
 }
+# the payload key rendering reads from a record of each kind, which must be a string
+_PAYLOAD_KEYS = {KIND_DOC: "id", KIND_TASK: "kind"}
 
 
 @lru_cache(maxsize=1)
@@ -150,14 +152,21 @@ def plan(preset: str, refs: dict, seed: int = 0, cross_domain: bool = False) -> 
 
 
 def read_ref(name: str, path) -> DatasetManifest:
-    """Load the manifest behind ref `name`, refusing a record of another kind."""
+    """Load the manifest behind ref `name`, refusing a record of another
+    kind or one whose payload rendering cannot read."""
     manifest = read_manifest(path)
     needs = REF_KINDS[name]
+    key = _PAYLOAD_KEYS.get(needs)
     for index, record in enumerate(manifest.records):
         if record.get("kind") != needs:
             raise DataError(
                 f"{path}: record {index} is kind {record.get('kind')!r}; ref {name} needs {needs!r}"
             )
+        payload = record.get("payload")
+        if not isinstance(payload, dict):
+            raise DataError(f"{path}: record {index} has a payload that is not an object")
+        if key is not None and not isinstance(payload.get(key), str):
+            raise DataError(f"{path}: record {index} has no string payload {key!r}")
     return manifest
 
 

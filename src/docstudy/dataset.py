@@ -13,13 +13,15 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .analysis import tokenize_words
-from .corpus import RawDocument
 from .errors import DataError
 from .jsonio import atomic_writer, encode_line, parse_object
 from .rng import Stream, mix_key
-from .taskgen import ANSWER_ONLY, FULL_SEQUENCE, loss_policy
+from .vocab import ANSWER_ONLY, FULL_SEQUENCE, loss_policy, tokenize_words
+
+if TYPE_CHECKING:
+    from .corpus import RawDocument
 
 KIND_DOC = "doc"
 KIND_TASK = "task"

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import DataError
-from ..taskgen import NLI_LABELS
+from ..vocab import NLI_LABELS
 from ._lcs import lcs_length, lcs_length_python
 
 __all__ = [

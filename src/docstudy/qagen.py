@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import functools
 import json
-import logging
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -23,12 +23,7 @@ from . import __version__
 from .corpus import RawDocument
 from .errors import DataError, MalformedLineError, UsageError
 from .jsonio import iter_jsonl, read_json, reject_lone_surrogates, write_json, write_jsonl
-from .taskgen import NLI_LABELS, NLI_OPTIONS, fill, options_block
-
-logger = logging.getLogger(__name__)
-
-TASK_GENERATION = "generation"
-TASK_NLI = "nli"
+from .vocab import NLI_LABELS, NLI_OPTIONS, TASK_GENERATION, TASK_NLI, fill, options_block
 
 # a reply may give an NLI label, its option text, or the option without "'"
 _LABEL_CANON = {
@@ -194,7 +189,8 @@ def parse_qa_response(raw: str, task: str, doc_id: str = "") -> ParsedResponse:
     if not pairs:
         raise ParseError(f"no question/answer blocks found (discarded {discarded})")
     if discarded:
-        logger.warning("discarded %d malformed block(s) for doc %s", discarded, doc_id)
+        # one write, so warnings from concurrent documents never interleave
+        sys.stderr.write(f"warning: discarded {discarded} malformed block(s) (document {doc_id!r})\n")
     return ParsedResponse(pairs=pairs, discarded=discarded)
 
 
@@ -348,42 +344,47 @@ def cache_path(cache_dir, doc_id: str, task: str) -> Path:
 
 
 def generate_for_document(
-    doc: RawDocument, task: str, client: ChatClient | None, cache_dir
+    doc: RawDocument, task: str, client: ChatClient | None, cache_dir, settings: dict | None = None
 ) -> ParsedResponse:
     """Fetch-or-replay the QA pairs for one document.
 
-    A cached (request, raw response, parsed pairs) file short-circuits the
-    HTTP call entirely; fresh responses are written there before return.
+    A cache file (request, raw response, parsed pairs) short-circuits the
+    HTTP call only if its request is the one this call would send: the
+    document's prompt under the client's model, temperature and max_tokens,
+    or under `settings` (those three keys) when there is no client. With
+    neither, any cache file replays. A fresh response overwrites the cache
+    file before return.
     """
     if task not in PROMPT_BUILDERS:
         raise UsageError(f"unknown QA task {task!r}")
     path = cache_path(cache_dir, doc.id, task)
+    if client is not None:
+        settings = {"model": client.model, "temperature": client.temperature, "max_tokens": client.max_tokens}
+    request = None if settings is None else {"prompt": PROMPT_BUILDERS[task](doc), **settings}
     if path.exists():
         cached = read_json(path)
         records = cached.get("pairs") if isinstance(cached, dict) else None
         if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
             raise DataError(f"{path}: cache file needs a 'pairs' list of objects")
-        try:
-            pairs = [QAPair.from_record(rec) for rec in records]
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from exc
-        return ParsedResponse(pairs=pairs, discarded=cached.get("discarded", 0))
+        if request is None or cached.get("request") == request:
+            try:
+                pairs = [QAPair.from_record(rec) for rec in records]
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from exc
+            return ParsedResponse(pairs=pairs, discarded=cached.get("discarded", 0))
     if client is None:
-        raise UsageError(f"no cached response for ({doc.id}, {task}) and no client configured")
+        raise UsageError(
+            f"no cached response to this request for ({doc.id}, {task}) and no chat endpoint configured"
+            f" (set {ENDPOINT_ENV})"
+        )
 
-    prompt = PROMPT_BUILDERS[task](doc)
     try:
-        response = client.complete(prompt)
+        response = client.complete(request["prompt"])
         parsed = parse_qa_response(response.text, task, doc_id=doc.id)
     except DataError as exc:  # ChatError, ParseError, or a reply QAPair refuses
         raise type(exc)(f"{exc} (document {doc.id!r})") from exc
     payload = {
-        "request": {
-            "model": client.model,
-            "prompt": prompt,
-            "temperature": client.temperature,
-            "max_tokens": client.max_tokens,
-        },
+        "request": request,
         "response": {
             "text": response.text,
             "finish_reason": response.finish_reason,

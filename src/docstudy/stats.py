@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from .analysis import tokenize_words
-from .qagen import TASK_NLI, QAPair
-from .taskgen import NLI_LABELS
+from typing import TYPE_CHECKING
+
+from .vocab import NLI_LABELS, TASK_NLI, tokenize_words
+
+if TYPE_CHECKING:
+    from .qagen import QAPair
 
 
 def _mean(total: int, count: int) -> float:

@@ -5,23 +5,19 @@ false statement as a second record). `GENERATORS` declares each kind
 once, in `KIND_ORDER`: its generator, and whether that generator samples.
 All sampling draws from per-document streams keyed by (corpus seed,
 doc id, kind), so suites are a pure function of (seed, document, config).
-A kind also fixes its loss policy (`loss_policy`).
+A kind also fixes its loss policy (`vocab.loss_policy`).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, fields
 
 from .analysis import AnalyzedDocument, EntitySpan
 from .errors import DataError
 from .jsonio import read_json
 from .rng import stream_for
+from .vocab import MEMORIZATION, NLI_OPTIONS, fill, loss_policy, options_block
 
-FULL_SEQUENCE = "full_sequence"
-ANSWER_ONLY = "answer_only"
-
-MEMORIZATION = "memorization"
 SUMMARIZATION = "summarization"
 GIST = "gist"
 NLI = "nli"
@@ -43,9 +39,6 @@ KIND_ORDER = (
     COMPLETION,
 )
 
-NLI_OPTIONS = ("Yes", "It's impossible to say", "No")
-# the short label of each option, index-paired with NLI_OPTIONS
-NLI_LABELS = ("Yes", "Impossible", "No")
 BLANK = "--"
 
 TEMPLATES = {
@@ -65,26 +58,6 @@ TEMPLATES = {
     MULTICHOICE: "<{title}> {blanked}\nOptions:\n{options}",
     COMPLETION: "<{title}> {prefix}:",
 }
-
-_PLACEHOLDER = re.compile(r"\{(\w+)\}")
-
-
-def fill(template: str, **values) -> str:
-    """Single-pass placeholder substitution; braces in values stay literal."""
-    return _PLACEHOLDER.sub(
-        lambda m: str(values[m.group(1)]) if m.group(1) in values else m.group(0),
-        template,
-    )
-
-
-def options_block(options) -> str:
-    return "\n".join(f"- {opt}" for opt in options)
-
-
-def loss_policy(kind: str) -> str:
-    """Memorization trains on the whole rendered document, the rest on the answer."""
-    return FULL_SEQUENCE if kind == MEMORIZATION else ANSWER_ONLY
-
 
 @dataclass(frozen=True)
 class TaskConfig:

@@ -10,9 +10,9 @@ from docstudy.analysis import (
     find_prepositions,
     segment_sentences,
     sentence_tokens,
-    tokenize_words,
 )
 from docstudy.corpus import RawDocument, document_from_record
+from docstudy.vocab import tokenize_words
 
 import _analysis_oracle as oracle
 from _synth import synthetic_records

@@ -1,6 +1,9 @@
 import hashlib
 import http.server
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -8,9 +11,14 @@ from pathlib import Path
 
 import pytest
 
+import docstudy
 from conftest import DATA
 from docstudy import qagen
 from docstudy.cli import JOBS_ENV, _resolve, main
+from docstudy.corpus import iter_documents
+from docstudy.dataset import doc_record, qa_record, write_manifest
+from docstudy.jsonio import encode_line
+from docstudy.qagen import QAPair
 
 from _synth import synthetic_records, write_jsonl
 
@@ -97,6 +105,21 @@ class TestPipeline:
             for line in (out / f"s_qa_{side}.jsonl").read_text("utf-8").splitlines():
                 routed.append(json.loads(line)["doc_id"])
         assert sorted(routed) == sorted(r["doc_id"] for r in rows)
+
+    def test_split_qa_error_keeps_old_outputs(self, tmp_path, capsys, corpus_path):
+        out, qa_path, fewer = tmp_path / "o", tmp_path / "qa.jsonl", tmp_path / "fewer.jsonl"
+        rows = [{"doc_id": f"doc-{i:05d}", "task": "generation", "question": "Q?", "answer": "A."} for i in range(24)]
+        write_jsonl(rows, qa_path)
+        assert run("--seed", 2, "--out", out, "split", "--corpus", corpus_path, "--name", "s", "--qa", qa_path) == 0
+        before = tree_bytes(out)
+        assert set(before) == {f"s_{part}" for part in ("train.jsonl", "test.jsonl", "overlap.json", "qa_train.jsonl", "qa_test.jsonl")}
+        # a changed corpus that no longer holds doc-00020, which a QA row names
+        lines = corpus_path.read_text("utf-8").splitlines(keepends=True)
+        fewer.write_text("".join(lines[:20]), "utf-8")
+        capsys.readouterr()
+        assert run("--seed", 2, "--out", out, "split", "--corpus", fewer, "--name", "s", "--qa", qa_path) == 2
+        assert capsys.readouterr().err == f"data error: {qa_path}:21: QA pair references unknown document id 'doc-00020'\n"
+        assert tree_bytes(out) == before
 
     def test_gen_tasks_stats_percentages(self, tmp_path, corpus_path):
         out = tmp_path / "o"
@@ -433,6 +456,36 @@ class TestErrors:
         assert not (out / "continued_pretraining_stage1.jsonl").exists()
 
     @pytest.mark.parametrize(
+        "preset, bad_ref, record, reason",
+        [
+            ("pit", "train_doc", {"kind": "doc", "payload": {"title": "T"}}, "has no string payload 'id'"),
+            ("self_tuning", "train_self", {"kind": "task", "payload": "oops"}, "has a payload that is not an object"),
+        ],
+        ids=["doc-without-id", "task-payload-string"],
+    )
+    def test_render_refuses_a_payload_it_cannot_read(self, tmp_path, capsys, corpus_path, preset, bad_ref, record, reason):
+        out = tmp_path / "o"
+        assert run("--seed", 1, "--out", out, "gen-tasks", "--corpus", corpus_path, "--name", "c") == 0
+        docs = [doc_record(doc) for doc in iter_documents(corpus_path)]
+        qa = [qa_record(QAPair(doc_id=d["payload"]["id"], task="generation", question="Q?", answer="A.")) for d in docs]
+        refs = {"train_doc": tmp_path / "train_doc.jsonl", "test_doc": tmp_path / "test_doc.jsonl",
+                "train_qa": tmp_path / "train_qa.jsonl", "train_self": out / "c_tasks.jsonl"}
+        write_manifest(docs[:20], name="train", split="train", path=refs["train_doc"])
+        write_manifest(docs[20:], name="test", split="test", path=refs["test_doc"])
+        write_manifest(qa[:20], name="qa", split="train", path=refs["train_qa"])
+        # checksummed by hand, as write_manifest cannot stamp a string payload
+        bad, line = tmp_path / "bad.jsonl", encode_line(record)
+        bad.write_bytes(line + encode_line({"checksum": hashlib.sha256(line).hexdigest(), "count": 1, "seed": 0}))
+        refs[bad_ref] = bad
+        assert run("verify", bad) == 0
+        names = ("train_doc", "train_qa", "test_doc") + (("train_self",) if preset == "self_tuning" else ())
+        capsys.readouterr()
+        code = run("--out", out, "plan", "--preset", preset, "--render", *[f"--ref={n}={refs[n]}" for n in names])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {bad}: record 0 {reason}\n"
+        assert not list(out.glob(f"{preset}_stage*.jsonl"))
+
+    @pytest.mark.parametrize(
         "bad_line", ["{not json}", '{"id": "doc-00002", "title": "Again", "body": "A b."}'],
         ids=["malformed-line", "duplicate-id"],
     )
@@ -485,6 +538,10 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
 
     def log_message(self, *args):
         pass
+
+
+def _chat_reply(text: str) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": text}, "finish_reason": "stop"}]}).encode("utf-8")
 
 
 class TestGenQa:
@@ -580,9 +637,105 @@ class TestGenQa:
         err = capsys.readouterr().err
         assert err == "data error: no question/answer blocks found (discarded 1) (document 'doc-00000')\n"
 
+    def test_unchanged_request_replays_with_no_request(self, tmp_path, chat_server):
+        chat_server.script = [(200, "application/json", _chat_reply("Question: Q?\nAnswer: A."))] * 2
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(2, seed=1), corpus)
+        argv = ("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--name", "c",
+                "--endpoint", chat_server.url, "--model", "m1")
+        assert run(*argv) == 0
+        first = tree_bytes(out)
+        assert run(*argv) == 0
+        assert len(chat_server.seen) == 2
+        assert tree_bytes(out) == first
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--model", "m2", "model"), ("--temperature", 0.5, "temperature"), ("--max-tokens", 64, "max_tokens")],
+    )
+    def test_changed_request_refetches(self, tmp_path, capsys, chat_server, monkeypatch, flag, value, key):
+        monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)
+        chat_server.script = [(200, "application/json", _chat_reply(f"Question: Q{i}?\nAnswer: A{i}.")) for i in range(4)]
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(2, seed=1), corpus)
+        argv = ("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--name", "c")
+        assert run(*argv, "--endpoint", chat_server.url) == 0
+        assert run(*argv, "--endpoint", chat_server.url, flag, value) == 0
+        assert len(chat_server.seen) == 4
+        assert [payload[key] for _, _, payload in chat_server.seen[2:]] == [value, value]
+        for cache in sorted((out / "qa_cache").glob("*.json")):
+            assert json.loads(cache.read_text("utf-8"))["request"][key] == value
+        answers = [json.loads(line)["answer"] for line in (out / "c_qa_generation.jsonl").read_text("utf-8").splitlines()]
+        assert answers == ["A2.", "A3."]
+        # with no endpoint, an entry made by another request is not replayed
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert run(*argv) == 1
+        assert "no cached response to this request" in capsys.readouterr().err
+        assert tree_bytes(out) == before
+
     def test_without_endpoint_or_cache_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)
         corpus = tmp_path / "c.jsonl"
         write_jsonl(synthetic_records(1), corpus)
         code = run("--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "nli")
         assert code == 1
+
+
+# modules each command must not load (as docstudy.<name>); gen-qa replays its
+# cache, so no command loads an HTTP client
+IMPORT_BUDGETS = {
+    "ingest": ("analysis", "taskgen", "dataset", "qagen", "metrics", "curriculum", "stats"),
+    "gen-tasks": ("qagen", "metrics", "curriculum"),
+    "gen-qa": ("metrics", "curriculum", "dataset", "stats"),
+    "split": ("metrics", "curriculum"),
+    "stats": ("metrics", "curriculum"),
+    "plan": ("analysis", "taskgen", "qagen", "metrics", "stats"),
+    "verify": ("analysis", "taskgen", "qagen", "metrics", "stats"),
+    "eval": ("analysis", "corpus", "taskgen", "dataset", "qagen", "curriculum", "stats"),
+}
+COMMAND_ARGV = {
+    "ingest": ["--out", "ingest", "ingest", "--corpus", "raw.jsonl", "--name", "c"],
+    "gen-tasks": ["--out", "gen-tasks", "gen-tasks", "--corpus", "c.jsonl", "--name", "c", "--reading"],
+    "gen-qa": ["--out", "gen-qa", "gen-qa", "--corpus", "c.jsonl", "--task", "generation", "--name", "c",
+               "--cache-dir", "qa_cache"],
+    "split": ["--out", "split", "split", "--corpus", "c.jsonl", "--name", "c", "--qa", "c_qa_generation.jsonl"],
+    "stats": ["--out", "stats", "stats", "--corpus", "c.jsonl", "--qa", "c_qa_generation.jsonl"],
+    "plan": ["--out", "plan", "plan", "--preset", "continued_pretraining", "--ref", "test_doc=c_reading.jsonl",
+             "--render"],
+    "verify": ["verify", "c_tasks.jsonl", "c_reading.jsonl"],
+    "eval": ["--out", "eval", "eval", "--predictions", "p.jsonl", "--references", "r.jsonl", "--logprobs", "l.jsonl"],
+}
+_PROBE = "import sys; from docstudy.cli import main; code = main(sys.argv[1:]); print(code, *sorted(sys.modules))"
+
+
+class TestImportBudget:
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        """Inputs for every command: a corpus, its tasks, a QA cache and eval rows."""
+        work = tmp_path_factory.mktemp("budget")
+        write_jsonl(synthetic_records(6, seed=1), work / "raw.jsonl")
+        assert run("--out", work, "ingest", "--corpus", work / "raw.jsonl", "--name", "c") == 0
+        assert run("--out", work, "gen-tasks", "--corpus", work / "c.jsonl", "--name", "c", "--reading") == 0
+        reply = {"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qagen, "_http_transport", lambda *args: (200, reply))
+            assert run("--out", work, "gen-qa", "--corpus", work / "c.jsonl", "--task", "generation",
+                       "--name", "c", "--cache-dir", work / "qa_cache", "--endpoint", "http://chat.test") == 0
+        write_jsonl([{"item_id": "i1", "prediction": "A."}], work / "p.jsonl")
+        write_jsonl([{"item_id": "i1", "golds": ["A."]}], work / "r.jsonl")
+        write_jsonl([{"doc_id": "d1", "logprobs": [-0.5, -1.0]}], work / "l.jsonl")
+        return work
+
+    @pytest.mark.parametrize("command", list(IMPORT_BUDGETS))
+    def test_command_loads_only_what_it_runs(self, workdir, command):
+        env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1])}
+        env.pop("DOCSTUDY_CHAT_ENDPOINT", None)
+        result = subprocess.run([sys.executable, "-c", _PROBE, *COMMAND_ARGV[command]], cwd=workdir, env=env,
+                                capture_output=True, text=True, check=True)
+        code, *loaded = result.stdout.splitlines()[-1].split()
+        assert code == "0", result.stderr
+        forbidden = {f"docstudy.{name}" for name in IMPORT_BUDGETS[command]} | {"urllib.request", "http.client"}
+        if command != "gen-qa":
+            forbidden |= {"logging", "concurrent.futures"}
+        assert sorted(forbidden & set(loaded)) == []

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -16,8 +18,9 @@ from docstudy.curriculum import (
     sample_replay,
     write_plan,
 )
-from docstudy.dataset import doc_record, qa_record, read_manifest, write_manifest
+from docstudy.dataset import doc_record, qa_record, read_manifest, verify_manifest, write_manifest
 from docstudy.errors import DataError, UsageError
+from docstudy.jsonio import encode_line
 from docstudy.qagen import QAPair
 
 from _synth import synthetic_records
@@ -154,6 +157,27 @@ class TestReadRef:
         write_manifest(_qa_manifest(tmp_path, ["a"]).records + docs.records, name="mixed", split="train", path=path)
         with pytest.raises(DataError, match=r"record 2 is kind 'doc'; ref train_qa needs 'qa'"):
             read_ref("train_qa", path)
+
+    @pytest.mark.parametrize(
+        "ref, record, reason",
+        [
+            ("train_doc", {"kind": "doc", "payload": {"title": "T"}}, "has no string payload 'id'"),
+            ("test_doc", {"kind": "doc", "payload": {"id": 7, "title": "T"}}, "has no string payload 'id'"),
+            ("train_self", {"kind": "task", "payload": {"question": "Q?"}}, "has no string payload 'kind'"),
+            ("train_self", {"kind": "task", "payload": "oops"}, "has a payload that is not an object"),
+            ("train_qa", {"kind": "qa", "payload": ["oops"]}, "has a payload that is not an object"),
+        ],
+        ids=["doc-without-id", "doc-int-id", "task-without-kind", "task-payload-string", "qa-payload-list"],
+    )
+    def test_payload_rendering_cannot_read_is_named(self, tmp_path, ref, record, reason):
+        # checksummed by hand: write_manifest cannot stamp a string payload
+        line = encode_line(record)
+        path = tmp_path / "bad.jsonl"
+        footer = {"checksum": hashlib.sha256(line).hexdigest(), "count": 1, "seed": 0}
+        path.write_bytes(line + encode_line(footer))
+        assert verify_manifest(path).ok
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: record 0 {re.escape(reason)}$"):
+            read_ref(ref, path)
 
 
 class TestSampleReplay:

@@ -139,6 +139,10 @@ class TestParsing:
         assert len(parsed.pairs) == 1
         assert parsed.discarded == 1
 
+    def test_discarded_blocks_are_a_stderr_warning(self, capsys):
+        parse_qa_response("Question: Q1?\nAnswer: A1.\nQuestion: dangling", "generation", doc_id="d1")
+        assert capsys.readouterr().err == "warning: discarded 1 malformed block(s) (document 'd1')\n"
+
     def test_bad_nli_label_discarded(self):
         raw = (
             "Question: Q1?\nOptions:\n- Yes\n- It's impossible to say\n- No\nAnswer: maybe\n"

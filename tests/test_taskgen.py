@@ -10,7 +10,7 @@ from docstudy.cli import main
 from docstudy.corpus import RawDocument, document_from_record
 from docstudy.errors import DataError
 from docstudy.rng import stream_for
-from docstudy import taskgen
+from docstudy import taskgen, vocab
 from docstudy.taskgen import (
     KIND_ORDER,
     TaskConfig,
@@ -337,7 +337,7 @@ class TestBuildSuite:
         assert tuple(taskgen.GENERATORS) == KIND_ORDER
 
     def test_loss_policy_follows_the_kind(self):
-        assert [taskgen.loss_policy(kind) for kind in KIND_ORDER] == ["full_sequence"] + ["answer_only"] * 8
+        assert [vocab.loss_policy(kind) for kind in KIND_ORDER] == ["full_sequence"] + ["answer_only"] * 8
 
 
 def parse_reading(text):
@@ -395,11 +395,11 @@ class TestReadingFormat:
 
 class TestFill:
     def test_braces_in_values_stay_literal(self):
-        out = taskgen.fill("Tell me about {title}.", title="{weird} name")
+        out = vocab.fill("Tell me about {title}.", title="{weird} name")
         assert out == "Tell me about {weird} name."
 
     def test_unknown_placeholder_left_alone(self):
-        assert taskgen.fill("keep {unknown}", title="x") == "keep {unknown}"
+        assert vocab.fill("keep {unknown}", title="x") == "keep {unknown}"
 
 
 class TestAnalysisCallBudget:
