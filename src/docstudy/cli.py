@@ -169,11 +169,11 @@ def cmd_split(args, config) -> int:
 
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
-    spec = dataset.SplitSpec(test_fraction=args.fraction, seed=seed, ngram_size=args.ngram)
     docs = list(iter_documents(args.corpus))
-    train, test = dataset.split_corpus(docs, spec)
-    # every QA row is routed before any output is written, so a bad row
-    # leaves the previous run's files as they were
+    train, test = dataset.split_corpus(docs, args.fraction, seed)
+    # every check runs, and every QA row is routed, before any output is
+    # written, so a bad argument or row leaves the previous run's files as they were
+    overlap = dataset.overlap_report(train, test, args.ngram)
     qa_train, qa_test = [], []
     if args.qa:
         train_ids, test_ids = {doc.id for doc in train}, {doc.id for doc in test}
@@ -190,7 +190,7 @@ def cmd_split(args, config) -> int:
     name = _name(args)
     write_jsonl(out / f"{name}_train.jsonl", (doc.to_record() for doc in train))
     write_jsonl(out / f"{name}_test.jsonl", (doc.to_record() for doc in test))
-    write_json(out / f"{name}_overlap.json", dataset.overlap_report(train, test, spec.ngram_size))
+    write_json(out / f"{name}_overlap.json", overlap)
     if args.qa:
         qagen.write_qa_jsonl(qa_train, out / f"{name}_qa_train.jsonl")
         qagen.write_qa_jsonl(qa_test, out / f"{name}_qa_test.jsonl")
@@ -222,18 +222,24 @@ def cmd_plan(args, config) -> int:
     if missing_files:
         raise DataError(f"referenced manifest files do not exist: {', '.join(missing_files)}")
     stage_plan = curriculum.plan(args.preset, refs, seed=seed, cross_domain=args.cross_domain)
-    target = out / f"{args.preset}_plan.json"
-    curriculum.write_plan(stage_plan, target)
-
     if args.render:
-        manifests = {name: curriculum.read_ref(name, refs[name]) for name in sorted(needed)}
-        for stage in stage_plan.stages:
-            records = curriculum.render_stage_inputs(stage_plan, stage.index, manifests)
-            stage_name = f"{args.preset}_stage{stage.index}"
-            dataset.write_manifest(
-                records, name=stage_name, split="train", path=out / f"{stage_name}.jsonl", seed=seed
-            )
-    print(f"planned {args.preset}: {len(stage_plan.stages)} stages -> {target}")
+        records = {name: curriculum.read_ref(name, refs[name]) for name in sorted(needed)}
+        # every stage is written to its temp file before any replaces its
+        # old output, so a stage that fails leaves every output as it was
+        with ExitStack() as stack:
+            for stage in stage_plan["stages"]:
+                path = out / f"{args.preset}_stage{stage['index']}.jsonl"
+                add = stack.enter_context(dataset.manifest_writer(path, seed))
+                rendered = curriculum.render_stage_inputs(stage, records)
+                # the writer refuses an empty manifest only as it closes,
+                # after the later stages have replaced their outputs
+                if not rendered:
+                    raise DataError(f"stage {stage['index']} of {args.preset} renders no records")
+                for record in rendered:
+                    add(record)
+    target = out / f"{args.preset}_plan.json"
+    write_json(target, stage_plan)
+    print(f"planned {args.preset}: {len(stage_plan['stages'])} stages -> {target}")
     return 0
 
 
@@ -326,13 +332,14 @@ def cmd_verify(args, config) -> int:
 
     failures = 0
     for path in args.paths:
-        result = dataset.verify_manifest(path)
-        if result.ok:
-            print(f"{path}: ok")
-        else:
+        try:
+            dataset.verify_manifest(path)
+        except dataset.ManifestError as exc:
             failures += 1
-            where = "" if result.first_divergence is None else f" (record {result.first_divergence})"
-            print(f"{path}: MISMATCH {result.reason}{where}")
+            where = "" if exc.record is None else f" (record {exc.record})"
+            print(f"{path}: MISMATCH {exc.reason}{where}")
+        else:
+            print(f"{path}: ok")
     if failures:
         raise DataError(f"{failures} manifest(s) failed verification")
     return 0

@@ -104,11 +104,17 @@ class RawDocument:
 
 
 def document_from_record(record: dict) -> RawDocument:
-    """Build a normalized document from one JSONL record."""
+    """Build a normalized document from one JSONL record.
+
+    A string id is kept as given; an absent or null one becomes the content hash.
+    """
     title_raw = record.get("title")
     body_raw = record.get("body")
     if not isinstance(title_raw, str) or not isinstance(body_raw, str):
         raise DataError("record needs string 'title' and 'body' fields")
+    doc_id = record.get("id")
+    if doc_id is not None and (not isinstance(doc_id, str) or not doc_id):
+        raise DataError(f"'id' must be a non-empty string or null, got {doc_id!r}")
     reject_lone_surrogates({key: record.get(key) for key in _TEXT_KEYS})
     if "\n" in title_raw.strip("\n"):
         raise DataError("title must be a single line")
@@ -116,9 +122,8 @@ def document_from_record(record: dict) -> RawDocument:
     body = first_paragraph(normalize_text(body_raw)) if body_raw.strip() else ""
     if not body:
         raise DataError("body is empty after normalization")
-    doc_id = record.get("id") or content_id(title, body)
     return RawDocument(
-        id=str(doc_id),
+        id=content_id(title, body) if doc_id is None else doc_id,
         title=title,
         body=body,
         source=record.get("source", "") or "",

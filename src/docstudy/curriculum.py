@@ -9,13 +9,11 @@ never trains anything.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .dataset import KIND_DOC, KIND_QA, KIND_TASK, DatasetManifest, read_manifest
+from .dataset import KIND_DOC, KIND_QA, KIND_TASK, read_manifest
 from .errors import DataError, UsageError
-from .jsonio import write_json
 from .rng import Stream, mix_key
 
 MIX_CONCAT = "concat"
@@ -46,62 +44,6 @@ def preset_ids() -> tuple[str, ...]:
     return tuple(load_presets().keys())
 
 
-@dataclass(frozen=True)
-class Replay:
-    source: str
-    size: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class Stage:
-    index: int
-    epochs: int
-    mix: str
-    refs: tuple[str, ...]
-    replay: Replay | None = None
-
-
-@dataclass(frozen=True)
-class StagePlan:
-    method: str
-    stages: tuple[Stage, ...]
-
-    def to_dict(self) -> dict:
-        stages = []
-        for stage in self.stages:
-            entry = {
-                "index": stage.index,
-                "epochs": stage.epochs,
-                "mix": stage.mix,
-                "refs": list(stage.refs),
-            }
-            if stage.replay is not None:
-                entry["replay"] = {
-                    "source": stage.replay.source,
-                    "size": stage.replay.size,
-                    "seed": stage.replay.seed,
-                }
-            stages.append(entry)
-        return {"method": self.method, "stages": stages}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StagePlan":
-        stages = []
-        for entry in data["stages"]:
-            replay = entry.get("replay")
-            stages.append(
-                Stage(
-                    index=entry["index"],
-                    epochs=entry["epochs"],
-                    mix=entry["mix"],
-                    refs=tuple(entry["refs"]),
-                    replay=Replay(**replay) if replay else None,
-                )
-            )
-        return cls(method=data["method"], stages=tuple(stages))
-
-
 def required_refs(preset: str, cross_domain: bool = False) -> set[str]:
     spec = _preset_spec(preset, cross_domain)
     names: set[str] = set()
@@ -124,40 +66,33 @@ def _preset_spec(preset: str, cross_domain: bool) -> list[dict]:
     return entry["stages"]
 
 
-def plan(preset: str, refs: dict, seed: int = 0, cross_domain: bool = False) -> StagePlan:
-    """Instantiate a preset against the supplied manifest references."""
+def plan(preset: str, refs: dict, seed: int = 0, cross_domain: bool = False) -> dict:
+    """Instantiate a preset against the supplied manifest references.
+
+    The result is the plan object `stageplan.schema.json` describes:
+    `{"method", "stages": [{"index", "epochs", "mix", "refs", "replay"?}]}`.
+    """
     spec = _preset_spec(preset, cross_domain)
     missing = sorted(required_refs(preset, cross_domain) - set(refs))
     if missing:
         raise DataError(f"preset {preset!r} is missing manifest refs: {', '.join(missing)}")
     stages = []
     for i, entry in enumerate(spec, start=1):
-        replay = None
+        stage = {"index": i, "epochs": entry["epochs"], "mix": entry["mix"], "refs": list(entry["refs"])}
         if "replay" in entry:
-            replay = Replay(
-                source=entry["replay"]["source"],
-                size=entry["replay"]["size"],
-                seed=seed,
-            )
-        stages.append(
-            Stage(
-                index=i,
-                epochs=entry["epochs"],
-                mix=entry["mix"],
-                refs=tuple(entry["refs"]),
-                replay=replay,
-            )
-        )
-    return StagePlan(method=preset, stages=tuple(stages))
+            replay = entry["replay"]
+            stage["replay"] = {"source": replay["source"], "size": replay["size"], "seed": seed}
+        stages.append(stage)
+    return {"method": preset, "stages": stages}
 
 
-def read_ref(name: str, path) -> DatasetManifest:
-    """Load the manifest behind ref `name`, refusing a record of another
-    kind or one whose payload rendering cannot read."""
-    manifest = read_manifest(path)
+def read_ref(name: str, path) -> list[dict]:
+    """The records of the manifest behind ref `name`, refusing a record of
+    another kind or one whose payload rendering cannot read."""
+    records = read_manifest(path)
     needs = REF_KINDS[name]
     key = _PAYLOAD_KEYS.get(needs)
-    for index, record in enumerate(manifest.records):
+    for index, record in enumerate(records):
         if record.get("kind") != needs:
             raise DataError(
                 f"{path}: record {index} is kind {record.get('kind')!r}; ref {name} needs {needs!r}"
@@ -167,21 +102,21 @@ def read_ref(name: str, path) -> DatasetManifest:
             raise DataError(f"{path}: record {index} has a payload that is not an object")
         if key is not None and not isinstance(payload.get(key), str):
             raise DataError(f"{path}: record {index} has no string payload {key!r}")
-    return manifest
+    return records
 
 
-def fairness_epochs(stage_plan: StagePlan, test_ref: str = TEST_DOC_REF) -> int:
+def fairness_epochs(stage_plan: dict, test_ref: str = TEST_DOC_REF) -> int:
     """Total epochs over stages whose refs include the test-document set."""
-    return sum(s.epochs for s in stage_plan.stages if test_ref in s.refs)
+    return sum(s["epochs"] for s in stage_plan["stages"] if test_ref in s["refs"])
 
 
-def sample_replay(manifest: DatasetManifest, size: int, seed: int) -> list[dict]:
+def sample_replay(records: list[dict], size: int, seed: int) -> list[dict]:
     """Seeded sample without replacement, stable in original order."""
-    n = len(manifest.records)
+    n = len(records)
     if size > n:
         raise DataError(f"replay size {size} exceeds manifest of {n} records")
     indices = Stream(mix_key(seed, "replay")).sample_indices(n, size)
-    return [manifest.records[i] for i in indices]
+    return [records[i] for i in indices]
 
 
 def _interleave(groups: list[list[dict]]) -> list[dict]:
@@ -219,40 +154,31 @@ def _prefix_pair(groups: list[list[dict]]) -> list[dict]:
     return paired
 
 
-def render_stage_inputs(
-    stage_plan: StagePlan, stage_index: int, manifests: dict[str, DatasetManifest]
-) -> list[dict]:
-    """Materialize one stage as a flat record list per its mixing mode."""
-    matches = [s for s in stage_plan.stages if s.index == stage_index]
-    if not matches:
-        raise DataError(f"plan for {stage_plan.method} has no stage {stage_index}")
-    stage = matches[0]
-    missing = [name for name in stage.refs if name not in manifests]
-    if stage.replay and stage.replay.source not in manifests:
-        missing.append(stage.replay.source)
+def render_stage_inputs(stage: dict, records: dict[str, list[dict]]) -> list[dict]:
+    """Materialize one plan stage as a flat record list per its mixing mode;
+    `records` maps each ref to its manifest's records."""
+    replay = stage.get("replay")
+    missing = [name for name in stage["refs"] if name not in records]
+    if replay and replay["source"] not in records:
+        missing.append(replay["source"])
     if missing:
-        raise DataError(f"missing manifests for stage {stage_index}: {', '.join(missing)}")
+        raise DataError(f"missing manifests for stage {stage['index']}: {', '.join(missing)}")
 
-    groups = [list(manifests[name].records) for name in stage.refs]
-    if stage.mix == MIX_CONCAT:
-        records = [record for group in groups for record in group]
-    elif stage.mix == MIX_INTERLEAVE:
-        records = _interleave(groups)
-    elif stage.mix == MIX_PREFIX_PAIR:
-        records = _prefix_pair(groups)
+    groups = [records[name] for name in stage["refs"]]
+    mix = stage["mix"]
+    if mix == MIX_CONCAT:
+        rendered = [record for group in groups for record in group]
+    elif mix == MIX_INTERLEAVE:
+        rendered = _interleave(groups)
+    elif mix == MIX_PREFIX_PAIR:
+        rendered = _prefix_pair(groups)
     else:
-        raise DataError(f"unknown mixing mode {stage.mix!r}")
+        raise DataError(f"unknown mixing mode {mix!r}")
 
-    if stage.replay is not None:
-        sampled = sample_replay(
-            manifests[stage.replay.source], stage.replay.size, stage.replay.seed
-        )
-        records = _interleave([records, sampled])
-    return records
-
-
-def write_plan(stage_plan: StagePlan, path) -> None:
-    write_json(path, stage_plan.to_dict())
+    if replay is not None:
+        sampled = sample_replay(records[replay["source"]], replay["size"], replay["seed"])
+        rendered = _interleave([rendered, sampled])
+    return rendered
 
 
 def plan_schema() -> dict:

@@ -12,7 +12,6 @@ import hashlib
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DataError
@@ -38,24 +37,16 @@ class ManifestError(DataError):
         self.reason, self.record = reason, record
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    test_fraction: float
-    seed: int
-    ngram_size: int = 8
-
-    def __post_init__(self):
-        if not 0 < self.test_fraction < 1:
-            raise DataError(f"test fraction {self.test_fraction} outside (0,1)")
-        if self.ngram_size < 1:
-            raise DataError(f"n-gram size {self.ngram_size} is not at least 1")
-
-
-def split_corpus(docs: list[RawDocument], spec: SplitSpec) -> tuple[list[RawDocument], list[RawDocument]]:
+def split_corpus(
+    docs: list[RawDocument], test_fraction: float, seed: int
+) -> tuple[list[RawDocument], list[RawDocument]]:
     """Partition by seeded shuffle; both sides keep the original order.
 
     Ids and titles must be distinct, so no document or title lands on both sides.
     """
+    # written so that NaN fails it too
+    if not 0 < test_fraction < 1:
+        raise DataError(f"test fraction {test_fraction} outside (0,1)")
     n = len(docs)
     if n < 2:
         raise DegenerateSplitError("need at least 2 documents to split")
@@ -64,13 +55,11 @@ def split_corpus(docs: list[RawDocument], spec: SplitSpec) -> tuple[list[RawDocu
         if dupes:
             raise DataError(f"duplicate {what} prevent a zero-overlap split: {dupes}")
 
-    n_test = math.ceil(spec.test_fraction * n)
+    n_test = math.ceil(test_fraction * n)
     if n_test >= n or n_test < 1:
-        raise DegenerateSplitError(
-            f"fraction {spec.test_fraction} of {n} documents empties one side"
-        )
+        raise DegenerateSplitError(f"fraction {test_fraction} of {n} documents empties one side")
     order = list(range(n))
-    Stream(mix_key(spec.seed, "split")).shuffle(order)
+    Stream(mix_key(seed, "split")).shuffle(order)
     test_idx = set(order[:n_test])
     train = [doc for i, doc in enumerate(docs) if i not in test_idx]
     test = [doc for i, doc in enumerate(docs) if i in test_idx]
@@ -84,6 +73,8 @@ def _ngrams(body: str, n: int) -> set[tuple[str, ...]]:
 
 def overlap_report(train: list[RawDocument], test: list[RawDocument], ngram_size: int = 8) -> dict:
     """Advisory report of word n-grams shared across the split."""
+    if ngram_size < 1:
+        raise DataError(f"n-gram size {ngram_size} is not at least 1")
     train_grams: set[tuple[str, ...]] = set()
     for doc in train:
         train_grams |= _ngrams(doc.body, ngram_size)
@@ -117,26 +108,20 @@ def attach_loss_policy(record: dict) -> dict:
     Any policy the record already holds is replaced, never trusted.
     """
     kind = record.get("kind")
-    if kind == KIND_DOC:
-        policy = FULL_SEQUENCE
-    elif kind == KIND_TASK:
-        policy = loss_policy(record.get("payload", {}).get("kind"))
-    elif kind == KIND_QA:
-        policy = ANSWER_ONLY
-    else:
+    if kind not in (KIND_DOC, KIND_TASK, KIND_QA):
         raise DataError(f"unknown record kind {kind!r}")
+    payload = record.get("payload")
+    if not isinstance(payload, dict):
+        raise DataError(f"{kind} record has a payload that is not an object")
+    if kind == KIND_TASK:
+        policy = loss_policy(payload.get("kind"))
+    else:
+        policy = FULL_SEQUENCE if kind == KIND_DOC else ANSWER_ONLY
     if record.get("loss_policy") == policy:
         return record
     stamped = dict(record)
     stamped["loss_policy"] = policy
     return stamped
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    records: tuple[dict, ...]
-    checksum: str
-    seed: int
 
 
 @contextmanager
@@ -171,7 +156,7 @@ def write_manifest(records, name: str, split: str, path, seed: int = 0) -> dict:
     return footer
 
 
-def _scan(path, records: list | None = None) -> dict:
+def verify_manifest(path, records: list | None = None) -> dict:
     """Parse, check and hash every line of a manifest in one pass; return its footer.
 
     Each record line must be the canonical encoding of a JSON object (kept
@@ -213,24 +198,8 @@ def _scan(path, records: list | None = None) -> dict:
     return footer
 
 
-def read_manifest(path) -> DatasetManifest:
-    """Load a manifest that passes every check `verify_manifest` makes."""
+def read_manifest(path) -> list[dict]:
+    """The records of a manifest that passes every check `verify_manifest` makes."""
     records: list[dict] = []
-    footer = _scan(path, records)
-    return DatasetManifest(tuple(records), footer["checksum"], footer.get("seed", 0))
-
-
-@dataclass(frozen=True)
-class VerifyResult:
-    ok: bool
-    reason: str = ""
-    first_divergence: int | None = None
-
-
-def verify_manifest(path) -> VerifyResult:
-    """Recompute the checksum and compare against the stored footer."""
-    try:
-        _scan(path)
-    except ManifestError as exc:
-        return VerifyResult(False, exc.reason, exc.record)
-    return VerifyResult(True)
+    verify_manifest(path, records)
+    return records

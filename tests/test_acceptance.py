@@ -18,7 +18,7 @@ from docstudy.analysis import analyze_document
 from docstudy.cli import main as cli_main
 from docstudy.corpus import document_from_record, ingest_jsonl
 from docstudy.curriculum import fairness_epochs, plan, preset_ids, render_stage_inputs
-from docstudy.dataset import SplitSpec, doc_record, qa_record, read_manifest, split_corpus, write_manifest
+from docstudy.dataset import doc_record, qa_record, read_manifest, split_corpus, write_manifest
 from docstudy.metrics import (
     aggregate_ppl,
     exact_match,
@@ -262,7 +262,7 @@ def test_criterion_4_curriculum_golden_files(golden_plans, tmp_path):
         assert len(preset_ids()) == 10
         for preset in preset_ids():
             built = plan(preset, refs, seed=0)
-            assert built.to_dict() == golden_plans[preset], preset
+            assert built == golden_plans[preset], preset
             total = fairness_epochs(built)
             if preset == "continued_pretraining":
                 assert total == 5
@@ -271,9 +271,9 @@ def test_criterion_4_curriculum_golden_files(golden_plans, tmp_path):
             else:
                 assert total == 3
         pit = plan("pit", refs, seed=0)
-        assert pit.stages[-1].replay.size == 64
+        assert pit["stages"][-1]["replay"]["size"] == 64
         st = plan("self_tuning", refs, seed=0)
-        assert st.stages[-1].replay.size == 128
+        assert st["stages"][-1]["replay"]["size"] == 128
 
         # rendered PIT stage 1: every QA record directly precedes its document
         docs = [doc_record(document_from_record(r)) for r in synthetic_records(12, seed=3)]
@@ -288,7 +288,7 @@ def test_criterion_4_curriculum_golden_files(golden_plans, tmp_path):
                 )
         write_manifest(qa_records, name="train_qa", split="train", path=tmp_path / "train_qa.jsonl")
         qa_manifest = read_manifest(tmp_path / "train_qa.jsonl")
-        rendered = render_stage_inputs(pit, 1, {"train_doc": doc_manifest, "train_qa": qa_manifest})
+        rendered = render_stage_inputs(pit["stages"][0], {"train_doc": doc_manifest, "train_qa": qa_manifest})
         for pos, record in enumerate(rendered):
             if record["kind"] != "qa":
                 continue
@@ -302,9 +302,8 @@ def test_criterion_5_split_guarantee():
         docs = [document_from_record(r) for r in synthetic_records(1000, seed=55)]
         all_ids = {d.id for d in docs}
         for seed in range(100):
-            spec = SplitSpec(test_fraction=0.1, seed=seed)
-            train_a, test_a = split_corpus(docs, spec)
-            train_b, test_b = split_corpus(docs, spec)
+            train_a, test_a = split_corpus(docs, test_fraction=0.1, seed=seed)
+            train_b, test_b = split_corpus(docs, test_fraction=0.1, seed=seed)
             assert [d.id for d in train_a] == [d.id for d in train_b]
             assert [d.id for d in test_a] == [d.id for d in test_b]
             assert {d.id for d in train_a} & {d.id for d in test_a} == set()
@@ -347,10 +346,9 @@ def test_criterion_6_pipeline_determinism(tmp_path):
         assert tree(tmp_path / "a") == tree(tmp_path / "b")
 
         def cloze_spans(root: Path):
-            manifest = read_manifest(root / "c_tasks.jsonl")
             return [
                 (r["payload"]["doc_id"], r["payload"]["provenance"])
-                for r in manifest.records
+                for r in read_manifest(root / "c_tasks.jsonl")
                 if r["payload"].get("kind") == "cloze"
             ]
 

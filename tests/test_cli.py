@@ -121,6 +121,20 @@ class TestPipeline:
         assert capsys.readouterr().err == f"data error: {qa_path}:21: QA pair references unknown document id 'doc-00020'\n"
         assert tree_bytes(out) == before
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [(["--fraction", "nan"], "test fraction nan outside (0,1)"), (["--ngram", "0"], "n-gram size 0 is not at least 1")],
+        ids=["fraction-nan", "ngram-0"],
+    )
+    def test_split_bad_argument_keeps_old_outputs(self, tmp_path, capsys, corpus_path, argv, reason):
+        out = tmp_path / "o"
+        assert run("--seed", 2, "--out", out, "split", "--corpus", corpus_path, "--name", "s") == 0
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert run("--seed", 3, "--out", out, "split", "--corpus", corpus_path, "--name", "s", *argv) == 2
+        assert capsys.readouterr().err == f"data error: {reason}\n"
+        assert tree_bytes(out) == before
+
     def test_gen_tasks_stats_percentages(self, tmp_path, corpus_path):
         out = tmp_path / "o"
         assert run("--seed", 3, "--out", out, "gen-tasks", "--corpus", corpus_path, "--name", "c") == 0
@@ -158,15 +172,22 @@ class TestPipeline:
         # map, the one thing kept per document, about 0.2 KB
         assert (large - small) / 300 < 2048, (small, large)
 
-    def test_verify_command(self, tmp_path, corpus_path):
+    def test_verify_command(self, tmp_path, capsys, corpus_path):
         out = tmp_path / "o"
         assert run("--seed", 3, "--out", out, "gen-tasks", "--corpus", corpus_path, "--name", "c") == 0
         manifest = out / "c_tasks.jsonl"
+        capsys.readouterr()
         assert run("verify", manifest) == 0
+        assert capsys.readouterr().out == f"{manifest}: ok\n"
+        lines = manifest.read_bytes().splitlines(keepends=True)
         raw = bytearray(manifest.read_bytes())
         raw[len(raw) // 2] ^= 0x01
         manifest.write_bytes(bytes(raw))
         assert run("verify", manifest) == 2
+        assert capsys.readouterr().out.startswith(f"{manifest}: MISMATCH ")
+        manifest.write_bytes(b"".join(lines[:3] + lines[-1:]))
+        assert run("verify", manifest) == 2
+        assert capsys.readouterr().out == f"{manifest}: MISMATCH truncated: 3 of {len(lines) - 1} records (record 2)\n"
 
     def test_jobs_flag_matches_serial(self, tmp_path, corpus_path):
         out_serial = tmp_path / "s"
@@ -388,6 +409,16 @@ class TestErrors:
              '{"doc_id": "zzz", "task": "generation", "question": "Q?", "answer": "A."}\n',
              ["split", "--corpus", "{corpus}", "--qa", "{file}"], 2,
              "{file}:2: QA pair references unknown document id 'zzz'"),
+            ("raw.jsonl", '{"id": {"x": 1}, "title": "T", "body": "A b."}\n', ["ingest", "--corpus", "{file}"], 2,
+             "{file}:1: 'id' must be a non-empty string or null, got {{'x': 1}}"),
+            ("raw.jsonl", '{"id": 0, "title": "T", "body": "A b."}\n', ["ingest", "--corpus", "{file}"], 2,
+             "{file}:1: 'id' must be a non-empty string or null, got 0"),
+            ("raw.jsonl", '{"id": false, "title": "T", "body": "A b."}\n', ["ingest", "--corpus", "{file}"], 2,
+             "{file}:1: 'id' must be a non-empty string or null, got False"),
+            ("raw.jsonl", '{"id": 7, "title": "T", "body": "A b."}\n', ["ingest", "--corpus", "{file}"], 2,
+             "{file}:1: 'id' must be a non-empty string or null, got 7"),
+            ("raw.jsonl", '{"id": "", "title": "T", "body": "A b."}\n', ["ingest", "--corpus", "{file}"], 2,
+             "{file}:1: 'id' must be a non-empty string or null, got ''"),
         ],
         ids=[
             "qa-row-without-task", "qa-line-not-json", "stats-qa-line-not-json", "truncated-qa-cache",
@@ -400,6 +431,7 @@ class TestErrors:
             "task-config-multiplicity-unknown-kind", "task-config-template-unknown-kind",
             "task-config-multiplicity-negative", "lexicon-not-utf8", "abbreviations-not-utf8",
             "split-ngram-0", "split-ngram-negative", "qa-row-unknown-document",
+            "corpus-id-object", "corpus-id-zero", "corpus-id-false", "corpus-id-int", "corpus-id-empty",
         ],
     )
     def test_malformed_input_names_file(self, tmp_path, capsys, monkeypatch, name, content, argv, code, where):
@@ -503,6 +535,43 @@ class TestErrors:
         for command in commands:
             assert run("--out", out, *command, "--corpus", bad) == 2
         assert "Traceback" not in capsys.readouterr().err
+        assert not list(out.glob(".*.tmp"))
+        assert tree_bytes(out) == before
+
+    @pytest.mark.parametrize(
+        "preset, qa_count, reason",
+        [
+            ("self_tuning", 6, "replay size 128 exceeds manifest of 6 records"),
+            ("pit_plus_plus", 0, "stage 1 of pit_plus_plus renders no records"),
+        ],
+        ids=["replay-exceeds-manifest", "empty-first-stage"],
+    )
+    def test_render_failure_keeps_every_old_output(self, tmp_path, capsys, corpus_path, preset, qa_count, reason):
+        inputs, out = tmp_path / "in", tmp_path / "o"
+        assert run("--seed", 1, "--out", inputs, "gen-tasks", "--corpus", corpus_path, "--name", "c") == 0
+        docs = [doc_record(doc) for doc in iter_documents(corpus_path)]
+        # 140 QA records on the train side, enough for self_tuning's replay of 128
+        qa = [qa_record(QAPair(doc_id=d["payload"]["id"], task="generation", question=f"Q{k}?", answer="A."))
+              for d in docs[:20] for k in range(7)]
+        refs = {"train_doc": inputs / "train_doc.jsonl", "test_doc": inputs / "test_doc.jsonl",
+                "train_qa": inputs / "train_qa.jsonl", "train_self": inputs / "c_tasks.jsonl"}
+        write_manifest(docs[:20], name="train", split="train", path=refs["train_doc"])
+        write_manifest(docs[20:], name="test", split="test", path=refs["test_doc"])
+        write_manifest(qa, name="qa", split="train", path=refs["train_qa"])
+        argv = ["plan", "--preset", preset, "--render", *[f"--ref={n}={p}" for n, p in refs.items()]]
+        assert run("--out", out, *argv) == 0
+        before = tree_bytes(out)
+        assert set(before) == {f"{preset}_plan.json", *(f"{preset}_stage{i}.jsonl" for i in (1, 2, 3))}
+        if qa_count:
+            write_manifest(qa[:qa_count], name="qa", split="train", path=refs["train_qa"])
+        else:
+            # checksummed by hand, as write_manifest refuses an empty manifest
+            empty = {"checksum": hashlib.sha256(b"").hexdigest(), "count": 0, "seed": 0}
+            refs["train_qa"].write_bytes(encode_line(empty))
+        capsys.readouterr()
+        # another seed, so the plan itself would change as well
+        assert run("--seed", 1, "--out", out, *argv) == 2
+        assert capsys.readouterr().err == f"data error: {reason}\n"
         assert not list(out.glob(".*.tmp"))
         assert tree_bytes(out) == before
 
@@ -738,4 +807,6 @@ class TestImportBudget:
         forbidden = {f"docstudy.{name}" for name in IMPORT_BUDGETS[command]} | {"urllib.request", "http.client"}
         if command != "gen-qa":
             forbidden |= {"logging", "concurrent.futures"}
+        if command in ("plan", "verify"):
+            forbidden.add("dataclasses")
         assert sorted(forbidden & set(loaded)) == []

@@ -105,6 +105,9 @@ class TestIngest:
         assert len(corpus[0].id) == 16
         again = ingest_jsonl(path)
         assert corpus[0].id == again[0].id
+        # a null id is an absent one
+        path.write_text('{"id": null, "title": "T", "body": "Some body."}\n')
+        assert ingest_jsonl(path)[0].id == corpus[0].id
 
     def test_wiki_suffix_stripped_from_title(self, tmp_path):
         path = tmp_path / "c.jsonl"

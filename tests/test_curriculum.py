@@ -4,10 +4,10 @@ import re
 
 import pytest
 
+from docstudy.cli import main
 from docstudy.corpus import document_from_record
 from docstudy.curriculum import (
     REF_KINDS,
-    StagePlan,
     fairness_epochs,
     plan,
     plan_schema,
@@ -16,11 +16,10 @@ from docstudy.curriculum import (
     render_stage_inputs,
     required_refs,
     sample_replay,
-    write_plan,
 )
 from docstudy.dataset import doc_record, qa_record, read_manifest, verify_manifest, write_manifest
 from docstudy.errors import DataError, UsageError
-from docstudy.jsonio import encode_line
+from docstudy.jsonio import encode_line, read_json, write_json
 from docstudy.qagen import QAPair
 
 from _synth import synthetic_records
@@ -76,7 +75,7 @@ class TestPresetCoverage:
 
     def test_golden_plans(self, golden_plans):
         for preset in ALL_PRESETS:
-            built = plan(preset, REFS, seed=0).to_dict()
+            built = plan(preset, REFS, seed=0)
             assert built == golden_plans[preset], preset
 
     def test_every_preset_ref_declares_its_record_kind(self):
@@ -86,7 +85,7 @@ class TestPresetCoverage:
         assert refs == set(REF_KINDS)
 
     def test_cross_domain_tail_schedule(self, golden_plans):
-        built = plan("self_tuning", REFS, seed=0, cross_domain=True).to_dict()
+        built = plan("self_tuning", REFS, seed=0, cross_domain=True)
         assert built == golden_plans["self_tuning_cross_domain"]
         epochs = [s["epochs"] for s in built["stages"]]
         assert epochs == [2, 2, 1]
@@ -105,13 +104,13 @@ class TestPresetCoverage:
     def test_replay_sizes(self):
         pit = plan("pit", REFS, seed=3)
         st = plan("self_tuning", REFS, seed=3)
-        assert pit.stages[-1].replay.size == 64
-        assert st.stages[-1].replay.size == 128
-        assert st.stages[-1].replay.seed == 3
+        assert pit["stages"][-1]["replay"]["size"] == 64
+        assert st["stages"][-1]["replay"]["size"] == 128
+        assert st["stages"][-1]["replay"]["seed"] == 3
         for preset in ALL_PRESETS:
             if preset in ("pit", "self_tuning"):
                 continue
-            assert all(s.replay is None for s in plan(preset, REFS, seed=3).stages)
+            assert all("replay" not in s for s in plan(preset, REFS, seed=3)["stages"])
 
     def test_unknown_preset_lists_valid_ids(self):
         with pytest.raises(UsageError) as err:
@@ -135,26 +134,30 @@ class TestPresetCoverage:
         schema = plan_schema()
         for preset in ALL_PRESETS:
             built = plan(preset, REFS, seed=1)
-            write_plan(built, tmp_path / "p.json")
+            write_json(tmp_path / "p.json", built)
             payload = json.loads((tmp_path / "p.json").read_text("utf-8"))
             jsonschema.validate(payload, schema)
 
-    def test_plan_json_round_trip(self):
-        built = plan("self_tuning", REFS, seed=2)
-        assert StagePlan.from_dict(built.to_dict()) == built
+    def test_plan_json_round_trip(self, tmp_path):
+        refs = []
+        for name in required_refs("self_tuning"):
+            (tmp_path / REFS[name]).touch()
+            refs.append(f"--ref={name}={tmp_path / REFS[name]}")
+        assert main(["--seed", "2", "--out", str(tmp_path / "o"), "plan", "--preset", "self_tuning", *refs]) == 0
+        assert read_json(tmp_path / "o" / "self_tuning_plan.json") == plan("self_tuning", REFS, seed=2)
 
 
 class TestReadRef:
     def test_matching_kind_loads(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         manifest = _qa_manifest(tmp_path, ["a", "b"])
-        write_manifest(manifest.records, name="qa", split="train", path=path)
-        assert read_ref("train_qa", path).records == manifest.records
+        write_manifest(manifest, name="qa", split="train", path=path)
+        assert read_ref("train_qa", path) == manifest
 
     def test_first_record_of_another_kind_is_named(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
         docs = _doc_manifest(tmp_path, 2)
-        write_manifest(_qa_manifest(tmp_path, ["a"]).records + docs.records, name="mixed", split="train", path=path)
+        write_manifest(_qa_manifest(tmp_path, ["a"]) + docs, name="mixed", split="train", path=path)
         with pytest.raises(DataError, match=r"record 2 is kind 'doc'; ref train_qa needs 'qa'"):
             read_ref("train_qa", path)
 
@@ -175,7 +178,7 @@ class TestReadRef:
         path = tmp_path / "bad.jsonl"
         footer = {"checksum": hashlib.sha256(line).hexdigest(), "count": 1, "seed": 0}
         path.write_bytes(line + encode_line(footer))
-        assert verify_manifest(path).ok
+        assert verify_manifest(path) == footer
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: record 0 {re.escape(reason)}$"):
             read_ref(ref, path)
 
@@ -191,12 +194,12 @@ class TestSampleReplay:
     def test_full_set_in_original_order(self, tmp_path):
         manifest = _qa_manifest(tmp_path, ["a", "b", "c"], per_doc=1)
         sampled = sample_replay(manifest, 3, seed=9)
-        assert sampled == list(manifest.records)
+        assert sampled == manifest
 
     def test_stable_order_by_original_index(self, tmp_path):
         manifest = _qa_manifest(tmp_path, [f"d{i}" for i in range(50)], per_doc=1)
         sampled = sample_replay(manifest, 10, seed=4)
-        positions = [manifest.records.index(r) for r in sampled]
+        positions = [manifest.index(r) for r in sampled]
         assert positions == sorted(positions)
 
     def test_same_seed_identical(self, tmp_path):
@@ -212,47 +215,31 @@ class TestSampleReplay:
 class TestRender:
     def _manifests(self, tmp_path, n_docs=6):
         docs = _doc_manifest(tmp_path, n_docs, name="train_doc")
-        doc_ids = [r["payload"]["id"] for r in docs.records]
+        doc_ids = [r["payload"]["id"] for r in docs]
         qa = _qa_manifest(tmp_path, doc_ids, per_doc=2, name="train_qa")
         test_docs = _doc_manifest(tmp_path, 3, seed=99, name="test_doc")
         return {"train_doc": docs, "train_qa": qa, "test_doc": test_docs}
 
     def test_concat_is_a_plus_b(self, tmp_path):
         manifests = self._manifests(tmp_path)
-        stage_plan = StagePlan.from_dict(
-            {
-                "method": "custom",
-                "stages": [
-                    {"index": 1, "epochs": 1, "mix": "concat", "refs": ["train_doc", "test_doc"]}
-                ],
-            }
-        )
-        records = render_stage_inputs(stage_plan, 1, manifests)
-        expected = list(manifests["train_doc"].records) + list(manifests["test_doc"].records)
+        stage = {"index": 1, "epochs": 1, "mix": "concat", "refs": ["train_doc", "test_doc"]}
+        records = render_stage_inputs(stage, manifests)
+        expected = manifests["train_doc"] + manifests["test_doc"]
         assert records == expected
 
     def test_interleave_conserves_and_is_deterministic(self, tmp_path):
         manifests = self._manifests(tmp_path)
-        stage_plan = StagePlan.from_dict(
-            {
-                "method": "custom",
-                "stages": [
-                    {"index": 1, "epochs": 1, "mix": "interleave", "refs": ["train_doc", "train_qa"]}
-                ],
-            }
-        )
-        a = render_stage_inputs(stage_plan, 1, manifests)
-        b = render_stage_inputs(stage_plan, 1, manifests)
+        stage = {"index": 1, "epochs": 1, "mix": "interleave", "refs": ["train_doc", "train_qa"]}
+        a = render_stage_inputs(stage, manifests)
+        b = render_stage_inputs(stage, manifests)
         assert a == b
-        assert len(a) == len(manifests["train_doc"].records) + len(manifests["train_qa"].records)
+        assert len(a) == len(manifests["train_doc"]) + len(manifests["train_qa"])
 
     def test_pit_pairing_places_qa_immediately_before_doc(self, tmp_path):
         manifests = self._manifests(tmp_path)
         pit = plan("pit", REFS, seed=0)
-        records = render_stage_inputs(pit, 1, manifests)
-        assert len(records) == len(manifests["train_doc"].records) + len(
-            manifests["train_qa"].records
-        )
+        records = render_stage_inputs(pit["stages"][0], manifests)
+        assert len(records) == len(manifests["train_doc"]) + len(manifests["train_qa"])
         for pos, record in enumerate(records):
             if record["kind"] != "qa":
                 continue
@@ -264,7 +251,7 @@ class TestRender:
             else:
                 pytest.fail("qa record with no following document")
         # each doc is directly preceded by its own qa block
-        doc_ids = [r["payload"]["id"] for r in manifests["train_doc"].records]
+        doc_ids = [r["payload"]["id"] for r in manifests["train_doc"]]
         for doc_id in doc_ids:
             doc_pos = next(
                 i for i, r in enumerate(records)
@@ -278,28 +265,22 @@ class TestRender:
         orphan = qa_record(
             QAPair(doc_id="missing-doc", task="generation", question="Q?", answer="A.")
         )
-        manifests["train_qa"] = _manifest(tmp_path, list(manifests["train_qa"].records) + [orphan], "train_qa")
+        manifests["train_qa"] = _manifest(tmp_path, manifests["train_qa"] + [orphan], "train_qa")
         pit = plan("pit", REFS, seed=0)
         with pytest.raises(DataError) as err:
-            render_stage_inputs(pit, 1, manifests)
+            render_stage_inputs(pit["stages"][0], manifests)
         assert "missing-doc" in str(err.value)
 
     def test_replay_merged_into_final_stage(self, tmp_path):
         manifests = self._manifests(tmp_path, n_docs=100)
-        assert len(manifests["train_qa"].records) == 200
+        assert len(manifests["train_qa"]) == 200
         st = plan("self_tuning", {**REFS}, seed=1)
         manifests["train_self"] = _doc_manifest(tmp_path, 2, seed=5, name="train_self")
-        records = render_stage_inputs(st, 3, manifests)
+        records = render_stage_inputs(st["stages"][2], manifests)
         qa_records = [r for r in records if r["kind"] == "qa"]
         assert len(qa_records) == 128
-        doc_count = len(manifests["test_doc"].records)
+        doc_count = len(manifests["test_doc"])
         assert len(records) == doc_count + 128
-
-    def test_unknown_stage_index(self, tmp_path):
-        manifests = self._manifests(tmp_path)
-        stage_plan = plan("continued_pretraining", REFS, seed=0)
-        with pytest.raises(DataError):
-            render_stage_inputs(stage_plan, 9, manifests)
 
 
 class TestFairnessHelper:

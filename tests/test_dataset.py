@@ -7,7 +7,6 @@ from docstudy.corpus import RawDocument, document_from_record, ingest_jsonl
 from docstudy.dataset import (
     DegenerateSplitError,
     ManifestError,
-    SplitSpec,
     attach_loss_policy,
     doc_record,
     overlap_report,
@@ -36,12 +35,12 @@ def ids(docs):
 class TestSplit:
     def test_paper_sized_split(self):
         corpus = make_corpus(1263)
-        train, test = split_corpus(corpus, SplitSpec(test_fraction=0.1, seed=42))
+        train, test = split_corpus(corpus, test_fraction=0.1, seed=42)
         assert (len(train), len(test)) == (1136, 127)
 
     def test_two_docs_half(self):
         corpus = make_corpus(2)
-        train, test = split_corpus(corpus, SplitSpec(test_fraction=0.5, seed=1))
+        train, test = split_corpus(corpus, test_fraction=0.5, seed=1)
         assert len(train) == 1 and len(test) == 1
 
     def test_duplicate_title_rejected_before_split(self):
@@ -49,25 +48,24 @@ class TestSplit:
         records[3]["title"] = records[0]["title"]
         docs = [document_from_record(r) for r in records]
         with pytest.raises(DataError):
-            split_corpus(docs, SplitSpec(test_fraction=0.5, seed=1))
+            split_corpus(docs, test_fraction=0.5, seed=1)
 
     def test_duplicate_id_rejected_before_split(self):
         docs = [RawDocument(id="x", title="T", body="B."), RawDocument(id="x", title="U", body="C.")]
         with pytest.raises(DataError, match=r"duplicate ids prevent a zero-overlap split: \['x'\]"):
-            split_corpus(docs, SplitSpec(test_fraction=0.5, seed=1))
+            split_corpus(docs, test_fraction=0.5, seed=1)
 
     def test_degenerate_split_rejected(self):
         corpus = make_corpus(2)
         with pytest.raises(DegenerateSplitError):
-            split_corpus(corpus, SplitSpec(test_fraction=0.95, seed=1))
+            split_corpus(corpus, test_fraction=0.95, seed=1)
         with pytest.raises(DegenerateSplitError):
-            split_corpus(make_corpus(1), SplitSpec(test_fraction=0.5, seed=1))
+            split_corpus(make_corpus(1), test_fraction=0.5, seed=1)
 
     def test_disjoint_conserving_deterministic(self):
         corpus = make_corpus(100, seed=3)
-        spec = SplitSpec(test_fraction=0.2, seed=7)
-        train_a, test_a = split_corpus(corpus, spec)
-        train_b, test_b = split_corpus(corpus, spec)
+        train_a, test_a = split_corpus(corpus, test_fraction=0.2, seed=7)
+        train_b, test_b = split_corpus(corpus, test_fraction=0.2, seed=7)
         assert [d.id for d in train_a] == [d.id for d in train_b]
         assert [d.id for d in test_a] == [d.id for d in test_b]
         assert ids(train_a) & ids(test_a) == set()
@@ -77,16 +75,22 @@ class TestSplit:
 
     def test_order_preserved_within_sides(self):
         corpus = make_corpus(50, seed=5)
-        train, test = split_corpus(corpus, SplitSpec(test_fraction=0.3, seed=11))
+        train, test = split_corpus(corpus, test_fraction=0.3, seed=11)
         original = [d.id for d in corpus]
         assert [d.id for d in train] == [i for i in original if i in ids(train)]
         assert [d.id for d in test] == [i for i in original if i in ids(test)]
 
     def test_fraction_bounds_validated(self):
-        with pytest.raises(DataError):
-            SplitSpec(test_fraction=0.0, seed=1)
-        with pytest.raises(DataError):
-            SplitSpec(test_fraction=1.0, seed=1)
+        # checked before the documents: even a one-document corpus names the fraction
+        for fraction in (0.0, 1.0, float("nan")):
+            with pytest.raises(DataError, match=rf"^test fraction {fraction} outside \(0,1\)$"):
+                split_corpus(make_corpus(1), test_fraction=fraction, seed=1)
+
+    @pytest.mark.parametrize("ngram_size", [0, -3])
+    def test_ngram_size_validated(self, ngram_size):
+        train, test = split_corpus(make_corpus(4), test_fraction=0.5, seed=1)
+        with pytest.raises(DataError, match=f"^n-gram size {ngram_size} is not at least 1$"):
+            overlap_report(train, test, ngram_size=ngram_size)
 
     def test_overlap_report_advisory(self):
         records = synthetic_records(6, seed=9)
@@ -95,7 +99,7 @@ class TestSplit:
         records[0]["body"] += f" {shared}."
         records[5]["body"] += f" {shared}."
         corpus = [document_from_record(r) for r in records]
-        train, test = split_corpus(corpus, SplitSpec(test_fraction=0.34, seed=2))
+        train, test = split_corpus(corpus, test_fraction=0.34, seed=2)
         report = overlap_report(train, test, ngram_size=8)
         assert report["ngram_size"] == 8
         sides = {r["id"] for r in (records[0], records[5])}
@@ -140,6 +144,13 @@ class TestLossPolicy:
         with pytest.raises(DataError):
             attach_loss_policy({"kind": "mystery"})
 
+    @pytest.mark.parametrize("kind", ["doc", "task", "qa"])
+    @pytest.mark.parametrize("payload", ["oops", ["oops"], None], ids=["string", "list", "null"])
+    def test_payload_not_an_object_error(self, tmp_path, kind, payload):
+        with pytest.raises(DataError, match=f"^{kind} record has a payload that is not an object$"):
+            write_manifest([{"kind": kind, "payload": payload}], "m", "train", tmp_path / "m.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestManifests:
     def _records(self, n=5, seed=0):
@@ -162,7 +173,7 @@ class TestManifests:
         records = self._records(1)[:1]
         footer = write_manifest(records, "m", "train", tmp_path / "m.jsonl")
         assert footer["count"] == 1
-        assert verify_manifest(tmp_path / "m.jsonl").ok
+        assert verify_manifest(tmp_path / "m.jsonl") == footer
 
     def test_empty_manifest_rejected(self, tmp_path):
         with pytest.raises(DataError):
@@ -170,7 +181,7 @@ class TestManifests:
 
     def test_every_record_has_one_policy(self, tmp_path):
         write_manifest(self._records(), "m", "train", tmp_path / "m.jsonl")
-        for record in read_manifest(tmp_path / "m.jsonl").records:
+        for record in read_manifest(tmp_path / "m.jsonl"):
             assert record["loss_policy"] in ("full_sequence", "answer_only")
 
     def test_footer_schema(self, tmp_path):
@@ -184,9 +195,9 @@ class TestManifests:
         records = self._records()
         footer = write_manifest(records, "m", "train", tmp_path / "m.jsonl", seed=1)
         loaded = read_manifest(tmp_path / "m.jsonl")
-        assert loaded.records == tuple(attach_loss_policy(record) for record in records)
-        assert loaded.checksum == footer["checksum"]
-        write_manifest(loaded.records, "m", "train", tmp_path / "again.jsonl", seed=loaded.seed)
+        assert loaded == [attach_loss_policy(record) for record in records]
+        assert verify_manifest(tmp_path / "m.jsonl") == footer
+        write_manifest(loaded, "m", "train", tmp_path / "again.jsonl", seed=footer["seed"])
         assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "m.jsonl").read_bytes()
 
 
@@ -200,16 +211,17 @@ class TestVerify:
         return path
 
     def _rejected(self, path):
-        """verify's result, after checking that read_manifest refuses the file for the same reason."""
-        result = verify_manifest(path)
+        """verify's error, after checking that read_manifest refuses the file for the same reason."""
+        with pytest.raises(ManifestError) as verified:
+            verify_manifest(path)
         with pytest.raises(ManifestError) as err:
             read_manifest(path)
-        assert (err.value.reason, err.value.record) == (result.reason, result.first_divergence)
-        assert not result.ok
-        return result
+        assert (err.value.reason, err.value.record) == (verified.value.reason, verified.value.record)
+        return verified.value
 
     def test_untouched_ok(self, tmp_path):
-        assert verify_manifest(self._write(tmp_path)).ok
+        path = self._write(tmp_path)
+        assert verify_manifest(path) == json.loads(path.read_text("utf-8").splitlines()[-1])
 
     def test_truncated_reports_last_index(self, tmp_path):
         path = self._write(tmp_path)
@@ -217,7 +229,7 @@ class TestVerify:
         path.write_text("\n".join(lines[:3] + lines[-1:]) + "\n", "utf-8")
         result = self._rejected(path)
         assert "truncated" in result.reason
-        assert result.first_divergence == 2
+        assert result.record == 2
 
     def test_flipped_byte_rejected(self, tmp_path):
         path = self._write(tmp_path)
@@ -240,14 +252,14 @@ class TestVerify:
         lines[3] = json.dumps(json.loads(lines[3]))
         path.write_text("\n".join(lines) + "\n", "utf-8")
         result = self._rejected(path)
-        assert (result.reason, result.first_divergence) == ("non-canonical record encoding", 3)
+        assert (result.reason, result.record) == ("non-canonical record encoding", 3)
 
     def test_unparseable_record_localized(self, tmp_path):
         path = self._write(tmp_path)
         lines = path.read_text("utf-8").splitlines()
         lines[4] = "garbage{"
         path.write_text("\n".join(lines) + "\n", "utf-8")
-        assert self._rejected(path).first_divergence == 4
+        assert self._rejected(path).record == 4
 
 
 class TestSideFollowing:
@@ -256,7 +268,7 @@ class TestSideFollowing:
         path = tmp_path / "c.jsonl"
         write_jsonl(records, path)
         corpus = ingest_jsonl(path)
-        train, test = split_corpus(corpus, SplitSpec(test_fraction=0.25, seed=13))
+        train, test = split_corpus(corpus, test_fraction=0.25, seed=13)
         pairs = [
             QAPair(doc_id=rec["id"], task="generation", question="Q?", answer="A.")
             for rec in records
