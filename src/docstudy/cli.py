@@ -116,12 +116,11 @@ def cmd_gen_tasks(args, config) -> int:
         for doc in iter_documents(args.corpus):
             suite = taskgen.build_suite(analysis.analyze_document(doc, **overrides), task_config, seed=seed)
             for example in suite.examples:
-                add_task(dataset.task_record(example))
+                add_task(dataset.record_line(dataset.task_record(example)))
             if args.reading:
                 text = taskgen.format_reading_comprehension(suite)
-                add_reading(
-                    {"kind": dataset.KIND_DOC, "payload": {"id": doc.id, "title": doc.title, "body": text}}
-                )
+                reading = {"kind": dataset.KIND_DOC, "payload": {"id": doc.id, "title": doc.title, "body": text}}
+                add_reading(dataset.record_line(reading))
             counts.update(suite.counts)
             docs += 1
     write_json(out / f"{name}_tasks_stats.json", stats.suite_stats(counts))
@@ -141,6 +140,9 @@ def cmd_gen_qa(args, config) -> int:
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     docs = list(iter_documents(args.corpus))
     cache_dir = Path(args.cache_dir) if args.cache_dir else out / "qa_cache"
+    # every id must name a cache file before the first request is sent
+    for doc in docs:
+        qagen.cache_path(cache_dir, doc.id, args.task)
     cache_dir.mkdir(parents=True, exist_ok=True)
 
     # a cache file replays only if it holds the request this run would send
@@ -223,20 +225,15 @@ def cmd_plan(args, config) -> int:
         raise DataError(f"referenced manifest files do not exist: {', '.join(missing_files)}")
     stage_plan = curriculum.plan(args.preset, refs, seed=seed, cross_domain=args.cross_domain)
     if args.render:
-        records = {name: curriculum.read_ref(name, refs[name]) for name in sorted(needed)}
+        scans = curriculum.scan_refs(stage_plan, refs)
         # every stage is written to its temp file before any replaces its
         # old output, so a stage that fails leaves every output as it was
         with ExitStack() as stack:
             for stage in stage_plan["stages"]:
                 path = out / f"{args.preset}_stage{stage['index']}.jsonl"
                 add = stack.enter_context(dataset.manifest_writer(path, seed))
-                rendered = curriculum.render_stage_inputs(stage, records)
-                # the writer refuses an empty manifest only as it closes,
-                # after the later stages have replaced their outputs
-                if not rendered:
-                    raise DataError(f"stage {stage['index']} of {args.preset} renders no records")
-                for record in rendered:
-                    add(record)
+                for line in curriculum.stage_lines(stage, scans):
+                    add(line)
     target = out / f"{args.preset}_plan.json"
     write_json(target, stage_plan)
     print(f"planned {args.preset}: {len(stage_plan['stages'])} stages -> {target}")

@@ -2,18 +2,31 @@
 
 The ten method presets live in a versioned fixture file; planning
 validates that every referenced manifest is supplied, and rendering
-materializes one trainer-consumable record list per stage. This package
-never trains anything.
+streams one trainer-consumable manifest per stage: a first pass checks
+each ref once, and a second copies its verified lines per stage, without
+holding its records. This package never trains anything.
 """
 
 from __future__ import annotations
 
+import hashlib
+import heapq
 import json
 from functools import lru_cache
 from importlib import resources
+from itertools import chain, islice
 
-from .dataset import KIND_DOC, KIND_QA, KIND_TASK, read_manifest
+from .dataset import (
+    KIND_DOC,
+    KIND_QA,
+    KIND_TASK,
+    ManifestReader,
+    attach_loss_policy,
+    read_manifest,
+    record_line,
+)
 from .errors import DataError, UsageError
+from .jsonio import parse_object
 from .rng import Stream, mix_key
 
 MIX_CONCAT = "concat"
@@ -86,23 +99,127 @@ def plan(preset: str, refs: dict, seed: int = 0, cross_domain: bool = False) -> 
     return {"method": preset, "stages": stages}
 
 
+def _fault(record: dict, name: str, needs: str, key: str | None) -> str | None:
+    """Why rendering cannot read `record` from ref `name`, or None if it can."""
+    if record.get("kind") != needs:
+        return f"is kind {record.get('kind')!r}; ref {name} needs {needs!r}"
+    payload = record.get("payload")
+    if not isinstance(payload, dict):
+        return "has a payload that is not an object"
+    if key is not None and not isinstance(payload.get(key), str):
+        return f"has no string payload {key!r}"
+    return None
+
+
 def read_ref(name: str, path) -> list[dict]:
     """The records of the manifest behind ref `name`, refusing a record of
     another kind or one whose payload rendering cannot read."""
-    records = read_manifest(path)
     needs = REF_KINDS[name]
     key = _PAYLOAD_KEYS.get(needs)
+    records = read_manifest(path)
     for index, record in enumerate(records):
-        if record.get("kind") != needs:
-            raise DataError(
-                f"{path}: record {index} is kind {record.get('kind')!r}; ref {name} needs {needs!r}"
-            )
-        payload = record.get("payload")
-        if not isinstance(payload, dict):
-            raise DataError(f"{path}: record {index} has a payload that is not an object")
-        if key is not None and not isinstance(payload.get(key), str):
-            raise DataError(f"{path}: record {index} has no string payload {key!r}")
+        fault = _fault(record, name, needs, key)
+        if fault is not None:
+            raise DataError(f"{path}: record {index} {fault}")
     return records
+
+
+class RefScan:
+    """What rendering keeps of one ref's manifest after its first pass: the
+    record count and checksum, whether its lines need the loss policy
+    stamped again, and, for a pairing stage, its lines by payload `doc_id`."""
+
+    def __init__(self, path, count: int, checksum: str, restamp: bool, by_doc: dict | None):
+        self.path, self.count, self.checksum = path, count, checksum
+        self.restamp, self.by_doc = restamp, by_doc
+
+
+def scan_ref(name: str, path, pairing: bool = False) -> RefScan:
+    """Make every check `read_ref` makes on the manifest behind ref `name`,
+    holding no record; with `pairing`, index its lines by payload `doc_id`."""
+    needs = REF_KINDS[name]
+    key = _PAYLOAD_KEYS.get(needs)
+    fault = None
+    restamp = False
+    by_doc = {} if pairing else None
+    reader = ManifestReader(path)
+    for index, (record, line) in enumerate(reader):
+        if fault is not None:
+            continue
+        fault = _fault(record, name, needs, key)
+        if fault is not None:
+            fault = f"{path}: record {index} {fault}"
+            continue
+        stamped = attach_loss_policy(record) is record
+        restamp = restamp or not stamped
+        if by_doc is not None:
+            doc_id = record["payload"].get("doc_id")
+            if not isinstance(doc_id, str):
+                fault = f"{path}: record {index} has no string payload 'doc_id'"
+                continue
+            by_doc.setdefault(doc_id, []).append(line if stamped else record_line(record))
+    # as in read_ref, a fault of the manifest comes before a record rendering cannot read
+    if fault is not None:
+        raise DataError(fault)
+    return RefScan(path, reader.footer["count"], reader.footer["checksum"], restamp, by_doc)
+
+
+def scan_refs(stage_plan: dict, refs: dict) -> dict[str, RefScan]:
+    """`scan_ref` over every ref a plan renders, in name order."""
+    names, pairing = set(), set()
+    for stage in stage_plan["stages"]:
+        names.update(stage["refs"])
+        if "replay" in stage:
+            names.add(stage["replay"]["source"])
+        if stage["mix"] == MIX_PREFIX_PAIR:
+            pairing.update(name for name in stage["refs"] if REF_KINDS[name] != KIND_DOC)
+    return {name: scan_ref(name, refs[name], name in pairing) for name in sorted(names)}
+
+
+def _changed(path) -> DataError:
+    return DataError(f"{path}: changed since it was verified")
+
+
+def _lines(scan: RefScan):
+    """A ref's record lines read again, each hashed against the checksum of
+    the first pass and stamped again if the ref needs it."""
+    digest = hashlib.sha256()
+    with open(scan.path, "rb") as handle:
+        for line in islice(handle, scan.count):
+            digest.update(line)
+            if scan.restamp:
+                try:
+                    line = record_line(parse_object(line.decode("utf-8")))
+                except (ValueError, DataError):
+                    raise _changed(scan.path) from None
+            yield line
+    if digest.hexdigest() != scan.checksum:
+        raise _changed(scan.path)
+
+
+def _doc_lines(scan: RefScan):
+    """(doc id, line) for each line `_lines` yields from a doc ref."""
+    for line in _lines(scan):
+        try:
+            doc_id = parse_object(line.decode("utf-8"))["payload"]["id"]
+        except (ValueError, LookupError, TypeError):
+            raise _changed(scan.path) from None
+        yield doc_id, line
+
+
+def stage_lines(stage: dict, scans: dict[str, RefScan]):
+    """Yield the record lines of one plan stage's manifest, read again from
+    the refs `scan_refs` checked; a ref whose lines changed since is a DataError."""
+    def pair(names):
+        docs = chain.from_iterable(_doc_lines(scans[name]) for name in names if REF_KINDS[name] == KIND_DOC)
+        by_doc: dict[str, list[bytes]] = {}
+        for name in names:
+            if REF_KINDS[name] != KIND_DOC:
+                for doc_id, lines in scans[name].by_doc.items():
+                    by_doc.setdefault(doc_id, []).extend(lines)
+        return docs, by_doc
+
+    return _render(stage, lambda name: scans[name].count, lambda name: _lines(scans[name]), pair)
 
 
 def fairness_epochs(stage_plan: dict, test_ref: str = TEST_DOC_REF) -> int:
@@ -110,48 +227,81 @@ def fairness_epochs(stage_plan: dict, test_ref: str = TEST_DOC_REF) -> int:
     return sum(s["epochs"] for s in stage_plan["stages"] if test_ref in s["refs"])
 
 
-def sample_replay(records: list[dict], size: int, seed: int) -> list[dict]:
-    """Seeded sample without replacement, stable in original order."""
-    n = len(records)
+def _replay_picks(n: int, size: int, seed: int) -> list[int]:
     if size > n:
         raise DataError(f"replay size {size} exceeds manifest of {n} records")
-    indices = Stream(mix_key(seed, "replay")).sample_indices(n, size)
-    return [records[i] for i in indices]
+    return Stream(mix_key(seed, "replay")).sample_indices(n, size)
 
 
-def _interleave(groups: list[list[dict]]) -> list[dict]:
-    """Proportional merge: record r of a group of n sorts at (r + 0.5) / n."""
-    keyed = []
-    for g_index, group in enumerate(groups):
-        n = len(group)
-        if n == 0:
-            continue
-        for r_index, record in enumerate(group):
-            keyed.append(((r_index + 0.5) / n, g_index, r_index, record))
-    keyed.sort(key=lambda item: item[:3])
-    return [item[3] for item in keyed]
+def _pick(items, picks: list[int]):
+    """The items at the ascending positions `picks`; reads `items` to its end."""
+    picks = iter(picks)
+    want = next(picks, None)
+    for r, item in enumerate(items):
+        if r == want:
+            yield item
+            want = next(picks, None)
 
 
-def _prefix_pair(groups: list[list[dict]]) -> list[dict]:
-    """Each document preceded by its own QA/task records, documents in order."""
-    docs: list[dict] = []
-    others: list[dict] = []
-    for group in groups:
-        for record in group:
-            (docs if record.get("kind") == KIND_DOC else others).append(record)
-    doc_ids = [rec["payload"]["id"] for rec in docs]
-    known = set(doc_ids)
-    by_doc: dict[str, list[dict]] = {doc_id: [] for doc_id in doc_ids}
-    for record in others:
-        doc_id = record.get("payload", {}).get("doc_id")
-        if doc_id not in known:
+def sample_replay(records: list[dict], size: int, seed: int) -> list[dict]:
+    """Seeded sample without replacement, stable in original order."""
+    return list(_pick(records, _replay_picks(len(records), size, seed)))
+
+
+def _keyed(g: int, n: int, items):
+    for r, item in enumerate(items):
+        yield (r + 0.5) / n, g, r, item
+
+
+def _interleave(groups):
+    """Proportional merge of (n, items) pairs: item r of a group of n goes
+    at (r + 0.5) / n, ties to the earlier group."""
+    merged = heapq.merge(*[_keyed(g, n, items) for g, (n, items) in enumerate(groups) if n])
+    return (item for _, _, _, item in merged)
+
+
+def _prefix_pair(docs, by_doc: dict):
+    """Each document preceded by its own QA/task records, documents in order;
+    `docs` yields (doc id, document), and `by_doc` maps a doc id to its records."""
+    paired = set()
+    for doc_id, doc in docs:
+        own = by_doc.get(doc_id)
+        if own is not None:
+            if doc_id in paired:
+                raise DataError(f"document id {doc_id!r} occurs twice in pairing mode")
+            paired.add(doc_id)
+            yield from own
+        yield doc
+    for doc_id in by_doc:
+        if doc_id not in paired:
             raise DataError(f"record references unknown document id {doc_id!r} in pairing mode")
-        by_doc[doc_id].append(record)
-    paired: list[dict] = []
-    for doc_id, doc in zip(doc_ids, docs):
-        paired.extend(by_doc[doc_id])
-        paired.append(doc)
-    return paired
+
+
+def _render(stage: dict, count, items, pair):
+    """Stream one stage's items per its mixing mode and replay.
+
+    `count(name)` is the number of items behind ref `name` and `items(name)`
+    a fresh iterator over them; for pairing, `pair(names)` gives the
+    (doc id, document) stream and the other items by doc id.
+    """
+    names = stage["refs"]
+    mix = stage["mix"]
+    n = sum(count(name) for name in names)
+    if mix == MIX_CONCAT:
+        rendered = chain.from_iterable(map(items, names))
+    elif mix == MIX_INTERLEAVE:
+        rendered = _interleave([(count(name), items(name)) for name in names])
+    elif mix == MIX_PREFIX_PAIR:
+        rendered = _prefix_pair(*pair(names))
+    else:
+        raise DataError(f"unknown mixing mode {mix!r}")
+
+    replay = stage.get("replay")
+    if replay is None:
+        return rendered
+    source = replay["source"]
+    picks = _replay_picks(count(source), replay["size"], replay["seed"])
+    return _interleave([(n, rendered), (len(picks), _pick(items(source), picks))])
 
 
 def render_stage_inputs(stage: dict, records: dict[str, list[dict]]) -> list[dict]:
@@ -164,21 +314,17 @@ def render_stage_inputs(stage: dict, records: dict[str, list[dict]]) -> list[dic
     if missing:
         raise DataError(f"missing manifests for stage {stage['index']}: {', '.join(missing)}")
 
-    groups = [records[name] for name in stage["refs"]]
-    mix = stage["mix"]
-    if mix == MIX_CONCAT:
-        rendered = [record for group in groups for record in group]
-    elif mix == MIX_INTERLEAVE:
-        rendered = _interleave(groups)
-    elif mix == MIX_PREFIX_PAIR:
-        rendered = _prefix_pair(groups)
-    else:
-        raise DataError(f"unknown mixing mode {mix!r}")
+    def pair(names):
+        docs, by_doc = [], {}
+        for name in names:
+            for record in records[name]:
+                if record.get("kind") == KIND_DOC:
+                    docs.append((record["payload"]["id"], record))
+                else:
+                    by_doc.setdefault(record.get("payload", {}).get("doc_id"), []).append(record)
+        return docs, by_doc
 
-    if replay is not None:
-        sampled = sample_replay(records[replay["source"]], replay["size"], replay["seed"])
-        rendered = _interleave([rendered, sampled])
-    return rendered
+    return list(_render(stage, lambda name: len(records[name]), lambda name: iter(records[name]), pair))
 
 
 def plan_schema() -> dict:

@@ -124,18 +124,23 @@ def attach_loss_policy(record: dict) -> dict:
     return stamped
 
 
+def record_line(record: dict) -> bytes:
+    """The canonical manifest line of `record`, its loss policy stamped."""
+    return encode_line(attach_loss_policy(record))
+
+
 @contextmanager
 def manifest_writer(path, seed: int = 0):
-    """Yield `add(record)`, which stamps, encodes, hashes and writes one record.
+    """Yield `add(line)`, which hashes and writes one canonical record line.
 
+    Give it `record_line(record)`, or a line already verified as that.
     `add` returns the footer so far; a clean exit gives it the checksum and
     writes it as the last line. On any exception `path` is left untouched.
     """
     digest = hashlib.sha256()
     footer = {"checksum": None, "count": 0, "seed": seed}
     with atomic_writer(path) as handle:
-        def add(record: dict) -> dict:
-            line = encode_line(attach_loss_policy(record))
+        def add(line: bytes) -> dict:
             digest.update(line)
             handle.write(line)
             footer["count"] += 1
@@ -152,54 +157,70 @@ def write_manifest(records, name: str, split: str, path, seed: int = 0) -> dict:
     """Write `records` as one manifest and return its footer; `name` and `split` are not stored."""
     with manifest_writer(path, seed) as add:
         for record in records:
-            footer = add(record)
+            footer = add(record_line(record))
     return footer
 
 
-def verify_manifest(path, records: list | None = None) -> dict:
-    """Parse, check and hash every line of a manifest in one pass; return its footer.
+class ManifestReader:
+    """The (record, line) pairs of a manifest, parsed, checked and hashed in one pass.
 
-    Each record line must be the canonical encoding of a JSON object (kept
-    in `records` when given); the last line is the footer, whose count and
-    checksum must match the body. Raises ManifestError at the first fault.
+    Each record line must be the canonical encoding of a JSON object; the
+    last line is the footer, whose count (at least one) and checksum must
+    match the body. Those footer checks run after the last record, and set
+    `footer` once they pass. Raises ManifestError at the first fault.
     """
-    count = 0
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        line = handle.readline()
-        # one line of lookahead: a line is a record only if another follows it
-        for following in handle:
-            try:
-                record = parse_object(line.decode("utf-8"))
-            except ValueError as exc:
-                raise ManifestError(path, f"unparseable record: {exc}", count) from None
-            if encode_line(record) != line:
-                raise ManifestError(path, "non-canonical record encoding", count)
-            digest.update(line)
-            if records is not None:
-                records.append(record)
-            count += 1
-            line = following
-    if not line:
-        raise ManifestError(path, "empty file", 0)
-    try:
-        footer = parse_object(line.decode("utf-8"))
-    except ValueError as exc:
-        raise ManifestError(path, f"unparseable footer: {exc}", count) from None
-    expected = footer.get("count")
-    if "checksum" not in footer or not isinstance(expected, int):
-        raise ManifestError(path, "missing checksum footer", count)
-    if count > expected:
-        raise ManifestError(path, "more records than footer count", expected)
-    if count < expected:
-        raise ManifestError(path, f"truncated: {count} of {expected} records", max(count - 1, 0))
-    if digest.hexdigest() != footer["checksum"]:
-        raise ManifestError(path, "checksum mismatch")
-    return footer
+
+    def __init__(self, path):
+        self.path = path
+        self.footer: dict | None = None
+
+    def __iter__(self):
+        path = self.path
+        count = 0
+        digest = hashlib.sha256()
+        with open(path, "rb") as handle:
+            line = handle.readline()
+            # one line of lookahead: a line is a record only if another follows it
+            for following in handle:
+                try:
+                    record = parse_object(line.decode("utf-8"))
+                except ValueError as exc:
+                    raise ManifestError(path, f"unparseable record: {exc}", count) from None
+                if encode_line(record) != line:
+                    raise ManifestError(path, "non-canonical record encoding", count)
+                digest.update(line)
+                yield record, line
+                count += 1
+                line = following
+        if not line:
+            raise ManifestError(path, "empty file", 0)
+        try:
+            footer = parse_object(line.decode("utf-8"))
+        except ValueError as exc:
+            raise ManifestError(path, f"unparseable footer: {exc}", count) from None
+        expected = footer.get("count")
+        if "checksum" not in footer or not isinstance(expected, int):
+            raise ManifestError(path, "missing checksum footer", count)
+        if count > expected:
+            raise ManifestError(path, "more records than footer count", expected)
+        if count < expected:
+            raise ManifestError(path, f"truncated: {count} of {expected} records", max(count - 1, 0))
+        # manifest_writer never writes one, and a stage rendered from one would be empty
+        if not count:
+            raise ManifestError(path, "no records before the footer")
+        if digest.hexdigest() != footer["checksum"]:
+            raise ManifestError(path, "checksum mismatch")
+        self.footer = footer
+
+
+def verify_manifest(path) -> dict:
+    """Make every check `ManifestReader` makes on a manifest; return its footer."""
+    reader = ManifestReader(path)
+    for _ in reader:
+        pass
+    return reader.footer
 
 
 def read_manifest(path) -> list[dict]:
     """The records of a manifest that passes every check `verify_manifest` makes."""
-    records: list[dict] = []
-    verify_manifest(path, records)
-    return records
+    return [record for record, _ in ManifestReader(path)]

@@ -340,6 +340,9 @@ PROMPT_BUILDERS = {TASK_GENERATION: build_generation_prompt, TASK_NLI: build_nli
 
 
 def cache_path(cache_dir, doc_id: str, task: str) -> Path:
+    """The cache file of (doc_id, task): a plain name inside `cache_dir`, or a DataError."""
+    if doc_id in (".", "..") or any(c in doc_id for c in "/\\\0"):
+        raise DataError(f"document id {doc_id!r} cannot name a cache file inside {cache_dir}")
     return Path(cache_dir) / f"{doc_id}.{task}.json"
 
 

@@ -13,13 +13,22 @@ import pytest
 
 import docstudy
 from conftest import DATA
-from docstudy import qagen
+from docstudy import curriculum, dataset, qagen
 from docstudy.cli import JOBS_ENV, _resolve, main
 from docstudy.corpus import iter_documents
-from docstudy.dataset import doc_record, qa_record, write_manifest
+from docstudy.curriculum import plan
+from docstudy.dataset import (
+    attach_loss_policy,
+    doc_record,
+    qa_record,
+    read_manifest,
+    verify_manifest,
+    write_manifest,
+)
 from docstudy.jsonio import encode_line
 from docstudy.qagen import QAPair
 
+import _curriculum_oracle as oracle
 from _synth import synthetic_records, write_jsonl
 
 
@@ -188,6 +197,12 @@ class TestPipeline:
         manifest.write_bytes(b"".join(lines[:3] + lines[-1:]))
         assert run("verify", manifest) == 2
         assert capsys.readouterr().out == f"{manifest}: MISMATCH truncated: 3 of {len(lines) - 1} records (record 2)\n"
+
+    def test_verify_refuses_a_footer_only_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "zero.jsonl"
+        manifest.write_bytes(encode_line({"checksum": hashlib.sha256(b"").hexdigest(), "count": 0, "seed": 0}))
+        assert run("verify", manifest) == 2
+        assert capsys.readouterr().out == f"{manifest}: MISMATCH no records before the footer\n"
 
     def test_jobs_flag_matches_serial(self, tmp_path, corpus_path):
         out_serial = tmp_path / "s"
@@ -542,7 +557,7 @@ class TestErrors:
         "preset, qa_count, reason",
         [
             ("self_tuning", 6, "replay size 128 exceeds manifest of 6 records"),
-            ("pit_plus_plus", 0, "stage 1 of pit_plus_plus renders no records"),
+            ("pit_plus_plus", 0, "{train_qa}: no records before the footer"),
         ],
         ids=["replay-exceeds-manifest", "empty-first-stage"],
     )
@@ -571,7 +586,7 @@ class TestErrors:
         capsys.readouterr()
         # another seed, so the plan itself would change as well
         assert run("--seed", 1, "--out", out, *argv) == 2
-        assert capsys.readouterr().err == f"data error: {reason}\n"
+        assert capsys.readouterr().err == f"data error: {reason.format(**refs)}\n"
         assert not list(out.glob(".*.tmp"))
         assert tree_bytes(out) == before
 
@@ -579,6 +594,127 @@ class TestErrors:
         code = run("--out", tmp_path / "o", "plan", "--preset", "continued_pretraining",
                    "--ref", "test_doc=/nonexistent/path.jsonl")
         assert code == 2
+
+
+def _hand_manifest(path: Path, records: list[dict]) -> None:
+    """A manifest checksummed by hand, so each record keeps the loss policy it holds, or none."""
+    body = b"".join(encode_line(record) for record in records)
+    footer = {"checksum": hashlib.sha256(body).hexdigest(), "count": len(records), "seed": 0}
+    path.write_bytes(body + encode_line(footer))
+
+
+def _ref_records(tmp_path: Path, corpus: Path, train: int = 20, qa_per_doc: int = 7) -> dict:
+    """The records of every ref `pit` and `self_tuning` read: the first `train`
+    documents of the corpus with `qa_per_doc` QA pairs each, the rest as test
+    documents, and the corpus' study tasks."""
+    assert run("--seed", 1, "--out", tmp_path / "tasks", "gen-tasks", "--corpus", corpus, "--name", "c") == 0
+    docs = [doc_record(doc) for doc in iter_documents(corpus)]
+    qa = [qa_record(QAPair(doc_id=d["payload"]["id"], task="generation", question=f"Q{k}?", answer="A."))
+          for d in docs[:train] for k in range(qa_per_doc)]
+    return {"train_doc": docs[:train], "test_doc": docs[train:], "train_qa": qa,
+            "train_self": read_manifest(tmp_path / "tasks" / "c_tasks.jsonl")}
+
+
+def _write_refs(tmp_path: Path, records: dict) -> dict:
+    refs = {name: tmp_path / f"{name}.jsonl" for name in records}
+    for name, path in refs.items():
+        write_manifest(records[name], name=name, split="train", path=path)
+    return refs
+
+
+def _render_argv(preset: str, refs: dict) -> list:
+    return ["plan", "--preset", preset, "--render", *[f"--ref={n}={p}" for n, p in refs.items()]]
+
+
+class TestRender:
+    @pytest.mark.parametrize("preset", ["pit", "self_tuning"])
+    def test_records_without_their_policy_are_stamped(self, tmp_path, corpus_path, preset):
+        records = _ref_records(tmp_path, corpus_path)
+        # of every three records, one lacks its policy, one holds the wrong one,
+        # and one holds its own: every ref takes the decode-stamp-encode path
+        for ref in records.values():
+            for i, record in enumerate(ref):
+                record.pop("loss_policy", None)
+                if i % 3 == 1:
+                    record["loss_policy"] = "answer_only" if record["kind"] == "doc" else "full_sequence"
+                elif i % 3 == 2:
+                    record.update(attach_loss_policy(record))
+        refs = {name: tmp_path / f"{name}.jsonl" for name in records}
+        for name, path in refs.items():
+            _hand_manifest(path, records[name])
+        out = tmp_path / "o"
+        assert run("--seed", 3, "--out", out, *_render_argv(preset, refs)) == 0
+        for stage in plan(preset, refs, seed=3)["stages"]:
+            lines = (out / f"{preset}_stage{stage['index']}.jsonl").read_bytes().splitlines(keepends=True)
+            expected = [encode_line(attach_loss_policy(r)) for r in oracle.render_stage_inputs(stage, records)]
+            assert lines[:-1] == expected
+
+    @pytest.mark.parametrize("change", ["edit", "truncate", "garble-restamped"])
+    def test_a_ref_that_changes_after_its_first_pass_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                                corpus_path, change):
+        records = _ref_records(tmp_path, corpus_path)
+        if change == "garble-restamped":
+            for record in records["train_qa"]:
+                record.pop("loss_policy", None)
+        refs = _write_refs(tmp_path, records)
+        _hand_manifest(refs["train_qa"], records["train_qa"])
+        out = tmp_path / "o"
+        assert run("--out", out, *_render_argv("self_tuning", refs)) == 0
+        before = tree_bytes(out)
+
+        scan_refs = curriculum.scan_refs
+
+        def scan_then_change(stage_plan, paths):
+            scans = scan_refs(stage_plan, paths)
+            data = refs["train_qa"].read_bytes()
+            if change == "edit":
+                data = data.replace(b"Q3?", b"Q4?", 1)
+            elif change == "truncate":
+                data = data[: data.index(b"\n") + 1]
+            else:
+                data = b"{" * data.index(b"\n") + data[data.index(b"\n"):]
+            refs["train_qa"].write_bytes(data)
+            return scans
+
+        monkeypatch.setattr(curriculum, "scan_refs", scan_then_change)
+        capsys.readouterr()
+        assert run("--seed", 1, "--out", out, *_render_argv("self_tuning", refs)) == 2
+        assert capsys.readouterr().err == f"data error: {refs['train_qa']}: changed since it was verified\n"
+        assert not list(out.glob(".*.tmp"))
+        assert tree_bytes(out) == before
+
+    def test_render_encodes_each_ref_record_once(self, tmp_path, monkeypatch, corpus_path):
+        refs = _write_refs(tmp_path, _ref_records(tmp_path, corpus_path))
+        records = sum(verify_manifest(path)["count"] for path in refs.values())
+        encoded = []
+
+        def counting(obj):
+            encoded.append(obj)
+            return encode_line(obj)
+
+        monkeypatch.setattr(dataset, "encode_line", counting)
+        assert run("--out", tmp_path / "o", *_render_argv("self_tuning", refs)) == 0
+        # the canonical check of each record read, and each of the 3 stage footers
+        assert len(encoded) == records + 3
+        assert [obj for obj in encoded if "checksum" in obj] == encoded[-3:]
+
+    def test_self_tuning_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        def peak(n):
+            corpus = tmp_path / f"raw{n}.jsonl"
+            write_jsonl(synthetic_records(n, seed=2), corpus)
+            refs = _write_refs(tmp_path / f"in{n}", _ref_records(tmp_path / f"in{n}", corpus, n * 9 // 10, 2))
+            tracemalloc.start()
+            try:
+                assert run("--out", tmp_path / f"o{n}", *_render_argv("self_tuning", refs)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # loads the presets once
+        small, large = peak(100), peak(400)
+        # holding the records cost about 23 KB a document; what is left, mostly
+        # the replay's sample_indices pool of QA indices, about 0.03 KB
+        assert (large - small) / 300 < 1024, (small, large)
 
 
 class _ChatHandler(http.server.BaseHTTPRequestHandler):
@@ -658,6 +794,18 @@ class TestGenQa:
         assert err.startswith("data error: ")
         assert "gateway says no" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc_id", ["../x", "a\u0000b"], ids=["parent-dir", "nul"])
+    def test_an_id_that_cannot_name_a_cache_file_sends_nothing(self, tmp_path, capsys, chat_server, doc_id):
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl([{"id": "ok", "title": "Ok", "body": "Alice lives in Oslo."},
+                     {"id": doc_id, "title": "T", "body": "Bob lives in Rome."}], corpus)
+        code = run("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--endpoint", chat_server.url)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: document id {doc_id!r} cannot name a cache file inside {out / 'qa_cache'}\n"
+        assert chat_server.seen == []
+        assert [p for p in tmp_path.rglob("*") if p != out and out not in p.parents] == [corpus]
 
     def test_jobs_bounds_requests_in_flight(self, tmp_path, monkeypatch):
         state = {"now": 0, "peak": 0, "calls": 0}

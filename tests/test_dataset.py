@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from docstudy.dataset import (
     write_manifest,
 )
 from docstudy.errors import DataError
+from docstudy.jsonio import encode_line
 from docstudy.qagen import QAPair
 from docstudy.taskgen import build_suite
 
@@ -253,6 +255,13 @@ class TestVerify:
         path.write_text("\n".join(lines) + "\n", "utf-8")
         result = self._rejected(path)
         assert (result.reason, result.record) == ("non-canonical record encoding", 3)
+
+    def test_footer_only_manifest_rejected(self, tmp_path):
+        # the footer is self-consistent: zero records, and the checksum of no bytes
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(encode_line({"checksum": hashlib.sha256(b"").hexdigest(), "count": 0, "seed": 0}))
+        result = self._rejected(path)
+        assert (result.reason, result.record) == ("no records before the footer", None)
 
     def test_unparseable_record_localized(self, tmp_path):
         path = self._write(tmp_path)
