@@ -26,7 +26,7 @@ from .dataset import (
     record_line,
 )
 from .errors import DataError, UsageError
-from .jsonio import parse_object
+from .jsonio import canonical_object
 from .rng import Stream, mix_key
 
 MIX_CONCAT = "concat"
@@ -180,6 +180,18 @@ def _changed(path) -> DataError:
     return DataError(f"{path}: changed since it was verified")
 
 
+def _verified(scan: RefScan, line: bytes) -> dict:
+    """The record on a line the first pass proved canonical; any other line
+    means the ref changed since."""
+    try:
+        record = canonical_object(line.decode("utf-8"))
+    except ValueError:
+        record = None
+    if record is None:
+        raise _changed(scan.path)
+    return record
+
+
 def _lines(scan: RefScan):
     """A ref's record lines read again, each hashed against the checksum of
     the first pass and stamped again if the ref needs it."""
@@ -189,8 +201,8 @@ def _lines(scan: RefScan):
             digest.update(line)
             if scan.restamp:
                 try:
-                    line = record_line(parse_object(line.decode("utf-8")))
-                except (ValueError, DataError):
+                    line = record_line(_verified(scan, line))
+                except DataError:
                     raise _changed(scan.path) from None
             yield line
     if digest.hexdigest() != scan.checksum:
@@ -201,8 +213,8 @@ def _doc_lines(scan: RefScan):
     """(doc id, line) for each line `_lines` yields from a doc ref."""
     for line in _lines(scan):
         try:
-            doc_id = parse_object(line.decode("utf-8"))["payload"]["id"]
-        except (ValueError, LookupError, TypeError):
+            doc_id = _verified(scan, line)["payload"]["id"]
+        except (LookupError, TypeError):
             raise _changed(scan.path) from None
         yield doc_id, line
 

@@ -12,10 +12,11 @@ import hashlib
 import math
 from collections import Counter
 from contextlib import contextmanager
+from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .jsonio import atomic_writer, encode_line, parse_object
+from .jsonio import atomic_writer, canonical_object, encode_line, parse_object
 from .rng import Stream, mix_key
 from .vocab import ANSWER_ONLY, FULL_SEQUENCE, loss_policy, tokenize_words
 
@@ -161,13 +162,36 @@ def write_manifest(records, name: str, split: str, path, seed: int = 0) -> dict:
     return footer
 
 
+def _refusal(path, text: str, index: int) -> ManifestError:
+    """Why `canonical_object` refused record line `text`."""
+    try:
+        parse_object(text)
+    except ValueError as exc:
+        return ManifestError(path, f"unparseable record: {exc}", index)
+    return ManifestError(path, "non-canonical record encoding", index)
+
+
+def _canonical_footer(footer: dict, text: str) -> bool:
+    """Whether `text` is the footer line `manifest_writer` writes: exactly a
+    string checksum, an int count and an int seed, canonically encoded."""
+    if footer.keys() != {"checksum", "count", "seed"}:
+        return False
+    checksum, count, seed = footer["checksum"], footer["count"], footer["seed"]
+    # bool is an int subclass; three exact types leave one canonical spelling
+    if type(checksum) is not str or type(count) is not int or type(seed) is not int:
+        return False
+    return text == '{"checksum":%s,"count":%d,"seed":%d}\n' % (encode_basestring(checksum), count, seed)
+
+
 class ManifestReader:
     """The (record, line) pairs of a manifest, parsed, checked and hashed in one pass.
 
     Each record line must be the canonical encoding of a JSON object; the
-    last line is the footer, whose count (at least one) and checksum must
-    match the body. Those footer checks run after the last record, and set
-    `footer` once they pass. Raises ManifestError at the first fault.
+    last line is the footer, the canonical line of exactly a string
+    checksum, an int count and an int seed, whose count (at least one) and
+    checksum must match the body. Those footer checks run after the last
+    record, and set `footer` once they pass. Raises ManifestError at the
+    first fault.
     """
 
     def __init__(self, path):
@@ -183,11 +207,12 @@ class ManifestReader:
             # one line of lookahead: a line is a record only if another follows it
             for following in handle:
                 try:
-                    record = parse_object(line.decode("utf-8"))
+                    text = line.decode("utf-8")
                 except ValueError as exc:
                     raise ManifestError(path, f"unparseable record: {exc}", count) from None
-                if encode_line(record) != line:
-                    raise ManifestError(path, "non-canonical record encoding", count)
+                record = canonical_object(text)
+                if record is None:
+                    raise _refusal(path, text, count)
                 digest.update(line)
                 yield record, line
                 count += 1
@@ -195,12 +220,15 @@ class ManifestReader:
         if not line:
             raise ManifestError(path, "empty file", 0)
         try:
-            footer = parse_object(line.decode("utf-8"))
+            text = line.decode("utf-8")
+            footer = parse_object(text)
         except ValueError as exc:
             raise ManifestError(path, f"unparseable footer: {exc}", count) from None
         expected = footer.get("count")
         if "checksum" not in footer or not isinstance(expected, int):
             raise ManifestError(path, "missing checksum footer", count)
+        if not _canonical_footer(footer, text):
+            raise ManifestError(path, "non-canonical footer", count)
         if count > expected:
             raise ManifestError(path, "more records than footer count", expected)
         if count < expected:

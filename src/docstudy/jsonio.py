@@ -2,6 +2,9 @@
 
 A canonical line keeps U+0085, U+2028 and U+2029 raw, so only "\\n" ends a
 line when reading (`str.splitlines` would split inside a record).
+
+The canonical codec is CPython's C encoder and scanner, each built once:
+`json.JSONEncoder.encode` builds a new C encoder on every call.
 """
 
 from __future__ import annotations
@@ -10,18 +13,41 @@ import json
 import os
 import re
 from contextlib import contextmanager
+from json.decoder import JSONDecoder
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 
 from .errors import DataError, MalformedLineError
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+# the arguments JSONEncoder(sort_keys=True, ensure_ascii=False,
+# separators=(",", ":")).iterencode passes: markers, default, string encoder,
+# indent, key and item separators, sort_keys, skipkeys, allow_nan; no
+# circular-reference markers, because records are trees
+_encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring, None, ":", ",", True, False, True)
+# json.loads without its whitespace regexes and wrapper frames
+_scan = JSONDecoder().scan_once
 # JSON's \u escapes can spell a lone surrogate, which UTF-8 cannot encode
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def encode_line(obj) -> bytes:
     """The canonical JSONL line of `obj`: sorted keys, no spaces, raw UTF-8, LF."""
-    return (_CANONICAL.encode(obj) + "\n").encode("utf-8")
+    return ("".join(_encode(obj, 0)) + "\n").encode("utf-8")
+
+
+def canonical_object(text: str) -> dict | None:
+    """The object `text` holds if `text` is its canonical line, else None.
+
+    Exact: `text` must equal the canonical encoding of the object it parses
+    to, plus LF. `parse_object` says why a refused line is not JSON.
+    """
+    try:
+        obj, _ = _scan(text, 0)
+    except (StopIteration, ValueError):
+        return None
+    if isinstance(obj, dict) and "".join(_encode(obj, 0)) + "\n" == text:
+        return obj
+    return None
 
 
 def reject_lone_surrogates(fields: dict) -> None:

@@ -58,11 +58,13 @@ class Stream:
         """k distinct indices out of range(n), returned in ascending order."""
         if k > n:
             raise ValueError(f"cannot sample {k} from {n}")
-        pool = list(range(n))
+        # a partial Fisher-Yates over range(n) that stores only the swapped
+        # positions, so memory is O(k) whatever n is
+        swapped: dict[int, int] = {}
         for i in range(k):
             j = i + self.below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return sorted(pool[:k])
+            swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
+        return sorted(swapped[i] for i in range(k))
 
 
 def stream_for(seed: int, *tags: str) -> Stream:

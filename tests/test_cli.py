@@ -13,7 +13,7 @@ import pytest
 
 import docstudy
 from conftest import DATA
-from docstudy import curriculum, dataset, qagen
+from docstudy import curriculum, dataset, jsonio, qagen
 from docstudy.cli import JOBS_ENV, _resolve, main
 from docstudy.corpus import iter_documents
 from docstudy.curriculum import plan
@@ -203,6 +203,37 @@ class TestPipeline:
         manifest.write_bytes(encode_line({"checksum": hashlib.sha256(b"").hexdigest(), "count": 0, "seed": 0}))
         assert run("verify", manifest) == 2
         assert capsys.readouterr().out == f"{manifest}: MISMATCH no records before the footer\n"
+
+    def test_verify_refuses_an_escaped_lone_surrogate_without_a_traceback(self, tmp_path, capsys):
+        manifest, line = tmp_path / "sur.jsonl", b'{"a":"\\ud800"}\n'
+        manifest.write_bytes(line + encode_line({"checksum": hashlib.sha256(line).hexdigest(), "count": 1, "seed": 0}))
+        assert run("verify", manifest) == 2
+        assert capsys.readouterr() == (f"{manifest}: MISMATCH non-canonical record encoding (record 0)\n",
+                                       "data error: 1 manifest(s) failed verification\n")
+
+    @pytest.mark.parametrize(
+        "footer",
+        [
+            # spaces, unsorted keys, an extra key, a string seed and no final LF
+            '{{"count": 1, "checksum": "{checksum}", "seed": "x", "note": [1]}}',
+            '{{"checksum":"{checksum}","count":true,"seed":0}}\n',
+        ],
+        ids=["spelled", "bool-count"],
+    )
+    def test_verify_and_render_refuse_a_footer_the_writer_never_writes(self, tmp_path, capsys, corpus_path, footer):
+        refs = _write_refs(tmp_path, _ref_records(tmp_path, corpus_path))
+        # train_qa keeps its first record, so the count 1 (or true) and the checksum hold
+        qa = refs["train_qa"]
+        line = qa.read_bytes().split(b"\n")[0] + b"\n"
+        qa.write_bytes(line + footer.format(checksum=hashlib.sha256(line).hexdigest()).encode("utf-8"))
+        capsys.readouterr()
+        assert run("verify", qa) == 2
+        assert capsys.readouterr() == (f"{qa}: MISMATCH non-canonical footer (record 1)\n",
+                                       "data error: 1 manifest(s) failed verification\n")
+        out = tmp_path / "o"
+        assert run("--out", out, *_render_argv("pit", refs)) == 2
+        assert capsys.readouterr().err == f"data error: {qa}: non-canonical footer (record 1)\n"
+        assert not list(out.glob("pit_stage*.jsonl"))
 
     def test_jobs_flag_matches_serial(self, tmp_path, corpus_path):
         out_serial = tmp_path / "s"
@@ -687,12 +718,14 @@ class TestRender:
         refs = _write_refs(tmp_path, _ref_records(tmp_path, corpus_path))
         records = sum(verify_manifest(path)["count"] for path in refs.values())
         encoded = []
+        encode = jsonio._encode
 
-        def counting(obj):
+        def counting(obj, level):
             encoded.append(obj)
-            return encode_line(obj)
+            return encode(obj, level)
 
-        monkeypatch.setattr(dataset, "encode_line", counting)
+        # the codec's one encoder, which both the canonical check and encode_line call
+        monkeypatch.setattr(jsonio, "_encode", counting)
         assert run("--out", tmp_path / "o", *_render_argv("self_tuning", refs)) == 0
         # the canonical check of each record read, and each of the 3 stage footers
         assert len(encoded) == records + 3
@@ -712,8 +745,8 @@ class TestRender:
 
         peak(100)  # loads the presets once
         small, large = peak(100), peak(400)
-        # holding the records cost about 23 KB a document; what is left, mostly
-        # the replay's sample_indices pool of QA indices, about 0.03 KB
+        # holding the records cost about 23 KB a document; what is left is about
+        # 0.01 KB, now that the replay's draw no longer pools every QA index
         assert (large - small) / 300 < 1024, (small, large)
 
 

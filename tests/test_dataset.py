@@ -263,6 +263,39 @@ class TestVerify:
         result = self._rejected(path)
         assert (result.reason, result.record) == ("no records before the footer", None)
 
+    @pytest.mark.parametrize(
+        "footer",
+        [
+            # spaces, unsorted keys, an extra key, a string seed and no final LF
+            '{{"count": 1, "checksum": "{checksum}", "seed": "x", "note": [1]}}',
+            # bool is an int subclass, but no writer spells a count `true`
+            '{{"checksum":"{checksum}","count":true,"seed":0}}\n',
+            '{{"checksum":"{checksum}","count":1,"seed":false}}\n',
+            '{{"checksum":"{checksum}","count":1}}\n',
+            '{{"checksum":"{checksum}","count":1,"seed":0}}\r\n',
+            '{{"checksum":"{checksum}","count":1,"seed":0.0}}\n',
+            '{{"checksum":"{checksum}","count":1,"seed":-0}}\n',
+            '{{"checksum":"{escaped}","count":1,"seed":0}}\n',
+        ],
+        ids=["spelled", "bool-count", "bool-seed", "no-seed", "crlf", "float-seed", "minus-zero", "escaped"],
+    )
+    def test_footer_must_be_the_line_the_writer_writes(self, tmp_path, footer):
+        path = self._write(tmp_path, n=1)
+        record, written = path.read_bytes().splitlines(keepends=True)
+        checksum = json.loads(written)["checksum"]
+        escaped = "\\u%04x" % ord(checksum[0]) + checksum[1:]
+        path.write_bytes(record + footer.format(checksum=checksum, escaped=escaped).encode("utf-8"))
+        result = self._rejected(path)
+        assert (result.reason, result.record) == ("non-canonical footer", 1)
+
+    def test_escaped_lone_surrogate_is_non_canonical(self, tmp_path):
+        # no canonical line spells U+D800: raw, it cannot be UTF-8
+        line = b'{"a":"\\ud800"}\n'
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(line + encode_line({"checksum": hashlib.sha256(line).hexdigest(), "count": 1, "seed": 0}))
+        result = self._rejected(path)
+        assert (result.reason, result.record) == ("non-canonical record encoding", 0)
+
     def test_unparseable_record_localized(self, tmp_path):
         path = self._write(tmp_path)
         lines = path.read_text("utf-8").splitlines()

@@ -1,9 +1,30 @@
+import hashlib
+import json
+import json.encoder
+import json.scanner
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _codec_oracle as oracle
 from docstudy import jsonio
+from docstudy.dataset import ManifestError, ManifestReader
 from docstudy.errors import DataError, MalformedLineError
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from("é\u2028\u0085\x00\"\\"), max_size=8)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, -(10**40), 10**300])
+    | st.floats()
+    | st.sampled_from([-0.0, 1e308, float("nan")])
+    | _TEXT
+)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3), max_leaves=6)
+_OBJECTS = st.dictionaries(_TEXT, _VALUES, max_size=4)
 
 
 class TestAtomicWrite:
@@ -50,3 +71,62 @@ class TestReaders:
         path.write_text('{"a": ', "utf-8")
         with pytest.raises(DataError, match=f"^{path}: invalid JSON"):
             jsonio.read_json(path)
+
+
+class TestCanonicalCodec:
+    def test_codec_is_cpythons_c_encoder_and_scanner(self):
+        # jsonio has no pure-Python fallback: CPython >= 3.10 always builds _json
+        assert json.encoder.c_make_encoder is not None
+        assert isinstance(jsonio._encode, json.encoder.c_make_encoder)
+        assert isinstance(jsonio._scan, json.scanner.c_make_scanner)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_OBJECTS)
+    def test_encode_line_is_json_dumps_and_round_trips(self, obj):
+        line = jsonio.encode_line(obj)
+        assert line == oracle.dumps_line(obj)
+        assert oracle.same(jsonio.canonical_object(line.decode("utf-8")), obj)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"a":1}',  # no LF
+            '{"a":1} \n',
+            ' {"a":1}\n',
+            '{"a":1}\r\n',
+            '{"b":1,"a":2}\n',
+            '{"a":1,"a":1}\n',
+            '{"a": 1}\n',
+            '{"a":"\\u00e9"}\n',
+            '{"a":1.00}\n',
+            '{"a":1E2}\n',
+            '{"a":-0}\n',
+            '{"a":1}{"a":1}\n',
+            '[{"a":1}]\n',
+            '"a"\n',
+            "\n",
+            "",
+            '{"a":\n',
+            '\ufeff{"a":1}\n',
+        ],
+    )
+    def test_anything_but_the_canonical_line_is_refused(self, text):
+        assert jsonio.canonical_object(text) is None
+
+    def test_canonical_line_gives_its_object(self):
+        text = '{"a":[1,-0.0,1e+308,NaN,"\u2028é"],"b":{"c":null}}\n'
+        obj = jsonio.canonical_object(text)
+        assert oracle.same(obj, {"a": [1, -0.0, 1e308, float("nan"), "\u2028é"], "b": {"c": None}})
+        assert jsonio.encode_line(obj) == text.encode("utf-8")
+
+    @pytest.mark.parametrize("name", sorted(oracle.MUTATIONS))
+    def test_reader_refuses_a_mutated_line_as_the_two_step_check_did(self, tmp_path, name):
+        body = [jsonio.encode_line(record) for record in oracle.sample_records(5)]
+        footer = {"checksum": hashlib.sha256(b"".join(body)).hexdigest(), "count": len(body), "seed": 0}
+        path = tmp_path / "m.jsonl"
+        for seed in range(20):
+            data = oracle.mutated_manifest(body, jsonio.encode_line(footer), name, seed)
+            path.write_bytes(data)
+            with pytest.raises(ManifestError) as err:
+                list(ManifestReader(path))
+            assert (err.value.reason, err.value.record) == oracle.old_verdict(data), seed
