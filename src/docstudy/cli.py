@@ -129,6 +129,7 @@ def cmd_gen_tasks(args, config) -> int:
 
 
 def cmd_gen_qa(args, config) -> int:
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
     from . import qagen
@@ -140,27 +141,62 @@ def cmd_gen_qa(args, config) -> int:
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     docs = list(iter_documents(args.corpus))
     cache_dir = Path(args.cache_dir) if args.cache_dir else out / "qa_cache"
-    # every id must name a cache file before the first request is sent
-    for doc in docs:
-        qagen.cache_path(cache_dir, doc.id, args.task)
-    cache_dir.mkdir(parents=True, exist_ok=True)
 
-    # a cache file replays only if it holds the request this run would send
+    # an entry replays only if it holds the request this run would send
     settings = {"model": args.model, "temperature": args.temperature, "max_tokens": args.max_tokens}
     client = None
     if args.endpoint or os.environ.get(qagen.ENDPOINT_ENV):
         client = qagen.ChatClient(endpoint=args.endpoint, api_key=args.api_key, **settings)
 
-    def one(doc):
-        return qagen.generate_for_document(doc, args.task, client, cache_dir, settings)
+    parsed, failures = [], []
+    with qagen.ResponseLog(cache_dir / f"{args.task}.jsonl") as log:
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parsed = list(pool.map(one, docs))
+        def one(doc):
+            return qagen.generate_for_document(doc, args.task, client, log, settings)
 
-    pairs = [pair for result in parsed for pair in result.pairs]
-    discarded = sum(result.discarded for result in parsed)
-    target = out / f"{_name(args)}_qa_{args.task}.jsonl"
-    qagen.write_qa_jsonl(pairs, target)
+        def settle(doc, future):
+            """Take one result, in corpus order: log its fetched line, or record its data error."""
+            try:
+                result, line = future.result()
+            except DataError as exc:
+                failures.append(exc)
+                return
+            if line is not None:
+                log.append(doc.id, line)
+            parsed.append(result)
+
+        # workers fetch and parse; only this thread appends, so the log's
+        # bytes do not depend on --jobs or on thread timing
+        window = deque()
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            try:
+                # a result leaves the window once settled, so an interrupt that
+                # lands while its future is awaited still logs it below
+                for doc in docs:
+                    window.append((doc, pool.submit(one, doc)))
+                    if len(window) == 4 * jobs:
+                        settle(*window[0])
+                        window.popleft()
+                while window:
+                    settle(*window[0])
+                    window.popleft()
+            except BaseException:
+                # every response already paid for is logged before the error propagates
+                pool.shutdown(cancel_futures=True)
+                for doc, future in window:
+                    if not future.cancelled() and future.exception() is None:
+                        settle(doc, future)
+                raise
+
+        if failures:
+            # no QA JSONL: a rerun fetches only these documents
+            for exc in failures:
+                print(f"data error: {exc}", file=sys.stderr)
+            return 2
+        pairs = [pair for result in parsed for pair in result.pairs]
+        discarded = sum(result.discarded for result in parsed)
+        target = out / f"{_name(args)}_qa_{args.task}.jsonl"
+        qagen.write_qa_jsonl(pairs, target)
     print(f"collected {len(pairs)} QA pairs ({discarded} blocks discarded) -> {target}")
     return 0
 

@@ -1,9 +1,9 @@
 """Prompt construction and response parsing for external QA generation.
 
 Prompts are byte-stable package assets instantiated per document; the
-chat client speaks a generic JSON-over-HTTP chat-completion protocol and
-persists every raw response next to its parsed pairs so that reruns
-replay from disk instead of re-billing.
+chat client speaks a generic JSON-over-HTTP chat-completion protocol, and
+each task's response log keeps every raw response next to its parsed pairs
+so that reruns replay from disk instead of re-billing.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from urllib.parse import urlsplit
 from . import __version__
 from .corpus import RawDocument
 from .errors import DataError, MalformedLineError, UsageError
-from .jsonio import iter_jsonl, read_json, reject_lone_surrogates, write_json, write_jsonl
+from .jsonio import encode_line, iter_jsonl, parse_object, reject_lone_surrogates, write_jsonl
 from .vocab import NLI_LABELS, NLI_OPTIONS, TASK_GENERATION, TASK_NLI, fill, options_block
 
 # a reply may give an NLI label, its option text, or the option without "'"
@@ -339,42 +339,120 @@ class ChatClient:
 PROMPT_BUILDERS = {TASK_GENERATION: build_generation_prompt, TASK_NLI: build_nli_prompt}
 
 
-def cache_path(cache_dir, doc_id: str, task: str) -> Path:
-    """The cache file of (doc_id, task): a plain name inside `cache_dir`, or a DataError."""
-    if doc_id in (".", "..") or any(c in doc_id for c in "/\\\0"):
-        raise DataError(f"document id {doc_id!r} cannot name a cache file inside {cache_dir}")
-    return Path(cache_dir) / f"{doc_id}.{task}.json"
+class ResponseLog:
+    """The append-only response cache of one QA task, one canonical line per
+    fetched response: `{"discarded", "doc_id", "pairs", "request", "response"}`.
+    A line is read back as any JSON object of that shape: an exact canonical
+    check would re-encode every line, which costs about five times its parse.
+
+    Opening locks the log for the life of the object, so a second run on it
+    fails at once, and reads it once, keeping only each doc id's last
+    complete line as (offset, length, line number). A final line with no LF
+    is an append cut short by a kill: it is ignored, and truncated away
+    before the first append.
+    """
+
+    def __init__(self, path):
+        import fcntl  # POSIX only, so `split` and `stats`, which import qagen, do not need it
+
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666)
+        try:
+            try:
+                fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise OSError(f"{self.path} is in use by another gen-qa run") from None
+            self._index: dict[str, tuple[int, int, int]] = {}
+            self._end = self._lines = 0
+            with open(self._fd, "rb", closefd=False) as handle:
+                for raw in handle:
+                    if not raw.endswith(b"\n"):
+                        break
+                    self._lines += 1
+                    self._index[self._entry(raw, self._lines)["doc_id"]] = (self._end, len(raw), self._lines)
+                    self._end += len(raw)
+            self._torn = os.fstat(self._fd).st_size > self._end
+        except BaseException:
+            os.close(self._fd)
+            raise
+
+    def __enter__(self) -> "ResponseLog":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        os.close(self._fd)  # and with it the lock
+
+    def _entry(self, raw: bytes, line_no: int) -> dict:
+        try:
+            entry = parse_object(raw.decode("utf-8"))
+        except ValueError as exc:
+            raise MalformedLineError(self.path, line_no, str(exc)) from None
+        pairs = entry.get("pairs")
+        if not (
+            isinstance(entry.get("doc_id"), str)
+            and isinstance(entry.get("request"), dict)
+            and isinstance(pairs, list)
+            and all(isinstance(rec, dict) for rec in pairs)
+            and type(entry.get("discarded")) is int
+        ):
+            raise MalformedLineError(
+                self.path,
+                line_no,
+                "a cache entry needs a string 'doc_id', an object 'request', a list of objects 'pairs'"
+                " and an int 'discarded'",
+            )
+        return entry
+
+    def get(self, doc_id: str) -> tuple[dict, int] | None:
+        """The last complete entry of `doc_id` and its line number, or None."""
+        where = self._index.get(doc_id)
+        if where is None:
+            return None
+        offset, length, line_no = where
+        # checked when the log was opened; the lock keeps other runs out since
+        return json.loads(os.pread(self._fd, length, offset)), line_no
+
+    def append(self, doc_id: str, line: bytes) -> None:
+        """Add `doc_id`'s entry line; a kill of this process after it returns
+        cannot lose the line (a power loss can: there is no fsync)."""
+        if self._torn:
+            os.ftruncate(self._fd, self._end)
+            self._torn = False
+        view = memoryview(line)
+        while view:  # one write unless the disk fills up
+            view = view[os.write(self._fd, view):]
+        self._lines += 1
+        self._index[doc_id] = (self._end, len(line), self._lines)
+        self._end += len(line)
 
 
 def generate_for_document(
-    doc: RawDocument, task: str, client: ChatClient | None, cache_dir, settings: dict | None = None
-) -> ParsedResponse:
-    """Fetch-or-replay the QA pairs for one document.
+    doc: RawDocument, task: str, client: ChatClient | None, log: ResponseLog, settings: dict | None = None
+) -> tuple[ParsedResponse, bytes | None]:
+    """Fetch-or-replay the QA pairs for one document: (parsed, log line).
 
-    A cache file (request, raw response, parsed pairs) short-circuits the
-    HTTP call only if its request is the one this call would send: the
-    document's prompt under the client's model, temperature and max_tokens,
-    or under `settings` (those three keys) when there is no client. With
-    neither, any cache file replays. A fresh response overwrites the cache
-    file before return.
+    The document's entry in `log` replays, with no line to append, only if
+    its request is the one this call would send: the document's prompt
+    under the client's model, temperature and max_tokens, or under
+    `settings` (those three keys) when there is no client. With neither,
+    any entry replays. A fresh response comes back with the line that
+    records it, for the caller to append.
     """
     if task not in PROMPT_BUILDERS:
         raise UsageError(f"unknown QA task {task!r}")
-    path = cache_path(cache_dir, doc.id, task)
     if client is not None:
         settings = {"model": client.model, "temperature": client.temperature, "max_tokens": client.max_tokens}
     request = None if settings is None else {"prompt": PROMPT_BUILDERS[task](doc), **settings}
-    if path.exists():
-        cached = read_json(path)
-        records = cached.get("pairs") if isinstance(cached, dict) else None
-        if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
-            raise DataError(f"{path}: cache file needs a 'pairs' list of objects")
-        if request is None or cached.get("request") == request:
+    cached = log.get(doc.id)
+    if cached is not None:
+        entry, line_no = cached
+        if request is None or entry["request"] == request:
             try:
-                pairs = [QAPair.from_record(rec) for rec in records]
+                pairs = [QAPair.from_record(rec) for rec in entry["pairs"]]
             except DataError as exc:
-                raise DataError(f"{path}: {exc}") from exc
-            return ParsedResponse(pairs=pairs, discarded=cached.get("discarded", 0))
+                raise DataError(f"{log.path}:{line_no}: {exc} (document {doc.id!r})") from exc
+            return ParsedResponse(pairs=pairs, discarded=entry["discarded"]), None
     if client is None:
         raise UsageError(
             f"no cached response to this request for ({doc.id}, {task}) and no chat endpoint configured"
@@ -384,20 +462,24 @@ def generate_for_document(
     try:
         response = client.complete(request["prompt"])
         parsed = parse_qa_response(response.text, task, doc_id=doc.id)
+        line = encode_line(
+            {
+                "discarded": parsed.discarded,
+                "doc_id": doc.id,
+                "pairs": [pair.to_record() for pair in parsed.pairs],
+                "request": request,
+                "response": {
+                    "text": response.text,
+                    "finish_reason": response.finish_reason,
+                    "usage": response.usage,
+                },
+            }
+        )
+    except UnicodeEncodeError:
+        raise DataError(f"the reply holds a lone surrogate, which UTF-8 cannot encode (document {doc.id!r})") from None
     except DataError as exc:  # ChatError, ParseError, or a reply QAPair refuses
         raise type(exc)(f"{exc} (document {doc.id!r})") from exc
-    payload = {
-        "request": request,
-        "response": {
-            "text": response.text,
-            "finish_reason": response.finish_reason,
-            "usage": response.usage,
-        },
-        "pairs": [pair.to_record() for pair in parsed.pairs],
-        "discarded": parsed.discarded,
-    }
-    write_json(path, payload)
-    return parsed
+    return parsed, line
 
 
 def write_qa_jsonl(pairs: list[QAPair], path) -> None:

@@ -400,10 +400,12 @@ class TestErrors:
             ("qa.jsonl", '{"doc_id": "d1", "task": "generation", "question": "Q?", "answer": "A."}\n{\n',
              ["split", "--corpus", "{corpus}", "--qa", "{file}"], 2, "{file}:2: "),
             ("qa.jsonl", "not json\n", ["stats", "--corpus", "{corpus}", "--qa", "{file}"], 2, "{file}:1: "),
-            ("cache/d1.generation.json", '{"pairs": [',
-             ["gen-qa", "--corpus", "{one}", "--task", "generation", "--cache-dir", "{dir}"], 2, "{file}: "),
-            ("cache/d1.generation.json", '{"pairs": {}}',
-             ["gen-qa", "--corpus", "{one}", "--task", "generation", "--cache-dir", "{dir}"], 2, "{file}: "),
+            ("cache/generation.jsonl", '{"pairs": [\n',
+             ["gen-qa", "--corpus", "{one}", "--task", "generation", "--cache-dir", "{dir}"], 2,
+             "{file}:1: invalid JSON ("),
+            ("cache/generation.jsonl", '{"discarded":0,"doc_id":"d1","pairs":{},"request":{}}\n',
+             ["gen-qa", "--corpus", "{one}", "--task", "generation", "--cache-dir", "{dir}"], 2,
+             "{file}:1: a cache entry needs "),
             ("task.json", "{", ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"], 2, "{file}: "),
             ("task.json", "[]", ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"], 2, "{file}: "),
             ("refs.json", "{", ["plan", "--preset", "pit", "--refs-file", "{file}"], 2, "{file}: "),
@@ -782,6 +784,16 @@ def _chat_reply(text: str) -> bytes:
     return json.dumps({"choices": [{"message": {"content": text}, "finish_reason": "stop"}]}).encode("utf-8")
 
 
+_ENTRY_SHAPE = (
+    "a cache entry needs a string 'doc_id', an object 'request', a list of objects 'pairs' and an int 'discarded'"
+)
+
+
+def _log_ids(out: Path) -> list:
+    """The doc id of each line of `out`'s generation log."""
+    return [json.loads(line)["doc_id"] for line in (out / "qa_cache" / "generation.jsonl").read_bytes().splitlines()]
+
+
 class TestGenQa:
     def test_against_local_endpoint_then_cache_replay(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -828,16 +840,21 @@ class TestGenQa:
         assert "gateway says no" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("doc_id", ["../x", "a\u0000b"], ids=["parent-dir", "nul"])
-    def test_an_id_that_cannot_name_a_cache_file_sends_nothing(self, tmp_path, capsys, chat_server, doc_id):
+    @pytest.mark.parametrize("doc_id", ["../x", "a\u0000b", "a/b", ".."], ids=["parent-dir", "nul", "slash", "dot-dot"])
+    def test_an_id_that_is_not_a_file_name_is_cached_in_the_log(self, tmp_path, chat_server, doc_id):
+        ids = ["ok", doc_id]
+        chat_server.script = [(200, "application/json", _chat_reply(f"Question: Q{i}?\nAnswer: A{i}.")) for i in range(2)]
         corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
-        write_jsonl([{"id": "ok", "title": "Ok", "body": "Alice lives in Oslo."},
-                     {"id": doc_id, "title": "T", "body": "Bob lives in Rome."}], corpus)
-        code = run("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--endpoint", chat_server.url)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == f"data error: document id {doc_id!r} cannot name a cache file inside {out / 'qa_cache'}\n"
-        assert chat_server.seen == []
+        write_jsonl([{"id": name, "title": f"T{i}", "body": f"Person {i} lives in Oslo."}
+                     for i, name in enumerate(ids)], corpus)
+        argv = ("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--name", "c",
+                "--endpoint", chat_server.url)
+        assert run(*argv) == 0
+        assert _log_ids(out) == ids
+        first = tree_bytes(out)
+        assert run(*argv) == 0
+        assert len(chat_server.seen) == 2
+        assert tree_bytes(out) == first
         assert [p for p in tmp_path.rglob("*") if p != out and out not in p.parents] == [corpus]
 
     def test_jobs_bounds_requests_in_flight(self, tmp_path, monkeypatch):
@@ -876,6 +893,21 @@ class TestGenQa:
         assert err.endswith(" (document 'doc-00000')\n")
         assert "Traceback" not in err
 
+    def test_lone_surrogate_outside_the_pairs_is_a_data_error(self, tmp_path, capsys, chat_server):
+        # the pairs parse, but the raw reply cannot be logged as UTF-8
+        body = b'{"choices": [{"message": {"content": "Question: Q?\\nAnswer: A.\\nQuestion: \\ud800"}}]}'
+        chat_server.script = [(200, "application/json", body)]
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(1, seed=1), corpus)
+        code = run("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--endpoint", chat_server.url)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "data error: the reply holds a lone surrogate, which UTF-8 cannot encode (document 'doc-00000')\n"
+        )
+        assert "Traceback" not in err
+        assert (out / "qa_cache" / "generation.jsonl").read_bytes() == b""
+
     def test_unparseable_reply_names_its_document(self, tmp_path, capsys, chat_server):
         body = b'{"choices": [{"message": {"content": "I cannot help with that."}}]}'
         chat_server.script = [(200, "application/json", body)]
@@ -913,8 +945,13 @@ class TestGenQa:
         assert run(*argv, "--endpoint", chat_server.url, flag, value) == 0
         assert len(chat_server.seen) == 4
         assert [payload[key] for _, _, payload in chat_server.seen[2:]] == [value, value]
-        for cache in sorted((out / "qa_cache").glob("*.json")):
-            assert json.loads(cache.read_text("utf-8"))["request"][key] == value
+        # the new requests are appended; each id's last line holds its new request
+        last = {}
+        for line in (out / "qa_cache" / "generation.jsonl").read_bytes().splitlines():
+            entry = json.loads(line)
+            last[entry["doc_id"]] = entry["request"]
+        assert list(last) == ["doc-00000", "doc-00001"]
+        assert [request[key] for request in last.values()] == [value, value]
         answers = [json.loads(line)["answer"] for line in (out / "c_qa_generation.jsonl").read_text("utf-8").splitlines()]
         assert answers == ["A2.", "A3."]
         # with no endpoint, an entry made by another request is not replayed
@@ -923,6 +960,155 @@ class TestGenQa:
         assert run(*argv) == 1
         assert "no cached response to this request" in capsys.readouterr().err
         assert tree_bytes(out) == before
+
+    def test_a_torn_tail_is_truncated_and_refetched(self, tmp_path, chat_server):
+        replies = [(200, "application/json", _chat_reply(f"Question: Q{i}?\nAnswer: A{i}.")) for i in range(3)]
+        chat_server.script = list(replies)
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        records = synthetic_records(3, seed=1)
+        write_jsonl(records, corpus)
+        argv = ("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--name", "c",
+                "--endpoint", chat_server.url)
+        assert run(*argv) == 0
+        log = out / "qa_cache" / "generation.jsonl"
+        whole, qa = log.read_bytes(), (out / "c_qa_generation.jsonl").read_bytes()
+        # a kill cut the last append short
+        log.write_bytes(whole[:-20])
+        chat_server.script = replies[2:]
+        assert run(*argv) == 0
+        assert len(chat_server.seen) == 4
+        assert records[2]["title"] in chat_server.seen[3][2]["messages"][0]["content"]
+        assert log.read_bytes() == whole
+        assert (out / "c_qa_generation.jsonl").read_bytes() == qa
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (b'{"doc_id":"doc-00000","pairs":[\n', "invalid JSON (Expecting value: line 2 column 1 (char 32))"),
+            (b"\xff\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (b"\n", "invalid JSON (Expecting value: line 2 column 1 (char 1))"),
+            (b"[1]\n", "expected a JSON object, got list"),
+            (b'{"doc_id":"doc-00000","pairs":[],"request":{}}\n', _ENTRY_SHAPE),
+            (b'{"doc_id": "doc-00000", "discarded": 0, "pairs": [], "request": {}}\n', None),
+            (b'{"discarded":true,"doc_id":"doc-00000","pairs":[],"request":{}}\n', _ENTRY_SHAPE),
+            (b'{"discarded":0,"doc_id":7,"pairs":[],"request":{}}\n', _ENTRY_SHAPE),
+            (b'{"discarded":0,"doc_id":"doc-00000","pairs":[1],"request":{}}\n', _ENTRY_SHAPE),
+            (b'{"discarded":0,"doc_id":"doc-00000","pairs":[],"request":"p"}\n', _ENTRY_SHAPE),
+        ],
+        ids=["cut-json", "not-utf8", "blank", "list", "no-discarded", "valid-spaced-unsorted", "discarded-bool",
+             "doc-id-int", "pair-not-object", "request-not-object"],
+    )
+    def test_a_malformed_complete_line_sends_nothing(self, tmp_path, capsys, chat_server, bad, reason):
+        chat_server.script = [(200, "application/json", _chat_reply("Question: Q?\nAnswer: A."))] * 4
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(2, seed=1), corpus)
+        argv = ("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--name", "c",
+                "--endpoint", chat_server.url)
+        assert run(*argv) == 0
+        log = out / "qa_cache" / "generation.jsonl"
+        log.write_bytes(log.read_bytes() + bad)
+        before = tree_bytes(out)
+        capsys.readouterr()
+        # a changed request would refetch both documents
+        code = run(*argv, "--model", "m2")
+        err = capsys.readouterr().err
+        if reason is None:  # the control: a well-shaped line is accepted, canonical or not
+            assert code == 0
+            return
+        assert code == 2
+        assert err == f"data error: {log}:3: {reason}\n"
+        assert len(chat_server.seen) == 2
+        assert tree_bytes(out) == before
+
+    def test_one_failed_document_costs_only_itself(self, tmp_path, capsys, chat_server):
+        ok = [(200, "application/json", _chat_reply(f"Question: Q{i}?\nAnswer: A{i}.")) for i in range(3)]
+        unparseable = (200, "application/json", _chat_reply("I cannot help with that."))
+        chat_server.script = [ok[0], unparseable, ok[2]]
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(3, seed=1), corpus)
+        out.mkdir()
+        old_qa = out / "c_qa_generation.jsonl"
+        old_qa.write_bytes(b"an earlier run's QA pairs\n")
+        argv = ("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--name", "c",
+                "--endpoint", chat_server.url)
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            "data error: no question/answer blocks found (discarded 1) (document 'doc-00001')\n"
+        )
+        assert _log_ids(out) == ["doc-00000", "doc-00002"]
+        assert old_qa.read_bytes() == b"an earlier run's QA pairs\n"
+        # the rerun bills only the failed document
+        chat_server.script = [ok[1]]
+        assert run(*argv) == 0
+        assert len(chat_server.seen) == 4
+        assert _log_ids(out) == ["doc-00000", "doc-00002", "doc-00001"]
+        answers = [json.loads(line)["answer"] for line in old_qa.read_bytes().splitlines()]
+        assert answers == ["A0.", "A1.", "A2."]
+
+    def test_every_failed_document_is_named_in_corpus_order(self, tmp_path, capsys, chat_server):
+        unparseable = (200, "application/json", _chat_reply("I cannot help with that."))
+        ok = (200, "application/json", _chat_reply("Question: Q?\nAnswer: A."))
+        chat_server.script = [unparseable, ok, unparseable]
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(3, seed=1), corpus)
+        assert run("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation",
+                   "--endpoint", chat_server.url) == 2
+        assert capsys.readouterr().err == "".join(
+            f"data error: no question/answer blocks found (discarded 1) (document 'doc-0000{i}')\n" for i in (0, 2)
+        )
+        assert _log_ids(out) == ["doc-00001"]
+
+    def test_jobs_do_not_change_the_log_or_the_pairs(self, tmp_path, monkeypatch):
+        def transport(url, headers, payload, timeout):
+            digest = hashlib.sha256(payload["messages"][0]["content"].encode("utf-8")).digest()
+            time.sleep(digest[0] % 4 / 1000)  # uneven latencies reorder completions
+            return 200, {"choices": [{"message": {"content": f"Question: Q?\nAnswer: {digest.hex()[:8]}."}}]}
+
+        monkeypatch.setattr(qagen, "_http_transport", transport)
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(24, seed=5), corpus)
+        outputs = []
+        for jobs in (1, 4):
+            out = tmp_path / f"jobs{jobs}"
+            assert run("--jobs", jobs, "--out", out, "gen-qa", "--corpus", corpus, "--task", "generation",
+                       "--name", "c", "--endpoint", "http://chat.test") == 0
+            outputs.append(tree_bytes(out))
+        assert outputs[0] == outputs[1]
+        assert sorted(outputs[0]) == ["c_qa_generation.jsonl", "qa_cache/generation.jsonl"]
+
+    def test_a_held_log_fails_at_once(self, tmp_path, capsys, chat_server):
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(2, seed=1), corpus)
+        log = out / "qa_cache" / "generation.jsonl"
+        with qagen.ResponseLog(log):
+            code = run("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation",
+                       "--endpoint", chat_server.url)
+        assert code == 3
+        assert capsys.readouterr().err == f"i/o error: {log} is in use by another gen-qa run\n"
+        assert chat_server.seen == []
+        assert tree_bytes(out) == {"qa_cache/generation.jsonl": b""}
+
+    def test_an_interrupt_logs_every_response_paid_for(self, tmp_path, monkeypatch):
+        calls = []
+
+        def transport(url, headers, payload, timeout):
+            calls.append(payload)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return 200, {"choices": [{"message": {"content": f"Question: Q?\nAnswer: A{len(calls)}."}}]}
+
+        monkeypatch.setattr(qagen, "_http_transport", transport)
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        records = synthetic_records(12, seed=2)
+        write_jsonl(records, corpus)
+        with pytest.raises(KeyboardInterrupt):
+            run("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--endpoint", "http://chat.test")
+        # --jobs 1: the k-th request is the k-th document; when the third fails,
+        # the window of 4 futures holds documents 3 to 6 at most
+        assert 3 <= len(calls) <= 6
+        paid = [records[k]["id"] for k in range(len(calls)) if k != 2]
+        assert _log_ids(out) == paid
+        assert not (out / "c_qa_generation.jsonl").exists()
 
     def test_without_endpoint_or_cache_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)

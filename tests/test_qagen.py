@@ -18,6 +18,7 @@ from docstudy.qagen import (
     ChatError,
     ParseError,
     QAPair,
+    ResponseLog,
     build_generation_prompt,
     build_nli_prompt,
     build_type_prompt,
@@ -342,37 +343,55 @@ class TestCacheReplay:
     def test_cache_written_then_replayed_without_transport(self, tmp_path):
         script = [(200, "Question: Q?\nAnswer: A.")]
         client = make_client(script)
-        first = generate_for_document(MORITZ, "generation", client, tmp_path)
-        assert [p.answer for p in first.pairs] == ["A."]
-        cache_file = tmp_path / "moritz.generation.json"
-        assert cache_file.exists()
-        cached = json.loads(cache_file.read_text("utf-8"))
+        path = tmp_path / "generation.jsonl"
+        with ResponseLog(path) as log:
+            first, line = generate_for_document(MORITZ, "generation", client, log)
+            assert [p.answer for p in first.pairs] == ["A."]
+            assert path.read_bytes() == b""  # the caller appends
+            log.append(MORITZ.id, line)
+        assert path.read_bytes() == line
+        cached = json.loads(line)
+        assert list(cached) == ["discarded", "doc_id", "pairs", "request", "response"]
+        assert cached["doc_id"] == "moritz"
         assert cached["response"]["text"] == "Question: Q?\nAnswer: A."
 
-        # no client at all: replay must not need one
-        second = generate_for_document(MORITZ, "generation", None, tmp_path)
+        # no client at all: replay must not need one, and appends nothing
+        with ResponseLog(path) as log:
+            second, line = generate_for_document(MORITZ, "generation", None, log)
         assert second.pairs == first.pairs
+        assert line is None
 
-    def test_replays_cache_file_in_the_unsorted_format(self, tmp_path):
-        # older cache files: insertion-ordered keys, raw UTF-8, no final newline
-        payload = {
-            "request": {"model": "m", "prompt": "p", "temperature": 0.0, "max_tokens": 8},
-            "response": {"text": "Question: Wer?\nAnswer: Jürgen.", "finish_reason": "stop", "usage": {}},
-            "pairs": [{"doc_id": "moritz", "task": "generation", "question": "Wer?", "answer": "Jürgen."}],
-            "discarded": 1,
-        }
-        (tmp_path / "moritz.generation.json").write_text(json.dumps(payload, ensure_ascii=False, indent=2), "utf-8")
-        replay = generate_for_document(MORITZ, "generation", None, tmp_path)
-        assert [p.answer for p in replay.pairs] == ["Jürgen."]
-        assert replay.discarded == 1
+    def test_last_complete_line_of_an_id_wins(self, tmp_path):
+        path = tmp_path / "generation.jsonl"
+        # a changed request appends a new line; the old one stays as history
+        for n, model in enumerate(["m1", "m2"], 1):
+            with ResponseLog(path) as log:
+                client = make_client([(200, f"Question: Q{n}?\nAnswer: A{n}.")], model=model)
+                _, line = generate_for_document(MORITZ, "generation", client, log)
+                log.append(MORITZ.id, line)
+        assert [json.loads(line)["request"]["model"] for line in path.read_bytes().splitlines()] == ["m1", "m2"]
+        with ResponseLog(path) as log:
+            replay, line = generate_for_document(MORITZ, "generation", None, log)
+        assert [p.answer for p in replay.pairs] == ["A2."]
+
+    def test_a_second_open_of_one_log_is_refused(self, tmp_path):
+        path = tmp_path / "generation.jsonl"
+        with ResponseLog(path) as log:
+            log.append("d1", b'{"discarded":0,"doc_id":"d1","pairs":[],"request":{}}\n')
+            before = path.read_bytes()
+            with pytest.raises(OSError, match=f"^{re.escape(str(path))} is in use by another gen-qa run$"):
+                ResponseLog(path)
+            assert path.read_bytes() == before
+        with ResponseLog(path):  # closing the first releases the lock
+            pass
 
     def test_no_cache_and_no_client_is_usage_error(self, tmp_path):
-        with pytest.raises(UsageError):
-            generate_for_document(MORITZ, "generation", None, tmp_path)
+        with ResponseLog(tmp_path / "generation.jsonl") as log, pytest.raises(UsageError):
+            generate_for_document(MORITZ, "generation", None, log)
 
     def test_unknown_task_rejected(self, tmp_path):
-        with pytest.raises(UsageError):
-            generate_for_document(MORITZ, "translation", None, tmp_path)
+        with ResponseLog(tmp_path / "translation.jsonl") as log, pytest.raises(UsageError):
+            generate_for_document(MORITZ, "translation", None, log)
 
 
 class TestQaJsonl:
