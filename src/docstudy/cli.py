@@ -14,7 +14,7 @@ import os
 import sys
 import typing
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, nullcontext
 from pathlib import Path
 
 from .errors import DataError, MalformedLineError, UsageError
@@ -149,7 +149,8 @@ def cmd_gen_qa(args, config) -> int:
         client = qagen.ChatClient(endpoint=args.endpoint, api_key=args.api_key, **settings)
 
     parsed, failures = [], []
-    with qagen.ResponseLog(cache_dir / f"{args.task}.jsonl") as log:
+    # the client's connections close on every way out, an interrupt included
+    with client or nullcontext(), qagen.ResponseLog(cache_dir / f"{args.task}.jsonl") as log:
 
         def one(doc):
             return qagen.generate_for_document(doc, args.task, client, log, settings)

@@ -13,13 +13,13 @@ import json
 import os
 import re
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from . import __version__
 from .corpus import RawDocument
 from .errors import DataError, MalformedLineError, UsageError
 from .jsonio import encode_line, iter_jsonl, parse_object, reject_lone_surrogates, write_jsonl
@@ -34,8 +34,6 @@ _LABEL_CANON = {
 
 ENDPOINT_ENV = "DOCSTUDY_CHAT_ENDPOINT"
 API_KEY_ENV = "DOCSTUDY_API_KEY"
-# some gateways reject the default Python-urllib/* agent
-USER_AGENT = f"docstudy/{__version__}"
 
 
 class ParseError(DataError):
@@ -223,50 +221,17 @@ class ChatError(DataError):
 _TRANSIENT_STATUSES = {429, 500, 502, 503, 504}
 
 
-def _decode_body(raw: bytes):
-    """A response body as JSON; one that is not JSON keeps its first 200
-    characters under "raw", so the caller still acts on the status."""
-    if not raw:
-        return {}
-    try:
-        return json.loads(raw)
-    except ValueError:
-        return {"raw": raw.decode("utf-8", "replace")[:200]}
+def _http_pool():
+    """The default transport, made by a client's first request: a run that
+    sends none, a replay included, never loads the HTTP modules."""
+    from .transport import HttpPool
 
-
-def _http_transport(url: str, headers: dict, payload: dict, timeout: float):
-    """POST `payload` as JSON and return (status, body) for any HTTP reply.
-
-    The standard library's default opener honours HTTP(S)_PROXY and
-    NO_PROXY and verifies HTTPS against the system CA store. It is imported
-    here, so commands that send no request never load it.
-    """
-    import http.client
-    import urllib.error
-    import urllib.request
-
-    try:
-        request = urllib.request.Request(
-            url,
-            data=json.dumps(payload, allow_nan=False).encode("utf-8"),
-            headers={"User-Agent": USER_AGENT, **headers},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return response.status, _decode_body(response.read())
-        except urllib.error.HTTPError as exc:  # an OSError too, so caught first
-            with exc:
-                return exc.code, _decode_body(exc.read())
-    # URLError and timeouts are OSErrors; IncompleteRead and BadStatusLine are not
-    except (OSError, http.client.HTTPException) as exc:
-        raise ConnectionError(str(exc)) from exc
-    except ValueError as exc:  # a NaN in the payload, a newline in a header
-        raise UsageError(f"cannot send a request to {url}: {exc}") from exc
+    return HttpPool()
 
 
 class ChatClient:
-    """Thread-safe chat-completion client with retry; callers bound requests in flight."""
+    """Thread-safe chat-completion client with retry; callers bound requests
+    in flight, and `close()` (or `with`) closes its kept-alive connections."""
 
     def __init__(
         self,
@@ -293,8 +258,27 @@ class ChatClient:
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
-        self._transport = transport or _http_transport
+        self._transport = transport
+        self._transport_lock = threading.Lock()
         self._sleep = sleep
+
+    def __enter__(self) -> "ChatClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        close = getattr(self._transport, "close", None)  # a plain function holds no connection
+        if close is not None:
+            close()
+
+    def _send(self, headers: dict, payload: dict):
+        if self._transport is None:
+            with self._transport_lock:
+                if self._transport is None:
+                    self._transport = _http_pool()
+        return self._transport(self.endpoint, headers, payload, self.timeout)
 
     def complete(self, prompt: str) -> ChatResponse:
         payload = {
@@ -312,7 +296,7 @@ class ChatClient:
             if attempt:
                 self._sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                status, body = self._transport(self.endpoint, headers, payload, self.timeout)
+                status, body = self._send(headers, payload)
             except ConnectionError as exc:
                 last_error = f"connection error: {exc}"
                 continue

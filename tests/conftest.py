@@ -1,8 +1,9 @@
 import http.server
 import json
 import os
+import ssl
 import threading
-import urllib.request
+import time
 from pathlib import Path
 
 import pytest
@@ -72,12 +73,10 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture()
 def chat_server(monkeypatch):
     """A loopback chat endpoint on a thread: fill `script`, read `seen`."""
-    # a proxy set on the host must not reroute 127.0.0.1, and urlopen keeps
-    # the opener (with the proxies it read) from its first call
+    # a proxy set on the host must not reroute 127.0.0.1
     for name in list(os.environ):
         if name.lower().endswith("_proxy"):
             monkeypatch.delenv(name)
-    monkeypatch.setattr(urllib.request, "_opener", None)
     server = http.server.HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
     server.script, server.seen = [], []
     server.url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
@@ -86,3 +85,95 @@ def chat_server(monkeypatch):
     yield server
     server.shutdown()
     server.server_close()
+
+
+def wait_for(condition, seconds: float = 5.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.005)
+
+
+LOOPBACK_CERT = DATA / "loopback_cert.pem"  # self-signed for 127.0.0.1, test use only
+_REPLY = json.dumps({"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}).encode("utf-8")
+
+
+class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every POST with one fixed chat reply over HTTP/1.1, so the
+    client may keep the connection; with `drop` set, the server closes it
+    after each reply without saying so. A CONNECT is refused with a 502.
+    Each request is recorded as (path, headers, payload or None)."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = 5  # how long a kept connection waits for its next request
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        self.server.seen.append((self.path, dict(self.headers), json.loads(self.rfile.read(length))))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(_REPLY)))
+        self.end_headers()
+        self.wfile.write(_REPLY)
+        self.close_connection = self.server.drop
+
+    def do_CONNECT(self):
+        self.server.seen.append((self.path, dict(self.headers), None))
+        self.send_response(502)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+        self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+class _Http10Handler(_KeepAliveHandler):
+    protocol_version = "HTTP/1.0"
+
+
+class _CountingServer(http.server.ThreadingHTTPServer):
+    """Counts the connections it accepts and the ones it has closed."""
+
+    connections = closed = 0
+
+    def get_request(self):
+        request = super().get_request()  # with TLS, the handshake runs here
+        self.connections += 1
+        return request
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed += 1
+
+
+@pytest.fixture()
+def loopback_server(monkeypatch):
+    """Starts loopback chat servers that count connections:
+    `loopback_server(tls=False, drop=False, http10=False)`; read `seen`,
+    `connections` and `closed`. An HTTP/1.0 server closes each connection
+    after its reply, as the `chat_server` fixture does; for an HTTP/1.1
+    one, close every client before the test ends."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    servers = []
+
+    def start(tls: bool = False, drop: bool = False, http10: bool = False):
+        server = _CountingServer(("127.0.0.1", 0), _Http10Handler if http10 else _KeepAliveHandler)
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(LOOPBACK_CERT, DATA / "loopback_key.pem")
+            server.socket = context.wrap_socket(server.socket, server_side=True)
+        server.seen, server.drop = [], drop
+        scheme = "https" if tls else "http"
+        server.url = f"{scheme}://127.0.0.1:{server.server_port}/v1/chat/completions"
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import docstudy
-from conftest import DATA
+from conftest import DATA, wait_for
 from docstudy import curriculum, dataset, jsonio, qagen
 from docstudy.cli import JOBS_ENV, _resolve, main
 from docstudy.corpus import iter_documents
@@ -857,6 +857,16 @@ class TestGenQa:
         assert tree_bytes(out) == first
         assert [p for p in tmp_path.rglob("*") if p != out and out not in p.parents] == [corpus]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_requests_reuse_at_most_jobs_connections(self, tmp_path, loopback_server, jobs):
+        server = loopback_server()
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(8, seed=3), corpus)
+        assert run("--jobs", jobs, "--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation",
+                   "--endpoint", server.url) == 0
+        assert len(server.seen) == 8
+        assert 1 <= server.connections <= jobs
+
     def test_jobs_bounds_requests_in_flight(self, tmp_path, monkeypatch):
         state = {"now": 0, "peak": 0, "calls": 0}
         lock = threading.Lock()
@@ -871,7 +881,7 @@ class TestGenQa:
                 state["now"] -= 1
             return 200, {"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}
 
-        monkeypatch.setattr(qagen, "_http_transport", transport)
+        monkeypatch.setattr(qagen, "_http_pool", lambda: transport)
         corpus = tmp_path / "c.jsonl"
         write_jsonl(synthetic_records(8, seed=3), corpus)
         code = run("--jobs", 2, "--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation",
@@ -1064,7 +1074,7 @@ class TestGenQa:
             time.sleep(digest[0] % 4 / 1000)  # uneven latencies reorder completions
             return 200, {"choices": [{"message": {"content": f"Question: Q?\nAnswer: {digest.hex()[:8]}."}}]}
 
-        monkeypatch.setattr(qagen, "_http_transport", transport)
+        monkeypatch.setattr(qagen, "_http_pool", lambda: transport)
         corpus = tmp_path / "c.jsonl"
         write_jsonl(synthetic_records(24, seed=5), corpus)
         outputs = []
@@ -1097,7 +1107,7 @@ class TestGenQa:
                 raise KeyboardInterrupt
             return 200, {"choices": [{"message": {"content": f"Question: Q?\nAnswer: A{len(calls)}."}}]}
 
-        monkeypatch.setattr(qagen, "_http_transport", transport)
+        monkeypatch.setattr(qagen, "_http_pool", lambda: transport)
         corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
         records = synthetic_records(12, seed=2)
         write_jsonl(records, corpus)
@@ -1110,6 +1120,23 @@ class TestGenQa:
         assert _log_ids(out) == paid
         assert not (out / "c_qa_generation.jsonl").exists()
 
+    def test_an_interrupt_closes_the_kept_alive_connection(self, tmp_path, loopback_server, monkeypatch):
+        server = loopback_server()
+        parse = qagen.parse_qa_response
+
+        def interrupted(raw, task, doc_id=""):
+            if len(server.seen) == 3:
+                raise KeyboardInterrupt
+            return parse(raw, task, doc_id)
+
+        monkeypatch.setattr(qagen, "parse_qa_response", interrupted)
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(6, seed=2), corpus)
+        with pytest.raises(KeyboardInterrupt):
+            run("--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation",
+                "--endpoint", server.url)
+        wait_for(lambda: server.closed == server.connections == 1)
+
     def test_without_endpoint_or_cache_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)
         corpus = tmp_path / "c.jsonl"
@@ -1119,22 +1146,25 @@ class TestGenQa:
 
 
 # modules each command must not load (as docstudy.<name>); gen-qa replays its
-# cache, so no command loads an HTTP client
+# cache, with or without an endpoint, so no command loads an HTTP client
 IMPORT_BUDGETS = {
-    "ingest": ("analysis", "taskgen", "dataset", "qagen", "metrics", "curriculum", "stats"),
-    "gen-tasks": ("qagen", "metrics", "curriculum"),
-    "gen-qa": ("metrics", "curriculum", "dataset", "stats"),
-    "split": ("metrics", "curriculum"),
-    "stats": ("metrics", "curriculum"),
-    "plan": ("analysis", "taskgen", "qagen", "metrics", "stats"),
-    "verify": ("analysis", "taskgen", "qagen", "metrics", "stats"),
-    "eval": ("analysis", "corpus", "taskgen", "dataset", "qagen", "curriculum", "stats"),
+    "ingest": ("analysis", "taskgen", "dataset", "qagen", "transport", "metrics", "curriculum", "stats"),
+    "gen-tasks": ("qagen", "transport", "metrics", "curriculum"),
+    "gen-qa": ("transport", "metrics", "curriculum", "dataset", "stats"),
+    "gen-qa --endpoint": ("transport", "metrics", "curriculum", "dataset", "stats"),
+    "split": ("transport", "metrics", "curriculum"),
+    "stats": ("transport", "metrics", "curriculum"),
+    "plan": ("analysis", "taskgen", "qagen", "transport", "metrics", "stats"),
+    "verify": ("analysis", "taskgen", "qagen", "transport", "metrics", "stats"),
+    "eval": ("analysis", "corpus", "taskgen", "dataset", "qagen", "transport", "curriculum", "stats"),
 }
 COMMAND_ARGV = {
     "ingest": ["--out", "ingest", "ingest", "--corpus", "raw.jsonl", "--name", "c"],
     "gen-tasks": ["--out", "gen-tasks", "gen-tasks", "--corpus", "c.jsonl", "--name", "c", "--reading"],
     "gen-qa": ["--out", "gen-qa", "gen-qa", "--corpus", "c.jsonl", "--task", "generation", "--name", "c",
                "--cache-dir", "qa_cache"],
+    "gen-qa --endpoint": ["--out", "gen-qa", "gen-qa", "--corpus", "c.jsonl", "--task", "generation", "--name", "c",
+                          "--cache-dir", "qa_cache", "--endpoint", "http://chat.test"],
     "split": ["--out", "split", "split", "--corpus", "c.jsonl", "--name", "c", "--qa", "c_qa_generation.jsonl"],
     "stats": ["--out", "stats", "stats", "--corpus", "c.jsonl", "--qa", "c_qa_generation.jsonl"],
     "plan": ["--out", "plan", "plan", "--preset", "continued_pretraining", "--ref", "test_doc=c_reading.jsonl",
@@ -1155,7 +1185,7 @@ class TestImportBudget:
         assert run("--out", work, "gen-tasks", "--corpus", work / "c.jsonl", "--name", "c", "--reading") == 0
         reply = {"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(qagen, "_http_transport", lambda *args: (200, reply))
+            patch.setattr(qagen, "_http_pool", lambda: lambda *args: (200, reply))
             assert run("--out", work, "gen-qa", "--corpus", work / "c.jsonl", "--task", "generation",
                        "--name", "c", "--cache-dir", work / "qa_cache", "--endpoint", "http://chat.test") == 0
         write_jsonl([{"item_id": "i1", "prediction": "A."}], work / "p.jsonl")
@@ -1172,7 +1202,7 @@ class TestImportBudget:
         code, *loaded = result.stdout.splitlines()[-1].split()
         assert code == "0", result.stderr
         forbidden = {f"docstudy.{name}" for name in IMPORT_BUDGETS[command]} | {"urllib.request", "http.client"}
-        if command != "gen-qa":
+        if not command.startswith("gen-qa"):
             forbidden |= {"logging", "concurrent.futures"}
         if command in ("plan", "verify"):
             forbidden.add("dataclasses")

@@ -3,13 +3,14 @@ import json
 import os
 import re
 import socket
+import ssl
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import DATA, MORITZ_BODY, MORITZ_TITLE
+from conftest import DATA, LOOPBACK_CERT, MORITZ_BODY, MORITZ_TITLE, wait_for
 import docstudy
 from docstudy.corpus import RawDocument
 from docstudy.errors import DataError, UsageError
@@ -319,6 +320,48 @@ class TestHttpTransport:
         assert real_client("http://chat.test/v1/chat/completions").complete("p").text == "via proxy"
         assert chat_server.seen[0][0] == "http://chat.test/v1/chat/completions"
 
+    def test_no_proxy_goes_direct(self, chat_server, monkeypatch):
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{chat_server.server_port}")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        chat_server.script = [(200, "application/json", _chat_body("direct"))]
+        assert real_client(chat_server.url).complete("p").text == "direct"
+        assert chat_server.seen[0][0] == "/v1/chat/completions"
+
+    def test_proxy_credentials_are_sent_as_basic_auth(self, chat_server, monkeypatch):
+        monkeypatch.setenv("http_proxy", f"http://user:pw@127.0.0.1:{chat_server.server_port}")
+        chat_server.script = [(200, "application/json", _chat_body("via proxy"))]
+        assert real_client("http://chat.test/v1/chat/completions").complete("p").text == "via proxy"
+        assert chat_server.seen[0][1]["Proxy-Authorization"] == "Basic dXNlcjpwdw=="
+
+    def test_https_proxy_is_asked_for_a_tunnel(self, loopback_server, monkeypatch):
+        proxy = loopback_server()
+        monkeypatch.setenv("https_proxy", f"http://user:pw@127.0.0.1:{proxy.server_port}")
+        client = real_client("https://chat.test/v1/chat/completions")
+        with pytest.raises(ChatError, match="after 3 attempts \\(connection error: .*Tunnel connection failed: 502"):
+            client.complete("p")
+        assert [(path, headers["Proxy-Authorization"]) for path, headers, _ in proxy.seen] == [
+            ("chat.test:443", "Basic dXNlcjpwdw==")
+        ] * 3
+
+    def test_an_untrusted_certificate_fails_verification(self, loopback_server, monkeypatch):
+        server = loopback_server(tls=True)
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        client = real_client(server.url)
+        with pytest.raises(ChatError, match="CERTIFICATE_VERIFY_FAILED"):
+            client.complete("p")
+        assert client._sleeps == [0.25, 0.5]
+        assert server.seen == []
+
+    def test_a_certificate_trusted_through_ssl_cert_file_verifies(self, loopback_server, monkeypatch):
+        server = loopback_server(tls=True, http10=True)
+        monkeypatch.setenv("SSL_CERT_FILE", str(LOOPBACK_CERT))
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        client = real_client(server.url)
+        assert client.complete("p").text == "Question: Q?\nAnswer: A."
+        assert client._sleeps == []
+        assert server.seen[0][0] == "/v1/chat/completions"
+
     @pytest.mark.parametrize(
         "options", [{"temperature": float("nan")}, {"api_key": "line\nbreak"}], ids=["nan-temperature", "newline-in-key"]
     )
@@ -337,6 +380,42 @@ class TestHttpTransport:
         env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1])}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert result.stdout == "[]\n"
+
+
+class TestConnectionPool:
+    def test_requests_share_one_connection(self, loopback_server):
+        server = loopback_server()
+        with real_client(server.url) as client:
+            for _ in range(4):
+                assert client.complete("p").text == "Question: Q?\nAnswer: A."
+        assert server.connections == 1
+        # urllib's headers in urllib's order, less its `Connection: close`
+        assert [list(headers) for _, headers, _ in server.seen] == [
+            ["Accept-Encoding", "Content-Length", "Host", "User-Agent", "Content-Type", "Authorization"]
+        ] * 4
+        wait_for(lambda: server.closed == 1)  # close() closed the idle connection
+
+    def test_a_connection_the_server_dropped_is_replaced_before_use(self, loopback_server):
+        server = loopback_server(drop=True)
+        with real_client(server.url) as client:
+            client.complete("p")
+            wait_for(lambda: server.closed == 1)
+            assert client.complete("p").text == "Question: Q?\nAnswer: A."
+            assert client._sleeps == []
+        assert server.connections == 2
+
+    def test_tls_requests_share_one_connection_and_one_context(self, loopback_server, monkeypatch):
+        server = loopback_server(tls=True)
+        monkeypatch.setenv("SSL_CERT_FILE", str(LOOPBACK_CERT))
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        contexts = []
+        create = ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", lambda *a, **k: contexts.append(1) or create(*a, **k))
+        with real_client(server.url) as client:
+            for _ in range(3):
+                assert client.complete("p").text == "Question: Q?\nAnswer: A."
+        assert server.connections == 1
+        assert len(contexts) == 1
 
 
 class TestCacheReplay:
