@@ -115,6 +115,9 @@ def document_from_record(record: dict) -> RawDocument:
     doc_id = record.get("id")
     if doc_id is not None and (not isinstance(doc_id, str) or not doc_id):
         raise DataError(f"'id' must be a non-empty string or null, got {doc_id!r}")
+    for key in ("source", "collected_at"):
+        if not isinstance(record.get(key), (str, type(None))):
+            raise DataError(f"{key!r} must be a string or null, got {type(record[key]).__name__}")
     reject_lone_surrogates({key: record.get(key) for key in _TEXT_KEYS})
     if "\n" in title_raw.strip("\n"):
         raise DataError("title must be a single line")

@@ -1,10 +1,10 @@
 """Training recipes as data: ordered stage plans over dataset manifests.
 
-The ten method presets live in a versioned fixture file; planning
-validates that every referenced manifest is supplied, and rendering
-streams one trainer-consumable manifest per stage: a first pass checks
-each ref once, and a second copies its verified lines per stage, without
-holding its records. This package never trains anything.
+The ten method presets live in a versioned fixture file; `plan` validates
+that every referenced manifest is supplied. Rendering streams one
+trainer-consumable manifest per stage: `scan_refs` checks each ref once,
+and `stage_lines` copies its verified lines per stage, without holding
+its records. This package never trains anything.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .dataset import (
     KIND_TASK,
     ManifestReader,
     attach_loss_policy,
-    read_manifest,
     record_line,
 )
 from .errors import DataError, UsageError
@@ -33,12 +32,10 @@ MIX_CONCAT = "concat"
 MIX_INTERLEAVE = "interleave"
 MIX_PREFIX_PAIR = "prefix_pair"
 
-TEST_DOC_REF = "test_doc"
-
 # the record kind every manifest behind a preset ref must hold
 REF_KINDS = {
     "train_doc": KIND_DOC,
-    TEST_DOC_REF: KIND_DOC,
+    "test_doc": KIND_DOC,
     "train_doc_reading": KIND_DOC,
     "train_self": KIND_TASK,
     "train_qa": KIND_QA,
@@ -51,10 +48,6 @@ _PAYLOAD_KEYS = {KIND_DOC: "id", KIND_TASK: "kind"}
 def load_presets() -> dict:
     text = resources.files("docstudy").joinpath("data", "method_presets.json").read_text("utf-8")
     return json.loads(text)
-
-
-def preset_ids() -> tuple[str, ...]:
-    return tuple(load_presets().keys())
 
 
 def required_refs(preset: str, cross_domain: bool = False) -> set[str]:
@@ -111,19 +104,6 @@ def _fault(record: dict, name: str, needs: str, key: str | None) -> str | None:
     return None
 
 
-def read_ref(name: str, path) -> list[dict]:
-    """The records of the manifest behind ref `name`, refusing a record of
-    another kind or one whose payload rendering cannot read."""
-    needs = REF_KINDS[name]
-    key = _PAYLOAD_KEYS.get(needs)
-    records = read_manifest(path)
-    for index, record in enumerate(records):
-        fault = _fault(record, name, needs, key)
-        if fault is not None:
-            raise DataError(f"{path}: record {index} {fault}")
-    return records
-
-
 class RefScan:
     """What rendering keeps of one ref's manifest after its first pass: the
     record count and checksum, whether its lines need the loss policy
@@ -135,8 +115,9 @@ class RefScan:
 
 
 def scan_ref(name: str, path, pairing: bool = False) -> RefScan:
-    """Make every check `read_ref` makes on the manifest behind ref `name`,
-    holding no record; with `pairing`, index its lines by payload `doc_id`."""
+    """Check the manifest behind ref `name` as `ManifestReader` does, and
+    refuse a record of another kind or one whose payload rendering cannot
+    read, holding no record; with `pairing`, index its lines by payload `doc_id`."""
     needs = REF_KINDS[name]
     key = _PAYLOAD_KEYS.get(needs)
     fault = None
@@ -158,7 +139,7 @@ def scan_ref(name: str, path, pairing: bool = False) -> RefScan:
                 fault = f"{path}: record {index} has no string payload 'doc_id'"
                 continue
             by_doc.setdefault(doc_id, []).append(line if stamped else record_line(record))
-    # as in read_ref, a fault of the manifest comes before a record rendering cannot read
+    # read on past a bad record: a fault of the manifest, which may show only at its end, comes first
     if fault is not None:
         raise DataError(fault)
     return RefScan(path, reader.footer["count"], reader.footer["checksum"], restamp, by_doc)
@@ -219,32 +200,6 @@ def _doc_lines(scan: RefScan):
         yield doc_id, line
 
 
-def stage_lines(stage: dict, scans: dict[str, RefScan]):
-    """Yield the record lines of one plan stage's manifest, read again from
-    the refs `scan_refs` checked; a ref whose lines changed since is a DataError."""
-    def pair(names):
-        docs = chain.from_iterable(_doc_lines(scans[name]) for name in names if REF_KINDS[name] == KIND_DOC)
-        by_doc: dict[str, list[bytes]] = {}
-        for name in names:
-            if REF_KINDS[name] != KIND_DOC:
-                for doc_id, lines in scans[name].by_doc.items():
-                    by_doc.setdefault(doc_id, []).extend(lines)
-        return docs, by_doc
-
-    return _render(stage, lambda name: scans[name].count, lambda name: _lines(scans[name]), pair)
-
-
-def fairness_epochs(stage_plan: dict, test_ref: str = TEST_DOC_REF) -> int:
-    """Total epochs over stages whose refs include the test-document set."""
-    return sum(s["epochs"] for s in stage_plan["stages"] if test_ref in s["refs"])
-
-
-def _replay_picks(n: int, size: int, seed: int) -> list[int]:
-    if size > n:
-        raise DataError(f"replay size {size} exceeds manifest of {n} records")
-    return Stream(mix_key(seed, "replay")).sample_indices(n, size)
-
-
 def _pick(items, picks: list[int]):
     """The items at the ascending positions `picks`; reads `items` to its end."""
     picks = iter(picks)
@@ -253,11 +208,6 @@ def _pick(items, picks: list[int]):
         if r == want:
             yield item
             want = next(picks, None)
-
-
-def sample_replay(records: list[dict], size: int, seed: int) -> list[dict]:
-    """Seeded sample without replacement, stable in original order."""
-    return list(_pick(records, _replay_picks(len(records), size, seed)))
 
 
 def _keyed(g: int, n: int, items):
@@ -289,56 +239,34 @@ def _prefix_pair(docs, by_doc: dict):
             raise DataError(f"record references unknown document id {doc_id!r} in pairing mode")
 
 
-def _render(stage: dict, count, items, pair):
-    """Stream one stage's items per its mixing mode and replay.
-
-    `count(name)` is the number of items behind ref `name` and `items(name)`
-    a fresh iterator over them; for pairing, `pair(names)` gives the
-    (doc id, document) stream and the other items by doc id.
-    """
+def stage_lines(stage: dict, scans: dict[str, RefScan]):
+    """The record lines of one plan stage's manifest per its mixing mode and
+    replay, streamed again from the refs `scan_refs` checked; a ref whose
+    lines changed since is a DataError."""
     names = stage["refs"]
     mix = stage["mix"]
-    n = sum(count(name) for name in names)
     if mix == MIX_CONCAT:
-        rendered = chain.from_iterable(map(items, names))
+        rendered = chain.from_iterable(_lines(scans[name]) for name in names)
     elif mix == MIX_INTERLEAVE:
-        rendered = _interleave([(count(name), items(name)) for name in names])
+        rendered = _interleave([(scans[name].count, _lines(scans[name])) for name in names])
     elif mix == MIX_PREFIX_PAIR:
-        rendered = _prefix_pair(*pair(names))
+        docs = chain.from_iterable(_doc_lines(scans[name]) for name in names if REF_KINDS[name] == KIND_DOC)
+        by_doc: dict[str, list[bytes]] = {}
+        for name in names:
+            if REF_KINDS[name] != KIND_DOC:
+                for doc_id, lines in scans[name].by_doc.items():
+                    by_doc.setdefault(doc_id, []).extend(lines)
+        rendered = _prefix_pair(docs, by_doc)
     else:
         raise DataError(f"unknown mixing mode {mix!r}")
 
     replay = stage.get("replay")
     if replay is None:
         return rendered
-    source = replay["source"]
-    picks = _replay_picks(count(source), replay["size"], replay["seed"])
-    return _interleave([(n, rendered), (len(picks), _pick(items(source), picks))])
-
-
-def render_stage_inputs(stage: dict, records: dict[str, list[dict]]) -> list[dict]:
-    """Materialize one plan stage as a flat record list per its mixing mode;
-    `records` maps each ref to its manifest's records."""
-    replay = stage.get("replay")
-    missing = [name for name in stage["refs"] if name not in records]
-    if replay and replay["source"] not in records:
-        missing.append(replay["source"])
-    if missing:
-        raise DataError(f"missing manifests for stage {stage['index']}: {', '.join(missing)}")
-
-    def pair(names):
-        docs, by_doc = [], {}
-        for name in names:
-            for record in records[name]:
-                if record.get("kind") == KIND_DOC:
-                    docs.append((record["payload"]["id"], record))
-                else:
-                    by_doc.setdefault(record.get("payload", {}).get("doc_id"), []).append(record)
-        return docs, by_doc
-
-    return list(_render(stage, lambda name: len(records[name]), lambda name: iter(records[name]), pair))
-
-
-def plan_schema() -> dict:
-    text = resources.files("docstudy").joinpath("data", "stageplan.schema.json").read_text("utf-8")
-    return json.loads(text)
+    source, size = scans[replay["source"]], replay["size"]
+    if size > source.count:
+        raise DataError(f"replay size {size} exceeds manifest of {source.count} records")
+    # a seeded sample without replacement, kept in the source's order
+    picks = Stream(mix_key(replay["seed"], "replay")).sample_indices(source.count, size)
+    n = sum(scans[name].count for name in names)
+    return _interleave([(n, rendered), (size, _pick(_lines(source), picks))])

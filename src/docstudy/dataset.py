@@ -248,7 +248,3 @@ def verify_manifest(path) -> dict:
         pass
     return reader.footer
 
-
-def read_manifest(path) -> list[dict]:
-    """The records of a manifest that passes every check `verify_manifest` makes."""
-    return [record for record, _ in ManifestReader(path)]

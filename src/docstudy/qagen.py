@@ -23,7 +23,7 @@ from urllib.parse import urlsplit
 from .corpus import RawDocument
 from .errors import DataError, MalformedLineError, UsageError
 from .jsonio import encode_line, iter_jsonl, parse_object, reject_lone_surrogates, write_jsonl
-from .vocab import NLI_LABELS, NLI_OPTIONS, TASK_GENERATION, TASK_NLI, fill, options_block
+from .vocab import NLI_LABELS, NLI_OPTIONS, TASK_GENERATION, TASK_NLI, fill
 
 # a reply may give an NLI label, its option text, or the option without "'"
 _LABEL_CANON = {
@@ -105,8 +105,10 @@ class QAPair:
             if not isinstance(record.get(key), str):
                 raise DataError(f"QA record needs a string {key!r}")
         options = record.get("options")
-        if not isinstance(options, (list, type(None))):
-            raise DataError("QA record 'options' must be a list")
+        if not (options is None or isinstance(options, list) and all(isinstance(o, str) for o in options)):
+            raise DataError("QA record 'options' must be a list of strings or null")
+        if not isinstance(record.get("answer_label"), (str, type(None))):
+            raise DataError("QA record 'answer_label' must be a string or null")
         return cls(
             doc_id=record["doc_id"],
             task=record["task"],
@@ -190,21 +192,6 @@ def parse_qa_response(raw: str, task: str, doc_id: str = "") -> ParsedResponse:
         # one write, so warnings from concurrent documents never interleave
         sys.stderr.write(f"warning: discarded {discarded} malformed block(s) (document {doc_id!r})\n")
     return ParsedResponse(pairs=pairs, discarded=discarded)
-
-
-def render_qa_pairs(pairs: list[QAPair]) -> str:
-    """Canonical block rendering, the inverse of parse_qa_response."""
-    blocks = []
-    for pair in pairs:
-        if pair.task == TASK_NLI:
-            blocks.append(
-                f"Question: {pair.question}\nOptions:\n"
-                + options_block(pair.options or NLI_OPTIONS)
-                + f"\nAnswer: {pair.answer}"
-            )
-        else:
-            blocks.append(f"Question: {pair.question}\nAnswer: {pair.answer}")
-    return "\n".join(blocks)
 
 
 @dataclass(frozen=True)
@@ -300,6 +287,8 @@ class ChatClient:
             except ConnectionError as exc:
                 last_error = f"connection error: {exc}"
                 continue
+            except OSError as exc:  # permanent, such as an untrusted certificate
+                raise ChatError(f"chat request failed: {exc}") from exc
             if status in _TRANSIENT_STATUSES:
                 last_error = f"transient HTTP {status}"
                 continue

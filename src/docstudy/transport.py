@@ -69,7 +69,9 @@ class HttpPool:
             except BaseException:
                 conn.close()
                 raise
-        # timeouts and TLS failures are OSErrors; IncompleteRead and BadStatusLine are not
+        except ssl.SSLCertVerificationError:
+            raise  # no retry can make the certificate trusted
+        # timeouts and other TLS failures are OSErrors; IncompleteRead and BadStatusLine are not
         except (OSError, http.client.HTTPException) as exc:
             raise ConnectionError(str(exc)) from exc
         except ValueError as exc:  # a NaN in the payload, a newline in a header

@@ -7,12 +7,33 @@ keeps the earlier list code, which sorts every record of the stage on its
 to check the streaming renderer against, the way `_analysis_oracle.py`
 keeps the three-pass analysis. Its rules are copied, not imported, so a
 change to a rule in `docstudy.curriculum` shows up as a difference.
+
+It also holds the plan helpers only tests read: the preset ids, the
+packaged plan schema and the fairness rule's epoch count.
 """
 
 from __future__ import annotations
 
+import json
+from importlib import resources
+
+from docstudy.curriculum import load_presets
 from docstudy.errors import DataError
 from docstudy.rng import Stream, mix_key
+
+
+def preset_ids() -> tuple[str, ...]:
+    return tuple(load_presets().keys())
+
+
+def plan_schema() -> dict:
+    text = resources.files("docstudy").joinpath("data", "stageplan.schema.json").read_text("utf-8")
+    return json.loads(text)
+
+
+def fairness_epochs(stage_plan: dict, test_ref: str = "test_doc") -> int:
+    """Total epochs over stages whose refs include the test-document set."""
+    return sum(s["epochs"] for s in stage_plan["stages"] if test_ref in s["refs"])
 
 
 def sample_replay(records: list[dict], size: int, seed: int) -> list[dict]:

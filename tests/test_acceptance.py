@@ -17,8 +17,8 @@ from conftest import DATA, ROBERT_BODY, ROBERT_TITLE
 from docstudy.analysis import analyze_document
 from docstudy.cli import main as cli_main
 from docstudy.corpus import document_from_record, ingest_jsonl
-from docstudy.curriculum import fairness_epochs, plan, preset_ids, render_stage_inputs
-from docstudy.dataset import doc_record, qa_record, read_manifest, split_corpus, write_manifest
+from docstudy.curriculum import plan, scan_refs, stage_lines
+from docstudy.dataset import ManifestReader, doc_record, qa_record, split_corpus, write_manifest
 from docstudy.metrics import (
     aggregate_ppl,
     exact_match,
@@ -30,6 +30,8 @@ from docstudy.metrics import (
 from docstudy.qagen import QAPair, parse_qa_response
 from docstudy.taskgen import build_suite
 
+import _curriculum_oracle as oracle
+from _curriculum_oracle import fairness_epochs, preset_ids
 from _synth import synthetic_records, write_jsonl
 
 
@@ -278,7 +280,7 @@ def test_criterion_4_curriculum_golden_files(golden_plans, tmp_path):
         # rendered PIT stage 1: every QA record directly precedes its document
         docs = [doc_record(document_from_record(r)) for r in synthetic_records(12, seed=3)]
         write_manifest(docs, name="train_doc", split="train", path=tmp_path / "train_doc.jsonl")
-        doc_manifest = read_manifest(tmp_path / "train_doc.jsonl")
+        doc_manifest = [r for r, _ in ManifestReader(tmp_path / "train_doc.jsonl")]
         qa_records = []
         for record in synthetic_records(12, seed=3):
             for k in range(2):
@@ -287,8 +289,11 @@ def test_criterion_4_curriculum_golden_files(golden_plans, tmp_path):
                                      question=f"Q{k}?", answer="A."))
                 )
         write_manifest(qa_records, name="train_qa", split="train", path=tmp_path / "train_qa.jsonl")
-        qa_manifest = read_manifest(tmp_path / "train_qa.jsonl")
-        rendered = render_stage_inputs(pit["stages"][0], {"train_doc": doc_manifest, "train_qa": qa_manifest})
+        qa_manifest = [r for r, _ in ManifestReader(tmp_path / "train_qa.jsonl")]
+        stage = pit["stages"][0]
+        paths = {name: tmp_path / f"{name}.jsonl" for name in stage["refs"]}
+        rendered = [json.loads(line) for line in stage_lines(stage, scan_refs({"stages": [stage]}, paths))]
+        assert rendered == oracle.render_stage_inputs(stage, {"train_doc": doc_manifest, "train_qa": qa_manifest})
         for pos, record in enumerate(rendered):
             if record["kind"] != "qa":
                 continue
@@ -348,7 +353,7 @@ def test_criterion_6_pipeline_determinism(tmp_path):
         def cloze_spans(root: Path):
             return [
                 (r["payload"]["doc_id"], r["payload"]["provenance"])
-                for r in read_manifest(root / "c_tasks.jsonl")
+                for r, _ in ManifestReader(root / "c_tasks.jsonl")
                 if r["payload"].get("kind") == "cloze"
             ]
 

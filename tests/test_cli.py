@@ -18,10 +18,10 @@ from docstudy.cli import JOBS_ENV, _resolve, main
 from docstudy.corpus import iter_documents
 from docstudy.curriculum import plan
 from docstudy.dataset import (
+    ManifestReader,
     attach_loss_policy,
     doc_record,
     qa_record,
-    read_manifest,
     verify_manifest,
     write_manifest,
 )
@@ -90,6 +90,30 @@ class TestPipeline:
         before = tree_bytes(out_a)
         assert run("--seed", 5, "--out", out_a, "gen-tasks", "--corpus", out_a / "c.jsonl", "--name", "c", "--reading") == 0
         assert tree_bytes(out_a) == before
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path, corpus_path):
+        flow = [
+            ["ingest", "--corpus", str(corpus_path), "--name", "c"],
+            ["gen-tasks", "--corpus", "c.jsonl", "--name", "c", "--reading"],
+            ["split", "--corpus", "c.jsonl", "--name", "c", "--fraction", "0.25"],
+            ["stats", "--corpus", "c.jsonl", "--name", "c"],
+            ["plan", "--preset", "continued_pretraining", "--ref", "test_doc=c_reading.jsonl", "--render"],
+        ]
+        # the whole flow in one child interpreter, run in the output directory
+        script = (
+            "import json, sys\nfrom docstudy.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n    assert main(['--seed', '5', '--out', '.', *argv]) == 0, argv\n"
+        )
+        trees = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hash{hash_seed}"
+            out.mkdir()
+            env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1]), "PYTHONHASHSEED": hash_seed}
+            subprocess.run([sys.executable, "-c", script, json.dumps(flow)], cwd=out, env=env, check=True,
+                           capture_output=True)
+            trees.append({name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()})
+        assert "continued_pretraining_stage1.jsonl" in trees[0] and "c_stats.json" in trees[0]
+        assert trees[0] == trees[1]
 
     def test_split_outputs_are_corpora(self, tmp_path, corpus_path):
         out = tmp_path / "o"
@@ -467,6 +491,17 @@ class TestErrors:
              "{file}:1: 'id' must be a non-empty string or null, got 7"),
             ("raw.jsonl", '{"id": "", "title": "T", "body": "A b."}\n', ["ingest", "--corpus", "{file}"], 2,
              "{file}:1: 'id' must be a non-empty string or null, got ''"),
+            ("raw.jsonl", '{"id": "a", "title": "T", "body": "A b.", "source": 5}\n', ["ingest", "--corpus", "{file}"],
+             2, "{file}:1: 'source' must be a string or null, got int"),
+            ("raw.jsonl", '{"id": "a", "title": "T", "body": "A b.", "collected_at": {"x": [1]}}\n',
+             ["gen-tasks", "--corpus", "{file}"], 2, "{file}:1: 'collected_at' must be a string or null, got dict"),
+            ("qa.jsonl", '{"doc_id": "d1", "task": "generation", "question": "Q?", "answer": "A.", "answer_label": 5}\n',
+             ["split", "--corpus", "{corpus}", "--qa", "{file}"], 2,
+             "{file}:1: QA record 'answer_label' must be a string or null"),
+            ("qa.jsonl",
+             '{"doc_id": "d1", "task": "generation", "question": "Q?", "answer": "A.", "options": ["x", 3, null]}\n',
+             ["stats", "--corpus", "{corpus}", "--qa", "{file}"], 2,
+             "{file}:1: QA record 'options' must be a list of strings or null"),
         ],
         ids=[
             "qa-row-without-task", "qa-line-not-json", "stats-qa-line-not-json", "truncated-qa-cache",
@@ -480,6 +515,7 @@ class TestErrors:
             "task-config-multiplicity-negative", "lexicon-not-utf8", "abbreviations-not-utf8",
             "split-ngram-0", "split-ngram-negative", "qa-row-unknown-document",
             "corpus-id-object", "corpus-id-zero", "corpus-id-false", "corpus-id-int", "corpus-id-empty",
+            "corpus-source-int", "corpus-collected-at-object", "qa-answer-label-int", "qa-options-not-strings",
         ],
     )
     def test_malformed_input_names_file(self, tmp_path, capsys, monkeypatch, name, content, argv, code, where):
@@ -645,7 +681,7 @@ def _ref_records(tmp_path: Path, corpus: Path, train: int = 20, qa_per_doc: int 
     qa = [qa_record(QAPair(doc_id=d["payload"]["id"], task="generation", question=f"Q{k}?", answer="A."))
           for d in docs[:train] for k in range(qa_per_doc)]
     return {"train_doc": docs[:train], "test_doc": docs[train:], "train_qa": qa,
-            "train_self": read_manifest(tmp_path / "tasks" / "c_tasks.jsonl")}
+            "train_self": [r for r, _ in ManifestReader(tmp_path / "tasks" / "c_tasks.jsonl")]}
 
 
 def _write_refs(tmp_path: Path, records: dict) -> dict:

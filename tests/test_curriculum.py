@@ -9,23 +9,21 @@ from hypothesis import strategies as st
 
 from docstudy.cli import main
 from docstudy.corpus import document_from_record
-from docstudy.curriculum import (
-    REF_KINDS,
-    fairness_epochs,
-    plan,
-    plan_schema,
-    preset_ids,
-    read_ref,
-    render_stage_inputs,
-    required_refs,
-    sample_replay,
+from docstudy.curriculum import REF_KINDS, plan, required_refs, scan_ref, scan_refs, stage_lines
+from docstudy.dataset import (
+    ManifestReader,
+    attach_loss_policy,
+    doc_record,
+    qa_record,
+    verify_manifest,
+    write_manifest,
 )
-from docstudy.dataset import doc_record, qa_record, read_manifest, verify_manifest, write_manifest
 from docstudy.errors import DataError, UsageError
 from docstudy.jsonio import encode_line, read_json, write_json
 from docstudy.qagen import QAPair
 
 import _curriculum_oracle as oracle
+from _curriculum_oracle import fairness_epochs, plan_schema, preset_ids
 from _synth import synthetic_records
 
 ALL_PRESETS = (
@@ -53,7 +51,7 @@ REFS = {
 def _manifest(tmp_path, records, name, seed=0):
     path = tmp_path / f"{name}.jsonl"
     write_manifest(records, name=name, split="train", path=path, seed=seed)
-    return read_manifest(path)
+    return [record for record, _ in ManifestReader(path)]
 
 
 def _doc_manifest(tmp_path, n, seed=0, name="docs"):
@@ -151,19 +149,26 @@ class TestPresetCoverage:
         assert read_json(tmp_path / "o" / "self_tuning_plan.json") == plan("self_tuning", REFS, seed=2)
 
 
+def _rendered(stage: dict, paths: dict) -> list[dict]:
+    """The records `stage_lines` streams for `stage` from the manifests at `paths`."""
+    return [json.loads(line) for line in stage_lines(stage, scan_refs({"stages": [stage]}, paths))]
+
+
 class TestReadRef:
     def test_matching_kind_loads(self, tmp_path):
         path = tmp_path / "qa.jsonl"
         manifest = _qa_manifest(tmp_path, ["a", "b"])
         write_manifest(manifest, name="qa", split="train", path=path)
-        assert read_ref("train_qa", path) == manifest
+        scan = scan_ref("train_qa", path)
+        assert scan.count == len(manifest)
+        assert _rendered({"mix": "concat", "refs": ["train_qa"]}, {"train_qa": path}) == manifest
 
     def test_first_record_of_another_kind_is_named(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
         docs = _doc_manifest(tmp_path, 2)
         write_manifest(_qa_manifest(tmp_path, ["a"]) + docs, name="mixed", split="train", path=path)
         with pytest.raises(DataError, match=r"record 2 is kind 'doc'; ref train_qa needs 'qa'"):
-            read_ref("train_qa", path)
+            scan_ref("train_qa", path)
 
     @pytest.mark.parametrize(
         "ref, record, reason",
@@ -184,36 +189,45 @@ class TestReadRef:
         path.write_bytes(line + encode_line(footer))
         assert verify_manifest(path) == footer
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: record 0 {re.escape(reason)}$"):
-            read_ref(ref, path)
+            scan_ref(ref, path)
+
+
+def _sample_replay(tmp_path, size: int, seed: int) -> list[dict]:
+    """The replay records a stage of one test document streams with a
+    `size` sample of the QA manifest `_qa_manifest` last wrote."""
+    _doc_manifest(tmp_path, 1, name="test_doc")
+    stage = {"mix": "concat", "refs": ["test_doc"], "replay": {"source": "train_qa", "size": size, "seed": seed}}
+    paths = {name: tmp_path / f"{name}.jsonl" for name in ("test_doc", "train_qa")}
+    return [record for record in _rendered(stage, paths) if record["kind"] == "qa"]
 
 
 class TestSampleReplay:
     def test_sixty_four_distinct_from_large_manifest(self, tmp_path):
-        manifest = _qa_manifest(tmp_path, [f"doc-{i:05d}" for i in range(3068)], per_doc=2)
-        sampled = sample_replay(manifest, 64, seed=5)
+        _qa_manifest(tmp_path, [f"doc-{i:05d}" for i in range(3068)], per_doc=2, name="train_qa")
+        sampled = _sample_replay(tmp_path, 64, seed=5)
         assert len(sampled) == 64
         keys = [json.dumps(r, sort_keys=True) for r in sampled]
         assert len(set(keys)) == 64
 
     def test_full_set_in_original_order(self, tmp_path):
-        manifest = _qa_manifest(tmp_path, ["a", "b", "c"], per_doc=1)
-        sampled = sample_replay(manifest, 3, seed=9)
+        manifest = _qa_manifest(tmp_path, ["a", "b", "c"], per_doc=1, name="train_qa")
+        sampled = _sample_replay(tmp_path, 3, seed=9)
         assert sampled == manifest
 
     def test_stable_order_by_original_index(self, tmp_path):
-        manifest = _qa_manifest(tmp_path, [f"d{i}" for i in range(50)], per_doc=1)
-        sampled = sample_replay(manifest, 10, seed=4)
+        manifest = _qa_manifest(tmp_path, [f"d{i}" for i in range(50)], per_doc=1, name="train_qa")
+        sampled = _sample_replay(tmp_path, 10, seed=4)
         positions = [manifest.index(r) for r in sampled]
         assert positions == sorted(positions)
 
     def test_same_seed_identical(self, tmp_path):
-        manifest = _qa_manifest(tmp_path, [f"d{i}" for i in range(40)], per_doc=1)
-        assert sample_replay(manifest, 8, seed=6) == sample_replay(manifest, 8, seed=6)
+        _qa_manifest(tmp_path, [f"d{i}" for i in range(40)], per_doc=1, name="train_qa")
+        assert _sample_replay(tmp_path, 8, seed=6) == _sample_replay(tmp_path, 8, seed=6)
 
     def test_size_exceeds_error(self, tmp_path):
-        manifest = _qa_manifest(tmp_path, ["a"], per_doc=1)
+        _qa_manifest(tmp_path, ["a"], per_doc=1, name="train_qa")
         with pytest.raises(DataError):
-            sample_replay(manifest, 2, seed=0)
+            _sample_replay(tmp_path, 2, seed=0)
 
 
 class TestRender:
@@ -224,25 +238,32 @@ class TestRender:
         test_docs = _doc_manifest(tmp_path, 3, seed=99, name="test_doc")
         return {"train_doc": docs, "train_qa": qa, "test_doc": test_docs}
 
+    @staticmethod
+    def _checked_render(tmp_path, stage, manifests):
+        """`_rendered` from the manifests' files, checked against the oracle's list render."""
+        records = _rendered(stage, {name: tmp_path / f"{name}.jsonl" for name in manifests})
+        assert records == oracle.render_stage_inputs(stage, manifests)
+        return records
+
     def test_concat_is_a_plus_b(self, tmp_path):
         manifests = self._manifests(tmp_path)
         stage = {"index": 1, "epochs": 1, "mix": "concat", "refs": ["train_doc", "test_doc"]}
-        records = render_stage_inputs(stage, manifests)
+        records = self._checked_render(tmp_path, stage, manifests)
         expected = manifests["train_doc"] + manifests["test_doc"]
         assert records == expected
 
     def test_interleave_conserves_and_is_deterministic(self, tmp_path):
         manifests = self._manifests(tmp_path)
         stage = {"index": 1, "epochs": 1, "mix": "interleave", "refs": ["train_doc", "train_qa"]}
-        a = render_stage_inputs(stage, manifests)
-        b = render_stage_inputs(stage, manifests)
+        a = self._checked_render(tmp_path, stage, manifests)
+        b = self._checked_render(tmp_path, stage, manifests)
         assert a == b
         assert len(a) == len(manifests["train_doc"]) + len(manifests["train_qa"])
 
     def test_pit_pairing_places_qa_immediately_before_doc(self, tmp_path):
         manifests = self._manifests(tmp_path)
         pit = plan("pit", REFS, seed=0)
-        records = render_stage_inputs(pit["stages"][0], manifests)
+        records = self._checked_render(tmp_path, pit["stages"][0], manifests)
         assert len(records) == len(manifests["train_doc"]) + len(manifests["train_qa"])
         for pos, record in enumerate(records):
             if record["kind"] != "qa":
@@ -272,23 +293,28 @@ class TestRender:
         manifests["train_qa"] = _manifest(tmp_path, manifests["train_qa"] + [orphan], "train_qa")
         pit = plan("pit", REFS, seed=0)
         with pytest.raises(DataError) as err:
-            render_stage_inputs(pit["stages"][0], manifests)
+            _rendered(pit["stages"][0], {name: tmp_path / f"{name}.jsonl" for name in manifests})
         assert "missing-doc" in str(err.value)
 
     def test_replay_merged_into_final_stage(self, tmp_path):
         manifests = self._manifests(tmp_path, n_docs=100)
         assert len(manifests["train_qa"]) == 200
         st = plan("self_tuning", {**REFS}, seed=1)
-        manifests["train_self"] = _doc_manifest(tmp_path, 2, seed=5, name="train_self")
-        records = render_stage_inputs(st["stages"][2], manifests)
+        records = self._checked_render(tmp_path, st["stages"][2], manifests)
         qa_records = [r for r in records if r["kind"] == "qa"]
         assert len(qa_records) == 128
         doc_count = len(manifests["test_doc"])
         assert len(records) == doc_count + 128
 
 
-def _tagged(group: str, n: int) -> list[dict]:
-    return [{"kind": "qa", "payload": {"doc_id": "d", "group": group, "r": r}} for r in range(n)]
+_TAG_PAYLOADS = {"doc": lambda r: {"id": f"d{r}"}, "task": lambda r: {"kind": "cloze"}, "qa": lambda r: {"doc_id": "d"}}
+
+
+def _tagged(name: str, group: str, n: int) -> list[dict]:
+    """`n` records of ref `name`'s kind, each tagged with `group` and its position."""
+    kind = REF_KINDS[name]
+    return [attach_loss_policy({"kind": kind, "payload": {**_TAG_PAYLOADS[kind](r), "group": group, "r": r}})
+            for r in range(n)]
 
 
 def _assert_near_shares(groups: list[str], sizes: dict[str, int]) -> None:
@@ -315,29 +341,53 @@ _SIZES = st.lists(st.integers(0, 60), min_size=1, max_size=4)
 _REPLAYS = st.none() | st.tuples(st.integers(0, 60), st.integers(0, 60), st.integers(0, 2**32))
 
 
-def _stage(mix: str, sizes: list[int], replay) -> tuple[dict, dict]:
-    names = [f"ref{g}" for g in range(len(sizes))]
-    records = {name: _tagged(name, n) for name, n in zip(names, sizes)}
-    stage = {"index": 1, "epochs": 1, "mix": mix, "refs": names}
+@pytest.fixture(scope="module")
+def tagged_manifest(tmp_path_factory):
+    """`path(name, group, n)`: a manifest of `_tagged(name, group, n)`, written once per module."""
+    root = tmp_path_factory.mktemp("tagged")
+    paths = {}
+
+    def path(name: str, group: str, n: int):
+        if (name, group, n) not in paths:
+            paths[name, group, n] = root / f"{name}-{group}-{n}.jsonl"
+            write_manifest(_tagged(name, group, n), name=name, split="train", path=paths[name, group, n])
+        return paths[name, group, n]
+
+    return path
+
+
+def _stage(mix: str, sizes: list[int], replay, tagged_manifest) -> tuple[dict, dict, list[bytes]]:
+    """(stage, records by ref, the lines `stage_lines` streams for it): the
+    oracle's stage over groups of `sizes` records, ref names in `REF_KINDS`
+    order and the last for the replay source. The streamed stage leaves out
+    the empty groups and empty replay source that no manifest can hold."""
+    names = list(REF_KINDS)
+    groups = {name: (name, n) for name, n in zip(names, sizes)}  # ref: (group tag, records)
+    stage = {"index": 1, "epochs": 1, "mix": mix, "refs": names[: len(sizes)]}
     if replay is not None:
         source_n, size, seed = replay
-        records["replay"] = _tagged("replay", source_n)
-        stage["replay"] = {"source": "replay", "size": min(size, source_n), "seed": seed}
-    return stage, records
+        groups[names[-1]] = ("replay", source_n)
+        stage["replay"] = {"source": names[-1], "size": min(size, source_n), "seed": seed}
+    records = {name: _tagged(name, tag, n) for name, (tag, n) in groups.items()}
+    paths = {name: tagged_manifest(name, tag, n) for name, (tag, n) in groups.items() if n}
+    streamed = {**stage, "refs": [name for name in stage["refs"] if name in paths]}
+    if replay is not None and names[-1] not in paths:
+        del streamed["replay"]
+    return stage, records, list(stage_lines(streamed, scan_refs({"stages": [streamed]}, paths)))
 
 
 class TestStreamingRender:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(mix=st.sampled_from(["interleave", "concat"]), sizes=_SIZES, replay=_REPLAYS)
-    def test_equals_the_global_sort_oracle(self, mix, sizes, replay):
-        stage, records = _stage(mix, sizes, replay)
-        assert render_stage_inputs(stage, records) == oracle.render_stage_inputs(stage, records)
+    def test_equals_the_global_sort_oracle(self, tagged_manifest, mix, sizes, replay):
+        stage, records, lines = _stage(mix, sizes, replay, tagged_manifest)
+        assert lines == [encode_line(record) for record in oracle.render_stage_inputs(stage, records)]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(sizes=_SIZES, replay=_REPLAYS)
-    def test_every_prefix_holds_each_group_near_its_share(self, sizes, replay):
-        stage, records = _stage("interleave", sizes, replay)
-        groups = [record["payload"]["group"] for record in render_stage_inputs(stage, records)]
+    def test_every_prefix_holds_each_group_near_its_share(self, tagged_manifest, sizes, replay):
+        stage, records, lines = _stage("interleave", sizes, replay, tagged_manifest)
+        groups = [json.loads(line)["payload"]["group"] for line in lines]
         _assert_near_shares([g for g in groups if g != "replay"], {name: len(records[name]) for name in stage["refs"]})
         if replay is not None:
             # the replay sample is merged with the stage as a second group

@@ -8,11 +8,11 @@ from docstudy.corpus import RawDocument, document_from_record, ingest_jsonl
 from docstudy.dataset import (
     DegenerateSplitError,
     ManifestError,
+    ManifestReader,
     attach_loss_policy,
     doc_record,
     overlap_report,
     qa_record,
-    read_manifest,
     split_corpus,
     task_record,
     verify_manifest,
@@ -183,7 +183,7 @@ class TestManifests:
 
     def test_every_record_has_one_policy(self, tmp_path):
         write_manifest(self._records(), "m", "train", tmp_path / "m.jsonl")
-        for record in read_manifest(tmp_path / "m.jsonl"):
+        for record, _ in ManifestReader(tmp_path / "m.jsonl"):
             assert record["loss_policy"] in ("full_sequence", "answer_only")
 
     def test_footer_schema(self, tmp_path):
@@ -196,7 +196,7 @@ class TestManifests:
     def test_read_round_trip(self, tmp_path):
         records = self._records()
         footer = write_manifest(records, "m", "train", tmp_path / "m.jsonl", seed=1)
-        loaded = read_manifest(tmp_path / "m.jsonl")
+        loaded = [r for r, _ in ManifestReader(tmp_path / "m.jsonl")]
         assert loaded == [attach_loss_policy(record) for record in records]
         assert verify_manifest(tmp_path / "m.jsonl") == footer
         write_manifest(loaded, "m", "train", tmp_path / "again.jsonl", seed=footer["seed"])
@@ -213,11 +213,11 @@ class TestVerify:
         return path
 
     def _rejected(self, path):
-        """verify's error, after checking that read_manifest refuses the file for the same reason."""
+        """verify's error, after checking that reading the records refuses the file for the same reason."""
         with pytest.raises(ManifestError) as verified:
             verify_manifest(path)
         with pytest.raises(ManifestError) as err:
-            read_manifest(path)
+            [r for r, _ in ManifestReader(path)]
         assert (err.value.reason, err.value.record) == (verified.value.reason, verified.value.record)
         return verified.value
 

@@ -27,11 +27,26 @@ from docstudy.qagen import (
     generate_for_document,
     parse_qa_response,
     read_qa_jsonl,
-    render_qa_pairs,
     write_qa_jsonl,
 )
+from docstudy.vocab import NLI_OPTIONS, TASK_NLI, options_block
 
 MORITZ = RawDocument(id="moritz", title=MORITZ_TITLE, body=MORITZ_BODY)
+
+
+def render_qa_pairs(pairs: list[QAPair]) -> str:
+    """Canonical block rendering, the inverse of parse_qa_response."""
+    blocks = []
+    for pair in pairs:
+        if pair.task == TASK_NLI:
+            blocks.append(
+                f"Question: {pair.question}\nOptions:\n"
+                + options_block(pair.options or NLI_OPTIONS)
+                + f"\nAnswer: {pair.answer}"
+            )
+        else:
+            blocks.append(f"Question: {pair.question}\nAnswer: {pair.answer}")
+    return "\n".join(blocks)
 OTHER = RawDocument(id="other", title="Krazy House (film)", body="Krazy House is an upcoming Dutch comedy film.")
 
 
@@ -350,7 +365,7 @@ class TestHttpTransport:
         client = real_client(server.url)
         with pytest.raises(ChatError, match="CERTIFICATE_VERIFY_FAILED"):
             client.complete("p")
-        assert client._sleeps == [0.25, 0.5]
+        assert client._sleeps == []
         assert server.seen == []
 
     def test_a_certificate_trusted_through_ssl_cert_file_verifies(self, loopback_server, monkeypatch):
