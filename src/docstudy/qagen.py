@@ -216,6 +216,24 @@ def _http_pool():
     return HttpPool()
 
 
+def _check_endpoint(endpoint: str) -> None:
+    """Refuse an endpoint no request could be sent to, before any is sent."""
+    try:
+        parts = urlsplit(endpoint)
+        if parts.port == 0:  # .port raises for a port out of 0-65535 or not a number
+            raise ValueError("port 0 cannot be connected to")
+    except ValueError as exc:
+        raise UsageError(f"chat endpoint {endpoint!r} is not a valid URL: {exc}") from None
+    if parts.scheme not in ("http", "https"):
+        raise UsageError(f"chat endpoint {endpoint!r} is not an http(s) URL")
+    if re.search(r"[^\x21-\x7e]", endpoint):  # a request line and a Host header are printable ASCII
+        raise UsageError(f"chat endpoint {endpoint!r} holds whitespace, a control or a non-ASCII character")
+    if "@" in parts.netloc:  # not echoed: it may hold a password
+        raise UsageError("chat endpoint holds user info (user:password@), which is never sent")
+    if not parts.hostname:
+        raise UsageError(f"chat endpoint {endpoint!r} has no host")
+
+
 class ChatClient:
     """Thread-safe chat-completion client with retry; callers bound requests
     in flight, and `close()` (or `with`) closes its kept-alive connections."""
@@ -237,8 +255,7 @@ class ChatClient:
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not self.endpoint:
             raise UsageError(f"no chat endpoint configured (set {ENDPOINT_ENV})")
-        if urlsplit(self.endpoint).scheme not in ("http", "https"):
-            raise UsageError(f"chat endpoint {self.endpoint!r} is not an http(s) URL")
+        _check_endpoint(self.endpoint)
         self.model = model
         self.temperature = temperature
         self.max_tokens = max_tokens

@@ -1,6 +1,9 @@
 import http.server
 import json
 import os
+import select
+import socket
+import socketserver
 import ssl
 import threading
 import time
@@ -101,8 +104,9 @@ _REPLY = json.dumps({"choices": [{"message": {"content": "Question: Q?\nAnswer: 
 class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
     """Answers every POST with one fixed chat reply over HTTP/1.1, so the
     client may keep the connection; with `drop` set, the server closes it
-    after each reply without saying so. A CONNECT is refused with a 502.
-    Each request is recorded as (path, headers, payload or None)."""
+    after each reply without saying so. A CONNECT is refused with a 502,
+    or with `tunnel` set, opens a tunnel to the host:port it names. Each
+    request is recorded as (path, headers, payload or None)."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -120,13 +124,36 @@ class _KeepAliveHandler(http.server.BaseHTTPRequestHandler):
 
     def do_CONNECT(self):
         self.server.seen.append((self.path, dict(self.headers), None))
-        self.send_response(502)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
         self.close_connection = True
+        if not self.server.tunnel:
+            self.send_response(502)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        host, _, port = self.path.rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=5) as upstream:
+            self.send_response(200, "Connection established")
+            self.end_headers()
+            _relay(self.connection, upstream)
 
     def log_message(self, *args):
         pass
+
+
+def _relay(one, other) -> None:
+    """Copies bytes both ways until a side closes or both are idle for 5 s."""
+    try:
+        while True:
+            readable, _, _ = select.select([one, other], [], [], 5)
+            for sock in readable:
+                data = sock.recv(65536)
+                if not data:
+                    return
+                (other if sock is one else one).sendall(data)
+            if not readable:
+                return
+    except OSError:
+        return
 
 
 class _Http10Handler(_KeepAliveHandler):
@@ -151,7 +178,7 @@ class _CountingServer(http.server.ThreadingHTTPServer):
 @pytest.fixture()
 def loopback_server(monkeypatch):
     """Starts loopback chat servers that count connections:
-    `loopback_server(tls=False, drop=False, http10=False)`; read `seen`,
+    `loopback_server(tls=False, drop=False, http10=False, tunnel=False)`; read `seen`,
     `connections` and `closed`. An HTTP/1.0 server closes each connection
     after its reply, as the `chat_server` fixture does; for an HTTP/1.1
     one, close every client before the test ends."""
@@ -160,13 +187,13 @@ def loopback_server(monkeypatch):
             monkeypatch.delenv(name)
     servers = []
 
-    def start(tls: bool = False, drop: bool = False, http10: bool = False):
+    def start(tls: bool = False, drop: bool = False, http10: bool = False, tunnel: bool = False):
         server = _CountingServer(("127.0.0.1", 0), _Http10Handler if http10 else _KeepAliveHandler)
         if tls:
             context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             context.load_cert_chain(LOOPBACK_CERT, DATA / "loopback_key.pem")
             server.socket = context.wrap_socket(server.socket, server_side=True)
-        server.seen, server.drop = [], drop
+        server.seen, server.drop, server.tunnel = [], drop, tunnel
         scheme = "https" if tls else "http"
         server.url = f"{scheme}://127.0.0.1:{server.server_port}/v1/chat/completions"
         threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
@@ -177,3 +204,57 @@ def loopback_server(monkeypatch):
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+class _RawHandler(socketserver.StreamRequestHandler):
+    timeout = 5
+
+    def handle(self):
+        try:
+            while True:
+                line = self.rfile.readline()
+                if not line:  # the client closed the connection
+                    return
+                length = 0
+                while (field := self.rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = field.partition(b":")
+                    length = int(value) if name.lower() == b"content-length" else length
+                self.server.seen.append((line, self.rfile.read(length)))
+                reply, close = self.server.script.pop(0)
+                for i, part in enumerate(reply if isinstance(reply, list) else [reply]):
+                    if i:  # so the client may read the parts one by one
+                        time.sleep(0.05)
+                    self.wfile.write(part)
+                if close:
+                    return
+        except OSError:  # the client gave up on a reply, as it should on a bad one
+            return
+
+
+class _RawServer(socketserver.ThreadingTCPServer):
+    connections = 0
+
+    def get_request(self):
+        request = super().get_request()
+        self.connections += 1
+        return request
+
+
+@pytest.fixture()
+def raw_server(monkeypatch):
+    """A loopback server that answers each request with the bytes of the
+    next `(reply, close)` in its `script`, and closes the connection after
+    it if `close` is set; a reply given as a list of parts is sent one part
+    every 50 ms. Read `seen` as (request line, body) and `connections`.
+    Close every client before the test ends."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    server = _RawServer(("127.0.0.1", 0), _RawHandler)
+    server.script, server.seen = [], []
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()

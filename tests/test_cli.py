@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import docstudy
-from conftest import DATA, wait_for
+from conftest import DATA, LOOPBACK_CERT, wait_for
 from docstudy import curriculum, dataset, jsonio, qagen
 from docstudy.cli import JOBS_ENV, _resolve, main
 from docstudy.corpus import iter_documents
@@ -1173,6 +1173,16 @@ class TestGenQa:
                 "--endpoint", server.url)
         wait_for(lambda: server.closed == server.connections == 1)
 
+    def test_a_malformed_endpoint_fails_before_any_request(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(qagen, "_http_pool", lambda: pytest.fail("no request may be sent"))
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(2), corpus)
+        code = run("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation",
+                   "--endpoint", "http://127.0.0.1:99999/v1/chat/completions")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: chat endpoint")
+        assert not (out / "qa_cache").exists()
+
     def test_without_endpoint_or_cache_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)
         corpus = tmp_path / "c.jsonl"
@@ -1237,9 +1247,31 @@ class TestImportBudget:
                                 capture_output=True, text=True, check=True)
         code, *loaded = result.stdout.splitlines()[-1].split()
         assert code == "0", result.stderr
-        forbidden = {f"docstudy.{name}" for name in IMPORT_BUDGETS[command]} | {"urllib.request", "http.client"}
+        forbidden = {f"docstudy.{name}" for name in IMPORT_BUDGETS[command]} | {"urllib.request", "http.client", "ssl",
+                                                                                "email"}
         if not command.startswith("gen-qa"):
             forbidden |= {"logging", "concurrent.futures"}
         if command in ("plan", "verify"):
             forbidden.add("dataclasses")
         assert sorted(forbidden & set(loaded)) == []
+
+    # a cold gen-qa loads the transport, and only what its route needs
+    @pytest.mark.parametrize("route, needed", [("http", set()), ("http_proxy", {"urllib.request"}), ("https", {"ssl"})])
+    def test_a_cold_gen_qa_loads_only_what_its_route_needs(self, workdir, tmp_path, loopback_server, route, needed):
+        server = loopback_server(tls=route == "https")
+        env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1]), "SSL_CERT_FILE": str(LOOPBACK_CERT)}
+        env.pop("DOCSTUDY_CHAT_ENDPOINT", None)
+        endpoint = server.url
+        if route == "http_proxy":
+            env["http_proxy"], endpoint = f"http://127.0.0.1:{server.server_port}", "http://chat.test/v1/chat/completions"
+        argv = ["--out", tmp_path / "o", "gen-qa", "--corpus", "c.jsonl", "--task", "generation", "--name", "c",
+                "--cache-dir", tmp_path / "qa_cache", "--endpoint", endpoint]
+        result = subprocess.run([sys.executable, "-c", _PROBE, *map(str, argv)], cwd=workdir, env=env,
+                                capture_output=True, text=True, check=True)
+        code, *loaded = result.stdout.splitlines()[-1].split()
+        assert code == "0", result.stderr
+        assert len(server.seen) == 6 and server.connections == 1
+        assert {"docstudy.transport", *needed} <= set(loaded)
+        if route != "http_proxy":  # urllib.request itself loads http.client, email and ssl
+            forbidden = {"urllib.request", "http.client", "email", "ssl"} - needed
+            assert sorted(forbidden & set(loaded)) == []

@@ -6,6 +6,7 @@ import socket
 import ssl
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,23 @@ class TestChatClient:
         with pytest.raises(UsageError):
             ChatClient()
 
+    @pytest.mark.parametrize(
+        "endpoint, message",
+        [
+            ("http://h:9/v1/chat completions", "whitespace, a control or a non-ASCII character"),
+            ("http://h:9/v1/ch\u00e9", "non-ASCII"),
+            ("http://user:pw@h/v1", "user info"),
+            ("http:///v1", "no host"),
+            ("http://h:99999/v1", "Port out of range"),
+        ],
+        ids=["space-in-path", "non-ascii-path", "user-info", "no-host", "port-out-of-range"],
+    )
+    def test_malformed_endpoint_is_usage_error_before_any_request(self, endpoint, message):
+        sleeps = []
+        with pytest.raises(UsageError, match=message):
+            ChatClient(endpoint=endpoint, sleep=sleeps.append).complete("p")
+        assert sleeps == []
+
     def test_endpoint_from_environment(self, monkeypatch):
         monkeypatch.setenv("DOCSTUDY_CHAT_ENDPOINT", "http://env.test")
         client = ChatClient(transport=make_transport([(200, "hi")]))
@@ -276,9 +294,10 @@ def _chat_body(text: str) -> bytes:
     return json.dumps({"choices": [{"message": {"content": text}, "finish_reason": "stop"}]}).encode("utf-8")
 
 
-def real_client(endpoint: str) -> ChatClient:
+def real_client(endpoint: str, timeout: float = 60.0) -> ChatClient:
     sleeps = []
-    client = ChatClient(endpoint=endpoint, api_key="sekret", max_retries=2, backoff=0.25, sleep=sleeps.append)
+    client = ChatClient(endpoint=endpoint, api_key="sekret", max_retries=2, backoff=0.25, timeout=timeout,
+                        sleep=sleeps.append)
     client._sleeps = sleeps
     return client
 
@@ -358,6 +377,21 @@ class TestHttpTransport:
             ("chat.test:443", "Basic dXNlcjpwdw==")
         ] * 3
 
+    def test_https_proxy_tunnels_to_the_tls_server(self, loopback_server, monkeypatch):
+        server, proxy = loopback_server(tls=True), loopback_server(tunnel=True)
+        monkeypatch.setenv("https_proxy", f"http://user:pw@127.0.0.1:{proxy.server_port}")
+        monkeypatch.setenv("SSL_CERT_FILE", str(LOOPBACK_CERT))
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        with real_client(server.url) as client:
+            for _ in range(2):
+                assert client.complete("p").text == "Question: Q?\nAnswer: A."
+            assert client._sleeps == []
+        authority = f"127.0.0.1:{server.server_port}"
+        [(path, headers, _)] = proxy.seen  # one tunnel, kept alive
+        assert (path, headers["Host"], headers["Proxy-Authorization"]) == (authority, authority, "Basic dXNlcjpwdw==")
+        assert [path for path, _, _ in server.seen] == ["/v1/chat/completions"] * 2
+        assert server.connections == 1
+
     def test_an_untrusted_certificate_fails_verification(self, loopback_server, monkeypatch):
         server = loopback_server(tls=True)
         monkeypatch.delenv("SSL_CERT_FILE", raising=False)
@@ -431,6 +465,98 @@ class TestConnectionPool:
                 assert client.complete("p").text == "Question: Q?\nAnswer: A."
         assert server.connections == 1
         assert len(contexts) == 1
+
+
+def _head(status_line: bytes, *fields: bytes) -> bytes:
+    return b"\r\n".join((status_line, *fields, b"", b""))
+
+
+def _chunked(body: bytes) -> bytes:
+    """`body` in two chunks, the first with a chunk extension, and a trailer."""
+    return (b"%x;name=value\r\n%s\r\n" % (10, body[:10]) + b"%x\r\n%s\r\n" % (len(body) - 10, body[10:])
+            + b"0\r\nX-Trailer: t\r\n\r\n")
+
+
+CHUNKED_HEAD = _head(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked")
+OK_BODY = _chat_body("ok")
+OK_REPLY = _head(b"HTTP/1.1 200 OK", b"Content-Length: %d" % len(OK_BODY)) + OK_BODY
+
+
+class TestResponseFraming:
+    """Replies framed each way HTTP/1.1 allows, and heads past the limits,
+    sent byte for byte by a loopback server; a client that hangs on one
+    fails in 5 s."""
+
+    @pytest.mark.parametrize(
+        "reply, connections",
+        [
+            # the 16-byte trailer comes late: left unread, it would be the next reply's status line
+            ([(CHUNKED_HEAD + _chunked(OK_BODY))[:-16], b"X-Trailer: t\r\n\r\n"], 1),
+            (_head(b"HTTP/1.1 200 OK", b"Content-Type: application/json") + OK_BODY, 2),
+            (_head(b"HTTP/1.1 100 Continue") + OK_REPLY, 1),
+            (_head(b"HTTP/1.0 200 OK", b"Connection: keep-alive", b"Content-Length: %d" % len(OK_BODY)) + OK_BODY, 1),
+            (_head(b"HTTP/1.0 200 OK", b"Content-Length: %d" % len(OK_BODY)) + OK_BODY, 2),
+        ],
+        ids=["chunked-extension-trailer", "no-length-ends-at-close", "100-continue", "http10-keep-alive",
+             "http10-closes"],
+    )
+    def test_reply_framing(self, raw_server, reply, connections):
+        # a reply the client reads to its end as kept alive is pooled, so the
+        # second request shares its connection; one that ends at close is not
+        raw_server.script = [(reply, connections == 2)] * 2
+        with real_client(raw_server.url, timeout=5) as client:
+            assert [client.complete("p").text for _ in range(2)] == ["ok", "ok"]
+            assert client._sleeps == []
+        assert raw_server.connections == connections
+
+    @pytest.mark.parametrize(
+        "cut",
+        [
+            _head(b"HTTP/1.1 200 OK", b"Content-Length: %d" % len(OK_BODY)) + OK_BODY[:10],
+            CHUNKED_HEAD + _chunked(OK_BODY)[:20],
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n",
+            b"HTTP/1.1 200",
+            b"",
+        ],
+        ids=["mid-body", "mid-chunk", "mid-headers", "mid-status-line", "no-reply"],
+    )
+    def test_a_reply_cut_short_is_retried(self, raw_server, cut):
+        raw_server.script = [(cut, True), (OK_REPLY, False)]
+        with real_client(raw_server.url, timeout=5) as client:
+            assert client.complete("p").text == "ok"
+            assert client._sleeps == [0.25]
+        assert raw_server.connections == 2
+
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * (4 << 20), "a header line is longer than 65536 bytes"),
+            (b"HTTP/1.1 200 " + b"O" * (4 << 20), "bad status line"),
+            (_head(b"HTTP/1.1 200 OK", *[b"X-%d: v" % i for i in range(101)]) + OK_BODY,
+             "more than 100 header lines"),
+            (CHUNKED_HEAD + b"zz\r\n", "bad chunk size line"),
+            (_head(b"ICY 200 OK") + OK_BODY, "bad status line"),
+        ],
+        ids=["long-header-line", "long-status-line", "101-headers", "bad-chunk-size", "not-http"],
+    )
+    def test_a_malformed_head_is_a_connection_error_in_bounded_memory(self, raw_server, reply, error):
+        raw_server.script = [(reply, False)] * 3
+        tracemalloc.start()
+        try:
+            with real_client(raw_server.url, timeout=5) as client, pytest.raises(ChatError) as info:
+                client.complete("p")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"after 3 attempts (connection error: {error}" in str(info.value)
+        assert peak < 1 << 20  # each reply is 4 MiB at most; a line is read up to 64 KiB
+        assert raw_server.connections == 3
+
+    def test_a_hundred_headers_are_read(self, raw_server):
+        raw_server.script = [(_head(b"HTTP/1.1 200 OK", *[b"X-%d: v" % i for i in range(99)],
+                                    b"Content-Length: %d" % len(OK_BODY)) + OK_BODY, False)]
+        with real_client(raw_server.url, timeout=5) as client:
+            assert client.complete("p").text == "ok"
 
 
 class TestCacheReplay:
