@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -110,30 +110,20 @@ def _lexicon_split(lexicon: frozenset[str]) -> tuple[dict[str, tuple[list[str], 
     return {head: tuple(group) for head, group in units.items()}, singles, singles.union(units)
 
 
-@dataclass(frozen=True)
-class SentenceSpan:
-    start: int
-    end: int
-    index: int
+class SentenceSpan(namedtuple("SentenceSpan", "start end index")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EntitySpan:
-    start: int
-    end: int
-    surface: str
-    kind: str  # name | date | number | acronym | other
+class EntitySpan(namedtuple("EntitySpan", "start end surface kind")):
+    """``surface`` is ``body[start:end]``; ``kind`` is name, date, number, acronym or other."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(namedtuple("Token", "start end core_start core_end core")):
     """One whitespace-delimited token with its punctuation-stripped core."""
 
-    start: int
-    end: int
-    core_start: int
-    core_end: int
-    core: str
+    __slots__ = ()
 
 
 def _is_initial(word: str) -> bool:
@@ -378,15 +368,16 @@ def find_prepositions(sentence: str, lexicon: frozenset[str] | None = None) -> l
     return _preposition_positions(tokens, hits, units, singles)
 
 
-@dataclass(frozen=True)
-class AnalyzedDocument:
-    doc: RawDocument
-    sentences: list[SentenceSpan] = field(default_factory=list)
-    entities: list[EntitySpan] = field(default_factory=list)
-    prepositions: list[list[int]] = field(default_factory=list)
-    # per sentence: the end offset within the sentence of its final
-    # preposition token, or None without prepositions
-    final_preposition_ends: list[int | None] = field(default_factory=list)
+class AnalyzedDocument(namedtuple("AnalyzedDocument", "doc sentences entities prepositions final_preposition_ends")):
+    """A document with its sentence and entity spans, and per sentence the
+    token positions of its prepositions and the end offset within the
+    sentence of its final preposition token (None without prepositions)."""
+
+    __slots__ = ()
+
+    def __new__(cls, doc: RawDocument, sentences=None, entities=None, prepositions=None, final_preposition_ends=None):
+        lists = (sentences, entities, prepositions, final_preposition_ends)
+        return tuple.__new__(cls, (doc, *([] if value is None else value for value in lists)))
 
     def entity_range(self, index: int) -> tuple[int, int]:
         """The [lo, hi) slice of ``entities`` inside sentence ``index``.

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DataError, MalformedLineError
 from .jsonio import iter_jsonl, reject_lone_surrogates
 
 _WIKI_SUFFIX = " - Wikipedia"
 _PARA_BREAK = re.compile(r"\n[ \t]*\n")
+_BLANK_RUN = re.compile(r"[ \t]+")
 _TEXT_KEYS = ("id", "title", "body", "source", "collected_at")
 
 
@@ -63,8 +64,10 @@ def first_paragraph(article_text: str) -> str:
 def normalize_text(text: str) -> str:
     """Collapse space/tab runs inside lines, keep newlines, trim edges."""
     text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = [re.sub(r"[ \t]+", " ", line).strip() for line in text.split("\n")]
-    return "\n".join(lines).strip("\n")
+    # a run never spans a newline; without a tab or two spaces every run is one space
+    if "\t" in text or "  " in text:
+        text = _BLANK_RUN.sub(" ", text)
+    return "\n".join([line.strip() for line in text.split("\n")]).strip("\n")
 
 
 def content_id(title: str, body: str) -> str:
@@ -76,23 +79,19 @@ def content_id(title: str, body: str) -> str:
     return digest.hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class RawDocument:
+class RawDocument(namedtuple("RawDocument", "id title body source collected_at")):
     """A titled article body (its first paragraph) plus provenance."""
 
-    id: str
-    title: str
-    body: str
-    source: str = ""
-    collected_at: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.id:
+    def __new__(cls, id: str, title: str, body: str, source: str = "", collected_at: str | None = None):
+        if not id:
             raise DataError("document id must be non-empty")
-        if not self.title or "\n" in self.title:
-            raise DataError(f"bad title for document {self.id!r}")
-        if not self.body.strip():
-            raise DataError(f"empty body for document {self.id!r}")
+        if not title or "\n" in title:
+            raise DataError(f"bad title for document {id!r}")
+        if not body.strip():
+            raise DataError(f"empty body for document {id!r}")
+        return tuple.__new__(cls, (id, title, body, source, collected_at))
 
     def to_record(self) -> dict:
         record = {"id": self.id, "title": self.title, "body": self.body}

@@ -12,8 +12,7 @@ import math
 import re
 import string
 import sys
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 
 from ..errors import DataError
 from ..vocab import NLI_LABELS
@@ -177,23 +176,27 @@ def _nli_score(pred_tokens: list[str], gold_label: str, diagnostics: dict | None
 _MAX_EXP = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class LogProbRecord:
-    doc_id: str
-    logprobs: tuple[float, ...]
+class LogProbRecord(namedtuple("LogProbRecord", "doc_id logprobs")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, doc_id: str, logprobs):
         try:
-            values = tuple(float(x) for x in self.logprobs)
+            values = tuple(logprobs)
+            # float() also reads a numeric string or a bool, neither a log-probability
+            if any(isinstance(x, (str, bytes, bytearray, bool)) for x in values):
+                raise TypeError("a string or a bool")
+            values = tuple(map(float, values))
         except (TypeError, ValueError) as exc:
-            raise DataError(f"logprob record {self.doc_id!r} has a non-numeric value") from exc
-        object.__setattr__(self, "logprobs", values)
-        if not self.logprobs:
-            raise DataError(f"logprob record {self.doc_id!r} has no tokens")
-        if not all(math.isfinite(x) for x in self.logprobs):
-            raise DataError(f"logprob record {self.doc_id!r} has a non-finite value")
-        if any(x > 0 for x in self.logprobs):
-            raise DataError(f"logprob record {self.doc_id!r} has positive values")
+            raise DataError(f"logprob record {doc_id!r} has a non-numeric value") from exc
+        except OverflowError:  # an int beyond the float range
+            raise DataError(f"logprob record {doc_id!r} has a non-finite value") from None
+        if not values:
+            raise DataError(f"logprob record {doc_id!r} has no tokens")
+        if not all(math.isfinite(x) for x in values):
+            raise DataError(f"logprob record {doc_id!r} has a non-finite value")
+        if any(x > 0 for x in values):
+            raise DataError(f"logprob record {doc_id!r} has positive values")
+        return tuple.__new__(cls, (doc_id, values))
 
 
 def aggregate_ppl(records) -> float:
@@ -227,24 +230,21 @@ def judge_accuracy(judge, pred: str, gold: str) -> int:
     return int(bool(forward) and bool(backward))
 
 
-@dataclass(frozen=True)
-class GenerationJudgment:
-    item_id: str
-    em: int
-    f1: float
-    recall: float
-    rouge_l: float
-    nli_acc: int | None = None
-    acc: int | None = None
+class GenerationJudgment(
+    namedtuple("GenerationJudgment", "item_id em f1 recall rouge_l nli_acc acc", defaults=(None, None))
+):
+    __slots__ = ()
 
 
-@dataclass
 class MetricReport:
-    metrics: dict
-    count: int
-    items: list
-    ppl: float | None = None
-    diagnostics: dict = field(default_factory=dict)
+    __slots__ = ("metrics", "count", "items", "ppl", "diagnostics")
+
+    def __init__(self, metrics: dict, count: int, items: list, ppl: float | None = None, diagnostics=None):
+        self.metrics = metrics
+        self.count = count
+        self.items = items
+        self.ppl = ppl
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def to_dict(self) -> dict:
         out = {

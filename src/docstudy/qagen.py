@@ -15,7 +15,7 @@ import re
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from importlib import resources
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -67,24 +67,22 @@ def build_type_prompt(doc: RawDocument, qas: list["QAPair"]) -> str:
 _TEXT_FIELDS = ("doc_id", "task", "question", "answer", "answer_label")
 
 
-@dataclass(frozen=True)
-class QAPair:
-    doc_id: str
-    task: str
-    question: str
-    answer: str
-    options: tuple[str, ...] | None = None
-    answer_label: str | None = None
+class QAPair(namedtuple("QAPair", "doc_id task question answer options answer_label")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        fields = {key: getattr(self, key) for key in _TEXT_FIELDS}
-        fields.update((f"options[{i}]", option) for i, option in enumerate(self.options or ()))
+    def __new__(
+        cls, doc_id: str, task: str, question: str, answer: str,
+        options: tuple[str, ...] | None = None, answer_label: str | None = None,
+    ):
+        fields = dict(zip(_TEXT_FIELDS, (doc_id, task, question, answer, answer_label)))
+        fields.update((f"options[{i}]", option) for i, option in enumerate(options or ()))
         reject_lone_surrogates(fields)
-        if self.task == TASK_NLI:
-            if self.answer_label not in NLI_LABELS:
-                raise DataError(f"bad NLI label {self.answer_label!r}")
-        elif not self.answer:
+        if task == TASK_NLI:
+            if answer_label not in NLI_LABELS:
+                raise DataError(f"bad NLI label {answer_label!r}")
+        elif not answer:
             raise DataError("generation answer must be non-empty")
+        return tuple.__new__(cls, (doc_id, task, question, answer, options, answer_label))
 
     def to_record(self) -> dict:
         record = {
@@ -123,10 +121,12 @@ def canonical_label(text: str) -> str | None:
     return _LABEL_CANON.get(text.strip().strip(".").lower())
 
 
-@dataclass
 class ParsedResponse:
-    pairs: list[QAPair]
-    discarded: int = 0
+    __slots__ = ("pairs", "discarded")
+
+    def __init__(self, pairs: list[QAPair], discarded: int = 0):
+        self.pairs = pairs
+        self.discarded = discarded
 
 
 _QUESTION_MARK = re.compile(r"(?:^|\n)Question:", re.IGNORECASE)
@@ -194,11 +194,10 @@ def parse_qa_response(raw: str, task: str, doc_id: str = "") -> ParsedResponse:
     return ParsedResponse(pairs=pairs, discarded=discarded)
 
 
-@dataclass(frozen=True)
-class ChatResponse:
-    text: str
-    finish_reason: str = ""
-    usage: dict = field(default_factory=dict)
+class ChatResponse(namedtuple("ChatResponse", "text finish_reason usage", defaults=("", None))):
+    """A reply's text, finish reason and usage object, as the endpoint sent them."""
+
+    __slots__ = ()
 
 
 class ChatError(DataError):

@@ -10,7 +10,7 @@ A kind also fixes its loss policy (`vocab.loss_policy`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 
 from .analysis import AnalyzedDocument, EntitySpan
 from .errors import DataError
@@ -59,24 +59,27 @@ TEMPLATES = {
     COMPLETION: "<{title}> {prefix}:",
 }
 
-@dataclass(frozen=True)
-class TaskConfig:
-    enabled: tuple[str, ...] = KIND_ORDER
-    option_count: int = 4
-    multiplicity: dict = field(default_factory=dict)
-    templates: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        unknown = [k for k in (*self.enabled, *self.multiplicity, *self.templates) if k not in KIND_ORDER]
+class TaskConfig(namedtuple("TaskConfig", "enabled option_count multiplicity templates")):
+    __slots__ = ()
+
+    def __new__(
+        cls, enabled: tuple[str, ...] = KIND_ORDER, option_count: int = 4,
+        multiplicity: dict | None = None, templates: dict | None = None,
+    ):
+        multiplicity = {} if multiplicity is None else multiplicity
+        templates = {} if templates is None else templates
+        unknown = [k for k in (*enabled, *multiplicity, *templates) if k not in KIND_ORDER]
         if unknown:
             raise DataError(f"unknown task kinds in config: {unknown}")
         # `type(x) is int`, unlike isinstance, also refuses true and false
-        if type(self.option_count) is not int or self.option_count < 2:
-            raise DataError(f"option_count must be an integer of at least 2: {self.option_count!r}")
-        if not all(type(cap) is int and cap >= 0 for cap in self.multiplicity.values()):
+        if type(option_count) is not int or option_count < 2:
+            raise DataError(f"option_count must be an integer of at least 2: {option_count!r}")
+        if not all(type(cap) is int and cap >= 0 for cap in multiplicity.values()):
             raise DataError("multiplicity values must be non-negative integers")
-        if not all(isinstance(template, str) for template in self.templates.values()):
+        if not all(isinstance(template, str) for template in templates.values()):
             raise DataError("templates must be strings")
+        return tuple.__new__(cls, (enabled, option_count, multiplicity, templates))
 
     def template(self, kind: str) -> str:
         return self.templates.get(kind, TEMPLATES[kind])
@@ -89,7 +92,7 @@ class TaskConfig:
         raw = read_json(path)
         if not isinstance(raw, dict):
             raise DataError(f"{path}: task config must be a JSON object")
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        unknown = sorted(set(raw) - set(cls._fields))
         if unknown:
             raise DataError(f"{path}: unknown task config keys {unknown}")
         try:
@@ -106,21 +109,19 @@ class TaskConfig:
 DEFAULT_CONFIG = TaskConfig()
 
 
-@dataclass(frozen=True)
-class TaskExample:
-    kind: str
-    question: str
-    answer: str
-    doc_id: str
-    options: tuple[str, ...] | None = None
-    provenance: dict = field(default_factory=dict)
+class TaskExample(namedtuple("TaskExample", "kind question answer doc_id options provenance")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.answer:
-            raise DataError(f"{self.kind} example for {self.doc_id} has empty answer")
-        wants_options = self.kind in (NLI, MULTICHOICE)
-        if wants_options != (self.options is not None):
-            raise DataError(f"options presence mismatch for kind {self.kind}")
+    def __new__(
+        cls, kind: str, question: str, answer: str, doc_id: str,
+        options: tuple[str, ...] | None = None, provenance: dict | None = None,
+    ):
+        if not answer:
+            raise DataError(f"{kind} example for {doc_id} has empty answer")
+        wants_options = kind in (NLI, MULTICHOICE)
+        if wants_options != (options is not None):
+            raise DataError(f"options presence mismatch for kind {kind}")
+        return tuple.__new__(cls, (kind, question, answer, doc_id, options, {} if provenance is None else provenance))
 
     @property
     def loss_policy(self) -> str:
@@ -139,11 +140,8 @@ class TaskExample:
         return record
 
 
-@dataclass(frozen=True)
-class TaskSuite:
-    doc_id: str
-    examples: tuple[TaskExample, ...]
-    counts: dict
+class TaskSuite(namedtuple("TaskSuite", "doc_id examples counts")):
+    __slots__ = ()
 
     def by_kind(self, kind: str) -> list[TaskExample]:
         return [ex for ex in self.examples if ex.kind == kind]

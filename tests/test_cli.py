@@ -67,6 +67,39 @@ def _peaks(tmp_path, *command):
     return peak(100), peak(400)
 
 
+# sha256 over the sorted (name, sha256) pairs of the hash-seed flow's output tree
+FLOW_TREE_SHA256 = "e8bdf04d8f64c7fc4436d0854fb1d427854ea496a872df37f8d47a2045bd43ab"
+
+
+@pytest.fixture(scope="class")
+def hash_seed_trees(tmp_path_factory):
+    """{name: sha256} of the output tree of ingest -> gen-tasks -> split ->
+    stats -> plan --render, run in one child interpreter per PYTHONHASHSEED."""
+    work = tmp_path_factory.mktemp("hash_seed")
+    write_jsonl(synthetic_records(24, seed=6), work / "raw.jsonl")
+    flow = [
+        ["ingest", "--corpus", str(work / "raw.jsonl"), "--name", "c"],
+        ["gen-tasks", "--corpus", "c.jsonl", "--name", "c", "--reading"],
+        ["split", "--corpus", "c.jsonl", "--name", "c", "--fraction", "0.25"],
+        ["stats", "--corpus", "c.jsonl", "--name", "c"],
+        ["plan", "--preset", "continued_pretraining", "--ref", "test_doc=c_reading.jsonl", "--render"],
+    ]
+    # the whole flow in one child interpreter, run in the output directory
+    script = (
+        "import json, sys\nfrom docstudy.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n    assert main(['--seed', '5', '--out', '.', *argv]) == 0, argv\n"
+    )
+    trees = []
+    for hash_seed in ("0", "1"):
+        out = work / f"hash{hash_seed}"
+        out.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1]), "PYTHONHASHSEED": hash_seed}
+        subprocess.run([sys.executable, "-c", script, json.dumps(flow)], cwd=out, env=env, check=True,
+                       capture_output=True)
+        trees.append({name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()})
+    return trees
+
+
 class TestPipeline:
     def test_full_pipeline_and_idempotence(self, tmp_path, corpus_path):
         out_a = tmp_path / "a"
@@ -91,29 +124,16 @@ class TestPipeline:
         assert run("--seed", 5, "--out", out_a, "gen-tasks", "--corpus", out_a / "c.jsonl", "--name", "c", "--reading") == 0
         assert tree_bytes(out_a) == before
 
-    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path, corpus_path):
-        flow = [
-            ["ingest", "--corpus", str(corpus_path), "--name", "c"],
-            ["gen-tasks", "--corpus", "c.jsonl", "--name", "c", "--reading"],
-            ["split", "--corpus", "c.jsonl", "--name", "c", "--fraction", "0.25"],
-            ["stats", "--corpus", "c.jsonl", "--name", "c"],
-            ["plan", "--preset", "continued_pretraining", "--ref", "test_doc=c_reading.jsonl", "--render"],
-        ]
-        # the whole flow in one child interpreter, run in the output directory
-        script = (
-            "import json, sys\nfrom docstudy.cli import main\n"
-            "for argv in json.loads(sys.argv[1]):\n    assert main(['--seed', '5', '--out', '.', *argv]) == 0, argv\n"
-        )
-        trees = []
-        for hash_seed in ("0", "1"):
-            out = tmp_path / f"hash{hash_seed}"
-            out.mkdir()
-            env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1]), "PYTHONHASHSEED": hash_seed}
-            subprocess.run([sys.executable, "-c", script, json.dumps(flow)], cwd=out, env=env, check=True,
-                           capture_output=True)
-            trees.append({name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()})
-        assert "continued_pretraining_stage1.jsonl" in trees[0] and "c_stats.json" in trees[0]
-        assert trees[0] == trees[1]
+    def test_outputs_do_not_depend_on_the_hash_seed(self, hash_seed_trees):
+        assert "continued_pretraining_stage1.jsonl" in hash_seed_trees[0] and "c_stats.json" in hash_seed_trees[0]
+        assert hash_seed_trees[0] == hash_seed_trees[1]
+
+    def test_outputs_match_the_committed_digest(self, hash_seed_trees):
+        # CI runs this on Python 3.10 to 3.13, so every interpreter writes the same bytes
+        digest = hashlib.sha256()
+        for name, file_hash in sorted(hash_seed_trees[0].items()):
+            digest.update(f"{name}\0{file_hash}\n".encode("utf-8"))
+        assert digest.hexdigest() == FLOW_TREE_SHA256
 
     def test_split_outputs_are_corpora(self, tmp_path, corpus_path):
         out = tmp_path / "o"
@@ -389,6 +409,9 @@ class TestErrors:
             ("logprobs", [{"doc_id": "d1", "logprobs": [-0.1]}, {"doc_id": "d2", "logprobs": [float("-inf")]}], 2),
             ("logprobs", [{"doc_id": "d1", "logprobs": [-0.1]}, {"doc_id": "d2", "logprobs": ["x"]}], 2),
             ("logprobs", [{"doc_id": "d1", "logprobs": [-0.1]}, {"doc_id": "d2", "logprobs": [0.5]}], 2),
+            ("logprobs", [{"doc_id": "d1", "logprobs": [-0.1]}, {"doc_id": "d2", "logprobs": ["-1.5", -0.5]}], 2),
+            ("logprobs", [{"doc_id": "d1", "logprobs": [False, -0.5]}], 1),
+            ("logprobs", [{"doc_id": "d1", "logprobs": [-(10**400)]}], 1),
             ("references", [{"item_id": "i1", "golds": ["x"]}, {"item_id": "i1", "golds": ["y"]}], 2),
             ("predictions", [{"item_id": "i1", "prediction": "x"}, {"item_id": "i1", "prediction": "y"}], 2),
         ],
@@ -396,6 +419,7 @@ class TestErrors:
             "no-prediction", "prediction-not-str", "no-item-id", "array-row",
             "no-doc-id", "logprobs-not-list", "string-row", "golds-item-not-str", "golds-str",
             "logprob-nan", "logprob-minus-infinity", "logprob-not-numeric", "logprob-positive",
+            "logprob-numeric-string", "logprob-bool", "logprob-int-beyond-float",
             "duplicate-reference", "duplicate-prediction",
         ],
     )
@@ -1251,9 +1275,20 @@ class TestImportBudget:
                                                                                 "email"}
         if not command.startswith("gen-qa"):
             forbidden |= {"logging", "concurrent.futures"}
-        if command in ("plan", "verify"):
-            forbidden.add("dataclasses")
+        forbidden.add("dataclasses")
         assert sorted(forbidden & set(loaded)) == []
+
+    def test_no_module_loads_dataclasses(self):
+        # every docstudy module at once, as perfbench's set-up probe loads them
+        probe = ("import importlib, pkgutil, sys, docstudy\n"
+                 "for module in pkgutil.walk_packages(docstudy.__path__, 'docstudy.'):\n"
+                 "    importlib.import_module(module.name)\n"
+                 "print(*sorted(sys.modules))")
+        env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1])}
+        loaded = set(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                                    check=True).stdout.split())
+        assert {"docstudy.cli", "docstudy.metrics", "docstudy.transport"} <= loaded
+        assert "dataclasses" not in loaded
 
     # a cold gen-qa loads the transport, and only what its route needs
     @pytest.mark.parametrize("route, needed", [("http", set()), ("http_proxy", {"urllib.request"}), ("https", {"ssl"})])

@@ -2,7 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _corpus_oracle
 from conftest import MORITZ_BODY
 from docstudy import jsonio
 from docstudy.corpus import (
@@ -130,6 +133,17 @@ class TestNormalization:
     def test_newlines_preserved(self):
         assert normalize_text("a  b\nc  d") == "a b\nc d"
 
+    # line breaks, tabs, space runs, NBSP and other Unicode whitespace, which
+    # only the edge strip removes, around a few letters
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(["a", "b", "é", " ", "  ", "\t", "\n", "\n\n", "\r\n", "\r", "\xa0", "\u2003",
+                                     "\u3000", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"])).map("".join))
+    @example("one line")
+    @example(" a\xa0 b ")
+    @example("a \t\u3000 b\r\n \r\n\tc")
+    def test_matches_the_regex_on_every_line(self, text):
+        assert normalize_text(text) == _corpus_oracle.normalize_text(text)
+
 
 class TestRoundTrip:
     def test_serialize_ingest_serialize_is_identity(self, tmp_path):
@@ -157,3 +171,12 @@ class TestCorpusInvariants:
     def test_empty_body_rejected(self):
         with pytest.raises(DataError):
             RawDocument(id="x", title="T", body="   ")
+
+    def test_document_is_an_immutable_value(self):
+        doc = RawDocument(id="x", title="T", body="B.")
+        assert doc == RawDocument("x", "T", "B.", "", None) and (doc.source, doc.collected_at) == ("", None)
+        assert repr(doc) == "RawDocument(id='x', title='T', body='B.', source='', collected_at=None)"
+        with pytest.raises(AttributeError):
+            doc.body = "C."
+        with pytest.raises(AttributeError):
+            doc.extra = 1

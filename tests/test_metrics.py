@@ -204,10 +204,13 @@ class TestPerplexity:
         with pytest.raises(DataError):
             LogProbRecord(doc_id="d", logprobs=[])
 
-    @pytest.mark.parametrize("value", ["x", None, [-0.1]])
+    @pytest.mark.parametrize("value", ["x", None, [-0.1], "-1.5", False, True, b"-1"])
     def test_non_numeric_logprob_rejected(self, value):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="non-numeric"):
             LogProbRecord(doc_id="d", logprobs=[-0.2, value])
+
+    def test_int_logprobs_are_floats(self):
+        assert LogProbRecord(doc_id="d", logprobs=[-1, 0, -0.5]).logprobs == (-1.0, 0.0, -0.5)
 
     @pytest.mark.parametrize("logprobs", [[-1000.0], [-1e308, -1e308]], ids=["exp-overflows", "sum-overflows"])
     def test_overflowing_perplexity_rejected(self, logprobs):
