@@ -14,12 +14,12 @@ import os
 import sys
 import typing
 from collections import Counter
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from pathlib import Path
 
 from .errors import DataError, MalformedLineError, UsageError
 from .jsonio import iter_jsonl, read_json, write_json, write_jsonl
-from .vocab import TASK_GENERATION, TASK_NLI
+from .vocab import FULL_SEQUENCE, TASK_GENERATION, TASK_NLI
 
 SEED_ENV = "DOCSTUDY_SEED"
 JOBS_ENV = "DOCSTUDY_JOBS"
@@ -119,7 +119,8 @@ def cmd_gen_tasks(args, config) -> int:
                 add_task(dataset.record_line(dataset.task_record(example)))
             if args.reading:
                 text = taskgen.format_reading_comprehension(suite)
-                reading = {"kind": dataset.KIND_DOC, "payload": {"id": doc.id, "title": doc.title, "body": text}}
+                reading = {"kind": dataset.KIND_DOC, "loss_policy": FULL_SEQUENCE,
+                           "payload": {"id": doc.id, "title": doc.title, "body": text}}
                 add_reading(dataset.record_line(reading))
             counts.update(suite.counts)
             docs += 1
@@ -128,9 +129,30 @@ def cmd_gen_tasks(args, config) -> int:
     return 0
 
 
+class _Settled:
+    """A document's outcome, reached on the calling thread and read as a
+    finished future's: `result()` gives (parsed, log line) or raises the
+    DataError that failed the document."""
+
+    __slots__ = ("_value", "_error")
+
+    def __init__(self, value=None, error=None):
+        self._value, self._error = value, error
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+    def exception(self):
+        return self._error
+
+    def cancelled(self) -> bool:
+        return False
+
+
 def cmd_gen_qa(args, config) -> int:
     from collections import deque
-    from concurrent.futures import ThreadPoolExecutor
 
     from . import qagen
     from .corpus import iter_documents
@@ -149,16 +171,36 @@ def cmd_gen_qa(args, config) -> int:
         client = qagen.ChatClient(endpoint=args.endpoint, api_key=args.api_key, **settings)
 
     parsed, failures = [], []
-    # the client's connections close on every way out, an interrupt included
-    with client or nullcontext(), qagen.ResponseLog(cache_dir / f"{args.task}.jsonl") as log:
+    # exits in reverse: the pool's workers finish before the log and the
+    # client's connections close, on every way out, an interrupt included
+    with ExitStack() as stack:
+        if client is not None:
+            stack.enter_context(client)
+        log = stack.enter_context(qagen.ResponseLog(cache_dir / f"{args.task}.jsonl"))
+        pool = None
 
-        def one(doc):
-            return qagen.generate_for_document(doc, args.task, client, log, settings)
+        def start(doc):
+            """Replay or fetch `doc` on this thread at --jobs 1. Above 1, replay it
+            here or hand its fetch to a pool of `jobs` workers, started by the first."""
+            nonlocal pool
+            try:
+                if jobs == 1:
+                    return _Settled(qagen.generate_for_document(doc, args.task, client, log, settings))
+                found = qagen.lookup_document(doc, args.task, client, log, settings)
+            except DataError as exc:
+                return _Settled(error=exc)
+            if isinstance(found, qagen.ParsedResponse):
+                return _Settled((found, None))
+            if pool is None:
+                from concurrent.futures import ThreadPoolExecutor
 
-        def settle(doc, future):
+                pool = stack.enter_context(ThreadPoolExecutor(max_workers=jobs))
+            return pool.submit(qagen.fetch_document, doc, args.task, client, found)
+
+        def settle(doc, outcome):
             """Take one result, in corpus order: log its fetched line, or record its data error."""
             try:
-                result, line = future.result()
+                result, line = outcome.result()
             except DataError as exc:
                 failures.append(exc)
                 return
@@ -166,28 +208,28 @@ def cmd_gen_qa(args, config) -> int:
                 log.append(doc.id, line)
             parsed.append(result)
 
-        # workers fetch and parse; only this thread appends, so the log's
+        # workers only fetch and parse; only this thread appends, so the log's
         # bytes do not depend on --jobs or on thread timing
         window = deque()
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            try:
-                # a result leaves the window once settled, so an interrupt that
-                # lands while its future is awaited still logs it below
-                for doc in docs:
-                    window.append((doc, pool.submit(one, doc)))
-                    if len(window) == 4 * jobs:
-                        settle(*window[0])
-                        window.popleft()
-                while window:
+        try:
+            # a result leaves the window once settled, so an interrupt that
+            # lands while its future is awaited still logs it below
+            for doc in docs:
+                window.append((doc, start(doc)))
+                if len(window) == 4 * jobs:
                     settle(*window[0])
                     window.popleft()
-            except BaseException:
-                # every response already paid for is logged before the error propagates
+            while window:
+                settle(*window[0])
+                window.popleft()
+        except BaseException:
+            # every response already paid for is logged before the error propagates
+            if pool is not None:
                 pool.shutdown(cancel_futures=True)
-                for doc, future in window:
-                    if not future.cancelled() and future.exception() is None:
-                        settle(doc, future)
-                raise
+            for doc, outcome in window:
+                if not outcome.cancelled() and outcome.exception() is None:
+                    settle(doc, outcome)
+            raise
 
         if failures:
             # no QA JSONL: a rerun fetches only these documents

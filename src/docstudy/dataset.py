@@ -91,16 +91,17 @@ def overlap_report(train: list[RawDocument], test: list[RawDocument], ngram_size
     }
 
 
+# each builder stamps its record's loss policy, so `attach_loss_policy` passes it on uncopied
 def doc_record(doc) -> dict:
-    return {"kind": KIND_DOC, "payload": doc.to_record()}
+    return {"kind": KIND_DOC, "loss_policy": FULL_SEQUENCE, "payload": doc.to_record()}
 
 
 def task_record(example) -> dict:
-    return {"kind": KIND_TASK, "payload": example.to_record()}
+    return {"kind": KIND_TASK, "loss_policy": loss_policy(example.kind), "payload": example.to_record()}
 
 
 def qa_record(pair) -> dict:
-    return {"kind": KIND_QA, "payload": pair.to_record()}
+    return {"kind": KIND_QA, "loss_policy": ANSWER_ONLY, "payload": pair.to_record()}
 
 
 def attach_loss_policy(record: dict) -> dict:

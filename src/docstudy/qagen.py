@@ -416,17 +416,16 @@ class ResponseLog:
         self._end += len(line)
 
 
-def generate_for_document(
+def lookup_document(
     doc: RawDocument, task: str, client: ChatClient | None, log: ResponseLog, settings: dict | None = None
-) -> tuple[ParsedResponse, bytes | None]:
-    """Fetch-or-replay the QA pairs for one document: (parsed, log line).
+) -> ParsedResponse | dict:
+    """The replayed pairs of one document, or the request to fetch them with.
 
-    The document's entry in `log` replays, with no line to append, only if
-    its request is the one this call would send: the document's prompt
-    under the client's model, temperature and max_tokens, or under
-    `settings` (those three keys) when there is no client. With neither,
-    any entry replays. A fresh response comes back with the line that
-    records it, for the caller to append.
+    The document's entry in `log` replays only if its request is the one
+    this call would send: the document's prompt under the client's model,
+    temperature and max_tokens, or under `settings` (those three keys) when
+    there is no client. With neither, any entry replays. Sends nothing, so
+    the caller may run it on the thread that owns `log`.
     """
     if task not in PROMPT_BUILDERS:
         raise UsageError(f"unknown QA task {task!r}")
@@ -441,13 +440,20 @@ def generate_for_document(
                 pairs = [QAPair.from_record(rec) for rec in entry["pairs"]]
             except DataError as exc:
                 raise DataError(f"{log.path}:{line_no}: {exc} (document {doc.id!r})") from exc
-            return ParsedResponse(pairs=pairs, discarded=entry["discarded"]), None
+            return ParsedResponse(pairs=pairs, discarded=entry["discarded"])
     if client is None:
         raise UsageError(
             f"no cached response to this request for ({doc.id}, {task}) and no chat endpoint configured"
             f" (set {ENDPOINT_ENV})"
         )
+    return request
 
+
+def fetch_document(doc: RawDocument, task: str, client: ChatClient, request: dict) -> tuple[ParsedResponse, bytes]:
+    """Send `lookup_document`'s request: (parsed, the log line that records it).
+
+    Touches no log, so it may run on any thread; the caller appends the line.
+    """
     try:
         response = client.complete(request["prompt"])
         parsed = parse_qa_response(response.text, task, doc_id=doc.id)
@@ -469,6 +475,20 @@ def generate_for_document(
     except DataError as exc:  # ChatError, ParseError, or a reply QAPair refuses
         raise type(exc)(f"{exc} (document {doc.id!r})") from exc
     return parsed, line
+
+
+def generate_for_document(
+    doc: RawDocument, task: str, client: ChatClient | None, log: ResponseLog, settings: dict | None = None
+) -> tuple[ParsedResponse, bytes | None]:
+    """Fetch-or-replay the QA pairs for one document: (parsed, log line).
+
+    A replay (see `lookup_document`) comes back with no line to append; a
+    fresh response with the line that records it, for the caller to append.
+    """
+    found = lookup_document(doc, task, client, log, settings)
+    if isinstance(found, ParsedResponse):
+        return found, None
+    return fetch_document(doc, task, client, found)
 
 
 def write_qa_jsonl(pairs: list[QAPair], path) -> None:

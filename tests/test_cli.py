@@ -1128,6 +1128,44 @@ class TestGenQa:
         )
         assert _log_ids(out) == ["doc-00001"]
 
+    def test_jobs_1_fetches_on_the_calling_thread(self, tmp_path, monkeypatch):
+        threads = threading.active_count()
+        seen = []
+
+        def transport(url, headers, payload, timeout):
+            seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+            return 200, {"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}
+
+        monkeypatch.setattr(qagen, "_http_pool", lambda: transport)
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(6, seed=3), corpus)
+        assert run("--jobs", 1, "--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation",
+                   "--endpoint", "http://chat.test") == 0
+        # no pool: every request is sent from the main thread, and no thread is started
+        assert seen == [(True, threads)] * 6
+
+    def test_a_replay_starts_no_thread(self, tmp_path, monkeypatch):
+        calls = []
+
+        def transport(url, headers, payload, timeout):
+            calls.append(payload)
+            return 200, {"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}
+
+        monkeypatch.setattr(qagen, "_http_pool", lambda: transport)
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(6, seed=3), corpus)
+        argv = ("--jobs", 2, "--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--name", "c",
+                "--endpoint", "http://chat.test")
+        assert run(*argv) == 0
+        first = tree_bytes(out)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        assert run(*argv) == 0
+        assert started == []
+        assert len(calls) == 6
+        assert tree_bytes(out) == first
+
     def test_jobs_do_not_change_the_log_or_the_pairs(self, tmp_path, monkeypatch):
         def transport(url, headers, payload, timeout):
             digest = hashlib.sha256(payload["messages"][0]["content"].encode("utf-8")).digest()
@@ -1158,26 +1196,35 @@ class TestGenQa:
         assert chat_server.seen == []
         assert tree_bytes(out) == {"qa_cache/generation.jsonl": b""}
 
-    def test_an_interrupt_logs_every_response_paid_for(self, tmp_path, monkeypatch):
-        calls = []
-
-        def transport(url, headers, payload, timeout):
-            calls.append(payload)
-            if len(calls) == 3:
-                raise KeyboardInterrupt
-            return 200, {"choices": [{"message": {"content": f"Question: Q?\nAnswer: A{len(calls)}."}}]}
-
-        monkeypatch.setattr(qagen, "_http_pool", lambda: transport)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_interrupt_logs_every_response_paid_for(self, tmp_path, monkeypatch, jobs):
         corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
         records = synthetic_records(12, seed=2)
         write_jsonl(records, corpus)
+        calls = []  # the corpus index of each request's document
+        lock = threading.Lock()
+
+        def transport(url, headers, payload, timeout):
+            prompt = payload["messages"][0]["content"]
+            with lock:
+                calls.append(next(k for k, record in enumerate(records) if record["title"] in prompt))
+                if len(calls) == 3:
+                    raise KeyboardInterrupt
+                answer = f"A{len(calls)}."
+            return 200, {"choices": [{"message": {"content": f"Question: Q?\nAnswer: {answer}"}}]}
+
+        monkeypatch.setattr(qagen, "_http_pool", lambda: transport)
         with pytest.raises(KeyboardInterrupt):
-            run("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--endpoint", "http://chat.test")
-        # --jobs 1: the k-th request is the k-th document; when the third fails,
-        # the window of 4 futures holds documents 3 to 6 at most
-        assert 3 <= len(calls) <= 6
-        paid = [records[k]["id"] for k in range(len(calls)) if k != 2]
-        assert _log_ids(out) == paid
+            run("--jobs", jobs, "--out", out, "gen-qa", "--corpus", corpus, "--task", "generation",
+                "--endpoint", "http://chat.test")
+        failed = calls[2]
+        if jobs == 1:
+            # fetched on the calling thread: no request is sent ahead of the one interrupted
+            assert calls == [0, 1, 2]
+        else:
+            # the window of 4 × jobs futures ends at most that far past the failed document
+            assert 3 <= len(calls) <= 4 * jobs + failed
+        assert _log_ids(out) == [records[k]["id"] for k in sorted(calls) if k != failed]
         assert not (out / "c_qa_generation.jsonl").exists()
 
     def test_an_interrupt_closes_the_kept_alive_connection(self, tmp_path, loopback_server, monkeypatch):
@@ -1216,7 +1263,8 @@ class TestGenQa:
 
 
 # modules each command must not load (as docstudy.<name>); gen-qa replays its
-# cache, with or without an endpoint, so no command loads an HTTP client
+# cache at --jobs 1, with or without an endpoint, so no command loads an HTTP
+# client or a thread pool
 IMPORT_BUDGETS = {
     "ingest": ("analysis", "taskgen", "dataset", "qagen", "transport", "metrics", "curriculum", "stats"),
     "gen-tasks": ("qagen", "transport", "metrics", "curriculum"),
@@ -1271,11 +1319,8 @@ class TestImportBudget:
                                 capture_output=True, text=True, check=True)
         code, *loaded = result.stdout.splitlines()[-1].split()
         assert code == "0", result.stderr
-        forbidden = {f"docstudy.{name}" for name in IMPORT_BUDGETS[command]} | {"urllib.request", "http.client", "ssl",
-                                                                                "email"}
-        if not command.startswith("gen-qa"):
-            forbidden |= {"logging", "concurrent.futures"}
-        forbidden.add("dataclasses")
+        forbidden = {f"docstudy.{name}" for name in IMPORT_BUDGETS[command]} | {
+            "urllib.request", "http.client", "ssl", "email", "logging", "concurrent.futures", "dataclasses"}
         assert sorted(forbidden & set(loaded)) == []
 
     def test_no_module_loads_dataclasses(self):
@@ -1307,6 +1352,7 @@ class TestImportBudget:
         assert code == "0", result.stderr
         assert len(server.seen) == 6 and server.connections == 1
         assert {"docstudy.transport", *needed} <= set(loaded)
+        forbidden = {"concurrent.futures", "logging"}  # --jobs 1 starts no pool
         if route != "http_proxy":  # urllib.request itself loads http.client, email and ssl
-            forbidden = {"urllib.request", "http.client", "email", "ssl"} - needed
-            assert sorted(forbidden & set(loaded)) == []
+            forbidden |= {"urllib.request", "http.client", "email", "ssl"} - needed
+        assert sorted(forbidden & set(loaded)) == []

@@ -337,3 +337,12 @@ class TestRecordBuilders:
         record = attach_loss_policy(qa_record(pair))
         assert record["kind"] == "qa"
         assert record["loss_policy"] == "answer_only"
+
+    def test_built_records_carry_their_policy_uncopied(self):
+        doc = document_from_record(synthetic_records(1)[0])
+        suite = build_suite(analyze_document(doc), seed=0)
+        pair = QAPair(doc_id="d", task="generation", question="Q?", answer="A.")
+        records = [doc_record(doc), qa_record(pair), *map(task_record, suite.examples)]
+        assert {r["payload"]["kind"] for r in records[2:]} >= {"memorization", "cloze"}
+        for record in records:
+            assert attach_loss_policy(record) is record
