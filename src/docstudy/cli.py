@@ -129,32 +129,8 @@ def cmd_gen_tasks(args, config) -> int:
     return 0
 
 
-class _Settled:
-    """A document's outcome, reached on the calling thread and read as a
-    finished future's: `result()` gives (parsed, log line) or raises the
-    DataError that failed the document."""
-
-    __slots__ = ("_value", "_error")
-
-    def __init__(self, value=None, error=None):
-        self._value, self._error = value, error
-
-    def result(self):
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def exception(self):
-        return self._error
-
-    def cancelled(self) -> bool:
-        return False
-
-
 def cmd_gen_qa(args, config) -> int:
-    from collections import deque
-
-    from . import qagen
+    from . import qagen, qapairs
     from .corpus import iter_documents
 
     jobs = _resolve(args.jobs, config, "jobs", JOBS_ENV, 1, int)
@@ -170,67 +146,11 @@ def cmd_gen_qa(args, config) -> int:
     if args.endpoint or os.environ.get(qagen.ENDPOINT_ENV):
         client = qagen.ChatClient(endpoint=args.endpoint, api_key=args.api_key, **settings)
 
-    parsed, failures = [], []
-    # exits in reverse: the pool's workers finish before the log and the
-    # client's connections close, on every way out, an interrupt included
     with ExitStack() as stack:
         if client is not None:
             stack.enter_context(client)
         log = stack.enter_context(qagen.ResponseLog(cache_dir / f"{args.task}.jsonl"))
-        pool = None
-
-        def start(doc):
-            """Replay or fetch `doc` on this thread at --jobs 1. Above 1, replay it
-            here or hand its fetch to a pool of `jobs` workers, started by the first."""
-            nonlocal pool
-            try:
-                if jobs == 1:
-                    return _Settled(qagen.generate_for_document(doc, args.task, client, log, settings))
-                found = qagen.lookup_document(doc, args.task, client, log, settings)
-            except DataError as exc:
-                return _Settled(error=exc)
-            if isinstance(found, qagen.ParsedResponse):
-                return _Settled((found, None))
-            if pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                pool = stack.enter_context(ThreadPoolExecutor(max_workers=jobs))
-            return pool.submit(qagen.fetch_document, doc, args.task, client, found)
-
-        def settle(doc, outcome):
-            """Take one result, in corpus order: log its fetched line, or record its data error."""
-            try:
-                result, line = outcome.result()
-            except DataError as exc:
-                failures.append(exc)
-                return
-            if line is not None:
-                log.append(doc.id, line)
-            parsed.append(result)
-
-        # workers only fetch and parse; only this thread appends, so the log's
-        # bytes do not depend on --jobs or on thread timing
-        window = deque()
-        try:
-            # a result leaves the window once settled, so an interrupt that
-            # lands while its future is awaited still logs it below
-            for doc in docs:
-                window.append((doc, start(doc)))
-                if len(window) == 4 * jobs:
-                    settle(*window[0])
-                    window.popleft()
-            while window:
-                settle(*window[0])
-                window.popleft()
-        except BaseException:
-            # every response already paid for is logged before the error propagates
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
-            for doc, outcome in window:
-                if not outcome.cancelled() and outcome.exception() is None:
-                    settle(doc, outcome)
-            raise
-
+        parsed, failures = qagen.generate_corpus(docs, args.task, client, log, settings, jobs)
         if failures:
             # no QA JSONL: a rerun fetches only these documents
             for exc in failures:
@@ -239,13 +159,13 @@ def cmd_gen_qa(args, config) -> int:
         pairs = [pair for result in parsed for pair in result.pairs]
         discarded = sum(result.discarded for result in parsed)
         target = out / f"{_name(args)}_qa_{args.task}.jsonl"
-        qagen.write_qa_jsonl(pairs, target)
+        qapairs.write_qa_jsonl(pairs, target)
     print(f"collected {len(pairs)} QA pairs ({discarded} blocks discarded) -> {target}")
     return 0
 
 
 def cmd_split(args, config) -> int:
-    from . import dataset, qagen
+    from . import dataset, qapairs
     from .corpus import iter_documents
 
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
@@ -258,7 +178,7 @@ def cmd_split(args, config) -> int:
     qa_train, qa_test = [], []
     if args.qa:
         train_ids, test_ids = {doc.id for doc in train}, {doc.id for doc in test}
-        for line_no, pair in qagen.iter_qa_jsonl(args.qa):
+        for line_no, pair in qapairs.iter_qa_jsonl(args.qa):
             if pair.doc_id in train_ids:
                 qa_train.append(pair)
             elif pair.doc_id in test_ids:
@@ -273,8 +193,8 @@ def cmd_split(args, config) -> int:
     write_jsonl(out / f"{name}_test.jsonl", (doc.to_record() for doc in test))
     write_json(out / f"{name}_overlap.json", overlap)
     if args.qa:
-        qagen.write_qa_jsonl(qa_train, out / f"{name}_qa_train.jsonl")
-        qagen.write_qa_jsonl(qa_test, out / f"{name}_qa_test.jsonl")
+        qapairs.write_qa_jsonl(qa_train, out / f"{name}_qa_train.jsonl")
+        qapairs.write_qa_jsonl(qa_test, out / f"{name}_qa_test.jsonl")
 
     print(f"split {len(docs)} documents into {len(train)} train / {len(test)} test")
     return 0
@@ -391,11 +311,11 @@ def cmd_eval(args, config) -> int:
 
 
 def cmd_stats(args, config) -> int:
-    from . import qagen, stats
+    from . import qapairs, stats
     from .corpus import iter_documents
 
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
-    qa_pairs = qagen.read_qa_jsonl(args.qa) if args.qa else None
+    qa_pairs = qapairs.read_qa_jsonl(args.qa) if args.qa else None
     name = _name(args)
     target = out / f"{name}_stats.json"
     write_json(target, stats.corpus_stats(name, iter_documents(args.corpus), qa_pairs))

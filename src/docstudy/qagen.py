@@ -13,16 +13,16 @@ import json
 import os
 import re
 import sys
-import threading
 import time
-from collections import namedtuple
+from collections import deque, namedtuple
 from importlib import resources
 from pathlib import Path
 from urllib.parse import urlsplit
 
 from .corpus import RawDocument
 from .errors import DataError, MalformedLineError, UsageError
-from .jsonio import encode_line, iter_jsonl, parse_object, reject_lone_surrogates, write_jsonl
+from .jsonio import encode_line, parse_object
+from .qapairs import QAPair, iter_qa_jsonl, read_qa_jsonl, write_qa_jsonl  # the file functions stay importable here
 from .vocab import NLI_LABELS, NLI_OPTIONS, TASK_GENERATION, TASK_NLI, fill
 
 # a reply may give an NLI label, its option text, or the option without "'"
@@ -62,59 +62,6 @@ def build_type_prompt(doc: RawDocument, qas: list["QAPair"]) -> str:
         raise DataError("type annotation prompt needs at least one QA pair")
     qa_text = "\n".join(f"Question: {qa.question}\nAnswer: {qa.answer}" for qa in qas)
     return fill(_prompt_asset("qa_types.txt"), paragraph=doc.body, QA=qa_text).rstrip("\n")
-
-
-_TEXT_FIELDS = ("doc_id", "task", "question", "answer", "answer_label")
-
-
-class QAPair(namedtuple("QAPair", "doc_id task question answer options answer_label")):
-    __slots__ = ()
-
-    def __new__(
-        cls, doc_id: str, task: str, question: str, answer: str,
-        options: tuple[str, ...] | None = None, answer_label: str | None = None,
-    ):
-        fields = dict(zip(_TEXT_FIELDS, (doc_id, task, question, answer, answer_label)))
-        fields.update((f"options[{i}]", option) for i, option in enumerate(options or ()))
-        reject_lone_surrogates(fields)
-        if task == TASK_NLI:
-            if answer_label not in NLI_LABELS:
-                raise DataError(f"bad NLI label {answer_label!r}")
-        elif not answer:
-            raise DataError("generation answer must be non-empty")
-        return tuple.__new__(cls, (doc_id, task, question, answer, options, answer_label))
-
-    def to_record(self) -> dict:
-        record = {
-            "doc_id": self.doc_id,
-            "task": self.task,
-            "question": self.question,
-            "answer": self.answer,
-        }
-        if self.options is not None:
-            record["options"] = list(self.options)
-        if self.answer_label is not None:
-            record["answer_label"] = self.answer_label
-        return record
-
-    @classmethod
-    def from_record(cls, record: dict) -> "QAPair":
-        for key in ("doc_id", "task", "question", "answer"):
-            if not isinstance(record.get(key), str):
-                raise DataError(f"QA record needs a string {key!r}")
-        options = record.get("options")
-        if not (options is None or isinstance(options, list) and all(isinstance(o, str) for o in options)):
-            raise DataError("QA record 'options' must be a list of strings or null")
-        if not isinstance(record.get("answer_label"), (str, type(None))):
-            raise DataError("QA record 'answer_label' must be a string or null")
-        return cls(
-            doc_id=record["doc_id"],
-            task=record["task"],
-            question=record["question"],
-            answer=record["answer"],
-            options=tuple(options) if options else None,
-            answer_label=record.get("answer_label"),
-        )
 
 
 def canonical_label(text: str) -> str | None:
@@ -189,7 +136,6 @@ def parse_qa_response(raw: str, task: str, doc_id: str = "") -> ParsedResponse:
     if not pairs:
         raise ParseError(f"no question/answer blocks found (discarded {discarded})")
     if discarded:
-        # one write, so warnings from concurrent documents never interleave
         sys.stderr.write(f"warning: discarded {discarded} malformed block(s) (document {doc_id!r})\n")
     return ParsedResponse(pairs=pairs, discarded=discarded)
 
@@ -233,9 +179,26 @@ def _check_endpoint(endpoint: str) -> None:
         raise UsageError(f"chat endpoint {endpoint!r} has no host")
 
 
+class Exchange:
+    """One prompt's request across its attempts: `ChatClient.prepare`
+    builds it, `send` and `retry` send it, `read` takes the reply."""
+
+    __slots__ = ("request", "attempts", "sock", "deadline", "reply")
+
+    def __init__(self, request):
+        self.request = request  # the encoded bytes, or a plain function transport's arguments
+        self.attempts = 0
+        self.sock = None  # the socket the reply will arrive on, while it is unread
+        self.deadline = 0.0  # when a reply that has not begun becomes a connection error
+        self.reply = None  # (status, body) or ConnectionError, once known
+
+
 class ChatClient:
-    """Thread-safe chat-completion client with retry; callers bound requests
-    in flight, and `close()` (or `with`) closes its kept-alive connections."""
+    """Chat-completion client with retry, used from one thread. `complete`
+    sends a prompt and waits for the reply; `prepare`, `send`, `read` and
+    `retry` let the caller build a request before it can go out, keep
+    several in flight and decide when to wait. `close()` (or `with`)
+    closes its connections."""
 
     def __init__(
         self,
@@ -262,7 +225,6 @@ class ChatClient:
         self.backoff = backoff
         self.timeout = timeout
         self._transport = transport
-        self._transport_lock = threading.Lock()
         self._sleep = sleep
 
     def __enter__(self) -> "ChatClient":
@@ -276,38 +238,62 @@ class ChatClient:
         if close is not None:
             close()
 
-    def _send(self, headers: dict, payload: dict):
-        if self._transport is None:
-            with self._transport_lock:
-                if self._transport is None:
-                    self._transport = _http_pool()
-        return self._transport(self.endpoint, headers, payload, self.timeout)
-
-    def complete(self, prompt: str) -> ChatResponse:
+    def prepare(self, prompt: str) -> Exchange:
+        """`prompt`'s request, ready to `send`."""
+        headers = {"Content-Type": "application/json"}
+        if self.api_key:
+            headers["Authorization"] = f"Bearer {self.api_key}"
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": self.temperature,
             "max_tokens": self.max_tokens,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        if self._transport is None:
+            self._transport = _http_pool()
+        encode = getattr(self._transport, "encode", None)
+        if encode is None:
+            return Exchange((self.endpoint, headers, payload))
+        return Exchange(encode(self.endpoint, headers, payload))
 
-        last_error = "no attempt made"
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                self._sleep(self.backoff * (2 ** (attempt - 1)))
+    def send(self, exchange: Exchange) -> None:
+        """Send `exchange`'s next attempt; `read` takes its reply. A plain
+        function transport, which sends and reads in one call, is called by `read`."""
+        exchange.attempts += 1
+        exchange.reply = None
+        if isinstance(exchange.request, bytes):
             try:
-                status, body = self._send(headers, payload)
+                exchange.sock = self._transport.send(exchange.request, self.timeout)
+                exchange.deadline = time.monotonic() + self.timeout
             except ConnectionError as exc:
-                last_error = f"connection error: {exc}"
-                continue
+                exchange.reply = exc
             except OSError as exc:  # permanent, such as an untrusted certificate
                 raise ChatError(f"chat request failed: {exc}") from exc
-            if status in _TRANSIENT_STATUSES:
-                last_error = f"transient HTTP {status}"
-                continue
+
+    def retry(self, exchange: Exchange) -> None:
+        """`send` after the attempt's backoff, which this thread sleeps."""
+        self._sleep(self.backoff * (2 ** (exchange.attempts - 1)))
+        self.send(exchange)
+
+    def read(self, exchange: Exchange) -> ChatResponse | None:
+        """The reply to `exchange`, waiting for it if it is still in flight,
+        or None when the attempt failed transiently and may be retried."""
+        try:
+            if exchange.sock is not None:
+                sock, exchange.sock = exchange.sock, None
+                exchange.reply = self._transport.read(sock, exchange.deadline - time.monotonic())
+            elif exchange.reply is None:
+                exchange.reply = self._transport(*exchange.request, self.timeout)
+        except ConnectionError as exc:
+            exchange.reply = exc
+        except OSError as exc:
+            raise ChatError(f"chat request failed: {exc}") from exc
+        if isinstance(exchange.reply, ConnectionError):
+            error = f"connection error: {exchange.reply}"
+        elif exchange.reply[0] in _TRANSIENT_STATUSES:
+            error = f"transient HTTP {exchange.reply[0]}"
+        else:
+            status, body = exchange.reply
             if status != 200:
                 raise ChatError(f"chat endpoint returned HTTP {status}: {body}")
             try:
@@ -317,12 +303,38 @@ class ChatClient:
                     raise TypeError("content is not a string")
             except (KeyError, IndexError, TypeError) as exc:
                 raise ChatError(f"malformed chat response: {body}") from exc
-            return ChatResponse(
-                text=text,
-                finish_reason=choice.get("finish_reason", ""),
-                usage=body.get("usage", {}),
-            )
-        raise ChatError(f"chat request failed after {self.max_retries + 1} attempts ({last_error})")
+            return ChatResponse(text=text, finish_reason=choice.get("finish_reason", ""), usage=body.get("usage", {}))
+        if exchange.attempts > self.max_retries:
+            raise ChatError(f"chat request failed after {self.max_retries + 1} attempts ({error})")
+        return None
+
+    def complete(self, prompt: str) -> ChatResponse:
+        exchange = self.prepare(prompt)
+        self.send(exchange)
+        while (response := self.read(exchange)) is None:
+            self.retry(exchange)
+        return response
+
+
+def _ready(exchanges: list) -> list:
+    """The exchanges whose reply `ChatClient.read` can take without
+    waiting, or whose reply is overdue; waits until there is one."""
+    ready = [exchange for exchange in exchanges if exchange.sock is None]
+    if ready or not exchanges:
+        return ready
+    import select  # only a transport with sockets gets this far
+
+    poller = select.poll()
+    for exchange in exchanges:
+        poller.register(exchange.sock, select.POLLIN)
+    while True:
+        wait = min(exchange.deadline for exchange in exchanges) - time.monotonic()
+        readable = {fd for fd, _ in poller.poll(max(wait, 0) * 1000)}
+        now = time.monotonic()
+        ready = [exchange for exchange in exchanges
+                 if exchange.sock.fileno() in readable or exchange.deadline <= now]
+        if ready:
+            return ready
 
 
 PROMPT_BUILDERS = {TASK_GENERATION: build_generation_prompt, TASK_NLI: build_nli_prompt}
@@ -424,8 +436,7 @@ def lookup_document(
     The document's entry in `log` replays only if its request is the one
     this call would send: the document's prompt under the client's model,
     temperature and max_tokens, or under `settings` (those three keys) when
-    there is no client. With neither, any entry replays. Sends nothing, so
-    the caller may run it on the thread that owns `log`.
+    there is no client. With neither, any entry replays. Sends nothing.
     """
     if task not in PROMPT_BUILDERS:
         raise UsageError(f"unknown QA task {task!r}")
@@ -449,13 +460,13 @@ def lookup_document(
     return request
 
 
-def fetch_document(doc: RawDocument, task: str, client: ChatClient, request: dict) -> tuple[ParsedResponse, bytes]:
-    """Send `lookup_document`'s request: (parsed, the log line that records it).
+def _for_document(exc: DataError, doc: RawDocument) -> DataError:
+    return type(exc)(f"{exc} (document {doc.id!r})")
 
-    Touches no log, so it may run on any thread; the caller appends the line.
-    """
+
+def _record(doc: RawDocument, task: str, request: dict, response: ChatResponse) -> tuple[ParsedResponse, bytes]:
+    """(parsed, the log line that records them) of the reply to `request`."""
     try:
-        response = client.complete(request["prompt"])
         parsed = parse_qa_response(response.text, task, doc_id=doc.id)
         line = encode_line(
             {
@@ -472,8 +483,8 @@ def fetch_document(doc: RawDocument, task: str, client: ChatClient, request: dic
         )
     except UnicodeEncodeError:
         raise DataError(f"the reply holds a lone surrogate, which UTF-8 cannot encode (document {doc.id!r})") from None
-    except DataError as exc:  # ChatError, ParseError, or a reply QAPair refuses
-        raise type(exc)(f"{exc} (document {doc.id!r})") from exc
+    except DataError as exc:  # ParseError, or a reply QAPair refuses
+        raise _for_document(exc, doc) from exc
     return parsed, line
 
 
@@ -488,22 +499,115 @@ def generate_for_document(
     found = lookup_document(doc, task, client, log, settings)
     if isinstance(found, ParsedResponse):
         return found, None
-    return fetch_document(doc, task, client, found)
+    try:
+        response = client.complete(found["prompt"])
+    except ChatError as exc:
+        raise _for_document(exc, doc) from exc
+    return _record(doc, task, found, response)
 
 
-def write_qa_jsonl(pairs: list[QAPair], path) -> None:
-    write_jsonl(path, (pair.to_record() for pair in pairs))
+class _Pending:
+    """A document from its look-up until its outcome leaves the window."""
+
+    __slots__ = ("doc", "request", "exchange", "reply", "outcome")
+
+    def __init__(self, doc: RawDocument):
+        self.doc = doc
+        self.request = self.exchange = None  # what the log records, and the Exchange that sends it
+        self.reply = None  # the ChatResponse, once read
+        self.outcome = None  # (parsed, log line or None), or the DataError that failed it
 
 
-def iter_qa_jsonl(path):
-    """Yield (line number, pair) for each row of a QA JSONL file."""
-    for line_no, record in iter_jsonl(path):
+def generate_corpus(
+    docs, task: str, client: ChatClient | None, log: ResponseLog, settings: dict | None = None, jobs: int = 1
+) -> tuple[list[ParsedResponse], list[DataError]]:
+    """Replay or fetch the QA pairs of every document on this thread:
+    (parsed responses, the errors that failed documents), in corpus order.
+
+    Up to `jobs` requests are in flight. The next document is looked up
+    before the thread waits, and a freed slot's next request is sent before
+    the reply that freed it is parsed, so the endpoint works while this
+    thread parses, encodes and logs. A fetched line is appended to `log` as
+    soon as its document and every earlier one are settled, so the log's
+    bytes do not depend on `jobs`, and at most 4 × jobs documents are held.
+    A retry's backoff pauses the loop. On any exception, an interrupt
+    included, every reply already read is logged before it propagates.
+    """
+    window = deque()  # looked-up documents whose outcome is not yet taken, in corpus order
+    queued = deque()  # those whose request is not yet sent
+    flying = {}  # Exchange -> _Pending, for requests whose reply is unread
+    parsed, failures = [], []
+    source = iter(docs)
+
+    def look_up():
+        """Take documents until one has a request to send or the window is full."""
+        while not queued and len(window) < 4 * jobs:
+            doc = next(source, None)
+            if doc is None:
+                return
+            item = _Pending(doc)
+            window.append(item)
+            try:
+                found = lookup_document(doc, task, client, log, settings)
+            except DataError as exc:
+                item.outcome = exc
+                continue
+            if isinstance(found, ParsedResponse):
+                item.outcome = (found, None)
+            else:
+                item.request, item.exchange = found, client.prepare(found["prompt"])
+                queued.append(item)
+
+    def send():
+        """Fill the free slots, looking the next document up after each send."""
+        look_up()
+        while queued and len(flying) < jobs:
+            item = queued.popleft()
+            try:
+                client.send(item.exchange)
+            except ChatError as exc:
+                item.outcome = _for_document(exc, item.doc)
+            else:
+                flying[item.exchange] = item
+            look_up()
+
+    def settle(item):
         try:
-            pair = QAPair.from_record(record)
+            item.outcome = _record(item.doc, task, item.request, item.reply)
         except DataError as exc:
-            raise MalformedLineError(path, line_no, str(exc)) from exc
-        yield line_no, pair
+            item.outcome = exc
 
-
-def read_qa_jsonl(path) -> list[QAPair]:
-    return [pair for _, pair in iter_qa_jsonl(path)]
+    try:
+        send()
+        while window:
+            for exchange in _ready(list(flying)):
+                item = flying[exchange]
+                try:
+                    item.reply = client.read(exchange)
+                    if item.reply is None:
+                        client.retry(exchange)  # stays in flight
+                        continue
+                except ChatError as exc:
+                    item.outcome = _for_document(exc, item.doc)
+                del flying[exchange]
+                if item.reply is not None:
+                    send()
+                    settle(item)
+            while window and window[0].outcome is not None:
+                outcome = window[0].outcome
+                if isinstance(outcome, DataError):
+                    failures.append(outcome)
+                else:
+                    if outcome[1] is not None:
+                        log.append(window[0].doc.id, outcome[1])
+                    parsed.append(outcome[0])
+                window.popleft()
+            send()
+    except BaseException:
+        for item in window:
+            if item.outcome is None and item.reply is not None:
+                settle(item)
+            if isinstance(item.outcome, tuple) and item.outcome[1] is not None:
+                log.append(item.doc.id, item.outcome[1])
+        raise
+    return parsed, failures

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 from .vocab import NLI_LABELS, TASK_NLI, tokenize_words
 
 if TYPE_CHECKING:
-    from .qagen import QAPair
+    from .qapairs import QAPair
 
 
 def _mean(total: int, count: int) -> float:

@@ -15,7 +15,6 @@ import re
 import select
 import socket
 import sys
-import threading
 from urllib.parse import unquote, urlsplit
 
 from . import __version__
@@ -44,7 +43,11 @@ def _decode_body(raw: bytes):
 
 class HttpPool:
     """The default transport, `(url, headers, payload, timeout) -> (status,
-    body)`: kept-alive HTTP(S) connections to one chat endpoint.
+    body)`: kept-alive HTTP(S) connections to one chat endpoint, for one
+    thread. A call encodes a request, sends it and reads its reply;
+    `encode`, `send` and `read` do each step alone, so a caller may build
+    a request before a connection is free and keep a request in flight on
+    each of several connections while it does other work.
 
     A request takes an idle connection, or opens one, and puts it back
     unless the reply closes it, so no more connections are open than
@@ -56,62 +59,87 @@ class HttpPool:
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._idle = []
+        self._busy = set()  # sent, reply unread: `close` closes these too
         self._route = None  # (connect(timeout), request target, Host, proxy headers), set by the first request
 
     def __call__(self, url: str, headers: dict, payload: dict, timeout: float):
+        return self.read(self.send(self.encode(url, headers, payload), timeout), timeout)
+
+    def encode(self, url: str, headers: dict, payload: dict) -> bytes:
+        """The bytes of one POST of `payload` as JSON to `url`."""
         try:
-            with self._lock:
-                if self._route is None:
-                    self._route = _resolve_route(url)
-            connect, selector, host, proxy_headers = self._route
+            if self._route is None:
+                self._route = _resolve_route(url)
+            _, selector, host, proxy_headers = self._route
             body = json.dumps(payload, allow_nan=False).encode("utf-8")
             # urllib's headers in urllib's order, less its `Connection: close`
             fields = {"Content-Length": str(len(body)), "Host": host, "User-Agent": USER_AGENT, **headers,
                       **proxy_headers}
-            message = _request_head(selector, fields) + body
+            return _request_head(selector, fields) + body
         except ValueError as exc:  # a NaN in the payload, a newline in a header
             raise UsageError(f"cannot send a request to {url}: {exc}") from exc
+
+    def send(self, message: bytes, timeout: float):
+        """Send an encoded request: the socket whose reply `read` takes."""
         try:
-            sock = self._checkout(connect, timeout)
+            sock = self._checkout(self._route[0], timeout)
             try:
                 sock.sendall(message)
+            except BaseException:
+                sock.close()
+                raise
+        except OSError as exc:  # timeouts and TLS failures too
+            ssl = sys.modules.get("ssl")  # loaded only by an https route
+            if ssl is not None and isinstance(exc, ssl.SSLCertVerificationError):
+                raise  # no retry can make the certificate trusted
+            raise ConnectionError(str(exc)) from exc
+        self._busy.add(sock)
+        return sock
+
+    def read(self, sock, timeout: float):
+        """(status, body) of the reply on `sock`; a reply that has not begun
+        within `timeout` seconds is a connection error, as is any framing or
+        I/O failure."""
+        self._busy.discard(sock)
+        try:
+            try:
+                if not _readable(sock, timeout):
+                    raise TimeoutError("timed out")
                 with sock.makefile("rb") as rfile:
                     status, data, keep = _read_reply(rfile)
             except BaseException:
                 sock.close()
                 raise
-        except OSError as exc:  # timeouts, TLS failures and framing errors too
-            ssl = sys.modules.get("ssl")  # loaded only by an https route
-            if ssl is not None and isinstance(exc, ssl.SSLCertVerificationError):
-                raise  # no retry can make the certificate trusted
+        except OSError as exc:
             raise ConnectionError(str(exc)) from exc
         if keep:
-            with self._lock:
-                self._idle.append(sock)
+            self._idle.append(sock)
         else:
             sock.close()
         return status, _decode_body(data)
 
     def _checkout(self, connect, timeout: float):
         """An idle connection that is still open, or a new one."""
-        with self._lock:
-            while self._idle:
-                sock = self._idle.pop()
-                poller = select.poll()
-                poller.register(sock, select.POLLIN)
-                if not poller.poll(0):  # an idle socket turns readable when the server closes it
-                    return sock
-                sock.close()
+        while self._idle:
+            sock = self._idle.pop()
+            if not _readable(sock, 0):  # an idle socket turns readable when the server closes it
+                return sock
+            sock.close()
         return connect(timeout)
 
     def close(self) -> None:
-        """Close the idle connections; call it once no request is in flight."""
-        with self._lock:
-            idle, self._idle = self._idle, []
-        for sock in idle:
+        """Close every connection, a request's still in flight included."""
+        for sock in (*self._idle, *self._busy):
             sock.close()
+        self._idle, self._busy = [], set()
+
+
+def _readable(sock, timeout: float) -> bool:
+    """Whether `sock` turns readable within `timeout` seconds (none if not positive)."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(max(timeout, 0) * 1000))
 
 
 def _request_head(selector: str, fields: dict) -> bytes:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import http.server
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import docstudy
-from conftest import DATA, LOOPBACK_CERT, wait_for
+from conftest import DATA, LOOPBACK_CERT, _CountingServer, wait_for
 from docstudy import curriculum, dataset, jsonio, qagen
 from docstudy.cli import JOBS_ENV, _resolve, main
 from docstudy.corpus import iter_documents
@@ -854,6 +855,72 @@ def _log_ids(out: Path) -> list:
     return [json.loads(line)["doc_id"] for line in (out / "qa_cache" / "generation.jsonl").read_bytes().splitlines()]
 
 
+class _PacedHandler(http.server.BaseHTTPRequestHandler):
+    """Chat replies over HTTP/1.1 whose answer is a hash of the prompt, each
+    after 1-8 ms drawn from the server's seed and the prompt. The server
+    counts the requests it serves at once, answers the request numbered
+    `fail` with a 503, and holds the reply to the one numbered `hold` until
+    `release` is set."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = 5
+
+    def do_POST(self):
+        server = self.server
+        prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["messages"][0]["content"]
+        with server.lock:
+            server.requests += 1
+            number = server.requests
+            server.busy += 1
+            server.peak = max(server.peak, server.busy)
+        time.sleep((1 + hashlib.sha256(f"{server.seed}:{prompt}".encode()).digest()[0] % 8) / 1000)
+        if number == server.hold:
+            server.release.wait(20)
+        answer = hashlib.sha256(prompt.encode()).hexdigest()[:8]
+        body = _chat_reply(f"Question: Q?\nAnswer: {answer}.")
+        with server.lock:  # before the reply goes out, so the client cannot have sent its next request yet
+            server.busy -= 1
+        try:
+            self.send_response(503 if number == server.fail else 200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+        except OSError:  # the client is gone
+            self.close_connection = True
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def paced_server(monkeypatch):
+    """Starts `_PacedHandler` servers that count connections:
+    `paced_server(seed=0, fail=None, hold=None)`; read `requests`, `peak`
+    and `connections`, set `release`."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    servers = []
+
+    def start(seed: int = 0, fail: int | None = None, hold: int | None = None):
+        server = _CountingServer(("127.0.0.1", 0), _PacedHandler)
+        server.seed, server.fail, server.hold = seed, fail, hold
+        server.lock, server.release = threading.Lock(), threading.Event()
+        server.requests = server.busy = server.peak = 0
+        server.url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+        threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+
+
 class TestGenQa:
     def test_against_local_endpoint_then_cache_replay(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -1184,6 +1251,60 @@ class TestGenQa:
         assert outputs[0] == outputs[1]
         assert sorted(outputs[0]) == ["c_qa_generation.jsonl", "qa_cache/generation.jsonl"]
 
+    def test_jobs_requests_share_jobs_connections_and_change_no_byte(self, tmp_path, monkeypatch, paced_server):
+        sleeps = []
+        monkeypatch.setattr(qagen, "ChatClient", functools.partial(qagen.ChatClient, sleep=sleeps.append))
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(24, seed=5), corpus)
+        outputs = []
+        for jobs in (1, 2, 4):
+            server = paced_server(seed=7, fail=5)
+            sleeps.clear()
+            out = tmp_path / f"jobs{jobs}"
+            assert run("--jobs", jobs, "--out", out, "gen-qa", "--corpus", corpus, "--task", "generation",
+                       "--name", "c", "--endpoint", server.url) == 0
+            assert server.requests == 25  # the 503 costs one retry, after the first backoff
+            assert sleeps == [0.5]
+            assert server.peak == jobs
+            assert 1 <= server.connections <= jobs
+            outputs.append(tree_bytes(out))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert sorted(outputs[0]) == ["c_qa_generation.jsonl", "qa_cache/generation.jsonl"]
+
+    def test_a_killed_run_keeps_every_reply_it_has_settled(self, tmp_path, paced_server):
+        server = paced_server(hold=4)
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        records = synthetic_records(8, seed=2)
+        write_jsonl(records, corpus)
+        env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1])}
+        argv = ["--jobs", "1", "--out", str(out), "gen-qa", "--corpus", str(corpus), "--task", "generation",
+                "--endpoint", server.url]
+        child = subprocess.Popen([sys.executable, "-c", "import sys; from docstudy.cli import main; main(sys.argv[1:])",
+                                  *argv], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        log = out / "qa_cache" / "generation.jsonl"
+        try:
+            # the fourth reply is held: the first three are logged while the run waits for it
+            wait_for(lambda: log.exists() and log.read_bytes().count(b"\n") >= 3, seconds=30)
+        finally:
+            child.kill()
+            child.wait(10)
+        assert server.requests == 4
+        assert _log_ids(out) == [record["id"] for record in records[:3]]
+
+    def test_no_jobs_starts_a_thread(self, tmp_path, monkeypatch, loopback_server):
+        server = loopback_server()
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(12, seed=3), corpus)
+        starters = []  # the thread that starts each thread; the server's serving thread starts its handlers
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: starters.append(threading.current_thread()) or start(thread))
+        for jobs in (1, 4):
+            assert run("--jobs", jobs, "--out", tmp_path / f"o{jobs}", "gen-qa", "--corpus", corpus,
+                       "--task", "generation", "--endpoint", server.url) == 0
+        assert len(server.seen) == 24 and starters
+        assert threading.main_thread() not in starters
+
     def test_a_held_log_fails_at_once(self, tmp_path, capsys, chat_server):
         corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
         write_jsonl(synthetic_records(2, seed=1), corpus)
@@ -1219,20 +1340,46 @@ class TestGenQa:
                 "--endpoint", "http://chat.test")
         failed = calls[2]
         if jobs == 1:
-            # fetched on the calling thread: no request is sent ahead of the one interrupted
+            # one request in flight: none is sent ahead of the one interrupted
             assert calls == [0, 1, 2]
         else:
-            # the window of 4 × jobs futures ends at most that far past the failed document
+            # the window of 4 × jobs documents ends at most that far past the failed document
             assert 3 <= len(calls) <= 4 * jobs + failed
         assert _log_ids(out) == [records[k]["id"] for k in sorted(calls) if k != failed]
         assert not (out / "c_qa_generation.jsonl").exists()
 
+    def test_an_interrupt_logs_a_reply_read_but_not_yet_parsed(self, tmp_path, loopback_server, monkeypatch):
+        server = loopback_server()
+        lookup = qagen.lookup_document
+        looked_up = []
+
+        def interrupted(doc, *args):
+            # the third look-up follows the first reply's read and the second request's send
+            looked_up.append(doc.id)
+            if len(looked_up) == 3:
+                raise KeyboardInterrupt
+            return lookup(doc, *args)
+
+        monkeypatch.setattr(qagen, "lookup_document", interrupted)
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        records = synthetic_records(6, seed=2)
+        write_jsonl(records, corpus)
+        with pytest.raises(KeyboardInterrupt):
+            run("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--endpoint", server.url)
+        # the first reply is parsed and logged; the second request, still in flight, is dropped
+        assert _log_ids(out) == [records[0]["id"]]
+        assert len(server.seen) == 2
+        wait_for(lambda: server.closed == server.connections == 1)
+
     def test_an_interrupt_closes_the_kept_alive_connection(self, tmp_path, loopback_server, monkeypatch):
         server = loopback_server()
         parse = qagen.parse_qa_response
+        parsed = []
 
         def interrupted(raw, task, doc_id=""):
-            if len(server.seen) == 3:
+            # the fourth request is in flight: it goes out before the third reply is parsed
+            parsed.append(doc_id)
+            if len(parsed) == 3:
                 raise KeyboardInterrupt
             return parse(raw, task, doc_id)
 
@@ -1263,15 +1410,15 @@ class TestGenQa:
 
 
 # modules each command must not load (as docstudy.<name>); gen-qa replays its
-# cache at --jobs 1, with or without an endpoint, so no command loads an HTTP
-# client or a thread pool
+# cache, with or without an endpoint, so no command loads an HTTP client, no
+# command loads a thread pool, and split and stats read QA pairs without qagen
 IMPORT_BUDGETS = {
     "ingest": ("analysis", "taskgen", "dataset", "qagen", "transport", "metrics", "curriculum", "stats"),
     "gen-tasks": ("qagen", "transport", "metrics", "curriculum"),
     "gen-qa": ("transport", "metrics", "curriculum", "dataset", "stats"),
     "gen-qa --endpoint": ("transport", "metrics", "curriculum", "dataset", "stats"),
-    "split": ("transport", "metrics", "curriculum"),
-    "stats": ("transport", "metrics", "curriculum"),
+    "split": ("qagen", "transport", "metrics", "curriculum"),
+    "stats": ("qagen", "transport", "metrics", "curriculum"),
     "plan": ("analysis", "taskgen", "qagen", "transport", "metrics", "stats"),
     "verify": ("analysis", "taskgen", "qagen", "transport", "metrics", "stats"),
     "eval": ("analysis", "corpus", "taskgen", "dataset", "qagen", "transport", "curriculum", "stats"),
@@ -1335,24 +1482,38 @@ class TestImportBudget:
         assert {"docstudy.cli", "docstudy.metrics", "docstudy.transport"} <= loaded
         assert "dataclasses" not in loaded
 
-    # a cold gen-qa loads the transport, and only what its route needs
-    @pytest.mark.parametrize("route, needed", [("http", set()), ("http_proxy", {"urllib.request"}), ("https", {"ssl"})])
-    def test_a_cold_gen_qa_loads_only_what_its_route_needs(self, workdir, tmp_path, loopback_server, route, needed):
-        server = loopback_server(tls=route == "https")
-        env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1]), "SSL_CERT_FILE": str(LOOPBACK_CERT)}
+    @staticmethod
+    def cold_gen_qa(workdir, tmp_path, server, jobs=1, **env) -> set:
+        """The modules a cold gen-qa against `server` loads, in a fresh interpreter."""
+        env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1]), **env}
         env.pop("DOCSTUDY_CHAT_ENDPOINT", None)
-        endpoint = server.url
-        if route == "http_proxy":
-            env["http_proxy"], endpoint = f"http://127.0.0.1:{server.server_port}", "http://chat.test/v1/chat/completions"
-        argv = ["--out", tmp_path / "o", "gen-qa", "--corpus", "c.jsonl", "--task", "generation", "--name", "c",
-                "--cache-dir", tmp_path / "qa_cache", "--endpoint", endpoint]
+        endpoint = server.url if "http_proxy" not in env else "http://chat.test/v1/chat/completions"
+        argv = ["--jobs", jobs, "--out", tmp_path / "o", "gen-qa", "--corpus", "c.jsonl", "--task", "generation",
+                "--name", "c", "--cache-dir", tmp_path / "qa_cache", "--endpoint", endpoint]
         result = subprocess.run([sys.executable, "-c", _PROBE, *map(str, argv)], cwd=workdir, env=env,
                                 capture_output=True, text=True, check=True)
         code, *loaded = result.stdout.splitlines()[-1].split()
         assert code == "0", result.stderr
+        return set(loaded)
+
+    # a cold gen-qa loads the transport, and only what its route needs
+    @pytest.mark.parametrize("route, needed", [("http", set()), ("http_proxy", {"urllib.request"}), ("https", {"ssl"})])
+    def test_a_cold_gen_qa_loads_only_what_its_route_needs(self, workdir, tmp_path, loopback_server, route, needed):
+        server = loopback_server(tls=route == "https")
+        env = {"SSL_CERT_FILE": str(LOOPBACK_CERT)}
+        if route == "http_proxy":
+            env["http_proxy"] = f"http://127.0.0.1:{server.server_port}"
+        loaded = self.cold_gen_qa(workdir, tmp_path, server, **env)
         assert len(server.seen) == 6 and server.connections == 1
-        assert {"docstudy.transport", *needed} <= set(loaded)
-        forbidden = {"concurrent.futures", "logging"}  # --jobs 1 starts no pool
+        assert {"docstudy.transport", *needed} <= loaded
+        forbidden = {"concurrent.futures", "logging"}  # no command starts a pool
         if route != "http_proxy":  # urllib.request itself loads http.client, email and ssl
             forbidden |= {"urllib.request", "http.client", "email", "ssl"} - needed
-        assert sorted(forbidden & set(loaded)) == []
+        assert sorted(forbidden & loaded) == []
+
+    def test_a_cold_gen_qa_above_one_job_loads_no_pool(self, workdir, tmp_path, loopback_server):
+        server = loopback_server()
+        loaded = self.cold_gen_qa(workdir, tmp_path, server, jobs=2)
+        assert len(server.seen) == 6 and 1 <= server.connections <= 2
+        assert "docstudy.transport" in loaded
+        assert sorted({"concurrent.futures", "logging", "urllib.request", "http.client", "email", "ssl"} & loaded) == []

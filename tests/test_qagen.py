@@ -25,6 +25,7 @@ from docstudy.qagen import (
     build_nli_prompt,
     build_type_prompt,
     canonical_label,
+    generate_corpus,
     generate_for_document,
     parse_qa_response,
     read_qa_jsonl,
@@ -557,6 +558,20 @@ class TestResponseFraming:
                                     b"Content-Length: %d" % len(OK_BODY)) + OK_BODY, False)]
         with real_client(raw_server.url, timeout=5) as client:
             assert client.complete("p").text == "ok"
+
+
+class TestGenerateCorpus:
+    def test_a_reply_that_does_not_begin_in_time_is_retried(self, raw_server, tmp_path):
+        body = _chat_body("Question: Q?\nAnswer: A.")
+        reply = _head(b"HTTP/1.1 200 OK", b"Content-Length: %d" % len(body)) + body
+        # the first reply begins 50 ms after its request, past the client's 20 ms timeout
+        raw_server.script = [([b"", reply], True), (reply, False)]
+        with real_client(raw_server.url, timeout=0.02) as client, ResponseLog(tmp_path / "generation.jsonl") as log:
+            parsed, failures = generate_corpus([MORITZ], "generation", client, log, jobs=2)
+            assert client._sleeps == [0.25]
+        assert failures == []
+        assert [pair.answer for pair in parsed[0].pairs] == ["A."]
+        assert raw_server.connections == 2
 
 
 class TestCacheReplay:
