@@ -181,24 +181,28 @@ def _check_endpoint(endpoint: str) -> None:
 
 class Exchange:
     """One prompt's request across its attempts: `ChatClient.prepare`
-    builds it, `send` and `retry` send it, `read` takes the reply."""
+    builds it, `send` sends it, `retry` schedules the next attempt, `wait`
+    tells when `read` can take the reply."""
 
-    __slots__ = ("request", "attempts", "sock", "deadline", "reply")
+    __slots__ = ("request", "attempts", "handle", "deadline", "due", "reply")
 
     def __init__(self, request):
         self.request = request  # the encoded bytes, or a plain function transport's arguments
         self.attempts = 0
-        self.sock = None  # the socket the reply will arrive on, while it is unread
+        self.handle = None  # the transport's handle on the attempt in flight, until its reply is read
         self.deadline = 0.0  # when a reply that has not begun becomes a connection error
-        self.reply = None  # (status, body) or ConnectionError, once known
+        self.due = None  # when the next attempt goes out, while it waits out its backoff
+        self.reply = None  # (status, body) or the OSError that failed the attempt, once known
 
 
 class ChatClient:
     """Chat-completion client with retry, used from one thread. `complete`
-    sends a prompt and waits for the reply; `prepare`, `send`, `read` and
-    `retry` let the caller build a request before it can go out, keep
-    several in flight and decide when to wait. `close()` (or `with`)
-    closes its connections."""
+    sends a prompt and waits for the reply; `prepare`, `send`, `wait`,
+    `read` and `retry` let the caller build a request before it can go
+    out, keep several in flight, each with its own backoff, and do other
+    work while they are. `close()` (or `with`) closes its connections.
+    `clock` is the time that backoffs and timeouts are measured on, and
+    `sleep` waits out a backoff while no request is in flight."""
 
     def __init__(
         self,
@@ -212,6 +216,7 @@ class ChatClient:
         timeout: float = 60.0,
         transport=None,
         sleep=time.sleep,
+        clock=time.monotonic,
     ):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV, "")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
@@ -226,6 +231,7 @@ class ChatClient:
         self.timeout = timeout
         self._transport = transport
         self._sleep = sleep
+        self._clock = clock
 
     def __enter__(self) -> "ChatClient":
         return self
@@ -257,39 +263,62 @@ class ChatClient:
         return Exchange(encode(self.endpoint, headers, payload))
 
     def send(self, exchange: Exchange) -> None:
-        """Send `exchange`'s next attempt; `read` takes its reply. A plain
-        function transport, which sends and reads in one call, is called by `read`."""
+        """Send `exchange`'s next attempt; a failure to send is kept for
+        `read`. A plain function transport, which sends and reads in one
+        call, is called by `read`."""
         exchange.attempts += 1
-        exchange.reply = None
+        exchange.reply = exchange.due = None
         if isinstance(exchange.request, bytes):
             try:
-                exchange.sock = self._transport.send(exchange.request, self.timeout)
-                exchange.deadline = time.monotonic() + self.timeout
-            except ConnectionError as exc:
+                exchange.handle = self._transport.send(exchange.request, self.timeout)
+                exchange.deadline = self._clock() + self.timeout
+            except OSError as exc:
                 exchange.reply = exc
-            except OSError as exc:  # permanent, such as an untrusted certificate
-                raise ChatError(f"chat request failed: {exc}") from exc
 
     def retry(self, exchange: Exchange) -> None:
-        """`send` after the attempt's backoff, which this thread sleeps."""
-        self._sleep(self.backoff * (2 ** (exchange.attempts - 1)))
-        self.send(exchange)
+        """Schedule the next attempt after its backoff; `wait` sends it."""
+        exchange.due = self._clock() + self.backoff * (2 ** (exchange.attempts - 1))
+
+    def wait(self, exchanges: list) -> list:
+        """Those of `exchanges` (one at least) whose reply `read` can take
+        now, once there is one: the reply has begun or is overdue, or the
+        attempt has failed. A retry whose backoff is over is sent on the
+        way; while no request is in flight, the client sleeps until the
+        next is due."""
+        now = self._clock()
+        while True:
+            for exchange in exchanges:
+                if exchange.due is not None and exchange.due <= now:
+                    self.send(exchange)
+            ready = [exchange for exchange in exchanges
+                     if exchange.due is None and (exchange.handle is None or exchange.deadline <= now)]
+            if ready:
+                return ready
+            first = min(exchange.deadline if exchange.due is None else exchange.due for exchange in exchanges)
+            handles = [exchange.handle for exchange in exchanges if exchange.handle is not None]
+            if handles:
+                begun = self._transport.wait(handles, first - now)
+                if begun:
+                    return [exchange for exchange in exchanges if exchange.handle in begun]
+            else:
+                self._sleep(first - now)
+            now = max(self._clock(), first)  # a wait that ends with nothing begun ran to the first timer
 
     def read(self, exchange: Exchange) -> ChatResponse | None:
-        """The reply to `exchange`, waiting for it if it is still in flight,
-        or None when the attempt failed transiently and may be retried."""
+        """The reply to `exchange` once `wait` has returned it, or None when
+        the attempt failed transiently and may be retried."""
         try:
-            if exchange.sock is not None:
-                sock, exchange.sock = exchange.sock, None
-                exchange.reply = self._transport.read(sock, exchange.deadline - time.monotonic())
+            if exchange.handle is not None:
+                handle, exchange.handle = exchange.handle, None
+                exchange.reply = self._transport.read(handle)
             elif exchange.reply is None:
                 exchange.reply = self._transport(*exchange.request, self.timeout)
-        except ConnectionError as exc:
-            exchange.reply = exc
         except OSError as exc:
-            raise ChatError(f"chat request failed: {exc}") from exc
+            exchange.reply = exc
         if isinstance(exchange.reply, ConnectionError):
             error = f"connection error: {exchange.reply}"
+        elif isinstance(exchange.reply, OSError):  # permanent, such as an untrusted certificate
+            raise ChatError(f"chat request failed: {exchange.reply}") from exchange.reply
         elif exchange.reply[0] in _TRANSIENT_STATUSES:
             error = f"transient HTTP {exchange.reply[0]}"
         else:
@@ -311,30 +340,12 @@ class ChatClient:
     def complete(self, prompt: str) -> ChatResponse:
         exchange = self.prepare(prompt)
         self.send(exchange)
-        while (response := self.read(exchange)) is None:
+        while True:
+            self.wait([exchange])
+            response = self.read(exchange)
+            if response is not None:
+                return response
             self.retry(exchange)
-        return response
-
-
-def _ready(exchanges: list) -> list:
-    """The exchanges whose reply `ChatClient.read` can take without
-    waiting, or whose reply is overdue; waits until there is one."""
-    ready = [exchange for exchange in exchanges if exchange.sock is None]
-    if ready or not exchanges:
-        return ready
-    import select  # only a transport with sockets gets this far
-
-    poller = select.poll()
-    for exchange in exchanges:
-        poller.register(exchange.sock, select.POLLIN)
-    while True:
-        wait = min(exchange.deadline for exchange in exchanges) - time.monotonic()
-        readable = {fd for fd, _ in poller.poll(max(wait, 0) * 1000)}
-        now = time.monotonic()
-        ready = [exchange for exchange in exchanges
-                 if exchange.sock.fileno() in readable or exchange.deadline <= now]
-        if ready:
-            return ready
 
 
 PROMPT_BUILDERS = {TASK_GENERATION: build_generation_prompt, TASK_NLI: build_nli_prompt}
@@ -530,8 +541,9 @@ def generate_corpus(
     thread parses, encodes and logs. A fetched line is appended to `log` as
     soon as its document and every earlier one are settled, so the log's
     bytes do not depend on `jobs`, and at most 4 × jobs documents are held.
-    A retry's backoff pauses the loop. On any exception, an interrupt
-    included, every reply already read is logged before it propagates.
+    A document waiting out a retry's backoff keeps its slot while the loop
+    goes on with the others. On any exception, an interrupt included,
+    every reply already read is logged before it propagates.
     """
     window = deque()  # looked-up documents whose outcome is not yet taken, in corpus order
     queued = deque()  # those whose request is not yet sent
@@ -563,12 +575,8 @@ def generate_corpus(
         look_up()
         while queued and len(flying) < jobs:
             item = queued.popleft()
-            try:
-                client.send(item.exchange)
-            except ChatError as exc:
-                item.outcome = _for_document(exc, item.doc)
-            else:
-                flying[item.exchange] = item
+            client.send(item.exchange)
+            flying[item.exchange] = item
             look_up()
 
     def settle(item):
@@ -580,12 +588,12 @@ def generate_corpus(
     try:
         send()
         while window:
-            for exchange in _ready(list(flying)):
+            for exchange in client.wait(list(flying)) if flying else ():
                 item = flying[exchange]
                 try:
                     item.reply = client.read(exchange)
                     if item.reply is None:
-                        client.retry(exchange)  # stays in flight
+                        client.retry(exchange)  # keeps its slot; a later `wait` sends it
                         continue
                 except ChatError as exc:
                     item.outcome = _for_document(exc, item.doc)

@@ -9,12 +9,14 @@ reply framed by `Content-Length`, by `chunked` or by the server closing.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import select
 import socket
 import sys
+import time
 from urllib.parse import unquote, urlsplit
 
 from . import __version__
@@ -42,11 +44,11 @@ def _decode_body(raw: bytes):
 
 
 class HttpPool:
-    """The default transport, `(url, headers, payload, timeout) -> (status,
-    body)`: kept-alive HTTP(S) connections to one chat endpoint, for one
-    thread. A call encodes a request, sends it and reads its reply;
-    `encode`, `send` and `read` do each step alone, so a caller may build
-    a request before a connection is free and keep a request in flight on
+    """The default transport: kept-alive HTTP(S) connections to one chat
+    endpoint, for one thread. A request is `encode`d, then `send` puts it
+    on a connection and returns the socket; `wait` tells which sockets'
+    replies have begun, and `read` takes one reply. So a caller may build a
+    request before a connection is free and keep a request in flight on
     each of several connections while it does other work.
 
     A request takes an idle connection, or opens one, and puts it back
@@ -61,10 +63,8 @@ class HttpPool:
     def __init__(self):
         self._idle = []
         self._busy = set()  # sent, reply unread: `close` closes these too
+        self._begun = {}  # socket -> the first bytes of its reply, or the OSError that ended it
         self._route = None  # (connect(timeout), request target, Host, proxy headers), set by the first request
-
-    def __call__(self, url: str, headers: dict, payload: dict, timeout: float):
-        return self.read(self.send(self.encode(url, headers, payload), timeout), timeout)
 
     def encode(self, url: str, headers: dict, payload: dict) -> bytes:
         """The bytes of one POST of `payload` as JSON to `url`."""
@@ -97,16 +97,40 @@ class HttpPool:
         self._busy.add(sock)
         return sock
 
-    def read(self, sock, timeout: float):
-        """(status, body) of the reply on `sock`; a reply that has not begun
-        within `timeout` seconds is a connection error, as is any framing or
-        I/O failure."""
+    def wait(self, socks: list, timeout: float) -> list:
+        """Those of `socks` whose reply has begun, once one has or `timeout`
+        seconds have passed (at once if it is not positive). A TLS record
+        that brings no reply bytes, such as a session ticket, does not count."""
+        begun = [sock for sock in socks if sock in self._begun]
+        if begun:
+            return begun
+        poller = select.poll()
+        for sock in socks:
+            poller.register(sock, select.POLLIN)
+        by_fd = {sock.fileno(): sock for sock in socks}
+        end = time.monotonic() + timeout
+        while True:
+            for fd, _ in poller.poll(max(end - time.monotonic(), 0) * 1000):
+                head = _probe(by_fd[fd])
+                if head is not None:
+                    self._begun[by_fd[fd]] = head
+                    begun.append(by_fd[fd])
+            if begun or time.monotonic() >= end:
+                return begun
+
+    def read(self, sock):
+        """(status, body) of the reply on `sock`. A reply that `wait` has
+        not found begun is a timeout; it, and any framing or I/O failure,
+        is a connection error."""
         self._busy.discard(sock)
         try:
             try:
-                if not _readable(sock, timeout):
+                if sock not in self._begun and not self.wait([sock], 0):
                     raise TimeoutError("timed out")
-                with sock.makefile("rb") as rfile:
+                head = self._begun.pop(sock)
+                if isinstance(head, OSError):
+                    raise head
+                with io.BufferedReader(_Resumed(sock, head)) as rfile:
                     status, data, keep = _read_reply(rfile)
             except BaseException:
                 sock.close()
@@ -123,8 +147,9 @@ class HttpPool:
         """An idle connection that is still open, or a new one."""
         while self._idle:
             sock = self._idle.pop()
-            if not _readable(sock, 0):  # an idle socket turns readable when the server closes it
+            if not self.wait([sock], 0):  # an idle socket's "reply" begins when the server closes it
                 return sock
+            del self._begun[sock]
             sock.close()
         return connect(timeout)
 
@@ -132,14 +157,42 @@ class HttpPool:
         """Close every connection, a request's still in flight included."""
         for sock in (*self._idle, *self._busy):
             sock.close()
-        self._idle, self._busy = [], set()
+        self._idle, self._busy, self._begun = [], set(), {}
 
 
-def _readable(sock, timeout: float) -> bool:
-    """Whether `sock` turns readable within `timeout` seconds (none if not positive)."""
-    poller = select.poll()
-    poller.register(sock, select.POLLIN)
-    return bool(poller.poll(max(timeout, 0) * 1000))
+def _probe(sock):
+    """The first bytes of the reply on `sock`, which `poll` found readable,
+    or the OSError that ends it; None if there were none after all, as when
+    TLS took in only a session ticket."""
+    timeout = sock.gettimeout()
+    sock.settimeout(0)
+    try:
+        return sock.recv(MAX_LINE)
+    except OSError as exc:
+        ssl = sys.modules.get("ssl")  # loaded only by an https route
+        if isinstance(exc, BlockingIOError) or ssl is not None and isinstance(exc, ssl.SSLWantReadError):
+            return None
+        return exc
+    finally:
+        sock.settimeout(timeout)
+
+
+class _Resumed(io.RawIOBase):
+    """The reply on a socket, as a stream that begins with the bytes `_probe` took."""
+
+    def __init__(self, sock, head: bytes):
+        self._sock, self._head = sock, memoryview(head)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if not self._head:
+            return self._sock.recv_into(buffer)
+        size = min(len(buffer), len(self._head))
+        buffer[:size] = self._head[:size]
+        self._head = self._head[size:]
+        return size
 
 
 def _request_head(selector: str, fields: dict) -> bytes:

@@ -3,6 +3,7 @@ import hashlib
 import http.server
 import json
 import os
+import ssl
 import subprocess
 import sys
 import threading
@@ -858,8 +859,8 @@ def _log_ids(out: Path) -> list:
 class _PacedHandler(http.server.BaseHTTPRequestHandler):
     """Chat replies over HTTP/1.1 whose answer is a hash of the prompt, each
     after 1-8 ms drawn from the server's seed and the prompt. The server
-    counts the requests it serves at once, answers the request numbered
-    `fail` with a 503, and holds the reply to the one numbered `hold` until
+    counts the requests it serves at once, answers the requests numbered
+    in `fail` with a 503, and holds the reply to the one numbered `hold` until
     `release` is set."""
 
     protocol_version = "HTTP/1.1"
@@ -882,7 +883,7 @@ class _PacedHandler(http.server.BaseHTTPRequestHandler):
         with server.lock:  # before the reply goes out, so the client cannot have sent its next request yet
             server.busy -= 1
         try:
-            self.send_response(503 if number == server.fail else 200)
+            self.send_response(503 if number in server.fail else 200)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
@@ -897,19 +898,26 @@ class _PacedHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture()
 def paced_server(monkeypatch):
     """Starts `_PacedHandler` servers that count connections:
-    `paced_server(seed=0, fail=None, hold=None)`; read `requests`, `peak`
-    and `connections`, set `release`."""
+    `paced_server(seed=0, fail=(), hold=None, tls=False)`; read `requests`,
+    `peak` and `connections`, set `release`. A TLS server's certificate is
+    trusted through SSL_CERT_FILE."""
     for name in list(os.environ):
         if name.lower().endswith("_proxy"):
             monkeypatch.delenv(name)
     servers = []
 
-    def start(seed: int = 0, fail: int | None = None, hold: int | None = None):
+    def start(seed: int = 0, fail=(), hold: int | None = None, tls: bool = False):
         server = _CountingServer(("127.0.0.1", 0), _PacedHandler)
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(LOOPBACK_CERT, DATA / "loopback_key.pem")
+            server.socket = context.wrap_socket(server.socket, server_side=True)
+            monkeypatch.setenv("SSL_CERT_FILE", str(LOOPBACK_CERT))
+            monkeypatch.delenv("SSL_CERT_DIR", raising=False)
         server.seed, server.fail, server.hold = seed, fail, hold
         server.lock, server.release = threading.Lock(), threading.Event()
         server.requests = server.busy = server.peak = 0
-        server.url = f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
+        server.url = f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}/v1/chat/completions"
         threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True).start()
         servers.append(server)
         return server
@@ -1253,12 +1261,13 @@ class TestGenQa:
 
     def test_jobs_requests_share_jobs_connections_and_change_no_byte(self, tmp_path, monkeypatch, paced_server):
         sleeps = []
-        monkeypatch.setattr(qagen, "ChatClient", functools.partial(qagen.ChatClient, sleep=sleeps.append))
+        monkeypatch.setattr(qagen, "ChatClient", functools.partial(qagen.ChatClient, sleep=sleeps.append,
+                                                                  clock=lambda: sum(sleeps)))
         corpus = tmp_path / "c.jsonl"
         write_jsonl(synthetic_records(24, seed=5), corpus)
         outputs = []
         for jobs in (1, 2, 4):
-            server = paced_server(seed=7, fail=5)
+            server = paced_server(seed=7, fail={20})
             sleeps.clear()
             out = tmp_path / f"jobs{jobs}"
             assert run("--jobs", jobs, "--out", out, "gen-qa", "--corpus", corpus, "--task", "generation",
@@ -1270,6 +1279,60 @@ class TestGenQa:
             outputs.append(tree_bytes(out))
         assert outputs[0] == outputs[1] == outputs[2]
         assert sorted(outputs[0]) == ["c_qa_generation.jsonl", "qa_cache/generation.jsonl"]
+
+    def test_backoffs_of_documents_in_flight_together_overlap(self, tmp_path, monkeypatch, paced_server):
+        sleeps = []
+        monkeypatch.setattr(qagen, "ChatClient", functools.partial(qagen.ChatClient, sleep=sleeps.append,
+                                                                  clock=lambda: sum(sleeps)))
+        server = paced_server(fail={1, 2, 3, 4})
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(8, seed=5), corpus)
+        assert run("--jobs", 4, "--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation",
+                   "--endpoint", server.url) == 0
+        assert server.requests == 12
+        assert sleeps == [0.5]  # four 503s, one backoff: waited out one after another they would take 2 s
+        assert server.peak == 4
+        assert server.connections <= 4
+
+    def test_a_tls_session_ticket_is_not_the_start_of_a_reply(self, paced_server):
+        from docstudy.transport import HttpPool
+
+        server = paced_server(hold=1, tls=True)
+        pool = HttpPool()
+        try:
+            sock = pool.send(pool.encode(server.url, {}, {"messages": [{"content": "p"}]}), 5)
+            # the server's TLS 1.3 session tickets make the new socket readable; the reply is held
+            assert pool.wait([sock], 0.2) == []
+            server.release.set()
+            assert pool.wait([sock], 5) == [sock]
+            assert pool.read(sock)[0] == 200
+        finally:
+            pool.close()
+
+    def test_cold_https_requests_overlap(self, tmp_path, paced_server):
+        server = paced_server(hold=1, tls=True)
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(8, seed=5), corpus)
+        sent = []
+
+        def release_once_all_are_sent():  # while the first reply is held, the second connection serves the rest
+            try:
+                wait_for(lambda: server.requests == 8, seconds=10)
+                sent.append(server.requests)
+            finally:
+                server.release.set()
+
+        helper = threading.Thread(target=release_once_all_are_sent)
+        helper.start()
+        try:
+            assert run("--jobs", 2, "--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation",
+                       "--endpoint", server.url) == 0
+        finally:
+            helper.join(30)
+        assert not helper.is_alive()
+        assert sent == [8]
+        assert server.peak == 2
+        assert server.connections == 2
 
     def test_a_killed_run_keeps_every_reply_it_has_settled(self, tmp_path, paced_server):
         server = paced_server(hold=4)

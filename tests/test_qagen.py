@@ -227,6 +227,7 @@ def make_client(script, **kwargs):
         api_key="k",
         transport=make_transport(script),
         sleep=sleeps.append,
+        clock=lambda: sum(sleeps),  # time passes only in a backoff
         backoff=0.25,
         **kwargs,
     )
@@ -298,7 +299,7 @@ def _chat_body(text: str) -> bytes:
 def real_client(endpoint: str, timeout: float = 60.0) -> ChatClient:
     sleeps = []
     client = ChatClient(endpoint=endpoint, api_key="sekret", max_retries=2, backoff=0.25, timeout=timeout,
-                        sleep=sleeps.append)
+                        sleep=sleeps.append, clock=lambda: sum(sleeps))  # time passes only in a backoff
     client._sleeps = sleeps
     return client
 
