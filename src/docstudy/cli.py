@@ -18,7 +18,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from .errors import DataError, MalformedLineError, UsageError
-from .jsonio import iter_jsonl, read_json, write_json, write_jsonl
+from .jsonio import atomic_writer, encode_json, encode_line, iter_jsonl, read_json, write_json, write_jsonl
 from .vocab import FULL_SEQUENCE, TASK_GENERATION, TASK_NLI
 
 SEED_ENV = "DOCSTUDY_SEED"
@@ -172,29 +172,27 @@ def cmd_split(args, config) -> int:
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     docs = list(iter_documents(args.corpus))
     train, test = dataset.split_corpus(docs, args.fraction, seed)
-    # every check runs, and every QA row is routed, before any output is
-    # written, so a bad argument or row leaves the previous run's files as they were
     overlap = dataset.overlap_report(train, test, args.ngram)
-    qa_train, qa_test = [], []
-    if args.qa:
-        train_ids, test_ids = {doc.id for doc in train}, {doc.id for doc in test}
-        for line_no, pair in qapairs.iter_qa_jsonl(args.qa):
-            if pair.doc_id in train_ids:
-                qa_train.append(pair)
-            elif pair.doc_id in test_ids:
-                qa_test.append(pair)
-            else:
-                raise MalformedLineError(
-                    args.qa, line_no, f"QA pair references unknown document id {pair.doc_id!r}"
-                )
-
     name = _name(args)
-    write_jsonl(out / f"{name}_train.jsonl", (doc.to_record() for doc in train))
-    write_jsonl(out / f"{name}_test.jsonl", (doc.to_record() for doc in test))
-    write_json(out / f"{name}_overlap.json", overlap)
-    if args.qa:
-        qapairs.write_qa_jsonl(qa_train, out / f"{name}_qa_train.jsonl")
-        qapairs.write_qa_jsonl(qa_test, out / f"{name}_qa_test.jsonl")
+    # every output is written to its temp file before any replaces its old
+    # copy, so a bad QA row or a failed write leaves every output as it was
+    with ExitStack() as stack:
+        def output(suffix: str):
+            return stack.enter_context(atomic_writer(out / f"{name}_{suffix}"))
+
+        output("train.jsonl").writelines(encode_line(doc.to_record()) for doc in train)
+        output("test.jsonl").writelines(encode_line(doc.to_record()) for doc in test)
+        output("overlap.json").write(encode_json(overlap))
+        if args.qa:
+            # each QA row goes straight to the file of its document's side
+            side = dict.fromkeys((doc.id for doc in train), output("qa_train.jsonl"))
+            side.update(dict.fromkeys((doc.id for doc in test), output("qa_test.jsonl")))
+            for line_no, pair in qapairs.iter_qa_jsonl(args.qa):
+                if pair.doc_id not in side:
+                    raise MalformedLineError(
+                        args.qa, line_no, f"QA pair references unknown document id {pair.doc_id!r}"
+                    )
+                side[pair.doc_id].write(encode_line(pair.to_record()))
 
     print(f"split {len(docs)} documents into {len(train)} train / {len(test)} test")
     return 0

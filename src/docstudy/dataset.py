@@ -12,6 +12,7 @@ import hashlib
 import math
 from collections import Counter
 from contextlib import contextmanager
+from itertools import repeat
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
@@ -67,23 +68,44 @@ def split_corpus(
     return train, test
 
 
-def _ngrams(body: str, n: int) -> set[tuple[str, ...]]:
-    words = tokenize_words(body)
-    return {tuple(words[i : i + n]) for i in range(len(words) - n + 1)}
+def _grams(packed: bytes, width: int, step: int):
+    """Every `width`-byte slice of `packed` that starts on a `step` boundary."""
+    starts = range(0, len(packed) - width + 1, step)
+    return map(packed.__getitem__, map(slice, starts, range(width, len(packed) + 1, step)))
 
 
 def overlap_report(train: list[RawDocument], test: list[RawDocument], ngram_size: int = 8) -> dict:
-    """Advisory report of word n-grams shared across the split."""
+    """Advisory report of word n-grams shared across the split: for each
+    test document, how many of its distinct n-grams some train document holds.
+
+    Only the test side is indexed. Each test word gets an id from 1 up, a
+    body becomes its ids packed as fixed-width bytes, and an n-gram is one
+    slice of them, exact because ids and test words are one-to-one. A train
+    word the test side lacks packs as 0, which no test n-gram holds, so the
+    report's memory grows with the test side only.
+    """
+    from array import array  # only split builds the report, so no other command loads it
+
     if ngram_size < 1:
         raise DataError(f"n-gram size {ngram_size} is not at least 1")
-    train_grams: set[tuple[str, ...]] = set()
-    for doc in train:
-        train_grams |= _ngrams(doc.body, ngram_size)
-    shared = []
+    ids: dict[str, int] = {}
+    step = array("I").itemsize
+    width = ngram_size * step
+    test_grams = []
     for doc in test:
-        hits = _ngrams(doc.body, ngram_size) & train_grams
-        if hits:
-            shared.append({"doc_id": doc.id, "count": len(hits)})
+        words = tokenize_words(doc.body)
+        packed = array("I", [ids.setdefault(word, len(ids) + 1) for word in words]).tobytes()
+        test_grams.append(set(_grams(packed, width, step)))
+    indexed = set().union(*test_grams)
+    seen = set()
+    for doc in train:
+        packed = array("I", map(ids.get, tokenize_words(doc.body), repeat(0))).tobytes()
+        seen |= indexed.intersection(_grams(packed, width, step))
+    shared = []
+    for doc, grams in zip(test, test_grams):
+        count = len(grams & seen)
+        if count:
+            shared.append({"doc_id": doc.id, "count": count})
     return {
         "ngram_size": ngram_size,
         "documents_with_overlap": len(shared),

@@ -93,8 +93,13 @@ def write_jsonl(path, objs) -> int:
     return count
 
 
+def encode_json(obj) -> bytes:
+    """The bytes of a JSON report file: sorted keys, two-space indent, LF."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def write_json(path, obj) -> None:
-    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
+    atomic_write(path, encode_json(obj))
 
 
 def read_json(path):

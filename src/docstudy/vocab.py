@@ -8,6 +8,7 @@ and counts words without loading document analysis.
 
 from __future__ import annotations
 
+import functools
 import re
 
 FULL_SEQUENCE = "full_sequence"
@@ -33,16 +34,36 @@ def loss_policy(kind: str) -> str:
 
 
 def tokenize_words(text: str) -> list[str]:
-    """Lowercase word tokens: letters and digits kept, punctuation dropped."""
-    return [match.group().lower() for match in _WORD.finditer(text)]
+    """Lowercase word tokens: runs of letters and digits, each lowercased;
+    punctuation and `_` are dropped.
+
+    Only ASCII text is lowercased before the scan. Elsewhere lowercasing
+    can change what the scan sees: "İ" lowercases to "i" and a combining
+    dot, which is no word character, and whether "Σ" becomes the final "ς"
+    depends on letters past the end of its token. So other text is scanned
+    first, and each match is lowercased alone.
+    """
+    if text.isascii():
+        return _WORD.findall(text.lower())
+    return [word.lower() for word in _WORD.findall(text)]
+
+
+# templates come from the task config and the packaged prompts, so a few
+# dozen entries hold them all
+@functools.lru_cache(maxsize=64)
+def _template_parts(template: str) -> tuple[str, ...]:
+    """Literal text at even indices, placeholder names at odd ones."""
+    return tuple(_PLACEHOLDER.split(template))
 
 
 def fill(template: str, **values) -> str:
-    """Single-pass placeholder substitution; braces in values stay literal."""
-    return _PLACEHOLDER.sub(
-        lambda m: str(values[m.group(1)]) if m.group(1) in values else m.group(0),
-        template,
-    )
+    """Single-pass placeholder substitution; braces in values stay literal,
+    and a placeholder without a value stays as written."""
+    parts = list(_template_parts(template))
+    for i in range(1, len(parts), 2):
+        name = parts[i]
+        parts[i] = str(values[name]) if name in values else f"{{{name}}}"
+    return "".join(parts)
 
 
 def options_block(options) -> str:

@@ -1,3 +1,4 @@
+import errno
 import functools
 import hashlib
 import http.server
@@ -189,6 +190,52 @@ class TestPipeline:
         assert run("--seed", 3, "--out", out, "split", "--corpus", corpus_path, "--name", "s", *argv) == 2
         assert capsys.readouterr().err == f"data error: {reason}\n"
         assert tree_bytes(out) == before
+
+    def test_split_failed_write_keeps_every_old_output(self, tmp_path, capsys, monkeypatch, corpus_path):
+        out, qa_path = tmp_path / "o", tmp_path / "qa.jsonl"
+        write_jsonl([{"doc_id": f"doc-{i:05d}", "task": "generation", "question": "Q?", "answer": "A."}
+                     for i in range(24)], qa_path)
+        argv = ["--out", out, "split", "--corpus", corpus_path, "--name", "s", "--qa", qa_path]
+        assert run("--seed", 1, *argv) == 0
+        before = tree_bytes(out)
+        writes = {"count": 0, "fail_at": None}
+        fdopen = os.fdopen
+
+        class Handle:
+            """An output handle whose write number `fail_at` (from 0) finds the disk full."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.handle.__exit__(*exc)
+
+            def write(self, data):
+                if writes["count"] == writes["fail_at"]:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                writes["count"] += 1
+                return self.handle.write(data)
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+        monkeypatch.setattr(jsonio.os, "fdopen", lambda *a, **k: Handle(fdopen(*a, **k)))
+        # seed 2 puts other documents on each side, so every output would change
+        assert run("--seed", 2, "--out", tmp_path / "clean", *argv[2:]) == 0
+        reached = writes["count"]
+        assert reached == 24 + 1 + 24
+        for fail_at in range(reached):
+            writes.update(count=0, fail_at=fail_at)
+            capsys.readouterr()
+            assert run("--seed", 2, *argv) == 3
+            assert capsys.readouterr().err.startswith("i/o error: [Errno 28]")
+            assert tree_bytes(out) == before, fail_at
+        assert list(out.glob("*.tmp")) == []
+        assert all(data != before[name] for name, data in tree_bytes(tmp_path / "clean").items())
 
     def test_gen_tasks_stats_percentages(self, tmp_path, corpus_path):
         out = tmp_path / "o"

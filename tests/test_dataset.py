@@ -1,7 +1,10 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docstudy.analysis import analyze_document
 from docstudy.corpus import RawDocument, document_from_record, ingest_jsonl
@@ -22,7 +25,9 @@ from docstudy.errors import DataError
 from docstudy.jsonio import encode_line
 from docstudy.qagen import QAPair
 from docstudy.taskgen import build_suite
+from docstudy.vocab import tokenize_words
 
+import _dataset_oracle as dataset_oracle
 from _synth import synthetic_records, write_jsonl
 
 
@@ -107,6 +112,63 @@ class TestSplit:
         sides = {r["id"] for r in (records[0], records[5])}
         if sides & ids(train) and sides & ids(test):
             assert report["documents_with_overlap"] >= 1
+
+
+_TOKENS = ["a", "b", "Ab", "42", "x9", "a_b", "_", "é", "e\u0301", "ß", "STRASSE", "straße", "İ", "İstanbul",
+           "Σ", "ΟΔΟΣ", "ΟΔΟΣ'Α", "ᾼ", "ǅ"]
+_SEPARATORS = [" ", ", ", ". ", "'", "-", "\n"]
+
+
+@st.composite
+def _bodies(draw):
+    """Text from a small vocabulary, so n-grams repeat within and across bodies."""
+    words = draw(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=14))
+    seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(words), max_size=len(words)))
+    text = "".join(word + sep for word, sep in zip(words, seps))
+    return text * draw(st.integers(1, 3))
+
+
+def _docs(prefix, bodies):
+    return [RawDocument(id=f"{prefix}{i}", title=f"{prefix} {i}", body=body) for i, body in enumerate(bodies)]
+
+
+class TestOverlapReport:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(train=st.lists(_bodies(), max_size=5), test=st.lists(_bodies(), min_size=1, max_size=5),
+           ngram_size=st.integers(1, 12))
+    def test_report_equals_the_oracle(self, train, test, ngram_size):
+        train, test = _docs("r", train), _docs("t", test)
+        assert overlap_report(train, test, ngram_size) == dataset_oracle.overlap_report(train, test, ngram_size)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(_bodies(), st.text()))
+    def test_tokenize_words_equals_the_per_match_oracle(self, text):
+        assert tokenize_words(text) == dataset_oracle.tokenize_words(text)
+
+    @pytest.mark.parametrize("text, words", [
+        ("ΟΔΟΣ'Α", ["οδος", "α"]),
+        ("İstanbul", ["i\u0307stanbul"]),
+        ("The Old_Pier, 1907!", ["the", "old", "pier", "1907"]),
+    ])
+    def test_each_match_is_lowercased_alone(self, text, words):
+        assert tokenize_words(text) == words
+
+    def test_memory_grows_with_the_test_side_only(self):
+        corpus = make_corpus(820, seed=4)
+        test = corpus[:20]
+
+        def peak(n_train):
+            tracemalloc.start()
+            try:
+                overlap_report(corpus[20 : 20 + n_train], test)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(200)  # loads what the first call imports
+        # measured: about 5 bytes per train document, against about 4 KB for
+        # a report that holds every train n-gram
+        assert peak(800) - peak(200) < 600 * 100
 
 
 class TestLossPolicy:
