@@ -10,6 +10,7 @@ runs when it starts, so a process loads no layer it does not use.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import typing
@@ -136,6 +137,8 @@ def cmd_gen_qa(args, config) -> int:
     jobs = _resolve(args.jobs, config, "jobs", JOBS_ENV, 1, int)
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
+    if not math.isfinite(args.temperature):  # JSON has no NaN or infinity to send it as
+        raise UsageError(f"temperature must be a finite number, got {args.temperature}")
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     docs = list(iter_documents(args.corpus))
     cache_dir = Path(args.cache_dir) if args.cache_dir else out / "qa_cache"
@@ -144,7 +147,7 @@ def cmd_gen_qa(args, config) -> int:
     settings = {"model": args.model, "temperature": args.temperature, "max_tokens": args.max_tokens}
     client = None
     if args.endpoint or os.environ.get(qagen.ENDPOINT_ENV):
-        client = qagen.ChatClient(endpoint=args.endpoint, api_key=args.api_key, **settings)
+        client = qagen.ChatClient(endpoint=args.endpoint, api_key=args.api_key)
 
     with ExitStack() as stack:
         if client is not None:

@@ -1,9 +1,9 @@
-"""Prompt construction and response parsing for external QA generation.
+"""QA generation through an external chat endpoint, as `gen-qa` runs it.
 
-Prompts are byte-stable package assets instantiated per document; the
-chat client speaks a generic JSON-over-HTTP chat-completion protocol, and
-each task's response log keeps every raw response next to its parsed pairs
-so that reruns replay from disk instead of re-billing.
+Prompts are byte-stable package assets instantiated per document.
+`generate_corpus` replays each document from its task's response log, which
+keeps every raw response next to its parsed pairs, or fetches it through a
+`ChatClient`, which speaks a generic JSON-over-HTTP chat-completion protocol.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ class Exchange:
     __slots__ = ("request", "attempts", "handle", "deadline", "due", "reply")
 
     def __init__(self, request):
-        self.request = request  # the encoded bytes, or a plain function transport's arguments
+        self.request = request  # the encoded bytes
         self.attempts = 0
         self.handle = None  # the transport's handle on the attempt in flight, until its reply is read
         self.deadline = 0.0  # when a reply that has not begun becomes a connection error
@@ -196,21 +196,19 @@ class Exchange:
 
 
 class ChatClient:
-    """Chat-completion client with retry, used from one thread. `complete`
-    sends a prompt and waits for the reply; `prepare`, `send`, `wait`,
-    `read` and `retry` let the caller build a request before it can go
-    out, keep several in flight, each with its own backoff, and do other
-    work while they are. `close()` (or `with`) closes its connections.
-    `clock` is the time that backoffs and timeouts are measured on, and
-    `sleep` waits out a backoff while no request is in flight."""
+    """Chat-completion client with retry, used from one thread. `prepare`,
+    `send`, `wait`, `read` and `retry` let the caller build a request before
+    it can go out, keep several in flight, each with its own backoff, and do
+    other work while they are. `close()` (or `with`) closes its connections.
+    `transport` speaks `transport.HttpPool`'s protocol (`encode`, `send`,
+    `wait`, `read`, `close`); by default the first `prepare` makes an
+    `HttpPool`. `clock` is the time that backoffs and timeouts are measured
+    on, and `sleep` waits out a backoff while no request is in flight."""
 
     def __init__(
         self,
         endpoint: str | None = None,
         api_key: str | None = None,
-        model: str = "gpt-4",
-        temperature: float = 0.0,
-        max_tokens: int = 2048,
         max_retries: int = 5,
         backoff: float = 0.5,
         timeout: float = 60.0,
@@ -223,9 +221,6 @@ class ChatClient:
         if not self.endpoint:
             raise UsageError(f"no chat endpoint configured (set {ENDPOINT_ENV})")
         _check_endpoint(self.endpoint)
-        self.model = model
-        self.temperature = temperature
-        self.max_tokens = max_tokens
         self.max_retries = max_retries
         self.backoff = backoff
         self.timeout = timeout
@@ -240,40 +235,35 @@ class ChatClient:
         self.close()
 
     def close(self) -> None:
-        close = getattr(self._transport, "close", None)  # a plain function holds no connection
-        if close is not None:
-            close()
+        if self._transport is not None:  # none until the first request
+            self._transport.close()
 
-    def prepare(self, prompt: str) -> Exchange:
-        """`prompt`'s request, ready to `send`."""
+    def prepare(self, request: dict) -> Exchange:
+        """The exchange that sends `request`, a dict of "prompt", "model",
+        "temperature" and "max_tokens" as the response log records it,
+        ready to `send`."""
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         payload = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "model": request["model"],
+            "messages": [{"role": "user", "content": request["prompt"]}],
+            "temperature": request["temperature"],
+            "max_tokens": request["max_tokens"],
         }
         if self._transport is None:
             self._transport = _http_pool()
-        encode = getattr(self._transport, "encode", None)
-        if encode is None:
-            return Exchange((self.endpoint, headers, payload))
-        return Exchange(encode(self.endpoint, headers, payload))
+        return Exchange(self._transport.encode(self.endpoint, headers, payload))
 
     def send(self, exchange: Exchange) -> None:
-        """Send `exchange`'s next attempt; a failure to send is kept for
-        `read`. A plain function transport, which sends and reads in one
-        call, is called by `read`."""
+        """Send `exchange`'s next attempt; a failure to send is kept for `read`."""
         exchange.attempts += 1
         exchange.reply = exchange.due = None
-        if isinstance(exchange.request, bytes):
-            try:
-                exchange.handle = self._transport.send(exchange.request, self.timeout)
-                exchange.deadline = self._clock() + self.timeout
-            except OSError as exc:
-                exchange.reply = exc
+        try:
+            exchange.handle = self._transport.send(exchange.request, self.timeout)
+            exchange.deadline = self._clock() + self.timeout
+        except OSError as exc:
+            exchange.reply = exc
 
     def retry(self, exchange: Exchange) -> None:
         """Schedule the next attempt after its backoff; `wait` sends it."""
@@ -311,8 +301,6 @@ class ChatClient:
             if exchange.handle is not None:
                 handle, exchange.handle = exchange.handle, None
                 exchange.reply = self._transport.read(handle)
-            elif exchange.reply is None:
-                exchange.reply = self._transport(*exchange.request, self.timeout)
         except OSError as exc:
             exchange.reply = exc
         if isinstance(exchange.reply, ConnectionError):
@@ -336,16 +324,6 @@ class ChatClient:
         if exchange.attempts > self.max_retries:
             raise ChatError(f"chat request failed after {self.max_retries + 1} attempts ({error})")
         return None
-
-    def complete(self, prompt: str) -> ChatResponse:
-        exchange = self.prepare(prompt)
-        self.send(exchange)
-        while True:
-            self.wait([exchange])
-            response = self.read(exchange)
-            if response is not None:
-                return response
-            self.retry(exchange)
 
 
 PROMPT_BUILDERS = {TASK_GENERATION: build_generation_prompt, TASK_NLI: build_nli_prompt}
@@ -440,29 +418,26 @@ class ResponseLog:
 
 
 def lookup_document(
-    doc: RawDocument, task: str, client: ChatClient | None, log: ResponseLog, settings: dict | None = None
+    doc: RawDocument, task: str, client: ChatClient | None, log: ResponseLog, settings: dict
 ) -> ParsedResponse | dict:
     """The replayed pairs of one document, or the request to fetch them with.
 
-    The document's entry in `log` replays only if its request is the one
-    this call would send: the document's prompt under the client's model,
-    temperature and max_tokens, or under `settings` (those three keys) when
-    there is no client. With neither, any entry replays. Sends nothing.
+    The request is the document's prompt under `settings` ("model",
+    "temperature" and "max_tokens"). The document's entry in `log` replays
+    only if it records that request; otherwise, with no client to fetch it,
+    the document is a usage error. Sends nothing.
     """
     if task not in PROMPT_BUILDERS:
         raise UsageError(f"unknown QA task {task!r}")
-    if client is not None:
-        settings = {"model": client.model, "temperature": client.temperature, "max_tokens": client.max_tokens}
-    request = None if settings is None else {"prompt": PROMPT_BUILDERS[task](doc), **settings}
+    request = {"prompt": PROMPT_BUILDERS[task](doc), **settings}
     cached = log.get(doc.id)
-    if cached is not None:
+    if cached is not None and cached[0]["request"] == request:
         entry, line_no = cached
-        if request is None or entry["request"] == request:
-            try:
-                pairs = [QAPair.from_record(rec) for rec in entry["pairs"]]
-            except DataError as exc:
-                raise DataError(f"{log.path}:{line_no}: {exc} (document {doc.id!r})") from exc
-            return ParsedResponse(pairs=pairs, discarded=entry["discarded"])
+        try:
+            pairs = [QAPair.from_record(rec) for rec in entry["pairs"]]
+        except DataError as exc:
+            raise DataError(f"{log.path}:{line_no}: {exc} (document {doc.id!r})") from exc
+        return ParsedResponse(pairs=pairs, discarded=entry["discarded"])
     if client is None:
         raise UsageError(
             f"no cached response to this request for ({doc.id}, {task}) and no chat endpoint configured"
@@ -499,24 +474,6 @@ def _record(doc: RawDocument, task: str, request: dict, response: ChatResponse) 
     return parsed, line
 
 
-def generate_for_document(
-    doc: RawDocument, task: str, client: ChatClient | None, log: ResponseLog, settings: dict | None = None
-) -> tuple[ParsedResponse, bytes | None]:
-    """Fetch-or-replay the QA pairs for one document: (parsed, log line).
-
-    A replay (see `lookup_document`) comes back with no line to append; a
-    fresh response with the line that records it, for the caller to append.
-    """
-    found = lookup_document(doc, task, client, log, settings)
-    if isinstance(found, ParsedResponse):
-        return found, None
-    try:
-        response = client.complete(found["prompt"])
-    except ChatError as exc:
-        raise _for_document(exc, doc) from exc
-    return _record(doc, task, found, response)
-
-
 class _Pending:
     """A document from its look-up until its outcome leaves the window."""
 
@@ -530,7 +487,7 @@ class _Pending:
 
 
 def generate_corpus(
-    docs, task: str, client: ChatClient | None, log: ResponseLog, settings: dict | None = None, jobs: int = 1
+    docs, task: str, client: ChatClient | None, log: ResponseLog, settings: dict, jobs: int = 1
 ) -> tuple[list[ParsedResponse], list[DataError]]:
     """Replay or fetch the QA pairs of every document on this thread:
     (parsed responses, the errors that failed documents), in corpus order.
@@ -567,7 +524,7 @@ def generate_corpus(
             if isinstance(found, ParsedResponse):
                 item.outcome = (found, None)
             else:
-                item.request, item.exchange = found, client.prepare(found["prompt"])
+                item.request, item.exchange = found, client.prepare(found)
                 queued.append(item)
 
     def send():

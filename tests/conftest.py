@@ -97,6 +97,64 @@ def wait_for(condition, seconds: float = 5.0) -> None:
         time.sleep(0.005)
 
 
+class _FakeReply:
+    __slots__ = ("payload", "step", "begins")
+
+    def __init__(self, payload, step, begins):
+        self.payload, self.step, self.begins = payload, step, begins
+
+
+class FakePool:
+    """A scripted stand-in for `transport.HttpPool`, with its public methods.
+
+    `script` gives each request's step as it is sent: a list taken in send
+    order (retries included), or a function of the request's payload. A
+    step is `(status, body)`, or `(status, body, after)` for a reply that
+    begins only after `after` more `wait` calls have returned without it
+    (0 by default), or an exception, such as `ConnectionError` or
+    `KeyboardInterrupt`, that `read` raises. A `wait` that finds no reply
+    begun stands for the time until the first one does, so nothing sleeps.
+    Read `sent` and `read_order` (payloads), `in_flight` and `peak` (the
+    most requests sent and not yet read at once)."""
+
+    def __init__(self, script):
+        if callable(script):
+            self._next = script
+        else:
+            steps = iter(script)
+            self._next = lambda payload: next(steps)
+        self.sent, self.read_order = [], []
+        self.waits = self.in_flight = self.peak = 0
+
+    def encode(self, url: str, headers: dict, payload: dict) -> bytes:
+        return json.dumps(payload).encode("utf-8")
+
+    def send(self, message: bytes, timeout: float):
+        payload = json.loads(message)
+        step = self._next(payload)
+        after = step[2] if isinstance(step, tuple) and len(step) == 3 else 0
+        self.sent.append(payload)
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        return _FakeReply(payload, step, self.waits + 1 + after)
+
+    def wait(self, socks: list, timeout: float) -> list:
+        self.waits += 1
+        if not any(sock.begins <= self.waits for sock in socks):
+            self.waits = min(sock.begins for sock in socks)
+        return [sock for sock in socks if sock.begins <= self.waits]
+
+    def read(self, sock):
+        self.in_flight -= 1
+        self.read_order.append(sock.payload)
+        if not isinstance(sock.step, tuple):
+            raise sock.step
+        return sock.step[:2]
+
+    def close(self) -> None:
+        pass
+
+
 LOOPBACK_CERT = DATA / "loopback_cert.pem"  # self-signed for 127.0.0.1, test use only
 _REPLY = json.dumps({"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}).encode("utf-8")
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import docstudy
-from conftest import DATA, LOOPBACK_CERT, _CountingServer, wait_for
+from conftest import DATA, LOOPBACK_CERT, FakePool, _CountingServer, wait_for
 from docstudy import curriculum, dataset, jsonio, qagen
 from docstudy.cli import JOBS_ENV, _resolve, main
 from docstudy.corpus import iter_documents
@@ -893,6 +893,9 @@ def _chat_reply(text: str) -> bytes:
     return json.dumps({"choices": [{"message": {"content": text}, "finish_reason": "stop"}]}).encode("utf-8")
 
 
+_REPLY = {"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}  # a chat reply's body, decoded
+
+
 _ENTRY_SHAPE = (
     "a cache entry needs a string 'doc_id', an object 'request', a list of objects 'pairs' and an int 'discarded'"
 )
@@ -1050,27 +1053,17 @@ class TestGenQa:
         assert 1 <= server.connections <= jobs
 
     def test_jobs_bounds_requests_in_flight(self, tmp_path, monkeypatch):
-        state = {"now": 0, "peak": 0, "calls": 0}
-        lock = threading.Lock()
-
-        def transport(url, headers, payload, timeout):
-            with lock:
-                state["now"] += 1
-                state["calls"] += 1
-                state["peak"] = max(state["peak"], state["now"])
-            time.sleep(0.01)
-            with lock:
-                state["now"] -= 1
-            return 200, {"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}
-
-        monkeypatch.setattr(qagen, "_http_pool", lambda: transport)
+        # each reply begins after 0-2 more waits, so requests overlap
+        pool = FakePool(lambda payload: (200, _REPLY, len(payload["messages"][0]["content"]) % 3))
+        monkeypatch.setattr(qagen, "_http_pool", lambda: pool)
         corpus = tmp_path / "c.jsonl"
         write_jsonl(synthetic_records(8, seed=3), corpus)
         code = run("--jobs", 2, "--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation",
                    "--endpoint", "http://chat.test")
         assert code == 0
-        assert state["calls"] == 8
-        assert 1 <= state["peak"] <= 2
+        assert len(pool.sent) == 8
+        assert pool.peak == 2
+        assert pool.in_flight == 0
 
     def test_lone_surrogate_in_reply_is_a_data_error(self, tmp_path, capsys, chat_server):
         body = b'{"choices": [{"message": {"content": "Question: Q?\\nAnswer: A \\ud800."}}]}'
@@ -1254,11 +1247,11 @@ class TestGenQa:
         threads = threading.active_count()
         seen = []
 
-        def transport(url, headers, payload, timeout):
+        def reply(payload):
             seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
-            return 200, {"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}
+            return 200, _REPLY
 
-        monkeypatch.setattr(qagen, "_http_pool", lambda: transport)
+        monkeypatch.setattr(qagen, "_http_pool", lambda: FakePool(reply))
         corpus = tmp_path / "c.jsonl"
         write_jsonl(synthetic_records(6, seed=3), corpus)
         assert run("--jobs", 1, "--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation",
@@ -1269,11 +1262,11 @@ class TestGenQa:
     def test_a_replay_starts_no_thread(self, tmp_path, monkeypatch):
         calls = []
 
-        def transport(url, headers, payload, timeout):
+        def reply(payload):
             calls.append(payload)
-            return 200, {"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}
+            return 200, _REPLY
 
-        monkeypatch.setattr(qagen, "_http_pool", lambda: transport)
+        monkeypatch.setattr(qagen, "_http_pool", lambda: FakePool(reply))
         corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
         write_jsonl(synthetic_records(6, seed=3), corpus)
         argv = ("--jobs", 2, "--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--name", "c",
@@ -1289,12 +1282,13 @@ class TestGenQa:
         assert tree_bytes(out) == first
 
     def test_jobs_do_not_change_the_log_or_the_pairs(self, tmp_path, monkeypatch):
-        def transport(url, headers, payload, timeout):
+        def reply(payload):
             digest = hashlib.sha256(payload["messages"][0]["content"].encode("utf-8")).digest()
-            time.sleep(digest[0] % 4 / 1000)  # uneven latencies reorder completions
-            return 200, {"choices": [{"message": {"content": f"Question: Q?\nAnswer: {digest.hex()[:8]}."}}]}
+            body = {"choices": [{"message": {"content": f"Question: Q?\nAnswer: {digest.hex()[:8]}."}}]}
+            return 200, body, digest[0] % 4  # uneven latencies reorder completions
 
-        monkeypatch.setattr(qagen, "_http_pool", lambda: transport)
+        pools = []
+        monkeypatch.setattr(qagen, "_http_pool", lambda: pools.append(FakePool(reply)) or pools[-1])
         corpus = tmp_path / "c.jsonl"
         write_jsonl(synthetic_records(24, seed=5), corpus)
         outputs = []
@@ -1305,6 +1299,8 @@ class TestGenQa:
             outputs.append(tree_bytes(out))
         assert outputs[0] == outputs[1]
         assert sorted(outputs[0]) == ["c_qa_generation.jsonl", "qa_cache/generation.jsonl"]
+        assert pools[0].read_order == pools[0].sent
+        assert pools[1].read_order != pools[1].sent  # some reply was read before one sent ahead of it
 
     def test_jobs_requests_share_jobs_connections_and_change_no_byte(self, tmp_path, monkeypatch, paced_server):
         sleeps = []
@@ -1427,34 +1423,46 @@ class TestGenQa:
         assert chat_server.seen == []
         assert tree_bytes(out) == {"qa_cache/generation.jsonl": b""}
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("endpoint", [True, False], ids=["endpoint", "no-endpoint"])
+    def test_a_non_finite_temperature_is_refused_before_any_file_is_opened(self, tmp_path, capsys, chat_server,
+                                                                         monkeypatch, endpoint, value):
+        monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)
+        corpus = tmp_path / "c.jsonl"
+        write_jsonl(synthetic_records(2, seed=1), corpus)
+        argv = ["--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "generation", "--temperature", value]
+        assert run(*argv, *(["--endpoint", chat_server.url] if endpoint else [])) == 1
+        assert capsys.readouterr().err == f"usage error: temperature must be a finite number, got {value}\n"
+        assert chat_server.seen == []
+        assert list(tmp_path.iterdir()) == [corpus]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_an_interrupt_logs_every_response_paid_for(self, tmp_path, monkeypatch, jobs):
         corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
         records = synthetic_records(12, seed=2)
         write_jsonl(records, corpus)
-        calls = []  # the corpus index of each request's document
-        lock = threading.Lock()
-
-        def transport(url, headers, payload, timeout):
-            prompt = payload["messages"][0]["content"]
-            with lock:
-                calls.append(next(k for k, record in enumerate(records) if record["title"] in prompt))
-                if len(calls) == 3:
-                    raise KeyboardInterrupt
-                answer = f"A{len(calls)}."
-            return 200, {"choices": [{"message": {"content": f"Question: Q?\nAnswer: {answer}"}}]}
-
-        monkeypatch.setattr(qagen, "_http_pool", lambda: transport)
+        # the third request's reading is interrupted
+        replies = [(200, {"choices": [{"message": {"content": f"Question: Q?\nAnswer: A{n}."}}]}) for n in range(12)]
+        replies[2] = KeyboardInterrupt()
+        pool = FakePool(replies)
+        monkeypatch.setattr(qagen, "_http_pool", lambda: pool)
         with pytest.raises(KeyboardInterrupt):
             run("--jobs", jobs, "--out", out, "gen-qa", "--corpus", corpus, "--task", "generation",
                 "--endpoint", "http://chat.test")
+
+        def index(payload):
+            return next(k for k, record in enumerate(records) if record["title"] in payload["messages"][0]["content"])
+
+        calls = [index(payload) for payload in pool.read_order]  # the corpus index of each reply read
         failed = calls[2]
         if jobs == 1:
             # one request in flight: none is sent ahead of the one interrupted
             assert calls == [0, 1, 2]
+            assert [index(payload) for payload in pool.sent] == [0, 1, 2]
         else:
             # the window of 4 × jobs documents ends at most that far past the failed document
             assert 3 <= len(calls) <= 4 * jobs + failed
+            assert len(pool.sent) <= 4 * jobs + failed
         assert _log_ids(out) == [records[k]["id"] for k in sorted(calls) if k != failed]
         assert not (out / "c_qa_generation.jsonl").exists()
 
@@ -1558,9 +1566,8 @@ class TestImportBudget:
         write_jsonl(synthetic_records(6, seed=1), work / "raw.jsonl")
         assert run("--out", work, "ingest", "--corpus", work / "raw.jsonl", "--name", "c") == 0
         assert run("--out", work, "gen-tasks", "--corpus", work / "c.jsonl", "--name", "c", "--reading") == 0
-        reply = {"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(qagen, "_http_pool", lambda: lambda *args: (200, reply))
+            patch.setattr(qagen, "_http_pool", lambda: FakePool(lambda payload: (200, _REPLY)))
             assert run("--out", work, "gen-qa", "--corpus", work / "c.jsonl", "--task", "generation",
                        "--name", "c", "--cache-dir", work / "qa_cache", "--endpoint", "http://chat.test") == 0
         write_jsonl([{"item_id": "i1", "prediction": "A."}], work / "p.jsonl")

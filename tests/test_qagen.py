@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, LOOPBACK_CERT, MORITZ_BODY, MORITZ_TITLE, wait_for
+from conftest import DATA, LOOPBACK_CERT, MORITZ_BODY, MORITZ_TITLE, FakePool, wait_for
 import docstudy
 from docstudy.corpus import RawDocument
 from docstudy.errors import DataError, UsageError
@@ -26,12 +27,14 @@ from docstudy.qagen import (
     build_type_prompt,
     canonical_label,
     generate_corpus,
-    generate_for_document,
     parse_qa_response,
     read_qa_jsonl,
     write_qa_jsonl,
 )
+from docstudy.transport import HttpPool
 from docstudy.vocab import NLI_OPTIONS, TASK_NLI, options_block
+
+from _qagen_oracle import SETTINGS, complete, generate_for_document
 
 MORITZ = RawDocument(id="moritz", title=MORITZ_TITLE, body=MORITZ_BODY)
 
@@ -201,23 +204,18 @@ class TestParsing:
         assert parsed.pairs == pairs
 
 
-def make_transport(script):
-    """Scripted transport: pops (status, body) or raises ConnectionError."""
-    calls = []
-
-    def transport(url, headers, payload, timeout):
-        calls.append(payload)
-        action = script.pop(0)
+def make_pool(script):
+    """A FakePool whose replies are (status, text), or "net" for a ConnectionError."""
+    def step(action):
         if action == "net":
-            raise ConnectionError("boom")
+            return ConnectionError("boom")
         status, text = action
         body = {
             "choices": [{"message": {"content": text}, "finish_reason": "stop"}],
             "usage": {"prompt_tokens": 10, "completion_tokens": 5},
         }
         return status, body if status == 200 else {"error": text}
-    transport.calls = calls
-    return transport
+    return FakePool([step(action) for action in script])
 
 
 def make_client(script, **kwargs):
@@ -225,7 +223,7 @@ def make_client(script, **kwargs):
     client = ChatClient(
         endpoint="http://chat.test/v1/chat/completions",
         api_key="k",
-        transport=make_transport(script),
+        transport=make_pool(script),
         sleep=sleeps.append,
         clock=lambda: sum(sleeps),  # time passes only in a backoff
         backoff=0.25,
@@ -238,31 +236,31 @@ def make_client(script, **kwargs):
 class TestChatClient:
     def test_happy_path(self):
         client = make_client([(200, "Question: Q?\nAnswer: A.")])
-        response = client.complete("prompt")
+        response = complete(client, "prompt")
         assert response.text == "Question: Q?\nAnswer: A."
         assert response.finish_reason == "stop"
         assert response.usage["completion_tokens"] == 5
 
     def test_retries_with_exponential_backoff(self):
         client = make_client([(429, "slow"), "net", (200, "ok")])
-        response = client.complete("p")
+        response = complete(client, "p")
         assert response.text == "ok"
         assert client._sleeps == [0.25, 0.5]
 
     def test_gives_up_after_max_retries(self):
         client = make_client([(503, "x")] * 3, max_retries=2)
         with pytest.raises(ChatError):
-            client.complete("p")
+            complete(client, "p")
 
     def test_non_transient_raises_immediately(self):
         client = make_client([(401, "denied"), (200, "never")])
         with pytest.raises(ChatError):
-            client.complete("p")
+            complete(client, "p")
 
     def test_null_content_is_malformed(self):
         client = make_client([(200, None)])
         with pytest.raises(ChatError, match="malformed chat response"):
-            client.complete("p")
+            complete(client, "p")
 
     def test_missing_endpoint_is_usage_error(self, monkeypatch):
         monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)
@@ -283,13 +281,24 @@ class TestChatClient:
     def test_malformed_endpoint_is_usage_error_before_any_request(self, endpoint, message):
         sleeps = []
         with pytest.raises(UsageError, match=message):
-            ChatClient(endpoint=endpoint, sleep=sleeps.append).complete("p")
+            complete(ChatClient(endpoint=endpoint, sleep=sleeps.append), "p")
         assert sleeps == []
 
     def test_endpoint_from_environment(self, monkeypatch):
         monkeypatch.setenv("DOCSTUDY_CHAT_ENDPOINT", "http://env.test")
-        client = ChatClient(transport=make_transport([(200, "hi")]))
+        client = ChatClient(transport=make_pool([(200, "hi")]))
         assert client.endpoint == "http://env.test"
+
+    def test_the_fake_pool_has_the_transport_protocol(self):
+        def protocol(cls):
+            return {
+                name: [(p.name, p.kind, p.default) for p in inspect.signature(method).parameters.values()]
+                for name, method in inspect.getmembers(cls, inspect.isfunction)
+                if not name.startswith("_")
+            }
+
+        assert sorted(protocol(HttpPool)) == ["close", "encode", "read", "send", "wait"]
+        assert protocol(FakePool) == protocol(HttpPool)
 
 
 def _chat_body(text: str) -> bytes:
@@ -307,7 +316,7 @@ def real_client(endpoint: str, timeout: float = 60.0) -> ChatClient:
 class TestHttpTransport:
     def test_happy_path_sends_json_with_auth_and_user_agent(self, chat_server):
         chat_server.script = [(200, "application/json", _chat_body("Question: Q?\nAnswer: A."))]
-        response = real_client(chat_server.url).complete("préface")
+        response = complete(real_client(chat_server.url), "préface")
         assert response.text == "Question: Q?\nAnswer: A."
         assert response.finish_reason == "stop"
         [(path, headers, payload)] = chat_server.seen
@@ -325,19 +334,19 @@ class TestHttpTransport:
     def test_transient_failure_is_retried(self, chat_server, failure):
         chat_server.script = [failure, (200, "application/json", _chat_body("ok"))]
         client = real_client(chat_server.url)
-        assert client.complete("p").text == "ok"
+        assert complete(client, "p").text == "ok"
         assert client._sleeps == [0.25]
 
     def test_json_401_raises_without_retry(self, chat_server):
         chat_server.script = [(401, "application/json", b'{"error": "bad key"}')]
         with pytest.raises(ChatError, match="HTTP 401: {'error': 'bad key'}"):
-            real_client(chat_server.url).complete("p")
+            complete(real_client(chat_server.url), "p")
         assert len(chat_server.seen) == 1
 
     def test_non_json_200_raises(self, chat_server):
         chat_server.script = [(200, "text/html", b"<html>" + b"x" * 500 + b"</html>")]
         with pytest.raises(ChatError) as info:
-            real_client(chat_server.url).complete("p")
+            complete(real_client(chat_server.url), "p")
         # the body's first 200 characters
         assert str(info.value) == "malformed chat response: {'raw': '<html>" + "x" * 194 + "'}"
 
@@ -347,26 +356,26 @@ class TestHttpTransport:
             port = probe.getsockname()[1]
         client = real_client(f"http://127.0.0.1:{port}/v1/chat/completions")
         with pytest.raises(ChatError, match="after 3 attempts \\(connection error"):
-            client.complete("p")
+            complete(client, "p")
         assert client._sleeps == [0.25, 0.5]
 
     def test_http_proxy_receives_absolute_uri(self, chat_server, monkeypatch):
         monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{chat_server.server_port}")
         chat_server.script = [(200, "application/json", _chat_body("via proxy"))]
-        assert real_client("http://chat.test/v1/chat/completions").complete("p").text == "via proxy"
+        assert complete(real_client("http://chat.test/v1/chat/completions"), "p").text == "via proxy"
         assert chat_server.seen[0][0] == "http://chat.test/v1/chat/completions"
 
     def test_no_proxy_goes_direct(self, chat_server, monkeypatch):
         monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{chat_server.server_port}")
         monkeypatch.setenv("NO_PROXY", "127.0.0.1")
         chat_server.script = [(200, "application/json", _chat_body("direct"))]
-        assert real_client(chat_server.url).complete("p").text == "direct"
+        assert complete(real_client(chat_server.url), "p").text == "direct"
         assert chat_server.seen[0][0] == "/v1/chat/completions"
 
     def test_proxy_credentials_are_sent_as_basic_auth(self, chat_server, monkeypatch):
         monkeypatch.setenv("http_proxy", f"http://user:pw@127.0.0.1:{chat_server.server_port}")
         chat_server.script = [(200, "application/json", _chat_body("via proxy"))]
-        assert real_client("http://chat.test/v1/chat/completions").complete("p").text == "via proxy"
+        assert complete(real_client("http://chat.test/v1/chat/completions"), "p").text == "via proxy"
         assert chat_server.seen[0][1]["Proxy-Authorization"] == "Basic dXNlcjpwdw=="
 
     def test_https_proxy_is_asked_for_a_tunnel(self, loopback_server, monkeypatch):
@@ -374,7 +383,7 @@ class TestHttpTransport:
         monkeypatch.setenv("https_proxy", f"http://user:pw@127.0.0.1:{proxy.server_port}")
         client = real_client("https://chat.test/v1/chat/completions")
         with pytest.raises(ChatError, match="after 3 attempts \\(connection error: .*Tunnel connection failed: 502"):
-            client.complete("p")
+            complete(client, "p")
         assert [(path, headers["Proxy-Authorization"]) for path, headers, _ in proxy.seen] == [
             ("chat.test:443", "Basic dXNlcjpwdw==")
         ] * 3
@@ -386,7 +395,7 @@ class TestHttpTransport:
         monkeypatch.delenv("SSL_CERT_DIR", raising=False)
         with real_client(server.url) as client:
             for _ in range(2):
-                assert client.complete("p").text == "Question: Q?\nAnswer: A."
+                assert complete(client, "p").text == "Question: Q?\nAnswer: A."
             assert client._sleeps == []
         authority = f"127.0.0.1:{server.server_port}"
         [(path, headers, _)] = proxy.seen  # one tunnel, kept alive
@@ -400,7 +409,7 @@ class TestHttpTransport:
         monkeypatch.delenv("SSL_CERT_DIR", raising=False)
         client = real_client(server.url)
         with pytest.raises(ChatError, match="CERTIFICATE_VERIFY_FAILED"):
-            client.complete("p")
+            complete(client, "p")
         assert client._sleeps == []
         assert server.seen == []
 
@@ -409,17 +418,19 @@ class TestHttpTransport:
         monkeypatch.setenv("SSL_CERT_FILE", str(LOOPBACK_CERT))
         monkeypatch.delenv("SSL_CERT_DIR", raising=False)
         client = real_client(server.url)
-        assert client.complete("p").text == "Question: Q?\nAnswer: A."
+        assert complete(client, "p").text == "Question: Q?\nAnswer: A."
         assert client._sleeps == []
         assert server.seen[0][0] == "/v1/chat/completions"
 
     @pytest.mark.parametrize(
-        "options", [{"temperature": float("nan")}, {"api_key": "line\nbreak"}], ids=["nan-temperature", "newline-in-key"]
+        "options, settings",
+        [({}, {"temperature": float("nan")}), ({"api_key": "line\nbreak"}, {})],
+        ids=["nan-temperature", "newline-in-key"],
     )
-    def test_unsendable_request_is_usage_error(self, chat_server, options):
+    def test_unsendable_request_is_usage_error(self, chat_server, options, settings):
         client = ChatClient(endpoint=chat_server.url, **options)
         with pytest.raises(UsageError, match="cannot send a request"):
-            client.complete("p")
+            complete(client, "p", **settings)
         assert chat_server.seen == []
 
     def test_endpoint_without_http_scheme_is_usage_error(self):
@@ -438,7 +449,7 @@ class TestConnectionPool:
         server = loopback_server()
         with real_client(server.url) as client:
             for _ in range(4):
-                assert client.complete("p").text == "Question: Q?\nAnswer: A."
+                assert complete(client, "p").text == "Question: Q?\nAnswer: A."
         assert server.connections == 1
         # urllib's headers in urllib's order, less its `Connection: close`
         assert [list(headers) for _, headers, _ in server.seen] == [
@@ -449,9 +460,9 @@ class TestConnectionPool:
     def test_a_connection_the_server_dropped_is_replaced_before_use(self, loopback_server):
         server = loopback_server(drop=True)
         with real_client(server.url) as client:
-            client.complete("p")
+            complete(client, "p")
             wait_for(lambda: server.closed == 1)
-            assert client.complete("p").text == "Question: Q?\nAnswer: A."
+            assert complete(client, "p").text == "Question: Q?\nAnswer: A."
             assert client._sleeps == []
         assert server.connections == 2
 
@@ -464,7 +475,7 @@ class TestConnectionPool:
         monkeypatch.setattr(ssl, "create_default_context", lambda *a, **k: contexts.append(1) or create(*a, **k))
         with real_client(server.url) as client:
             for _ in range(3):
-                assert client.complete("p").text == "Question: Q?\nAnswer: A."
+                assert complete(client, "p").text == "Question: Q?\nAnswer: A."
         assert server.connections == 1
         assert len(contexts) == 1
 
@@ -507,7 +518,7 @@ class TestResponseFraming:
         # second request shares its connection; one that ends at close is not
         raw_server.script = [(reply, connections == 2)] * 2
         with real_client(raw_server.url, timeout=5) as client:
-            assert [client.complete("p").text for _ in range(2)] == ["ok", "ok"]
+            assert [complete(client, "p").text for _ in range(2)] == ["ok", "ok"]
             assert client._sleeps == []
         assert raw_server.connections == connections
 
@@ -525,7 +536,7 @@ class TestResponseFraming:
     def test_a_reply_cut_short_is_retried(self, raw_server, cut):
         raw_server.script = [(cut, True), (OK_REPLY, False)]
         with real_client(raw_server.url, timeout=5) as client:
-            assert client.complete("p").text == "ok"
+            assert complete(client, "p").text == "ok"
             assert client._sleeps == [0.25]
         assert raw_server.connections == 2
 
@@ -546,7 +557,7 @@ class TestResponseFraming:
         tracemalloc.start()
         try:
             with real_client(raw_server.url, timeout=5) as client, pytest.raises(ChatError) as info:
-                client.complete("p")
+                complete(client, "p")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -558,7 +569,7 @@ class TestResponseFraming:
         raw_server.script = [(_head(b"HTTP/1.1 200 OK", *[b"X-%d: v" % i for i in range(99)],
                                     b"Content-Length: %d" % len(OK_BODY)) + OK_BODY, False)]
         with real_client(raw_server.url, timeout=5) as client:
-            assert client.complete("p").text == "ok"
+            assert complete(client, "p").text == "ok"
 
 
 class TestGenerateCorpus:
@@ -568,7 +579,7 @@ class TestGenerateCorpus:
         # the first reply begins 50 ms after its request, past the client's 20 ms timeout
         raw_server.script = [([b"", reply], True), (reply, False)]
         with real_client(raw_server.url, timeout=0.02) as client, ResponseLog(tmp_path / "generation.jsonl") as log:
-            parsed, failures = generate_corpus([MORITZ], "generation", client, log, jobs=2)
+            parsed, failures = generate_corpus([MORITZ], "generation", client, log, SETTINGS, jobs=2)
             assert client._sleeps == [0.25]
         assert failures == []
         assert [pair.answer for pair in parsed[0].pairs] == ["A."]
@@ -581,7 +592,7 @@ class TestCacheReplay:
         client = make_client(script)
         path = tmp_path / "generation.jsonl"
         with ResponseLog(path) as log:
-            first, line = generate_for_document(MORITZ, "generation", client, log)
+            first, line = generate_for_document(MORITZ, "generation", client, log, SETTINGS)
             assert [p.answer for p in first.pairs] == ["A."]
             assert path.read_bytes() == b""  # the caller appends
             log.append(MORITZ.id, line)
@@ -593,7 +604,7 @@ class TestCacheReplay:
 
         # no client at all: replay must not need one, and appends nothing
         with ResponseLog(path) as log:
-            second, line = generate_for_document(MORITZ, "generation", None, log)
+            second, line = generate_for_document(MORITZ, "generation", None, log, SETTINGS)
         assert second.pairs == first.pairs
         assert line is None
 
@@ -602,12 +613,12 @@ class TestCacheReplay:
         # a changed request appends a new line; the old one stays as history
         for n, model in enumerate(["m1", "m2"], 1):
             with ResponseLog(path) as log:
-                client = make_client([(200, f"Question: Q{n}?\nAnswer: A{n}.")], model=model)
-                _, line = generate_for_document(MORITZ, "generation", client, log)
+                client = make_client([(200, f"Question: Q{n}?\nAnswer: A{n}.")])
+                _, line = generate_for_document(MORITZ, "generation", client, log, {**SETTINGS, "model": model})
                 log.append(MORITZ.id, line)
         assert [json.loads(line)["request"]["model"] for line in path.read_bytes().splitlines()] == ["m1", "m2"]
         with ResponseLog(path) as log:
-            replay, line = generate_for_document(MORITZ, "generation", None, log)
+            replay, line = generate_for_document(MORITZ, "generation", None, log, {**SETTINGS, "model": "m2"})
         assert [p.answer for p in replay.pairs] == ["A2."]
 
     def test_a_second_open_of_one_log_is_refused(self, tmp_path):
@@ -623,11 +634,11 @@ class TestCacheReplay:
 
     def test_no_cache_and_no_client_is_usage_error(self, tmp_path):
         with ResponseLog(tmp_path / "generation.jsonl") as log, pytest.raises(UsageError):
-            generate_for_document(MORITZ, "generation", None, log)
+            generate_for_document(MORITZ, "generation", None, log, SETTINGS)
 
     def test_unknown_task_rejected(self, tmp_path):
         with ResponseLog(tmp_path / "translation.jsonl") as log, pytest.raises(UsageError):
-            generate_for_document(MORITZ, "translation", None, log)
+            generate_for_document(MORITZ, "translation", None, log, SETTINGS)
 
 
 class TestQaJsonl:
