@@ -5,18 +5,23 @@ is reproducible bit-for-bit. All offsets are Unicode scalar offsets into
 the document body, never bytes.
 
 Cost contract for ``analyze_document``: the body is segmented once and
-the date patterns run once over it. Each sentence is then scanned once
-(``_scan``): every token is read once, stripped with ``str.lstrip`` and
-``str.rstrip``, and classified once as a capitalised word, an initial, a
-connector, a number or none of these. That one record per token feeds
-both the name-run state machine and preposition matching, which visit
-only the tokens the scan marked, and it is dropped before the next
-sentence. Overlapping entity candidates are resolved greedily against an
-occupancy map of one byte per body character: O(E log E) to sort E
-candidates plus O(n) character tests for a body of n characters, whatever
-the sentence structure. Beyond that map and the sentence, entity and
-preposition lists it returns, memory is O(longest sentence). The packaged
-lexicon and abbreviations are read once per process.
+the date patterns run once over it, each a prefix scan that sre runs in C
+(a match glued to a word character before it is dropped afterwards).
+Each sentence is then scanned once (``_scan``): every token is read once,
+stripped with ``str.lstrip`` and ``str.rstrip``, and classified once as a
+capitalised word, an initial, a connector, a number or none of these.
+That one record per token feeds both the name-run state machine and
+preposition matching, which visit only the tokens the scan marked, and it
+is dropped before the next sentence. The E entity candidates are sorted
+once, O(E log E), and swept into clusters of candidates that overlap; a
+candidate alone in its cluster is kept as it is, and only a cluster of
+two or more runs the greedy rule on itself. The rules keep a cluster to
+a handful of candidates, whatever the length of the body: at most a name
+run, the dates that chain from its last word ("Alice May 12 May 1990"),
+and the numbers, years and words inside them. Beyond the candidates and
+the sentence, entity and preposition lists it returns, memory is
+O(longest sentence). The packaged lexicon and abbreviations are read once
+per process.
 
 ``sentence_tokens``, ``find_prepositions`` and ``extract_entities`` are
 built on the same scan.
@@ -37,10 +42,12 @@ from .errors import DataError
 _MONTHS = (
     "January|February|March|April|May|June|July|August|September|October|November|December"
 )
+# Without a leading \b, which would stop sre from scanning for a literal or
+# charset prefix; _date_candidates tests the character before a match instead.
 _DATE_PATTERNS = [
-    re.compile(rf"\b(?:{_MONTHS}) \d{{1,2}}(?:, \d{{4}})?\b"),
-    re.compile(rf"\b\d{{1,2}} (?:{_MONTHS}) \d{{4}}\b"),
-    re.compile(r"\b[12]\d{3}\b"),
+    re.compile(rf"(?:{_MONTHS}) \d{{1,2}}(?:, \d{{4}})?\b"),
+    re.compile(rf"\d{{1,2}} (?:{_MONTHS}) \d{{4}}\b"),
+    re.compile(r"[12]\d{3}\b"),
 ]
 _NUMBER = re.compile(r"\d+(?:[.,]\d+)+|\d+")
 _ACRONYM = re.compile(r"[A-Z]{2,6}")
@@ -253,12 +260,31 @@ def _date_candidates(body: str) -> list[tuple]:
     A date holds no terminal punctuation and every sentence but the last
     ends in one, so no match crosses a sentence boundary, and one pass
     over the body finds what a pass over each sentence would.
+
+    Every pattern starts with a word character, so a leading ``\\b`` holds
+    exactly where the character before a match is not one (``\\w`` is
+    ``str.isalnum()`` or "_"). A match that fails that test is dropped and
+    the scan resumes at its end. That skips no valid match, because none
+    can start inside a dropped one. Inside a match, the only word
+    characters that follow a character that is not one are:
+
+    - in "May 4, 1990": the digits of the day and the year, and a
+      month-first match cannot start with a digit;
+    - in "4 May 1990": the month, which a digit-first match cannot start
+      with, and the year, where such a match needs a space after one or
+      two digits and finds a third digit;
+    - in "1990": none.
     """
-    return [
-        (match.start(), match.end(), "date", 0)
-        for pattern in _DATE_PATTERNS
-        for match in pattern.finditer(body)
-    ]
+    candidates = []
+    for pattern in _DATE_PATTERNS:
+        for match in pattern.finditer(body):
+            start = match.start()
+            if start:
+                before = body[start - 1]
+                if before.isalnum() or before == "_":
+                    continue
+            candidates.append((start, match.end(), "date", 0))
+    return candidates
 
 
 def _entity_candidates(offset: int, tokens: list[tuple], marks: list[int]) -> list[tuple]:
@@ -309,22 +335,43 @@ def _entity_candidates(offset: int, tokens: list[tuple], marks: list[int]) -> li
 
 
 def _resolve_overlaps(body: str, candidates: list[tuple]) -> list[EntitySpan]:
-    """Longest candidate first, then leftmost, then by rank; overlaps dropped."""
-    candidates.sort(key=lambda c: (-(c[1] - c[0]), c[0], c[3]))
-    # taken[i] is 1 where a chosen entity covers body[i]. Candidates of one
-    # rule never overlap each other, so testing them all scans O(len(body))
-    # characters in total.
-    taken = bytearray(len(body))
-    chosen: list[tuple[int, int, str]] = []
-    for start, end, kind, _rank in candidates:
-        if taken.find(1, start, end) != -1:
+    """Longest candidate first, then leftmost, then by rank; overlaps dropped.
+
+    A candidate is kept when no candidate kept before it overlaps it, and
+    every such candidate lies in its cluster: the candidates that overlap
+    it directly or through others. So each cluster is resolved on its own,
+    and a candidate that overlaps nothing is kept as it is. ``candidates``
+    is used up: sorted, and closed with a sentinel.
+    """
+    candidates.sort()
+    # a sentinel at the end of the body closes the last cluster
+    candidates.append((len(body), len(body), "", 0))
+    entities = []
+    cluster: list[tuple] = []
+    reach = 0
+    for candidate in candidates:
+        if candidate[0] < reach:
+            cluster.append(candidate)
+            if candidate[1] > reach:
+                reach = candidate[1]
             continue
-        taken[start:end] = b"\x01" * (end - start)
-        chosen.append((start, end, kind))
-    chosen.sort()
-    return [
-        EntitySpan(start=s, end=e, surface=body[s:e], kind=k) for s, e, k in chosen
-    ]
+        for start, end, kind, _ in _greedy(cluster) if len(cluster) > 1 else cluster:
+            entities.append(EntitySpan(start, end, body[start:end], kind))
+        cluster = [candidate]
+        reach = candidate[1]
+    return entities
+
+
+def _greedy(cluster: list[tuple]) -> list[tuple]:
+    """The candidates the greedy rule keeps in a cluster, in order."""
+    kept: list[tuple] = []
+    for candidate in sorted(cluster, key=lambda c: (c[0] - c[1], c[0], c[3])):
+        for other in kept:
+            if candidate[0] < other[1] and other[0] < candidate[1]:
+                break
+        else:
+            kept.append(candidate)
+    return sorted(kept)
 
 
 def extract_entities(body: str, abbreviations: frozenset[str] | None = None) -> list[EntitySpan]:

@@ -109,21 +109,27 @@ def cmd_gen_tasks(args, config) -> int:
     manifest_path = out / f"{name}_tasks.jsonl"
     counts = Counter()
     docs = 0
-    # one document at a time: only the per-kind counts outlive its suite
+
+    def write_document(doc) -> dict:
+        """Write one document's records and return its per-kind counts, the
+        one thing that outlives its analysis, suite and reading text: they
+        die here, before the next document is read."""
+        suite = taskgen.build_suite(analysis.analyze_document(doc, **overrides), task_config, seed=seed)
+        for example in suite.examples:
+            add_task(dataset.record_line(dataset.task_record(example)))
+        if args.reading:
+            text = taskgen.format_reading_comprehension(suite)
+            reading = {"kind": dataset.KIND_DOC, "loss_policy": FULL_SEQUENCE,
+                       "payload": {"id": doc.id, "title": doc.title, "body": text}}
+            add_reading(dataset.record_line(reading))
+        return suite.counts
+
     with ExitStack() as stack:
         add_task = stack.enter_context(dataset.manifest_writer(manifest_path, seed))
         if args.reading:
             add_reading = stack.enter_context(dataset.manifest_writer(out / f"{name}_reading.jsonl", seed))
         for doc in iter_documents(args.corpus):
-            suite = taskgen.build_suite(analysis.analyze_document(doc, **overrides), task_config, seed=seed)
-            for example in suite.examples:
-                add_task(dataset.record_line(dataset.task_record(example)))
-            if args.reading:
-                text = taskgen.format_reading_comprehension(suite)
-                reading = {"kind": dataset.KIND_DOC, "loss_policy": FULL_SEQUENCE,
-                           "payload": {"id": doc.id, "title": doc.title, "body": text}}
-                add_reading(dataset.record_line(reading))
-            counts.update(suite.counts)
+            counts.update(write_document(doc))
             docs += 1
     write_json(out / f"{name}_tasks_stats.json", stats.suite_stats(counts))
     print(f"generated {sum(counts.values())} task records over {docs} documents -> {manifest_path}")

@@ -10,7 +10,10 @@ A kind also fixes its loss policy (`vocab.loss_policy`).
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
+from itertools import chain, islice
+from operator import attrgetter
 
 from .analysis import AnalyzedDocument, EntitySpan
 from .errors import DataError
@@ -40,6 +43,7 @@ KIND_ORDER = (
 )
 
 BLANK = "--"
+_NON_BLANK = re.compile(r"\S")
 
 TEMPLATES = {
     MEMORIZATION: "<{title} - Wikipedia> {body}",
@@ -153,7 +157,7 @@ def render_document(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG)
 
 
 def _gist_keywords(adoc: AnalyzedDocument) -> list[str]:
-    return list(dict.fromkeys(entity.surface for entity in adoc.entities))
+    return list(dict.fromkeys(map(attrgetter("surface"), adoc.entities)))
 
 
 def gen_memorization(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample:
@@ -200,7 +204,14 @@ def _nli_question(adoc, statement, config):
 
 def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> list[TaskExample]:
     """True statement from a sampled sentence, plus a corrupted false one
-    when a same-kind entity from another sentence can substitute in."""
+    when a same-kind entity from another sentence can substitute in.
+
+    The corruption is drawn uniformly from the (target, replacement) pairs:
+    a target entity of the sentence, in order, and an entity of another
+    sentence, in document order, of the target's kind but another surface.
+    The pairs are counted per target, not listed, and the draw walks to
+    the chosen one: O(E) for E entities, whatever the sentence holds.
+    """
     if not adoc.sentences:
         return []
     sent_index = rng.below(len(adoc.sentences))
@@ -219,16 +230,34 @@ def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFI
     ]
 
     lo, hi = adoc.entity_range(sent_index)
-    inside = adoc.entities[lo:hi]
-    outside = adoc.entities[:lo] + adoc.entities[hi:]
-    candidates = [
-        (target, repl)
-        for target in inside
-        for repl in outside
-        if repl.kind == target.kind and repl.surface != target.surface
-    ]
-    if len(adoc.sentences) >= 2 and candidates:
-        target, repl = candidates[rng.below(len(candidates))]
+    if len(adoc.sentences) < 2 or lo == hi:
+        return examples
+    entities = adoc.entities
+    inside = entities[lo:hi]
+    # the entities outside the sentence, counted per kind, and per (kind,
+    # surface) for the targets' surfaces only
+    surfaces = {target.surface for target in inside}
+    by_kind: dict[str, int] = {}
+    by_surface: dict[tuple[str, str], int] = {}
+    for entity in chain(islice(entities, lo), islice(entities, hi, None)):
+        kind = entity.kind
+        by_kind[kind] = by_kind.get(kind, 0) + 1
+        if entity.surface in surfaces:
+            key = kind, entity.surface
+            by_surface[key] = by_surface.get(key, 0) + 1
+    weights = [by_kind.get(t.kind, 0) - by_surface.get((t.kind, t.surface), 0) for t in inside]
+    total = sum(weights)
+    if total:
+        pick = rng.below(total)
+        for target, weight in zip(inside, weights):
+            if pick < weight:
+                break
+            pick -= weight
+        for repl in chain(islice(entities, lo), islice(entities, hi, None)):
+            if repl.kind == target.kind and repl.surface != target.surface:
+                if not pick:
+                    break
+                pick -= 1
         rel_start = target.start - span.start
         rel_end = target.end - span.start
         corrupted = statement[:rel_start] + repl.surface + statement[rel_end:]
@@ -302,9 +331,10 @@ def gen_multichoice(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CO
     if len(surfaces) < config.option_count:
         return None
     entity = adoc.entities[rng.below(len(adoc.entities))]
-    pool = [s for s in surfaces if s != entity.surface]
-    picked = rng.sample_indices(len(pool), config.option_count - 1)
-    options = [entity.surface] + [pool[i] for i in picked]
+    # the distractor pool: surfaces are unique, so this takes out only the answer
+    surfaces.remove(entity.surface)
+    picked = rng.sample_indices(len(surfaces), config.option_count - 1)
+    options = [entity.surface] + [surfaces[i] for i in picked]
     rng.shuffle(options)
     question = fill(
         config.template(MULTICHOICE),
@@ -322,41 +352,41 @@ def gen_multichoice(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CO
     )
 
 
-def _completion_split(sentence: str, prep_end: int | None) -> tuple[int, str] | None:
-    """Character split point after the final preposition, which ends at
-    ``prep_end``, or None if there is none or the sentence cannot be
-    rebuilt as ``prefix + " " + answer + "."``."""
-    if prep_end is None or not sentence.endswith("."):
-        return None
-    if prep_end >= len(sentence.rstrip(".")):
-        return None
-    prefix = sentence[:prep_end]
-    rest = sentence[prep_end:]
-    if not rest.startswith(" "):
-        return None
-    answer = rest[1:-1]
-    if not answer.strip() or "\n" in rest or sentence != prefix + " " + answer + ".":
-        return None
-    return prep_end, answer
-
-
 def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
+    """A sentence cut after its final preposition, drawn uniformly from the
+    sentences that read back as ``prefix + " " + answer + "."`` with a
+    one-line, non-blank answer.
+
+    Each sentence is tested in place in the body, and only the drawn one
+    is sliced.
+    """
+    body = adoc.doc.body
+    ends = adoc.final_preposition_ends
     qualifying = []
     for span in adoc.sentences:
-        sentence = adoc.doc.body[span.start : span.end]
-        split = _completion_split(sentence, adoc.final_preposition_ends[span.index])
-        if split is not None:
-            qualifying.append((span.index, sentence, split))
+        cut = ends[span.index]
+        if cut is None or body[span.end - 1] != ".":
+            continue
+        cut += span.start
+        # a space after the preposition, no line break, and something to answer
+        if (
+            body.startswith(" ", cut, span.end)
+            and body.find("\n", cut, span.end) == -1
+            and _NON_BLANK.search(body, cut + 1, span.end - 1)
+        ):
+            qualifying.append(span)
     if not qualifying:
         return None
-    sent_index, sentence, (cut, answer) = qualifying[rng.below(len(qualifying))]
+    span = qualifying[rng.below(len(qualifying))]
+    cut = ends[span.index]
+    sentence = body[span.start : span.end]
     question = fill(config.template(COMPLETION), title=adoc.doc.title, prefix=sentence[:cut])
     return TaskExample(
         kind=COMPLETION,
         question=question,
-        answer=answer,
+        answer=sentence[cut + 1 : -1],
         doc_id=adoc.doc.id,
-        provenance={"sentence_index": sent_index, "split_offset": cut},
+        provenance={"sentence_index": span.index, "split_offset": cut},
     )
 
 

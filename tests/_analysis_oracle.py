@@ -3,10 +3,12 @@
 `docstudy.analysis` reads each sentence's tokens once and classifies each
 token once. This module keeps the earlier three-pass code: `sentence_tokens`
 builds a `Token` per token, `find_prepositions` and `_entity_candidates`
-walk those tokens again. It is kept only to check the scanner against, the
-way the two-row LCS DP is kept beside the bit-parallel kernel. Its rules
-are copied, not imported, so a change to a rule in `docstudy.analysis`
-shows up as a difference.
+walk those tokens again. It also keeps the date scan with a leading `\\b`
+on each pattern, and the greedy resolver over an occupancy map of one byte
+per body character. It is kept only to check the library against, the way
+the two-row LCS DP is kept beside the bit-parallel kernel. Its rules are
+copied, not imported, so a change to a rule in `docstudy.analysis` shows
+up as a difference.
 """
 
 from __future__ import annotations
@@ -165,6 +167,30 @@ def find_prepositions(sentence: str, lexicon: frozenset[str] | None = None) -> l
             positions.append(i)
         i += 1
     return positions
+
+
+def date_candidates(body: str) -> list[tuple]:
+    """Date (start, end, kind, rank) candidates of a whole body, found by the
+    patterns with their leading \\b."""
+    return [
+        (match.start(), match.end(), "date", 0)
+        for pattern in _DATE_PATTERNS
+        for match in pattern.finditer(body)
+    ]
+
+
+def occupancy_resolve(body: str, candidates: list[tuple]) -> list[EntitySpan]:
+    """The global greedy rule over one occupancy byte per body character."""
+    candidates = sorted(candidates, key=lambda c: (-(c[1] - c[0]), c[0], c[3]))
+    taken = bytearray(len(body))
+    chosen = []
+    for start, end, kind, _rank in candidates:
+        if taken.find(1, start, end) != -1:
+            continue
+        taken[start:end] = b"\x01" * (end - start)
+        chosen.append((start, end, kind))
+    chosen.sort()
+    return [EntitySpan(start=s, end=e, surface=body[s:e], kind=k) for s, e, k in chosen]
 
 
 def quadratic_entities(body: str) -> list[EntitySpan]:

@@ -69,6 +69,31 @@ def synthetic_records(n: int, seed: int = 0) -> list[dict]:
     return records
 
 
+ACRONYMS = ["IUGG", "NATO", "MLB", "UNESCO", "CERN", "BBC"]
+
+
+def long_record(sentences: int, seed: int = 0, doc_id: str = "long-0") -> dict:
+    """One single-paragraph document of ``sentences`` entity- and date-dense
+    sentences: names that repeat across sentences, dates in all three
+    patterns (some inside name runs or one character apart), acronyms,
+    numbers, and a final prepositional phrase on most sentences."""
+    rng = random.Random(seed)
+
+    def name() -> str:
+        return f"{rng.choice(FIRST)} {rng.choice(LAST)}"
+
+    templates = (
+        lambda: f"{name()} met {name()} in {rng.choice(CITIES)[0]} on {rng.randint(1, 28)} {rng.choice(MONTHS)} {rng.randint(1900, 1999)}.",
+        lambda: f"On {rng.choice(MONTHS)} {rng.randint(1, 28)}, {rng.randint(1900, 2023)} the {rng.choice(ORGS)} hired {name()} for {rng.choice(ACRONYMS)}.",
+        lambda: f"During {rng.randint(1900, 2023)} the {rng.choice(CITIES)[1]} team of {name()} finished {rng.randint(2, 400)} projects for {rng.choice(CITIES)[0]}.",
+        lambda: f"{name()} left {rng.choice(MONTHS)} {rng.randint(1, 9)} {rng.choice(MONTHS)} {rng.randint(1900, 1999)} with {rng.choice(FIRST)} {rng.choice(MONTHS)} {rng.randint(1, 28)} and {rng.choice(FIRST)} {rng.choice(MONTHS)} {rng.choice(LAST)}.",
+        lambda: f"The {rng.choice(PROFESSIONS)} wrote about {rng.choice(ACRONYMS)} and {rng.randint(1, 9)},{rng.randint(100, 999)} letters to {name()}.",
+        lambda: f"Later the group moved from {rng.choice(CITIES)[0]} to {rng.choice(CITIES)[0]} after {rng.randint(2, 40)} years.",
+    )
+    body = " ".join(templates[rng.randrange(len(templates))]() for _ in range(sentences))
+    return {"id": doc_id, "title": f"{name()} chronicle", "body": body, "source": "synthetic"}
+
+
 def write_jsonl(records: list[dict], path) -> None:
     import json
 

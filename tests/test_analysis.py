@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import MORITZ_BODY, ROBERT_BODY
+from docstudy import analysis
 from docstudy.analysis import (
     analyze_document,
     extract_entities,
@@ -236,21 +237,36 @@ BODIES = st.lists(st.tuples(WORDS, TERMINALS, SEPARATORS), min_size=1, max_size=
     lambda parts: "".join(w + t + sep for w, t, sep in parts)
 )
 
+DATE_PARTS = [
+    "May", "September", "May 5", "May 5, 2000", "4 May 1990", "12", "1999", "2000", "21999",
+    " ", ", ", ".", "x", "_", "Α", "٣", "²", "-",
+]
+
 
 class TestLinearAnalysisEquivalence:
     """The one-pass scanner and the linear resolver against the pre-scanner
     per-token passes and the quadratic resolver in `_analysis_oracle`."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(BODIES)
     # dates overlapping by one character: "September 4" and "4 May 1990"
     @example("He left September 4 May 1990 and came back.")
+    # a date inside a name run: "Alice May" and "May 12" overlap, "12 May
+    # 1990" overlaps both, and a number and a year lie inside it
+    @example("Then Alice May 12 May 1990 Becker met Hugo June 3, 1921 Keller.")
+    # the same span from two rules: the year "1946" is a date and a number
+    @example("In 1946 Becker moved to Oslo with IUGG in 1946.")
     # an initial ("W."), a non-ASCII capital with a period ("Ø.") and
     # title-case, non-ASCII digit and punctuation-only tokens
     @example("Émile W. Ø. Becker of ǅemal met Ωmega ( \"Øresund\" — ٣ ² «Né» e.g. Inc.. ¡Hola!")
     def test_sweep_matches_quadratic_resolver(self, body):
         entities = extract_entities(body)
         assert entities == oracle.quadratic_entities(body)
+        candidates = analysis._date_candidates(body)
+        for span in segment_sentences(body):
+            tokens, marks, _ = analysis._scan(body[span.start : span.end])
+            candidates.extend(analysis._entity_candidates(span.start, tokens, marks))
+        assert entities == oracle.occupancy_resolve(body, candidates)
 
         adoc = analyze_document(RawDocument(id="p", title="P", body=body))
         assert adoc.entities == entities
@@ -273,6 +289,19 @@ class TestLinearAnalysisEquivalence:
                 s.index for s in adoc.sentences if s.start <= entity.start and entity.end <= s.end
             ]
             assert [adoc.sentence_of_entity(entity)] == homes
+
+    # dates glued to what comes before them, and digits and letters that
+    # are word characters outside ASCII
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(DATE_PARTS), max_size=30).map("".join))
+    @example("x12 May 2000")
+    @example("_1999")
+    @example("21999 1999")
+    @example("ΑMay 5, 2000")
+    @example("٣ May 2000")
+    @example("September 4 May 1990")
+    def test_date_scan_matches_the_word_boundary_patterns(self, body):
+        assert analysis._date_candidates(body) == oracle.date_candidates(body)
 
     def test_unpunctuated_run_on_body(self):
         body = " ".join(

@@ -32,7 +32,7 @@ from docstudy.jsonio import encode_line
 from docstudy.qagen import QAPair
 
 import _curriculum_oracle as oracle
-from _synth import synthetic_records, write_jsonl
+from _synth import long_record, synthetic_records, write_jsonl
 
 
 def run(*argv) -> int:
@@ -72,6 +72,11 @@ def _peaks(tmp_path, *command):
 
 # sha256 over the sorted (name, sha256) pairs of the hash-seed flow's output tree
 FLOW_TREE_SHA256 = "e8bdf04d8f64c7fc4436d0854fb1d427854ea496a872df37f8d47a2045bd43ab"
+# sha256 of gen-tasks --reading's two manifests for one long, entity- and date-dense document
+LONG_DOCUMENT_SHA256 = {
+    "l_tasks.jsonl": "b92c3b82cfe38b46949e1f52d6b2f4f67e258946232d8c070400c55c969e15bb",
+    "l_reading.jsonl": "48a32cb499ec9f0528cc4117bc181ad48a65da26916ff53ea7de1cbb7b4a5caf",
+}
 
 
 @pytest.fixture(scope="class")
@@ -273,6 +278,34 @@ class TestPipeline:
         # holding the outputs costs about 24 KB a document; the duplicate-id
         # map, the one thing kept per document, about 0.2 KB
         assert (large - small) / 300 < 2048, (small, large)
+
+    def test_gen_tasks_holds_one_document_at_a_time(self, tmp_path):
+        record = long_record(500, seed=4, doc_id="a")
+
+        def peak(records, name):
+            corpus = tmp_path / f"{name}.jsonl"
+            write_jsonl(records, corpus)
+            tracemalloc.start()
+            try:
+                assert run("--out", tmp_path / name, "gen-tasks", "--corpus", corpus, "--reading") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak([record], "warm")  # loads the lexicons once
+        one = peak([record], "one")
+        two = peak([record, {**record, "id": "b"}], "two")
+        # the first document's suite and reading text must die before the
+        # second is analysed; kept alive, they made two copies peak at 1.48 times one
+        assert two <= 1.15 * one, (one, two)
+
+    def test_gen_tasks_long_document_bytes(self, tmp_path):
+        corpus = tmp_path / "long.jsonl"
+        write_jsonl([long_record(300, seed=9)], corpus)
+        assert run("--seed", 3, "--out", tmp_path, "gen-tasks", "--corpus", corpus, "--name", "l", "--reading") == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("l_tasks.jsonl", "l_reading.jsonl")}
+        assert digests == LONG_DOCUMENT_SHA256
 
     def test_verify_command(self, tmp_path, capsys, corpus_path):
         out = tmp_path / "o"

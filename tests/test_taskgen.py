@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA, ROBERT_BODY, ROBERT_TITLE
 from docstudy import analysis
@@ -26,7 +28,9 @@ from docstudy.taskgen import (
     gen_teaching,
 )
 
-from _synth import synthetic_records, write_jsonl
+import _taskgen_oracle as oracle
+from _synth import long_record, synthetic_records, write_jsonl
+from test_analysis import BODIES
 
 ROBERT_DOC_TEXT = f"<{ROBERT_TITLE} - Wikipedia> {ROBERT_BODY}"
 GIST_ANSWER = (
@@ -244,6 +248,41 @@ class TestCompletion:
     def test_skip_without_qualifying_sentence(self):
         adoc = _adoc("Nothing happened yesterday.")
         assert gen_completion(adoc, stream_for(0, "d1", "completion")) is None
+
+
+DRAWS = (
+    (gen_nli_pair, oracle.gen_nli_pair, taskgen.NLI),
+    (gen_multichoice, oracle.gen_multichoice, taskgen.MULTICHOICE),
+    (gen_completion, oracle.gen_completion, taskgen.COMPLETION),
+)
+
+
+def _assert_draws_match_oracle(adoc, seed):
+    for library, reference, kind in DRAWS:
+        for option_count in (2, 4):
+            config = TaskConfig(option_count=option_count)
+            expected = reference(adoc, stream_for(seed, adoc.doc.id, kind), config)
+            assert library(adoc, stream_for(seed, adoc.doc.id, kind), config) == expected, kind
+
+
+class TestDrawsMatchOracle:
+    """The counted NLI and completion draws and the multichoice pool against
+    the listed ones in `_taskgen_oracle`, drawn from the same streams."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(BODIES, st.integers(0, 2**64 - 1))
+    # completions whose answer would be blank, or span a line break
+    @example("Alice went to Oslo. Becker came from  . Hugo sat in \xa0.", 0)
+    @example("Alice went to Oslo. Becker came from  . Hugo sat in \xa0.", 5)
+    @example("Alice went from the\nsea. Becker sat with Hugo.", 1)
+    def test_short_bodies(self, body, seed):
+        _assert_draws_match_oracle(_adoc(body), seed)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_long_document(self, seed):
+        adoc = analyze_document(document_from_record(long_record(120, seed=seed)))
+        for draw_seed in range(20):
+            _assert_draws_match_oracle(adoc, draw_seed)
 
 
 class TestBuildSuite:
