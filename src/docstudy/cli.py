@@ -137,7 +137,7 @@ def cmd_gen_tasks(args, config) -> int:
 
 
 def cmd_gen_qa(args, config) -> int:
-    from . import qagen, qapairs
+    from . import qagen
     from .corpus import iter_documents
 
     jobs = _resolve(args.jobs, config, "jobs", JOBS_ENV, 1, int)
@@ -146,7 +146,6 @@ def cmd_gen_qa(args, config) -> int:
     if not math.isfinite(args.temperature):  # JSON has no NaN or infinity to send it as
         raise UsageError(f"temperature must be a finite number, got {args.temperature}")
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
-    docs = list(iter_documents(args.corpus))
     cache_dir = Path(args.cache_dir) if args.cache_dir else out / "qa_cache"
 
     # an entry replays only if it holds the request this run would send
@@ -155,21 +154,30 @@ def cmd_gen_qa(args, config) -> int:
     if args.endpoint or os.environ.get(qagen.ENDPOINT_ENV):
         client = qagen.ChatClient(endpoint=args.endpoint, api_key=args.api_key)
 
+    open(args.corpus, "rb").close()  # a corpus that cannot be read fails before the log is made
+    target = out / f"{_name(args)}_qa_{args.task}.jsonl"
+    pairs = discarded = 0
     with ExitStack() as stack:
         if client is not None:
             stack.enter_context(client)
         log = stack.enter_context(qagen.ResponseLog(cache_dir / f"{args.task}.jsonl"))
-        parsed, failures = qagen.generate_corpus(docs, args.task, client, log, settings, jobs)
+        qa = stack.enter_context(atomic_writer(target))
+
+        def write(parsed) -> None:
+            """Write one document's pairs, in corpus order, as it settles."""
+            nonlocal pairs, discarded
+            pairs += len(parsed.pairs)
+            discarded += parsed.discarded
+            qa.writelines(encode_line(pair.to_record()) for pair in parsed.pairs)
+
+        failures = qagen.generate_corpus(iter_documents(args.corpus), args.task, client, log, settings, write, jobs)
         if failures:
-            # no QA JSONL: a rerun fetches only these documents
-            for exc in failures:
+            # no QA JSONL: raising the last failure drops the temp file, and
+            # main prints it after the others; a rerun fetches only these
+            for exc in failures[:-1]:
                 print(f"data error: {exc}", file=sys.stderr)
-            return 2
-        pairs = [pair for result in parsed for pair in result.pairs]
-        discarded = sum(result.discarded for result in parsed)
-        target = out / f"{_name(args)}_qa_{args.task}.jsonl"
-        qapairs.write_qa_jsonl(pairs, target)
-    print(f"collected {len(pairs)} QA pairs ({discarded} blocks discarded) -> {target}")
+            raise failures[-1]
+    print(f"collected {pairs} QA pairs ({discarded} blocks discarded) -> {target}")
     return 0
 
 
@@ -322,7 +330,7 @@ def cmd_stats(args, config) -> int:
     from .corpus import iter_documents
 
     out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
-    qa_pairs = qapairs.read_qa_jsonl(args.qa) if args.qa else None
+    qa_pairs = (pair for _, pair in qapairs.iter_qa_jsonl(args.qa)) if args.qa else None
     name = _name(args)
     target = out / f"{name}_stats.json"
     write_json(target, stats.corpus_stats(name, iter_documents(args.corpus), qa_pairs))

@@ -25,11 +25,9 @@ class HeaderError(DataError):
     """Header stripped down to an empty title."""
 
 
-class DuplicateIdError(DataError):
-    def __init__(self, doc_id: str, first_line: int, second_line: int):
-        super().__init__(
-            f"duplicate document id {doc_id!r} on lines {first_line} and {second_line}"
-        )
+class DuplicateIdError(MalformedLineError):
+    def __init__(self, path, doc_id: str, first_line: int, second_line: int):
+        super().__init__(path, second_line, f"duplicate document id {doc_id!r} on lines {first_line} and {second_line}")
         self.doc_id = doc_id
         self.lines = (first_line, second_line)
 
@@ -147,7 +145,7 @@ def iter_documents(path):
         except DataError as exc:
             raise MalformedLineError(path, line_no, str(exc)) from exc
         if doc.id in seen:
-            raise DuplicateIdError(doc.id, seen[doc.id], line_no)
+            raise DuplicateIdError(path, doc.id, seen[doc.id], line_no)
         seen[doc.id] = line_no
         yield doc
 

@@ -2,13 +2,16 @@
 
 Prompts are byte-stable package assets instantiated per document.
 `generate_corpus` replays each document from its task's response log, which
-keeps every raw response next to its parsed pairs, or fetches it through a
-`ChatClient`, which speaks a generic JSON-over-HTTP chat-completion protocol.
+keeps every raw response with the sha256 of the request that bought it, or
+fetches it through a `ChatClient`, which speaks a generic JSON-over-HTTP
+chat-completion protocol. Replayed or fetched, a response is parsed into
+its pairs the same way, and the pairs are handed on one document at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import re
@@ -22,7 +25,7 @@ from urllib.parse import urlsplit
 from .corpus import RawDocument
 from .errors import DataError, MalformedLineError, UsageError
 from .jsonio import encode_line, parse_object
-from .qapairs import QAPair, iter_qa_jsonl, read_qa_jsonl, write_qa_jsonl  # the file functions stay importable here
+from .qapairs import QAPair, read_qa_jsonl  # read_qa_jsonl stays importable here
 from .vocab import NLI_LABELS, NLI_OPTIONS, TASK_GENERATION, TASK_NLI, fill
 
 # a reply may give an NLI label, its option text, or the option without "'"
@@ -76,7 +79,9 @@ class ParsedResponse:
         self.discarded = discarded
 
 
-_QUESTION_MARK = re.compile(r"(?:^|\n)Question:", re.IGNORECASE)
+# a marker starts a line; the text gets a leading "\n" instead of a "^|" branch,
+# which would keep sre from scanning for the literal (25 times slower on long replies)
+_QUESTION_MARK = re.compile(r"\nQuestion:", re.IGNORECASE)
 _ANSWER_MARK = re.compile(r"\nAnswer:", re.IGNORECASE)
 _OPTIONS_MARK = re.compile(r"\s*Options:\s*", re.IGNORECASE)
 
@@ -90,9 +95,9 @@ def parse_qa_response(raw: str, task: str, doc_id: str = "") -> ParsedResponse:
     """
     if not raw.strip():
         raise ParseError("empty response")
-    text = raw.strip()
+    text = "\n" + raw.strip()
     if not _QUESTION_MARK.match(text):
-        text = "Question: " + text
+        text = "\nQuestion: " + text[1:]
 
     pairs: list[QAPair] = []
     discarded = 0
@@ -135,8 +140,6 @@ def parse_qa_response(raw: str, task: str, doc_id: str = "") -> ParsedResponse:
         )
     if not pairs:
         raise ParseError(f"no question/answer blocks found (discarded {discarded})")
-    if discarded:
-        sys.stderr.write(f"warning: discarded {discarded} malformed block(s) (document {doc_id!r})\n")
     return ParsedResponse(pairs=pairs, discarded=discarded)
 
 
@@ -328,12 +331,28 @@ class ChatClient:
 
 PROMPT_BUILDERS = {TASK_GENERATION: build_generation_prompt, TASK_NLI: build_nli_prompt}
 
+_ENTRY_SHAPE = (
+    "a cache entry needs a string 'doc_id', a string 'request_sha256' (or, in the older format, an object"
+    " 'request') and an object 'response' with a string 'text'"
+)
+
+
+def request_sha256(request: dict) -> str:
+    """The digest a log line records its request by: the sha256 of the request's canonical line."""
+    return hashlib.sha256(encode_line(request)).hexdigest()
+
 
 class ResponseLog:
     """The append-only response cache of one QA task, one canonical line per
-    fetched response: `{"discarded", "doc_id", "pairs", "request", "response"}`.
-    A line is read back as any JSON object of that shape: an exact canonical
-    check would re-encode every line, which costs about five times its parse.
+    fetched response: `{"doc_id", "request_sha256", "response"}`. The
+    digest is `request_sha256` of the request (prompt and settings), and the
+    response is the reply as billed (`text`, `finish_reason`, `usage`). The
+    prompt, a pure function of the document and the task, and the pairs, a
+    pure function of the reply, are not kept. A line of the older format,
+    `{"discarded", "doc_id", "pairs", "request", "response"}`, is still read:
+    it matches by its `request`, and only its `response` is used. A line is
+    read back as any JSON object of either shape: an exact canonical check
+    would re-encode every line, which costs about five times its parse.
 
     Opening locks the log for the life of the object, so a second run on it
     fails at once, and reads it once, keeping only each doc id's last
@@ -378,30 +397,33 @@ class ResponseLog:
             entry = parse_object(raw.decode("utf-8"))
         except ValueError as exc:
             raise MalformedLineError(self.path, line_no, str(exc)) from None
-        pairs = entry.get("pairs")
+        response = entry.get("response")
         if not (
             isinstance(entry.get("doc_id"), str)
-            and isinstance(entry.get("request"), dict)
-            and isinstance(pairs, list)
-            and all(isinstance(rec, dict) for rec in pairs)
-            and type(entry.get("discarded")) is int
+            and (isinstance(entry.get("request_sha256"), str) or isinstance(entry.get("request"), dict))
+            and isinstance(response, dict)
+            and isinstance(response.get("text"), str)
         ):
-            raise MalformedLineError(
-                self.path,
-                line_no,
-                "a cache entry needs a string 'doc_id', an object 'request', a list of objects 'pairs'"
-                " and an int 'discarded'",
-            )
+            raise MalformedLineError(self.path, line_no, _ENTRY_SHAPE)
         return entry
 
-    def get(self, doc_id: str) -> tuple[dict, int] | None:
-        """The last complete entry of `doc_id` and its line number, or None."""
+    def find(self, doc_id: str, request: dict) -> tuple[str, int] | None:
+        """The response text of `doc_id`'s last complete line and that
+        line's number, if the line records `request`; else None."""
         where = self._index.get(doc_id)
         if where is None:
             return None
         offset, length, line_no = where
         # checked when the log was opened; the lock keeps other runs out since
-        return json.loads(os.pread(self._fd, length, offset)), line_no
+        entry = json.loads(os.pread(self._fd, length, offset))
+        if "request_sha256" not in entry:  # the older format
+            match = entry["request"] == request
+        else:
+            try:
+                match = entry["request_sha256"] == request_sha256(request)
+            except UnicodeEncodeError:  # a lone surrogate, from an undecodable --model say, is in no logged request
+                return None
+        return (entry["response"]["text"], line_no) if match else None
 
     def append(self, doc_id: str, line: bytes) -> None:
         """Add `doc_id`'s entry line; a kill of this process after it returns
@@ -424,20 +446,21 @@ def lookup_document(
 
     The request is the document's prompt under `settings` ("model",
     "temperature" and "max_tokens"). The document's entry in `log` replays
-    only if it records that request; otherwise, with no client to fetch it,
-    the document is a usage error. Sends nothing.
+    only if it records that request, and its response is parsed as a fetched
+    one is, but with no warning for discarded blocks: the fetch printed it.
+    Otherwise, with no client to fetch it, the document is a usage error.
+    Sends nothing.
     """
     if task not in PROMPT_BUILDERS:
         raise UsageError(f"unknown QA task {task!r}")
     request = {"prompt": PROMPT_BUILDERS[task](doc), **settings}
-    cached = log.get(doc.id)
-    if cached is not None and cached[0]["request"] == request:
-        entry, line_no = cached
+    found = log.find(doc.id, request)
+    if found is not None:
+        text, line_no = found
         try:
-            pairs = [QAPair.from_record(rec) for rec in entry["pairs"]]
-        except DataError as exc:
+            return parse_qa_response(text, task, doc_id=doc.id)
+        except DataError as exc:  # a line edited by hand, or a parser changed since the fetch
             raise DataError(f"{log.path}:{line_no}: {exc} (document {doc.id!r})") from exc
-        return ParsedResponse(pairs=pairs, discarded=entry["discarded"])
     if client is None:
         raise UsageError(
             f"no cached response to this request for ({doc.id}, {task}) and no chat endpoint configured"
@@ -451,15 +474,16 @@ def _for_document(exc: DataError, doc: RawDocument) -> DataError:
 
 
 def _record(doc: RawDocument, task: str, request: dict, response: ChatResponse) -> tuple[ParsedResponse, bytes]:
-    """(parsed, the log line that records them) of the reply to `request`."""
+    """(parsed, the log line that records them) of the reply to `request`.
+    A reply with blocks that cannot be parsed is warned of on stderr."""
     try:
         parsed = parse_qa_response(response.text, task, doc_id=doc.id)
+        if parsed.discarded:
+            sys.stderr.write(f"warning: discarded {parsed.discarded} malformed block(s) (document {doc.id!r})\n")
         line = encode_line(
             {
-                "discarded": parsed.discarded,
                 "doc_id": doc.id,
-                "pairs": [pair.to_record() for pair in parsed.pairs],
-                "request": request,
+                "request_sha256": request_sha256(request),
                 "response": {
                     "text": response.text,
                     "finish_reason": response.finish_reason,
@@ -481,37 +505,48 @@ class _Pending:
 
     def __init__(self, doc: RawDocument):
         self.doc = doc
-        self.request = self.exchange = None  # what the log records, and the Exchange that sends it
+        self.request = self.exchange = None  # the request the log line's digest is of, and the Exchange that sends it
         self.reply = None  # the ChatResponse, once read
         self.outcome = None  # (parsed, log line or None), or the DataError that failed it
 
 
 def generate_corpus(
-    docs, task: str, client: ChatClient | None, log: ResponseLog, settings: dict, jobs: int = 1
-) -> tuple[list[ParsedResponse], list[DataError]]:
-    """Replay or fetch the QA pairs of every document on this thread:
-    (parsed responses, the errors that failed documents), in corpus order.
+    docs, task: str, client: ChatClient | None, log: ResponseLog, settings: dict, emit, jobs: int = 1
+) -> list[DataError]:
+    """Replay or fetch the QA pairs of every document on this thread, and
+    pass each document's `ParsedResponse` to `emit`, in corpus order, as
+    it leaves the window: the errors that failed documents are returned,
+    in corpus order.
+
+    `docs` is read as the run goes. A `DataError` it raises (a malformed or
+    duplicate corpus line) ends the corpus there: the documents before it
+    are settled, logged and emitted, and the error is returned last.
 
     Up to `jobs` requests are in flight. The next document is looked up
     before the thread waits, and a freed slot's next request is sent before
     the reply that freed it is parsed, so the endpoint works while this
     thread parses, encodes and logs. A fetched line is appended to `log` as
     soon as its document and every earlier one are settled, so the log's
-    bytes do not depend on `jobs`, and at most 4 × jobs documents are held.
-    A document waiting out a retry's backoff keeps its slot while the loop
-    goes on with the others. On any exception, an interrupt included,
-    every reply already read is logged before it propagates.
+    bytes do not depend on `jobs`, and at most 4 × jobs documents and their
+    pairs are held. A document waiting out a retry's backoff keeps its slot
+    while the loop goes on with the others. On any exception, an interrupt
+    or one that `emit` raises included, every reply already read is logged
+    before it propagates.
     """
     window = deque()  # looked-up documents whose outcome is not yet taken, in corpus order
     queued = deque()  # those whose request is not yet sent
     flying = {}  # Exchange -> _Pending, for requests whose reply is unread
-    parsed, failures = [], []
+    failures, corpus_error = [], []
     source = iter(docs)
 
     def look_up():
         """Take documents until one has a request to send or the window is full."""
-        while not queued and len(window) < 4 * jobs:
-            doc = next(source, None)
+        while not queued and len(window) < 4 * jobs and not corpus_error:
+            try:
+                doc = next(source, None)
+            except DataError as exc:
+                corpus_error.append(exc)
+                return
             if doc is None:
                 return
             item = _Pending(doc)
@@ -559,14 +594,14 @@ def generate_corpus(
                     send()
                     settle(item)
             while window and window[0].outcome is not None:
-                outcome = window[0].outcome
-                if isinstance(outcome, DataError):
-                    failures.append(outcome)
-                else:
-                    if outcome[1] is not None:
-                        log.append(window[0].doc.id, outcome[1])
-                    parsed.append(outcome[0])
-                window.popleft()
+                item = window.popleft()
+                if isinstance(item.outcome, DataError):
+                    failures.append(item.outcome)
+                    continue
+                parsed, line = item.outcome
+                if line is not None:
+                    log.append(item.doc.id, line)
+                emit(parsed)
             send()
     except BaseException:
         for item in window:
@@ -575,4 +610,4 @@ def generate_corpus(
             if isinstance(item.outcome, tuple) and item.outcome[1] is not None:
                 log.append(item.doc.id, item.outcome[1])
         raise
-    return parsed, failures
+    return failures + corpus_error

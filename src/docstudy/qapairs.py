@@ -1,13 +1,13 @@
 """QA pairs, the rows `gen-qa` writes and `split` and `stats` read, and
-their JSONL files. Kept apart from `qagen`, so the commands that only read
-pairs do not load QA generation."""
+the reader of their JSONL files. Kept apart from `qagen`, so the commands
+that only read pairs do not load QA generation."""
 
 from __future__ import annotations
 
 from collections import namedtuple
 
 from .errors import DataError, MalformedLineError
-from .jsonio import iter_jsonl, reject_lone_surrogates, write_jsonl
+from .jsonio import iter_jsonl, reject_lone_surrogates
 from .vocab import NLI_LABELS, TASK_NLI
 
 _TEXT_FIELDS = ("doc_id", "task", "question", "answer", "answer_label")
@@ -61,10 +61,6 @@ class QAPair(namedtuple("QAPair", "doc_id task question answer options answer_la
             options=tuple(options) if options else None,
             answer_label=record.get("answer_label"),
         )
-
-
-def write_qa_jsonl(pairs: list[QAPair], path) -> None:
-    write_jsonl(path, (pair.to_record() for pair in pairs))
 
 
 def iter_qa_jsonl(path):

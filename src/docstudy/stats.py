@@ -2,23 +2,22 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections import Counter
 
 from .vocab import NLI_LABELS, TASK_NLI, tokenize_words
-
-if TYPE_CHECKING:
-    from .qapairs import QAPair
 
 
 def _mean(total: int, count: int) -> float:
     return round(total / count, 2) if count else 0.0
 
 
-def corpus_stats(name: str, docs, qa_pairs: list[QAPair] | None = None) -> dict:
+def corpus_stats(name: str, docs, qa_pairs=None) -> dict:
     """Counts, word-length means, and the NLI answer-label distribution.
 
     Lengths are whitespace-word counts, not model-tokenizer counts. `docs`
-    is read once, one document at a time, so an iterator holds no corpus.
+    and then `qa_pairs` (an iterable of `QAPair`s, or None for no QA
+    statistics) are each read once, one item at a time, so iterators hold
+    neither the corpus nor the pairs.
     """
     count = words = 0
     for doc in docs:
@@ -26,23 +25,23 @@ def corpus_stats(name: str, docs, qa_pairs: list[QAPair] | None = None) -> dict:
         words += len(tokenize_words(doc.body))
     stats: dict = {"name": name, "docs": count, "doc_words_mean": _mean(words, count)}
     if qa_pairs is not None:
-        generation = [p for p in qa_pairs if p.task != TASK_NLI]
-        nli = [p for p in qa_pairs if p.task == TASK_NLI]
-        stats["qa_pairs"] = len(qa_pairs)
-        stats["question_words_mean"] = _mean(
-            sum(len(tokenize_words(p.question)) for p in qa_pairs), len(qa_pairs)
-        )
-        stats["answer_words_mean"] = _mean(
-            sum(len(tokenize_words(p.answer)) for p in generation), len(generation)
-        )
+        pairs = question_words = generation = answer_words = 0
+        labels = Counter()  # NLI pairs by answer label
+        for pair in qa_pairs:
+            pairs += 1
+            question_words += len(tokenize_words(pair.question))
+            if pair.task == TASK_NLI:
+                labels[pair.answer_label] += 1
+            else:
+                generation += 1
+                answer_words += len(tokenize_words(pair.answer))
+        stats["qa_pairs"] = pairs
+        stats["question_words_mean"] = _mean(question_words, pairs)
+        stats["answer_words_mean"] = _mean(answer_words, generation)
+        nli = pairs - generation
         if nli:
-            total = len(nli)
-            dist = {}
-            for label in NLI_LABELS:
-                hits = sum(1 for p in nli if p.answer_label == label)
-                dist[label] = round(100.0 * hits / total, 2)
-            stats["nli_pairs"] = total
-            stats["nli_label_distribution"] = dist
+            stats["nli_pairs"] = nli
+            stats["nli_label_distribution"] = {label: round(100.0 * labels[label] / nli, 2) for label in NLI_LABELS}
     return stats
 
 

@@ -10,6 +10,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from docstudy.jsonio import encode_line
 from docstudy.qagen import QAPair
 
 import _curriculum_oracle as oracle
+from _qagen_oracle import SETTINGS
 from _synth import long_record, synthetic_records, write_jsonl
 
 
@@ -54,14 +56,18 @@ def corpus_path(tmp_path):
     return path
 
 
-def _peaks(tmp_path, *command):
-    """tracemalloc peaks of one command on 100- and 400-document corpora."""
+def _peaks(tmp_path, *command, runs=1):
+    """tracemalloc peaks of one command on 100- and 400-document corpora: of
+    the last of `runs` runs into one output directory."""
     def peak(n):
         corpus = tmp_path / f"raw{n}.jsonl"
         write_jsonl(synthetic_records(n, seed=2), corpus)
+        argv = ("--out", tmp_path / f"o{n}", command[0], "--corpus", corpus, *command[1:])
+        for _ in range(runs - 1):
+            assert run(*argv) == 0
         tracemalloc.start()
         try:
-            assert run("--out", tmp_path / f"o{n}", command[0], "--corpus", corpus, *command[1:]) == 0
+            assert run(*argv) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -456,6 +462,24 @@ class TestStats:
         # holding the documents costs about 0.6 KB a document; the duplicate-id
         # map about 0.16 KB
         assert (large - small) / 300 < 384, (small, large)
+
+
+    def test_peak_memory_does_not_grow_with_the_qa_rows(self, tmp_path, corpus_path):
+        def peak(n):
+            qa = tmp_path / f"qa{n}.jsonl"
+            write_jsonl([{"doc_id": f"doc-{i % 24:05d}", "task": "generation", "question": f"Question {i}?",
+                          "answer": f"Answer {i} is a sentence of some length."} for i in range(n)], qa)
+            tracemalloc.start()
+            try:
+                assert run("--out", tmp_path / f"o{n}", "stats", "--corpus", corpus_path, "--qa", qa) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)
+        small, large = peak(200), peak(1600)
+        # holding the pairs cost about 0.4 KB a row; read one at a time, nothing grows
+        assert (large - small) / 1400 < 64, (small, large)
 
 
 class TestErrors:
@@ -930,7 +954,8 @@ _REPLY = {"choices": [{"message": {"content": "Question: Q?\nAnswer: A."}}]}  # 
 
 
 _ENTRY_SHAPE = (
-    "a cache entry needs a string 'doc_id', an object 'request', a list of objects 'pairs' and an int 'discarded'"
+    "a cache entry needs a string 'doc_id', a string 'request_sha256' (or, in the older format, an object"
+    " 'request') and an object 'response' with a string 'text'"
 )
 
 
@@ -1163,13 +1188,17 @@ class TestGenQa:
         assert run(*argv, "--endpoint", chat_server.url, flag, value) == 0
         assert len(chat_server.seen) == 4
         assert [payload[key] for _, _, payload in chat_server.seen[2:]] == [value, value]
-        # the new requests are appended; each id's last line holds its new request
+        # the new requests are appended; each id's last line holds its new request's digest
         last = {}
         for line in (out / "qa_cache" / "generation.jsonl").read_bytes().splitlines():
             entry = json.loads(line)
-            last[entry["doc_id"]] = entry["request"]
+            last[entry["doc_id"]] = entry["request_sha256"]
         assert list(last) == ["doc-00000", "doc-00001"]
-        assert [request[key] for request in last.values()] == [value, value]
+        settings = {**SETTINGS, key: value}
+        assert list(last.values()) == [
+            qagen.request_sha256({"prompt": qagen.build_generation_prompt(doc), **settings})
+            for doc in iter_documents(corpus)
+        ]
         answers = [json.loads(line)["answer"] for line in (out / "c_qa_generation.jsonl").read_text("utf-8").splitlines()]
         assert answers == ["A2.", "A3."]
         # with no endpoint, an entry made by another request is not replayed
@@ -1178,6 +1207,18 @@ class TestGenQa:
         assert run(*argv) == 1
         assert "no cached response to this request" in capsys.readouterr().err
         assert tree_bytes(out) == before
+
+    def test_an_undecodable_model_name_matches_no_line(self, tmp_path, capsys, chat_server, monkeypatch):
+        monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)
+        chat_server.script = [(200, "application/json", _chat_reply("Question: Q?\nAnswer: A."))]
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(1, seed=1), corpus)
+        argv = ("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation")
+        assert run(*argv, "--endpoint", chat_server.url) == 0
+        capsys.readouterr()
+        # argv bytes that are not UTF-8 reach Python as lone surrogates, which no logged request holds
+        assert run(*argv, "--model", "m\udcff") == 1
+        assert "no cached response to this request" in capsys.readouterr().err
 
     def test_a_torn_tail_is_truncated_and_refetched(self, tmp_path, chat_server):
         replies = [(200, "application/json", _chat_reply(f"Question: Q{i}?\nAnswer: A{i}.")) for i in range(3)]
@@ -1207,14 +1248,21 @@ class TestGenQa:
             (b"\n", "invalid JSON (Expecting value: line 2 column 1 (char 1))"),
             (b"[1]\n", "expected a JSON object, got list"),
             (b'{"doc_id":"doc-00000","pairs":[],"request":{}}\n', _ENTRY_SHAPE),
-            (b'{"doc_id": "doc-00000", "discarded": 0, "pairs": [], "request": {}}\n', None),
+            (b'{"response": {"text": "Q"}, "doc_id": "doc-00000", "request_sha256": "0"}\n', None),
             (b'{"discarded":true,"doc_id":"doc-00000","pairs":[],"request":{}}\n', _ENTRY_SHAPE),
-            (b'{"discarded":0,"doc_id":7,"pairs":[],"request":{}}\n', _ENTRY_SHAPE),
+            (b'{"doc_id":7,"request_sha256":"0","response":{"text":"Q"}}\n', _ENTRY_SHAPE),
             (b'{"discarded":0,"doc_id":"doc-00000","pairs":[1],"request":{}}\n', _ENTRY_SHAPE),
-            (b'{"discarded":0,"doc_id":"doc-00000","pairs":[],"request":"p"}\n', _ENTRY_SHAPE),
+            (b'{"doc_id":"doc-00000","request":"p","response":{"text":"Q"}}\n', _ENTRY_SHAPE),
+            (b'{"doc_id":"doc-00000","request_sha256":7,"response":{"text":"Q"}}\n', _ENTRY_SHAPE),
+            (b'{"doc_id":"doc-00000","response":{"text":"Q"}}\n', _ENTRY_SHAPE),
+            (b'{"doc_id":"doc-00000","request_sha256":"0"}\n', _ENTRY_SHAPE),
+            (b'{"doc_id":"doc-00000","request_sha256":"0","response":{"text":null}}\n', _ENTRY_SHAPE),
+            # the older format is read whatever its pairs and discard count hold: only its response is used
+            (b'{"discarded":null,"doc_id":"doc-00000","pairs":[1],"request":{},"response":{"text":"Q"}}\n', None),
         ],
         ids=["cut-json", "not-utf8", "blank", "list", "no-discarded", "valid-spaced-unsorted", "discarded-bool",
-             "doc-id-int", "pair-not-object", "request-not-object"],
+             "doc-id-int", "pair-not-object", "request-not-object", "digest-not-string", "no-request",
+             "no-response", "text-not-string", "older-format"],
     )
     def test_a_malformed_complete_line_sends_nothing(self, tmp_path, capsys, chat_server, bad, reason):
         chat_server.script = [(200, "application/json", _chat_reply("Question: Q?\nAnswer: A."))] * 4
@@ -1551,6 +1599,129 @@ class TestGenQa:
         assert code == 1
         assert capsys.readouterr().err.startswith("usage error: chat endpoint")
         assert not (out / "qa_cache").exists()
+
+    @pytest.mark.parametrize("runs", [1, 2], ids=["cold", "replay"])
+    def test_peak_memory_does_not_grow_with_the_corpus(self, tmp_path, monkeypatch, runs):
+        pool = FakePool(lambda payload: (200, _REPLY))
+        pool.sent, pool.read_order = deque(maxlen=1), deque(maxlen=1)  # the pool keeps no payloads
+        monkeypatch.setattr(qagen, "_http_pool", lambda: pool)
+        small, large = _peaks(tmp_path, "gen-qa", "--task", "generation", "--endpoint", "http://chat.test", runs=runs)
+        # holding the corpus and its pairs cost 1.2 KB (cold) and 1.5 KB (replay)
+        # a document; the log's index and the duplicate-id map, 0.17 KB (cold) and 0.25 KB (replay)
+        assert (large - small) / 300 < 512, (small, large)
+
+    def test_a_replayed_reply_with_discarded_blocks_prints_no_warning(self, tmp_path, capsys, monkeypatch):
+        text = "Question: Q?\nAnswer: A.\nQuestion: dangling"
+        pool = FakePool(lambda payload: (200, {"choices": [{"message": {"content": text}}]}))
+        monkeypatch.setattr(qagen, "_http_pool", lambda: pool)
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(3, seed=1), corpus)
+        argv = ("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--name", "c",
+                "--endpoint", "http://chat.test")
+        assert run(*argv) == 0
+        cold, first = capsys.readouterr(), tree_bytes(out)
+        assert cold.err == "".join(
+            f"warning: discarded 1 malformed block(s) (document 'doc-0000{i}')\n" for i in range(3)
+        )
+        assert run(*argv) == 0
+        replay = capsys.readouterr()
+        assert len(pool.sent) == 3
+        assert replay.out == cold.out and "(3 blocks discarded)" in replay.out
+        assert replay.err == ""
+        assert tree_bytes(out) == first
+
+    def test_a_log_of_the_older_format_replays_with_no_request(self, tmp_path, capsys, monkeypatch):
+        text = "Question: Q?\nAnswer: A.\nQuestion: dangling"
+        reply = {"choices": [{"message": {"content": text}, "finish_reason": "stop"}], "usage": {"total_tokens": 9}}
+        monkeypatch.setattr(qagen, "_http_pool", lambda: FakePool(lambda payload: (200, reply)))
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(4, seed=1), corpus)
+        argv = ("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--name", "c")
+        assert run(*argv, "--endpoint", "http://chat.test", "--cache-dir", tmp_path / "cold") == 0
+        capsys.readouterr()
+        cold_qa = (out / "c_qa_generation.jsonl").read_bytes()
+        assert run(*argv, "--cache-dir", tmp_path / "cold") == 0
+        replay = capsys.readouterr()
+        # the log as the older format wrote it: every line holds its request and parsed pairs
+        old_log = tmp_path / "old" / "generation.jsonl"
+        old_log.parent.mkdir()
+        lines = []
+        for doc in iter_documents(corpus):
+            parsed = qagen.parse_qa_response(text, "generation", doc_id=doc.id)
+            lines.append(encode_line({
+                "discarded": parsed.discarded,
+                "doc_id": doc.id,
+                "pairs": [pair.to_record() for pair in parsed.pairs],
+                "request": {"prompt": qagen.build_generation_prompt(doc), **SETTINGS},
+                "response": {"text": text, "finish_reason": "stop", "usage": {"total_tokens": 9}},
+            }))
+        old_log.write_bytes(b"".join(lines))
+        (out / "c_qa_generation.jsonl").unlink()
+        monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)
+        monkeypatch.setattr(qagen, "_http_pool", lambda: pytest.fail("a replay sends no request"))
+        assert run(*argv, "--cache-dir", old_log.parent) == 0
+        assert capsys.readouterr() == replay  # stdout and stderr, which is empty
+        assert replay.err == ""
+        assert (out / "c_qa_generation.jsonl").read_bytes() == cold_qa
+        assert old_log.read_bytes() == b"".join(lines)
+
+    def test_a_logged_reply_that_no_longer_parses_names_its_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)
+        corpus, out = tmp_path / "c.jsonl", tmp_path / "o"
+        write_jsonl(synthetic_records(2, seed=1), corpus)
+        log = out / "qa_cache" / "generation.jsonl"
+        log.parent.mkdir(parents=True)
+        texts = ["Question: Q?\nAnswer: A.", "I cannot help with that."]
+        log.write_bytes(b"".join(
+            encode_line({"doc_id": doc.id, "response": {"text": text},
+                         "request_sha256": qagen.request_sha256({"prompt": qagen.build_generation_prompt(doc),
+                                                                 **SETTINGS})})
+            for doc, text in zip(iter_documents(corpus), texts)
+        ))
+        assert run("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--name", "c") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {log}:2: no question/answer blocks found (discarded 1) (document 'doc-00001')\n"
+        )
+        assert not (out / "c_qa_generation.jsonl").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "bad_line", ["{not json}", '{"id": "doc-00002", "title": "Again", "body": "A b."}'],
+        ids=["malformed-line", "duplicate-id"],
+    )
+    def test_a_bad_corpus_line_ends_the_run_after_the_documents_before_it(self, tmp_path, capsys, monkeypatch,
+                                                                         bad_line, jobs):
+        pool = FakePool(lambda payload: (200, _REPLY))
+        monkeypatch.setattr(qagen, "_http_pool", lambda: pool)
+        good, bad, out = tmp_path / "good.jsonl", tmp_path / "bad.jsonl", tmp_path / "o"
+        records = synthetic_records(12, seed=4)
+        write_jsonl(records, good)
+        lines = good.read_text("utf-8").splitlines(keepends=True)
+        bad.write_text("".join(lines[:9]) + bad_line + "\n" + "".join(lines[9:]), "utf-8")
+        out.mkdir()
+        old_qa = out / "c_qa_generation.jsonl"
+        old_qa.write_bytes(b"an earlier run's QA pairs\n")
+        argv = ("--jobs", jobs, "--out", out, "gen-qa", "--task", "generation", "--name", "c",
+                "--endpoint", "http://chat.test")
+        assert run(*argv, "--corpus", bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}:10: ") and err.count("\n") == 1, err
+        # the nine documents before the bad line are fetched and logged; no QA JSONL is written
+        assert _log_ids(out) == [record["id"] for record in records[:9]]
+        assert len(pool.sent) == 9
+        assert old_qa.read_bytes() == b"an earlier run's QA pairs\n"
+        assert not list(out.glob(".*.tmp"))
+        # once the corpus is mended, a rerun sends only the other three requests
+        assert run(*argv, "--corpus", good) == 0
+        assert len(pool.sent) == 12
+        assert _log_ids(out) == [record["id"] for record in records]
+        assert len(old_qa.read_bytes().splitlines()) == 12
+
+    def test_a_missing_corpus_fails_before_the_log_is_made(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("--out", out, "gen-qa", "--corpus", tmp_path / "none.jsonl", "--task", "generation") == 3
+        assert capsys.readouterr().err.startswith("i/o error: [Errno 2] No such file or directory")
+        assert list(out.iterdir()) == []
 
     def test_without_endpoint_or_cache_is_usage_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)

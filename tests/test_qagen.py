@@ -11,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA, LOOPBACK_CERT, MORITZ_BODY, MORITZ_TITLE, FakePool, wait_for
 import docstudy
@@ -19,21 +21,25 @@ from docstudy.errors import DataError, UsageError
 from docstudy.qagen import (
     ChatClient,
     ChatError,
+    ChatResponse,
     ParseError,
     QAPair,
     ResponseLog,
     build_generation_prompt,
     build_nli_prompt,
     build_type_prompt,
+    _record,
     canonical_label,
     generate_corpus,
     parse_qa_response,
     read_qa_jsonl,
-    write_qa_jsonl,
+    request_sha256,
 )
+from docstudy.jsonio import write_jsonl
 from docstudy.transport import HttpPool
 from docstudy.vocab import NLI_OPTIONS, TASK_NLI, options_block
 
+import _qagen_oracle
 from _qagen_oracle import SETTINGS, complete, generate_for_document
 
 MORITZ = RawDocument(id="moritz", title=MORITZ_TITLE, body=MORITZ_BODY)
@@ -162,8 +168,32 @@ class TestParsing:
         assert parsed.discarded == 1
 
     def test_discarded_blocks_are_a_stderr_warning(self, capsys):
-        parse_qa_response("Question: Q1?\nAnswer: A1.\nQuestion: dangling", "generation", doc_id="d1")
+        # a fetched reply warns; parsing alone, as a replay does, prints nothing
+        reply = ChatResponse("Question: Q1?\nAnswer: A1.\nQuestion: dangling")
+        doc = RawDocument(id="d1", title="T", body="B.")
+        assert _record(doc, "generation", {"prompt": "p"}, reply)[0].discarded == 1
         assert capsys.readouterr().err == "warning: discarded 1 malformed block(s) (document 'd1')\n"
+        assert parse_qa_response(reply.text, "generation", doc_id="d1").discarded == 1
+        assert capsys.readouterr().err == ""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.sampled_from([
+            "Question:", "question: ", "QUESTION:", "Answer:", "answer: ", "Options:", "\n", "\r\n", " ", "\t",
+            "\u2028", "\x85", "- Yes", "Yes", "No.", "It's impossible to say", "Who?", "x", "\u017f", "\u0130",
+        ]), max_size=24),
+        st.sampled_from(["generation", "nli"]),
+    )
+    def test_parse_equals_the_oracle(self, fragments, task):
+        raw = "".join(fragments)
+        try:
+            expected = _qagen_oracle.parse_qa_response(raw, task, doc_id="d")
+        except ParseError as exc:
+            with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+                parse_qa_response(raw, task, doc_id="d")
+            return
+        parsed = parse_qa_response(raw, task, doc_id="d")
+        assert (parsed.pairs, parsed.discarded) == (expected.pairs, expected.discarded)
 
     def test_bad_nli_label_discarded(self):
         raw = (
@@ -579,7 +609,8 @@ class TestGenerateCorpus:
         # the first reply begins 50 ms after its request, past the client's 20 ms timeout
         raw_server.script = [([b"", reply], True), (reply, False)]
         with real_client(raw_server.url, timeout=0.02) as client, ResponseLog(tmp_path / "generation.jsonl") as log:
-            parsed, failures = generate_corpus([MORITZ], "generation", client, log, SETTINGS, jobs=2)
+            parsed = []
+            failures = generate_corpus([MORITZ], "generation", client, log, SETTINGS, parsed.append, jobs=2)
             assert client._sleeps == [0.25]
         assert failures == []
         assert [pair.answer for pair in parsed[0].pairs] == ["A."]
@@ -598,8 +629,9 @@ class TestCacheReplay:
             log.append(MORITZ.id, line)
         assert path.read_bytes() == line
         cached = json.loads(line)
-        assert list(cached) == ["discarded", "doc_id", "pairs", "request", "response"]
+        assert list(cached) == ["doc_id", "request_sha256", "response"]
         assert cached["doc_id"] == "moritz"
+        assert cached["request_sha256"] == request_sha256({"prompt": build_generation_prompt(MORITZ), **SETTINGS})
         assert cached["response"]["text"] == "Question: Q?\nAnswer: A."
 
         # no client at all: replay must not need one, and appends nothing
@@ -616,7 +648,10 @@ class TestCacheReplay:
                 client = make_client([(200, f"Question: Q{n}?\nAnswer: A{n}.")])
                 _, line = generate_for_document(MORITZ, "generation", client, log, {**SETTINGS, "model": model})
                 log.append(MORITZ.id, line)
-        assert [json.loads(line)["request"]["model"] for line in path.read_bytes().splitlines()] == ["m1", "m2"]
+        prompt = build_generation_prompt(MORITZ)
+        assert [json.loads(line)["request_sha256"] for line in path.read_bytes().splitlines()] == [
+            request_sha256({"prompt": prompt, **SETTINGS, "model": model}) for model in ["m1", "m2"]
+        ]
         with ResponseLog(path) as log:
             replay, line = generate_for_document(MORITZ, "generation", None, log, {**SETTINGS, "model": "m2"})
         assert [p.answer for p in replay.pairs] == ["A2."]
@@ -624,7 +659,7 @@ class TestCacheReplay:
     def test_a_second_open_of_one_log_is_refused(self, tmp_path):
         path = tmp_path / "generation.jsonl"
         with ResponseLog(path) as log:
-            log.append("d1", b'{"discarded":0,"doc_id":"d1","pairs":[],"request":{}}\n')
+            log.append("d1", b'{"doc_id":"d1","request_sha256":"0","response":{"text":"Q"}}\n')
             before = path.read_bytes()
             with pytest.raises(OSError, match=f"^{re.escape(str(path))} is in use by another gen-qa run$"):
                 ResponseLog(path)
@@ -657,7 +692,7 @@ class TestQaJsonl:
             QAPair(doc_id="d", task="generation", question="Q\x85?", answer="A\u2028B\u2029."),
         ]
         path = tmp_path / "qa.jsonl"
-        write_qa_jsonl(pairs, path)
+        write_jsonl(path, (pair.to_record() for pair in pairs))  # as gen-qa writes them
         assert read_qa_jsonl(path) == pairs
 
     @pytest.mark.parametrize(
