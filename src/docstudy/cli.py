@@ -124,14 +124,23 @@ def cmd_gen_tasks(args, config) -> int:
             add_reading(dataset.record_line(reading))
         return suite.counts
 
+    # every output is opened before any manifest, so the manifests' footers
+    # are written before any output is renamed: a bad document or a failed
+    # write leaves every output as it was
     with ExitStack() as stack:
-        add_task = stack.enter_context(dataset.manifest_writer(manifest_path, seed))
+        def output(path):
+            return stack.enter_context(atomic_writer(path))
+
+        task_file = output(manifest_path)
+        reading_file = output(out / f"{name}_reading.jsonl") if args.reading else None
+        stats_file = output(out / f"{name}_tasks_stats.json")
+        add_task = stack.enter_context(dataset.manifest_writer(task_file, seed))
         if args.reading:
-            add_reading = stack.enter_context(dataset.manifest_writer(out / f"{name}_reading.jsonl", seed))
+            add_reading = stack.enter_context(dataset.manifest_writer(reading_file, seed))
         for doc in iter_documents(args.corpus):
             counts.update(write_document(doc))
             docs += 1
-    write_json(out / f"{name}_tasks_stats.json", stats.suite_stats(counts))
+        stats_file.write(encode_json(stats.suite_stats(counts)))
     print(f"generated {sum(counts.values())} task records over {docs} documents -> {manifest_path}")
     return 0
 
@@ -238,18 +247,22 @@ def cmd_plan(args, config) -> int:
     if missing_files:
         raise DataError(f"referenced manifest files do not exist: {', '.join(missing_files)}")
     stage_plan = curriculum.plan(args.preset, refs, seed=seed, cross_domain=args.cross_domain)
-    if args.render:
-        scans = curriculum.scan_refs(stage_plan, refs)
-        # every stage is written to its temp file before any replaces its
-        # old output, so a stage that fails leaves every output as it was
-        with ExitStack() as stack:
-            for stage in stage_plan["stages"]:
-                path = out / f"{args.preset}_stage{stage['index']}.jsonl"
-                add = stack.enter_context(dataset.manifest_writer(path, seed))
+    target = out / f"{args.preset}_plan.json"
+    # every output is opened before any stage manifest, so the stages'
+    # footers are written before any output is renamed: a stage that fails
+    # or a failed write leaves every output as it was
+    with ExitStack() as stack:
+        plan_file = stack.enter_context(atomic_writer(target))
+        if args.render:
+            scans = curriculum.scan_refs(stage_plan, refs)
+            stages = stage_plan["stages"]
+            files = [stack.enter_context(atomic_writer(out / f"{args.preset}_stage{stage['index']}.jsonl"))
+                     for stage in stages]
+            for stage, handle in zip(stages, files):
+                add = stack.enter_context(dataset.manifest_writer(handle, seed))
                 for line in curriculum.stage_lines(stage, scans):
                     add(line)
-    target = out / f"{args.preset}_plan.json"
-    write_json(target, stage_plan)
+        plan_file.write(encode_json(stage_plan))
     print(f"planned {args.preset}: {len(stage_plan['stages'])} stages -> {target}")
     return 0
 
@@ -275,12 +288,18 @@ def _read_jsonl(path, fields: dict, optional: dict | None = None):
         yield line_no, row
 
 
-def _rows_by_item_id(path, fields: dict, optional: dict | None = None) -> dict:
-    """`_read_jsonl` rows keyed by `item_id`, which no two rows may share."""
+def _rows_by_item_id(path, fields: dict, optional: dict | None = None, check=None) -> dict:
+    """`_read_jsonl` rows keyed by `item_id`, which no two rows may share;
+    `check(row)` may refuse a row with a DataError."""
     rows = {}
     for line_no, row in _read_jsonl(path, {"item_id": str, **fields}, optional):
         if row["item_id"] in rows:
             raise MalformedLineError(path, line_no, f"duplicate item_id {row['item_id']!r}")
+        if check is not None:
+            try:
+                check(row)
+            except DataError as exc:
+                raise MalformedLineError(path, line_no, str(exc)) from exc
         rows[row["item_id"]] = row
     return rows
 
@@ -302,8 +321,7 @@ def cmd_eval(args, config) -> int:
                 raise MalformedLineError(args.logprobs, line_no, str(exc)) from exc
         ppl = metrics.aggregate_ppl(records)
 
-    judgments = None
-    diagnostics: dict = {}
+    judgments, diagnostics = [], {}
     if args.predictions:
         if not args.references:
             raise UsageError("--predictions requires --references")
@@ -311,16 +329,13 @@ def cmd_eval(args, config) -> int:
             item_id: row["prediction"]
             for item_id, row in _rows_by_item_id(args.predictions, {"prediction": str}).items()
         }
-        references = _rows_by_item_id(args.references, {}, {"golds": list[str], "gold_label": str})
+        references = _rows_by_item_id(
+            args.references, {}, {"golds": list[str], "gold_label": str}, metrics.check_reference
+        )
         judgments, diagnostics = metrics.score_items(predictions, references)
 
-    if judgments is not None:
-        report = metrics.build_report(judgments, ppl=ppl, diagnostics=diagnostics)
-        payload = report.to_dict()
-    elif ppl is not None:
-        payload = {"metrics": {}, "count": 0, "items": [], "diagnostics": {}, "ppl": round(ppl, 6)}
     target = out / f"{args.name}_report.json"
-    write_json(target, payload)
+    write_json(target, metrics.build_report(judgments, ppl=ppl, diagnostics=diagnostics))
     print(f"evaluation report -> {target}")
     return 0
 

@@ -154,32 +154,34 @@ def record_line(record: dict) -> bytes:
 
 
 @contextmanager
-def manifest_writer(path, seed: int = 0):
-    """Yield `add(line)`, which hashes and writes one canonical record line.
+def manifest_writer(handle, seed: int = 0):
+    """Yield `add(line)`, which hashes and writes one canonical record line
+    to the binary `handle`.
 
     Give it `record_line(record)`, or a line already verified as that.
     `add` returns the footer so far; a clean exit gives it the checksum and
-    writes it as the last line. On any exception `path` is left untouched.
+    writes it as the last line. Replacing the output is the caller's job,
+    so a command can write every footer before it renames any output.
     """
     digest = hashlib.sha256()
     footer = {"checksum": None, "count": 0, "seed": seed}
-    with atomic_writer(path) as handle:
-        def add(line: bytes) -> dict:
-            digest.update(line)
-            handle.write(line)
-            footer["count"] += 1
-            return footer
 
-        yield add
-        if not footer["count"]:
-            raise DataError("manifest needs at least one record")
-        footer["checksum"] = digest.hexdigest()
-        handle.write(encode_line(footer))
+    def add(line: bytes) -> dict:
+        digest.update(line)
+        handle.write(line)
+        footer["count"] += 1
+        return footer
+
+    yield add
+    if not footer["count"]:
+        raise DataError("manifest needs at least one record")
+    footer["checksum"] = digest.hexdigest()
+    handle.write(encode_line(footer))
 
 
 def write_manifest(records, name: str, split: str, path, seed: int = 0) -> dict:
     """Write `records` as one manifest and return its footer; `name` and `split` are not stored."""
-    with manifest_writer(path, seed) as add:
+    with atomic_writer(path) as handle, manifest_writer(handle, seed) as add:
         for record in records:
             footer = add(record_line(record))
     return footer

@@ -3,7 +3,8 @@
 EM/F1/Recall follow the open-QA convention (lowercase, strip punctuation,
 drop articles, whitespace-split); Rouge-L keeps articles and uses an
 LCS F-measure with equal precision/recall weighting. Perplexity pools
-token-level negative log-likelihood over all records.
+token-level negative log-likelihood over all records. A report's mean of
+each score covers only the items that carry its gold.
 """
 
 from __future__ import annotations
@@ -20,13 +21,11 @@ from ._lcs import lcs_length, lcs_length_python
 
 __all__ = [
     "GenerationJudgment",
-    "JudgeUnavailableError",
     "LogProbRecord",
-    "MetricReport",
     "aggregate_ppl",
     "build_report",
+    "check_reference",
     "exact_match",
-    "judge_accuracy",
     "lcs_length",
     "lcs_length_python",
     "nli_accuracy",
@@ -212,136 +211,75 @@ def aggregate_ppl(records) -> float:
     return math.exp(mean_nll)
 
 
-class JudgeUnavailableError(DataError):
-    """The injected entailment judge could not produce a verdict."""
+class GenerationJudgment(namedtuple("GenerationJudgment", "item_id em f1 recall rouge_l nli_acc")):
+    """One item's scores; a score whose gold the item lacks is None."""
 
-
-def judge_accuracy(judge, pred: str, gold: str) -> int:
-    """1 iff the judge asserts entailment in both directions."""
-    if judge is None:
-        raise JudgeUnavailableError("no judge supplied")
-    try:
-        forward = judge(pred, gold)
-        backward = judge(gold, pred)
-    except JudgeUnavailableError:
-        raise
-    except Exception as exc:
-        raise JudgeUnavailableError(str(exc)) from exc
-    return int(bool(forward) and bool(backward))
-
-
-class GenerationJudgment(
-    namedtuple("GenerationJudgment", "item_id em f1 recall rouge_l nli_acc acc", defaults=(None, None))
-):
     __slots__ = ()
 
 
-class MetricReport:
-    __slots__ = ("metrics", "count", "items", "ppl", "diagnostics")
-
-    def __init__(self, metrics: dict, count: int, items: list, ppl: float | None = None, diagnostics=None):
-        self.metrics = metrics
-        self.count = count
-        self.items = items
-        self.ppl = ppl
-        self.diagnostics = {} if diagnostics is None else diagnostics
-
-    def to_dict(self) -> dict:
-        out = {
-            "metrics": self.metrics,
-            "count": self.count,
-            "items": self.items,
-            "diagnostics": self.diagnostics,
-        }
-        if self.ppl is not None:
-            out["ppl"] = self.ppl
-        return out
+def check_reference(ref: dict) -> None:
+    """Raise DataError unless `ref` carries a gold: a non-empty `golds`, or
+    a `gold_label` from NLI_LABELS. A `gold_label` outside them is refused."""
+    gold_label = ref.get("gold_label")
+    if gold_label is not None and gold_label not in NLI_LABELS:
+        raise DataError(f"unknown gold label {gold_label!r}")
+    if not ref.get("golds") and gold_label is None:
+        raise DataError("a reference needs a non-empty 'golds' or a 'gold_label'")
 
 
-def score_items(predictions: dict, references: dict, judge=None) -> tuple[list[GenerationJudgment], dict]:
+def score_items(predictions: dict, references: dict) -> tuple[list[GenerationJudgment], dict]:
     """Score every reference item; missing predictions are a hard error."""
+    if not references:
+        raise DataError("no reference items to score")
     missing = sorted(set(references) - set(predictions))
     if missing:
         raise DataError(f"predictions missing for item ids: {', '.join(missing)}")
-    diagnostics: dict = {"judge_skipped": 0, "unparseable_nli": 0}
+    diagnostics: dict = {"unparseable_nli": 0}
     judgments = []
     for item_id in sorted(references):
         pred = predictions[item_id]
         ref = references[item_id]
-        golds = ref.get("golds") or []
+        check_reference(ref)
+        golds = ref.get("golds")
         gold_label = ref.get("gold_label")
         # the prediction and each gold are normalised once, for every score
         pred_tokens = _overlap_tokens(pred)
+        em = f1 = recall = rouge = nli = None
         if golds:
             em, f1, recall = _overlap_scores(pred_tokens, _gold_tokens(golds))
             rouge = max(rouge_l(pred, g) for g in golds)
-        else:
-            em, f1, recall, rouge = 0, 0.0, 0.0, 0.0
-        nli = None
         if gold_label is not None:
             nli = _nli_score(pred_tokens, gold_label, diagnostics)
-        acc = None
-        if judge is not None and golds:
-            try:
-                acc = judge_accuracy(judge, pred, golds[0])
-            except JudgeUnavailableError:
-                diagnostics["judge_skipped"] += 1
-        judgments.append(
-            GenerationJudgment(
-                item_id=item_id,
-                em=em,
-                f1=f1,
-                recall=recall,
-                rouge_l=rouge,
-                nli_acc=nli,
-                acc=acc,
-            )
-        )
+        judgments.append(GenerationJudgment(item_id, em, f1, recall, rouge, nli))
     return judgments, diagnostics
 
 
-def _percent(values) -> float:
-    values = list(values)
-    return round(100.0 * sum(values) / len(values), 2)
+_METRICS = GenerationJudgment._fields[1:]  # every score: all fields but item_id
 
 
-def build_report(
-    judgments, ppl: float | None = None, diagnostics: dict | None = None
-) -> MetricReport:
-    """Percent means with 2-decimal rendering, items ordered by id."""
+def build_report(judgments, ppl: float | None = None, diagnostics: dict | None = None) -> dict:
+    """The eval report: each metric's percent mean (2 decimals) over the items
+    that carry its gold, with that item count, and the items ordered by id."""
     judgments = sorted(judgments, key=lambda j: j.item_id)
-    if not judgments:
+    if not judgments and ppl is None:
         raise DataError("cannot build a report from zero judgments")
-    metrics = {
-        "em": _percent(j.em for j in judgments),
-        "f1": _percent(j.f1 for j in judgments),
-        "recall": _percent(j.recall for j in judgments),
-        "rouge_l": _percent(j.rouge_l for j in judgments),
-    }
-    nli_values = [j.nli_acc for j in judgments if j.nli_acc is not None]
-    if nli_values:
-        metrics["nli_acc"] = _percent(nli_values)
-    acc_values = [j.acc for j in judgments if j.acc is not None]
-    if acc_values:
-        metrics["acc"] = _percent(acc_values)
+    scores: dict = {key: [] for key in _METRICS}
     items = []
     for j in judgments:
-        entry = {
-            "item_id": j.item_id,
-            "em": j.em,
-            "f1": round(j.f1, 6),
-            "recall": round(j.recall, 6),
-            "rouge_l": round(j.rouge_l, 6),
-        }
-        if j.nli_acc is not None:
-            entry["nli_acc"] = j.nli_acc
-        if j.acc is not None:
-            entry["acc"] = j.acc
+        entry = {"item_id": j.item_id}
+        for key in _METRICS:
+            value = getattr(j, key)
+            if value is not None:
+                scores[key].append(value)
+                entry[key] = round(value, 6)  # an int score stays an int
         items.append(entry)
-    return MetricReport(
-        metrics=metrics,
-        count=len(judgments),
-        items=items,
-        ppl=round(ppl, 6) if ppl is not None else None,
-        diagnostics=diagnostics or {},
-    )
+    report = {
+        "metrics": {key: round(100.0 * sum(v) / len(v), 2) for key, v in scores.items() if v},
+        "counts": {key: len(v) for key, v in scores.items() if v},
+        "count": len(judgments),
+        "items": items,
+        "diagnostics": diagnostics or {},
+    }
+    if ppl is not None:
+        report["ppl"] = round(ppl, 6)
+    return report

@@ -49,6 +49,50 @@ def tree_bytes(root: Path, exclude=("refs.json",)) -> dict:
     }
 
 
+def _each_write_on_a_full_disk(monkeypatch, capsys, tmp_path, out, argv) -> int:
+    """Run `argv` once into `tmp_path / "clean"`, counting the writes to its
+    output handles, then once into `out` for each of those writes, with that
+    write finding the disk full: every such run must exit 3 and leave `out`
+    as it was. Return the number of writes."""
+    before = tree_bytes(out)
+    writes = {"count": 0, "fail_at": None}
+    fdopen = os.fdopen
+
+    class Handle:
+        """An output handle whose write number `fail_at` (from 0) finds the disk full."""
+
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.handle.__exit__(*exc)
+
+        def write(self, data):
+            if writes["count"] == writes["fail_at"]:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            writes["count"] += 1
+            return self.handle.write(data)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    monkeypatch.setattr(jsonio.os, "fdopen", lambda *a, **k: Handle(fdopen(*a, **k)))
+    assert run("--out", tmp_path / "clean", *argv) == 0
+    reached = writes["count"]
+    for fail_at in range(reached):
+        writes.update(count=0, fail_at=fail_at)
+        capsys.readouterr()
+        assert run("--out", out, *argv) == 3
+        assert capsys.readouterr().err.startswith("i/o error: [Errno 28]")
+        assert tree_bytes(out) == before, fail_at
+    assert list(out.glob("*.tmp")) == []
+    return reached
+
+
 @pytest.fixture()
 def corpus_path(tmp_path):
     path = tmp_path / "raw.jsonl"
@@ -206,47 +250,26 @@ class TestPipeline:
         out, qa_path = tmp_path / "o", tmp_path / "qa.jsonl"
         write_jsonl([{"doc_id": f"doc-{i:05d}", "task": "generation", "question": "Q?", "answer": "A."}
                      for i in range(24)], qa_path)
-        argv = ["--out", out, "split", "--corpus", corpus_path, "--name", "s", "--qa", qa_path]
-        assert run("--seed", 1, *argv) == 0
+        argv = ["split", "--corpus", corpus_path, "--name", "s", "--qa", qa_path]
+        assert run("--seed", 1, "--out", out, *argv) == 0
         before = tree_bytes(out)
-        writes = {"count": 0, "fail_at": None}
-        fdopen = os.fdopen
-
-        class Handle:
-            """An output handle whose write number `fail_at` (from 0) finds the disk full."""
-
-            def __init__(self, handle):
-                self.handle = handle
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return self.handle.__exit__(*exc)
-
-            def write(self, data):
-                if writes["count"] == writes["fail_at"]:
-                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-                writes["count"] += 1
-                return self.handle.write(data)
-
-            def writelines(self, lines):
-                for line in lines:
-                    self.write(line)
-
-        monkeypatch.setattr(jsonio.os, "fdopen", lambda *a, **k: Handle(fdopen(*a, **k)))
         # seed 2 puts other documents on each side, so every output would change
-        assert run("--seed", 2, "--out", tmp_path / "clean", *argv[2:]) == 0
-        reached = writes["count"]
-        assert reached == 24 + 1 + 24
-        for fail_at in range(reached):
-            writes.update(count=0, fail_at=fail_at)
-            capsys.readouterr()
-            assert run("--seed", 2, *argv) == 3
-            assert capsys.readouterr().err.startswith("i/o error: [Errno 28]")
-            assert tree_bytes(out) == before, fail_at
-        assert list(out.glob("*.tmp")) == []
-        assert all(data != before[name] for name, data in tree_bytes(tmp_path / "clean").items())
+        assert _each_write_on_a_full_disk(monkeypatch, capsys, tmp_path, out, ["--seed", 2, *argv]) == 24 + 1 + 24
+        clean = tree_bytes(tmp_path / "clean")
+        assert clean.keys() == before.keys() and all(data != before[name] for name, data in clean.items())
+
+    def test_gen_tasks_failed_write_keeps_every_old_output(self, tmp_path, capsys, monkeypatch, corpus_path):
+        out, fewer = tmp_path / "o", tmp_path / "fewer.jsonl"
+        fewer.write_text("".join(corpus_path.read_text("utf-8").splitlines(keepends=True)[:20]), "utf-8")
+        argv = ["gen-tasks", "--name", "c", "--reading", "--corpus"]
+        assert run("--seed", 1, "--out", out, *argv, fewer) == 0
+        before = tree_bytes(out)
+        # four more documents, so every output would change
+        reached = _each_write_on_a_full_disk(monkeypatch, capsys, tmp_path, out, ["--seed", 1, *argv, corpus_path])
+        clean = tree_bytes(tmp_path / "clean")
+        # every line of both manifests, footers included, and the stats
+        assert reached == len(clean["c_tasks.jsonl"].splitlines()) + len(clean["c_reading.jsonl"].splitlines()) + 1
+        assert clean.keys() == before.keys() and all(data != before[name] for name, data in clean.items())
 
     def test_gen_tasks_stats_percentages(self, tmp_path, corpus_path):
         out = tmp_path / "o"
@@ -419,8 +442,8 @@ class TestEval:
         assert run("--out", tmp_path / "o", "eval") == 1
 
     def test_fixture_report_golden_bytes(self, tmp_path, eval_fixture):
-        # sha256 of the whole report (every metric, item and ppl), recorded while
-        # Rouge-L still ran on the two-row DP: scoring or rendering drift shows here
+        # sha256 of the whole report (every metric, count, item and ppl), recorded
+        # when each mean got its item count: scoring or rendering drift shows here
         paths = {}
         for key in ("predictions", "references", "logprobs"):
             paths[key] = tmp_path / f"{key}.jsonl"
@@ -436,7 +459,7 @@ class TestEval:
             "--name", "fixture",
         ) == 0
         digest = hashlib.sha256((out / "fixture_report.json").read_bytes()).hexdigest()
-        assert digest == "9a57de92a9b3e4b22d63c162c33c7ad856fa9e0ac332ac76db379a3387def59d"
+        assert digest == "6e5fa2fce56eb7b45649bb79b42992188e9bd4d7a1ee5e57f9d70301d804a71a"
 
 
 class TestStats:
@@ -520,13 +543,15 @@ class TestErrors:
             ("logprobs", [{"doc_id": "d1", "logprobs": [-(10**400)]}], 1),
             ("references", [{"item_id": "i1", "golds": ["x"]}, {"item_id": "i1", "golds": ["y"]}], 2),
             ("predictions", [{"item_id": "i1", "prediction": "x"}, {"item_id": "i1", "prediction": "y"}], 2),
+            ("references", [{"item_id": "i1", "golds": ["y"], "gold_label": "Maybe"}], 1),
+            ("references", [{"item_id": "i1", "golds": ["x"]}, {"item_id": "b", "golds": []}], 2),
         ],
         ids=[
             "no-prediction", "prediction-not-str", "no-item-id", "array-row",
             "no-doc-id", "logprobs-not-list", "string-row", "golds-item-not-str", "golds-str",
             "logprob-nan", "logprob-minus-infinity", "logprob-not-numeric", "logprob-positive",
             "logprob-numeric-string", "logprob-bool", "logprob-int-beyond-float",
-            "duplicate-reference", "duplicate-prediction",
+            "duplicate-reference", "duplicate-prediction", "gold-label-unknown", "no-gold",
         ],
     )
     def test_malformed_eval_row_names_file_and_line(self, tmp_path, capsys, flag, rows, line):
@@ -898,6 +923,19 @@ class TestRender:
         # the canonical check of each record read, and each of the 3 stage footers
         assert len(encoded) == records + 3
         assert [obj for obj in encoded if "checksum" in obj] == encoded[-3:]
+
+    def test_render_failed_write_keeps_every_old_output(self, tmp_path, capsys, monkeypatch, corpus_path):
+        refs = _write_refs(tmp_path, _ref_records(tmp_path, corpus_path))
+        out = tmp_path / "o"
+        assert run("--seed", 1, "--out", out, *_render_argv("self_tuning", refs)) == 0
+        before = tree_bytes(out)
+        # another seed, so the replay draw, every footer and the plan would change
+        argv = ["--seed", 2, *_render_argv("self_tuning", refs)]
+        reached = _each_write_on_a_full_disk(monkeypatch, capsys, tmp_path, out, argv)
+        clean = tree_bytes(tmp_path / "clean")
+        # every line of the three stages, footers included, and the plan
+        assert reached == sum(len(clean[f"self_tuning_stage{i}.jsonl"].splitlines()) for i in (1, 2, 3)) + 1
+        assert clean.keys() == before.keys() and all(data != before[name] for name, data in clean.items())
 
     def test_self_tuning_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
         def peak(n):

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from docstudy.errors import DataError
 from docstudy.metrics import (
-    JudgeUnavailableError,
     LogProbRecord,
     aggregate_ppl,
     build_report,
     exact_match,
-    judge_accuracy,
     lcs_length,
     lcs_length_python,
     nli_accuracy,
@@ -23,6 +21,7 @@ from docstudy.metrics import (
     token_f1,
     token_recall,
 )
+from docstudy.vocab import NLI_LABELS
 
 
 class TestNormalize:
@@ -230,22 +229,13 @@ class TestPerplexity:
             assert aggregate_ppl([record]) >= 1.0
 
 
-class TestJudge:
-    def test_equality_stub(self):
-        stub = lambda a, b: a == b
-        assert judge_accuracy(stub, "same", "same") == 1
-        assert judge_accuracy(stub, "x", "y") == 0
-
-    def test_failing_judge_surfaces_unavailable(self):
-        def broken(a, b):
-            raise RuntimeError("model offline")
-
-        with pytest.raises(JudgeUnavailableError):
-            judge_accuracy(broken, "x", "y")
-
-    def test_none_judge(self):
-        with pytest.raises(JudgeUnavailableError):
-            judge_accuracy(None, "x", "y")
+_REPORT_TEXT = st.lists(st.sampled_from(["yes", "no", "impossible", "alpha", "beta", "the"]), max_size=5).map(" ".join)
+# rows of generation-only, NLI-only and both-kinds references: (kind, prediction, gold, gold label)
+_REPORT_ROWS = st.lists(
+    st.tuples(st.sampled_from(["generation", "nli", "both"]), _REPORT_TEXT, _REPORT_TEXT, st.sampled_from(NLI_LABELS)),
+    min_size=1,
+    max_size=12,
+)
 
 
 class TestReport:
@@ -254,15 +244,15 @@ class TestReport:
         references = {"a": {"golds": ["yes"]}, "b": {"golds": ["yes"]}}
         judgments, diagnostics = score_items(predictions, references)
         report = build_report(judgments, diagnostics=diagnostics)
-        assert report.metrics["em"] == 50.0
-        assert report.count == 2
+        assert report["metrics"]["em"] == 50.0
+        assert report["count"] == 2
 
     def test_all_perfect(self):
         predictions = {"a": "x y", "b": "z"}
         references = {"a": {"golds": ["x y"]}, "b": {"golds": ["z"]}}
         judgments, _ = score_items(predictions, references)
         report = build_report(judgments)
-        assert report.metrics == {
+        assert report["metrics"] == {
             "em": 100.0,
             "f1": 100.0,
             "recall": 100.0,
@@ -274,8 +264,8 @@ class TestReport:
         references = {r["item_id"]: r for r in eval_fixture["references"]}
         judgments, diagnostics = score_items(predictions, references)
         report = build_report(judgments, diagnostics=diagnostics)
-        assert report.metrics == eval_fixture["expected_metrics"]
-        by_id = {item["item_id"]: item for item in report.items}
+        assert report["metrics"] == eval_fixture["expected_metrics"]
+        by_id = {item["item_id"]: item for item in report["items"]}
         for expected in eval_fixture["expected_items"]:
             got = by_id[expected["item_id"]]
             for key in ("em", "f1", "recall", "rouge_l"):
@@ -286,21 +276,44 @@ class TestReport:
             score_items({"a": "x"}, {"a": {"golds": ["x"]}, "b": {"golds": ["y"]}, "c": {"golds": ["z"]}})
         assert "b" in str(err.value) and "c" in str(err.value)
 
-    def test_judge_failure_reported_absent(self):
-        def flaky(a, b):
-            raise RuntimeError("down")
-
-        predictions = {"a": "x"}
-        references = {"a": {"golds": ["x"]}}
-        judgments, diagnostics = score_items(predictions, references, judge=flaky)
-        assert judgments[0].acc is None
-        assert diagnostics["judge_skipped"] == 1
-        report = build_report(judgments, diagnostics=diagnostics)
-        assert "acc" not in report.metrics
-
     def test_empty_judgments_error(self):
         with pytest.raises(DataError):
             build_report([])
+        with pytest.raises(DataError, match="no reference items"):
+            score_items({"a": "x"}, {})
+
+    def test_each_mean_covers_only_the_items_with_its_gold(self):
+        predictions = {"a": "x", "b": "Yes"}
+        references = {"a": {"golds": ["x"]}, "b": {"gold_label": "Yes"}}
+        judgments, diagnostics = score_items(predictions, references)
+        report = build_report(judgments, diagnostics=diagnostics)
+        # the NLI-only item b once counted as a wrong answer in the extraction means
+        assert report["metrics"] == {"em": 100.0, "f1": 100.0, "recall": 100.0, "rouge_l": 100.0, "nli_acc": 100.0}
+        assert report["counts"] == {"em": 1, "f1": 1, "recall": 1, "rouge_l": 1, "nli_acc": 1}
+        assert report["count"] == 2
+        assert report["items"][1] == {"item_id": "b", "nli_acc": 1}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows=_REPORT_ROWS)
+    def test_each_mean_and_count_is_over_its_own_items(self, rows):
+        predictions, references, expected = {}, {}, {}
+        for i, (kind, pred, gold, label) in enumerate(rows):
+            item_id = f"i{i:02d}"
+            predictions[item_id], references[item_id] = pred, {}
+            if kind != "nli":
+                references[item_id]["golds"] = [gold]
+                scores = {"em": exact_match(pred, [gold]), "f1": token_f1(pred, [gold]),
+                          "recall": token_recall(pred, [gold]), "rouge_l": rouge_l(pred, gold)}
+                for key, value in scores.items():
+                    expected.setdefault(key, []).append(value)
+            if kind != "generation":
+                references[item_id]["gold_label"] = label
+                expected.setdefault("nli_acc", []).append(nli_accuracy(pred, label))
+        judgments, diagnostics = score_items(predictions, references)
+        report = build_report(judgments, diagnostics=diagnostics)
+        assert report["metrics"] == {key: round(100.0 * sum(v) / len(v), 2) for key, v in expected.items()}
+        assert report["counts"] == {key: len(v) for key, v in expected.items()}
+        assert report["count"] == len(rows)
 
     def test_em_implies_full_f1_and_recall(self):
         rng = random.Random(10)
