@@ -15,11 +15,11 @@ import os
 import sys
 import typing
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import nullcontext
 from pathlib import Path
 
 from .errors import DataError, MalformedLineError, UsageError
-from .jsonio import atomic_writer, encode_json, encode_line, iter_jsonl, read_json, write_json, write_jsonl
+from .jsonio import OutputSet, encode_json, encode_line, iter_jsonl, read_json, write_jsonl
 from .vocab import FULL_SEQUENCE, TASK_GENERATION, TASK_NLI
 
 SEED_ENV = "DOCSTUDY_SEED"
@@ -62,16 +62,9 @@ def _resolve(flag_value, config: dict, key: str, env: str | None, default, cast)
         raise UsageError(f"{source}: cannot read {value!r} as {cast.__name__}") from None
 
 
-def _ensure_out(out: str) -> Path:
-    path = Path(out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        probe = path / ".write_probe"
-        probe.write_bytes(b"")
-        probe.unlink()
-    except OSError as exc:
-        raise OSError(f"output directory {out} is not writable: {exc}") from exc
-    return path
+def _out(args, config) -> Path:
+    """The output directory; the first `OutputSet.open` in it makes it."""
+    return Path(_resolve(args.out, config, "out", OUT_ENV, ".", str))
 
 
 def _name(args) -> str:
@@ -84,7 +77,7 @@ def cmd_ingest(args, config) -> int:
 
     # the seed changes no ingested byte; it is resolved to refuse a bad value
     _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
-    out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
+    out = _out(args, config)
     target = out / f"{_name(args)}.jsonl"
     count = write_jsonl(target, (doc.to_record() for doc in iter_documents(args.corpus)))
     print(f"ingested {count} documents -> {target}")
@@ -96,7 +89,7 @@ def cmd_gen_tasks(args, config) -> int:
     from .corpus import iter_documents
 
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
-    out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
+    out = _out(args, config)
     task_config = (
         taskgen.TaskConfig.from_file(args.task_config) if args.task_config else taskgen.DEFAULT_CONFIG
     )
@@ -124,22 +117,15 @@ def cmd_gen_tasks(args, config) -> int:
             add_reading(dataset.record_line(reading))
         return suite.counts
 
-    # every output is opened before any manifest, so the manifests' footers
-    # are written before any output is renamed: a bad document or a failed
-    # write leaves every output as it was
-    with ExitStack() as stack:
-        def output(path):
-            return stack.enter_context(atomic_writer(path))
-
-        task_file = output(manifest_path)
-        reading_file = output(out / f"{name}_reading.jsonl") if args.reading else None
-        stats_file = output(out / f"{name}_tasks_stats.json")
-        add_task = stack.enter_context(dataset.manifest_writer(task_file, seed))
-        if args.reading:
-            add_reading = stack.enter_context(dataset.manifest_writer(reading_file, seed))
-        for doc in iter_documents(args.corpus):
-            counts.update(write_document(doc))
-            docs += 1
+    # the manifests' footers are written inside the set, before it renames any output
+    with OutputSet() as outputs:
+        stats_file = outputs.open(out / f"{name}_tasks_stats.json")
+        readings = (dataset.manifest_writer(outputs.open(out / f"{name}_reading.jsonl"), seed)
+                    if args.reading else nullcontext())
+        with dataset.manifest_writer(outputs.open(manifest_path), seed) as add_task, readings as add_reading:
+            for doc in iter_documents(args.corpus):
+                counts.update(write_document(doc))
+                docs += 1
         stats_file.write(encode_json(stats.suite_stats(counts)))
     print(f"generated {sum(counts.values())} task records over {docs} documents -> {manifest_path}")
     return 0
@@ -154,7 +140,7 @@ def cmd_gen_qa(args, config) -> int:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
     if not math.isfinite(args.temperature):  # JSON has no NaN or infinity to send it as
         raise UsageError(f"temperature must be a finite number, got {args.temperature}")
-    out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
+    out = _out(args, config)
     cache_dir = Path(args.cache_dir) if args.cache_dir else out / "qa_cache"
 
     # an entry replays only if it holds the request this run would send
@@ -163,23 +149,21 @@ def cmd_gen_qa(args, config) -> int:
     if args.endpoint or os.environ.get(qagen.ENDPOINT_ENV):
         client = qagen.ChatClient(endpoint=args.endpoint, api_key=args.api_key)
 
-    open(args.corpus, "rb").close()  # a corpus that cannot be read fails before the log is made
     target = out / f"{_name(args)}_qa_{args.task}.jsonl"
     pairs = discarded = 0
-    with ExitStack() as stack:
-        if client is not None:
-            stack.enter_context(client)
-        log = stack.enter_context(qagen.ResponseLog(cache_dir / f"{args.task}.jsonl"))
-        qa = stack.enter_context(atomic_writer(target))
 
-        def write(parsed) -> None:
-            """Write one document's pairs, in corpus order, as it settles."""
-            nonlocal pairs, discarded
-            pairs += len(parsed.pairs)
-            discarded += parsed.discarded
-            qa.writelines(encode_line(pair.to_record()) for pair in parsed.pairs)
+    def write(parsed) -> None:
+        """Write one document's pairs, in corpus order, as it settles."""
+        nonlocal pairs, discarded
+        pairs += len(parsed.pairs)
+        discarded += parsed.discarded
+        qa.writelines(encode_line(pair.to_record()) for pair in parsed.pairs)
 
-        failures = qagen.generate_corpus(iter_documents(args.corpus), args.task, client, log, settings, write, jobs)
+    with OutputSet() as outputs:
+        qa = outputs.open(target)
+        open(args.corpus, "rb").close()  # a corpus that cannot be read fails before the log is made
+        with nullcontext() if client is None else client, qagen.ResponseLog(cache_dir / f"{args.task}.jsonl") as log:
+            failures = qagen.generate_corpus(iter_documents(args.corpus), args.task, client, log, settings, write, jobs)
         if failures:
             # no QA JSONL: raising the last failure drops the temp file, and
             # main prints it after the others; a rerun fetches only these
@@ -195,20 +179,18 @@ def cmd_split(args, config) -> int:
     from .corpus import iter_documents
 
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
-    out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
-    docs = list(iter_documents(args.corpus))
-    train, test = dataset.split_corpus(docs, args.fraction, seed)
-    overlap = dataset.overlap_report(train, test, args.ngram)
+    out = _out(args, config)
     name = _name(args)
-    # every output is written to its temp file before any replaces its old
-    # copy, so a bad QA row or a failed write leaves every output as it was
-    with ExitStack() as stack:
+    with OutputSet() as outputs:
         def output(suffix: str):
-            return stack.enter_context(atomic_writer(out / f"{name}_{suffix}"))
+            return outputs.open(out / f"{name}_{suffix}")
 
-        output("train.jsonl").writelines(encode_line(doc.to_record()) for doc in train)
+        train_file = output("train.jsonl")  # opened before the corpus is read
+        docs = list(iter_documents(args.corpus))
+        train, test = dataset.split_corpus(docs, args.fraction, seed)
+        train_file.writelines(encode_line(doc.to_record()) for doc in train)
         output("test.jsonl").writelines(encode_line(doc.to_record()) for doc in test)
-        output("overlap.json").write(encode_json(overlap))
+        output("overlap.json").write(encode_json(dataset.overlap_report(train, test, args.ngram)))
         if args.qa:
             # each QA row goes straight to the file of its document's side
             side = dict.fromkeys((doc.id for doc in train), output("qa_train.jsonl"))
@@ -225,14 +207,13 @@ def cmd_split(args, config) -> int:
 
 
 def _parse_refs(args) -> dict:
+    for item in args.ref or []:  # a usage error, so found before the refs file is read
+        if "=" not in item:
+            raise UsageError(f"--ref expects name=path, got {item!r}")
     refs = read_json(args.refs_file) if args.refs_file else {}
     if not isinstance(refs, dict) or not all(isinstance(v, str) for v in refs.values()):
         raise DataError(f"{args.refs_file}: expected a JSON object of name -> path strings")
-    for item in args.ref or []:
-        if "=" not in item:
-            raise UsageError(f"--ref expects name=path, got {item!r}")
-        name, _, path = item.partition("=")
-        refs[name] = path
+    refs.update(item.partition("=")[::2] for item in args.ref or [])
     return refs
 
 
@@ -240,28 +221,23 @@ def cmd_plan(args, config) -> int:
     from . import curriculum, dataset
 
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
-    out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
+    out = _out(args, config)
+    needed = curriculum.required_refs(args.preset, args.cross_domain)  # refuses an unknown preset
     refs = _parse_refs(args)
-    needed = curriculum.required_refs(args.preset, args.cross_domain)
     missing_files = [name for name in sorted(needed) if name in refs and not Path(refs[name]).exists()]
     if missing_files:
         raise DataError(f"referenced manifest files do not exist: {', '.join(missing_files)}")
     stage_plan = curriculum.plan(args.preset, refs, seed=seed, cross_domain=args.cross_domain)
     target = out / f"{args.preset}_plan.json"
-    # every output is opened before any stage manifest, so the stages'
-    # footers are written before any output is renamed: a stage that fails
-    # or a failed write leaves every output as it was
-    with ExitStack() as stack:
-        plan_file = stack.enter_context(atomic_writer(target))
+    with OutputSet() as outputs:
+        plan_file = outputs.open(target)
         if args.render:
             scans = curriculum.scan_refs(stage_plan, refs)
-            stages = stage_plan["stages"]
-            files = [stack.enter_context(atomic_writer(out / f"{args.preset}_stage{stage['index']}.jsonl"))
-                     for stage in stages]
-            for stage, handle in zip(stages, files):
-                add = stack.enter_context(dataset.manifest_writer(handle, seed))
-                for line in curriculum.stage_lines(stage, scans):
-                    add(line)
+            for stage in stage_plan["stages"]:
+                path = out / f"{args.preset}_stage{stage['index']}.jsonl"
+                with dataset.manifest_writer(outputs.open(path), seed) as add:
+                    for line in curriculum.stage_lines(stage, scans):
+                        add(line)
         plan_file.write(encode_json(stage_plan))
     print(f"planned {args.preset}: {len(stage_plan['stages'])} stages -> {target}")
     return 0
@@ -307,35 +283,34 @@ def _rows_by_item_id(path, fields: dict, optional: dict | None = None, check=Non
 def cmd_eval(args, config) -> int:
     from . import metrics
 
-    out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
     if not args.predictions and not args.logprobs:
         raise UsageError("eval needs --predictions/--references and/or --logprobs")
+    if args.predictions and not args.references:
+        raise UsageError("--predictions requires --references")
+    target = _out(args, config) / f"{args.name}_report.json"
+    with OutputSet() as outputs:
+        report = outputs.open(target)
+        ppl = None
+        if args.logprobs:
+            records = []
+            for line_no, row in _read_jsonl(args.logprobs, {"doc_id": str, "logprobs": list}):
+                try:
+                    records.append(metrics.LogProbRecord(doc_id=row["doc_id"], logprobs=row["logprobs"]))
+                except DataError as exc:
+                    raise MalformedLineError(args.logprobs, line_no, str(exc)) from exc
+            ppl = metrics.aggregate_ppl(records)
 
-    ppl = None
-    if args.logprobs:
-        records = []
-        for line_no, row in _read_jsonl(args.logprobs, {"doc_id": str, "logprobs": list}):
-            try:
-                records.append(metrics.LogProbRecord(doc_id=row["doc_id"], logprobs=row["logprobs"]))
-            except DataError as exc:
-                raise MalformedLineError(args.logprobs, line_no, str(exc)) from exc
-        ppl = metrics.aggregate_ppl(records)
-
-    judgments, diagnostics = [], {}
-    if args.predictions:
-        if not args.references:
-            raise UsageError("--predictions requires --references")
-        predictions = {
-            item_id: row["prediction"]
-            for item_id, row in _rows_by_item_id(args.predictions, {"prediction": str}).items()
-        }
-        references = _rows_by_item_id(
-            args.references, {}, {"golds": list[str], "gold_label": str}, metrics.check_reference
-        )
-        judgments, diagnostics = metrics.score_items(predictions, references)
-
-    target = out / f"{args.name}_report.json"
-    write_json(target, metrics.build_report(judgments, ppl=ppl, diagnostics=diagnostics))
+        judgments, diagnostics = [], {}
+        if args.predictions:
+            predictions = {
+                item_id: row["prediction"]
+                for item_id, row in _rows_by_item_id(args.predictions, {"prediction": str}).items()
+            }
+            references = _rows_by_item_id(
+                args.references, {}, {"golds": list[str], "gold_label": str}, metrics.check_reference
+            )
+            judgments, diagnostics = metrics.score_items(predictions, references)
+        report.write(encode_json(metrics.build_report(judgments, ppl=ppl, diagnostics=diagnostics)))
     print(f"evaluation report -> {target}")
     return 0
 
@@ -344,11 +319,12 @@ def cmd_stats(args, config) -> int:
     from . import qapairs, stats
     from .corpus import iter_documents
 
-    out = _ensure_out(_resolve(args.out, config, "out", OUT_ENV, ".", str))
-    qa_pairs = (pair for _, pair in qapairs.iter_qa_jsonl(args.qa)) if args.qa else None
     name = _name(args)
-    target = out / f"{name}_stats.json"
-    write_json(target, stats.corpus_stats(name, iter_documents(args.corpus), qa_pairs))
+    target = _out(args, config) / f"{name}_stats.json"
+    with OutputSet() as outputs:
+        report = outputs.open(target)
+        qa_pairs = (pair for _, pair in qapairs.iter_qa_jsonl(args.qa)) if args.qa else None
+        report.write(encode_json(stats.corpus_stats(name, iter_documents(args.corpus), qa_pairs)))
     print(f"statistics -> {target}")
     return 0
 

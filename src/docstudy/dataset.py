@@ -17,7 +17,7 @@ from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .jsonio import atomic_writer, canonical_object, encode_line, parse_object
+from .jsonio import OutputSet, canonical_object, encode_line, parse_object
 from .rng import Stream, mix_key
 from .vocab import ANSWER_ONLY, FULL_SEQUENCE, loss_policy, tokenize_words
 
@@ -161,7 +161,7 @@ def manifest_writer(handle, seed: int = 0):
     Give it `record_line(record)`, or a line already verified as that.
     `add` returns the footer so far; a clean exit gives it the checksum and
     writes it as the last line. Replacing the output is the caller's job,
-    so a command can write every footer before it renames any output.
+    so a command can write every footer before its `OutputSet` renames any.
     """
     digest = hashlib.sha256()
     footer = {"checksum": None, "count": 0, "seed": seed}
@@ -181,7 +181,7 @@ def manifest_writer(handle, seed: int = 0):
 
 def write_manifest(records, name: str, split: str, path, seed: int = 0) -> dict:
     """Write `records` as one manifest and return its footer; `name` and `split` are not stored."""
-    with atomic_writer(path) as handle, manifest_writer(handle, seed) as add:
+    with OutputSet() as outputs, manifest_writer(outputs.open(path), seed) as add:
         for record in records:
             footer = add(record_line(record))
     return footer

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from contextlib import contextmanager
+from contextlib import suppress
 from json.decoder import JSONDecoder
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
@@ -58,36 +58,55 @@ def reject_lone_surrogates(fields: dict) -> None:
             raise DataError(f"{key!r} holds a lone surrogate, which UTF-8 cannot encode")
 
 
-@contextmanager
-def atomic_writer(path):
-    """Yield a binary handle whose bytes replace `path` on a clean exit.
+class OutputSet:
+    """Output files that replace their paths together, on a clean exit only.
 
-    On any exception `path` is left untouched and nothing is left behind.
+    `open(path)` returns a binary handle on a temp file beside `path`. A
+    clean exit closes every handle, then renames each over its path. Any
+    exception, a failed close included, removes every temp file, so every
+    path keeps its old bytes. A crash or a failed rename between two renames
+    can still leave some paths new and the rest old; nothing is fsynced.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # unique per call, so concurrent writers never share a temp file; mode
-    # 0o666 leaves permissions to the umask, as a plain write does
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
+    def __enter__(self) -> "OutputSet":
+        self._files = []
+        return self
 
-def atomic_write(path, data: bytes) -> None:
-    with atomic_writer(path) as handle:
-        handle.write(data)
+    def open(self, path):
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # unique per call, so concurrent writers never share a temp file; mode
+        # 0o666 leaves permissions to the umask, as a plain write does
+        tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+        handle = os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
+        self._files.append((tmp, path, handle))
+        return handle
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            try:
+                for _, _, handle in self._files:
+                    handle.close()
+                for tmp, path, _ in self._files:
+                    os.replace(tmp, path)
+                return
+            except BaseException:
+                self._discard()
+                raise
+        self._discard()
+
+    def _discard(self) -> None:
+        for tmp, _, handle in self._files:
+            with suppress(OSError):  # a close that failed once may fail again
+                handle.close()
+            tmp.unlink(missing_ok=True)
 
 
 def write_jsonl(path, objs) -> int:
     """Atomically write one canonical line per object; return the line count."""
     count = 0
-    with atomic_writer(path) as handle:
+    with OutputSet() as outputs:
+        handle = outputs.open(path)
         for count, obj in enumerate(objs, 1):
             handle.write(encode_line(obj))
     return count
@@ -96,10 +115,6 @@ def write_jsonl(path, objs) -> int:
 def encode_json(obj) -> bytes:
     """The bytes of a JSON report file: sorted keys, two-space indent, LF."""
     return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-
-
-def write_json(path, obj) -> None:
-    atomic_write(path, encode_json(obj))
 
 
 def read_json(path):

@@ -49,48 +49,69 @@ def tree_bytes(root: Path, exclude=("refs.json",)) -> dict:
     }
 
 
-def _each_write_on_a_full_disk(monkeypatch, capsys, tmp_path, out, argv) -> int:
-    """Run `argv` once into `tmp_path / "clean"`, counting the writes to its
-    output handles, then once into `out` for each of those writes, with that
-    write finding the disk full: every such run must exit 3 and leave `out`
-    as it was. Return the number of writes."""
-    before = tree_bytes(out)
-    writes = {"count": 0, "fail_at": None}
+def _on_a_full_disk(monkeypatch, fault: dict) -> dict:
+    """Wrap every output handle so that write number `fault["write"]` of the
+    run, and the close of output number `fault["close"]` in the order the
+    outputs are opened, find the disk full (both from 0; None fails none).
+    Return the live counts of writes and outputs, which a caller may reset."""
+    seen = {"writes": 0, "outputs": 0}
     fdopen = os.fdopen
 
     class Handle:
-        """An output handle whose write number `fail_at` (from 0) finds the disk full."""
-
         def __init__(self, handle):
-            self.handle = handle
+            self.handle, self.index = handle, seen["outputs"]
+            seen["outputs"] += 1
 
+        # a context manager, as a file is, whose exit is its close
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
-            return self.handle.__exit__(*exc)
+            self.close()
 
         def write(self, data):
-            if writes["count"] == writes["fail_at"]:
+            if seen["writes"] == fault["write"]:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            writes["count"] += 1
+            seen["writes"] += 1
             return self.handle.write(data)
 
         def writelines(self, lines):
             for line in lines:
                 self.write(line)
 
+        def close(self):
+            # as a buffered file does, it closes its descriptor, then reports the failed flush
+            self.handle.close()
+            if self.index == fault["close"]:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
     monkeypatch.setattr(jsonio.os, "fdopen", lambda *a, **k: Handle(fdopen(*a, **k)))
+    return seen
+
+
+def _each_write_on_a_full_disk(monkeypatch, capsys, tmp_path, out, argv) -> int:
+    """Run `argv` once into `tmp_path / "clean"`, counting the writes to its
+    output handles, then once into `out` for each of those writes and once
+    for each output's close, with that write or close finding the disk full:
+    every such run must exit 3, leave `out` as it was and leave no temp
+    file. Return the number of writes."""
+    before = tree_bytes(out)
+    fault = {"write": None, "close": None}
+    seen = _on_a_full_disk(monkeypatch, fault)
     assert run("--out", tmp_path / "clean", *argv) == 0
-    reached = writes["count"]
-    for fail_at in range(reached):
-        writes.update(count=0, fail_at=fail_at)
-        capsys.readouterr()
-        assert run("--out", out, *argv) == 3
-        assert capsys.readouterr().err.startswith("i/o error: [Errno 28]")
-        assert tree_bytes(out) == before, fail_at
-    assert list(out.glob("*.tmp")) == []
-    return reached
+    writes, outputs = seen["writes"], seen["outputs"]
+    # every file of the clean run is an output, and each is closed once
+    assert outputs == len(tree_bytes(tmp_path / "clean"))
+    for kind, count in (("write", writes), ("close", outputs)):
+        for at in range(count):
+            fault.update({"write": None, "close": None, kind: at})
+            seen.update(writes=0, outputs=0)
+            capsys.readouterr()
+            assert run("--out", out, *argv) == 3
+            assert capsys.readouterr().err.startswith("i/o error: [Errno 28]")
+            assert tree_bytes(out) == before, (kind, at)
+            assert not list(out.glob(".*.tmp"))
+    return writes
 
 
 @pytest.fixture()
@@ -257,6 +278,21 @@ class TestPipeline:
         assert _each_write_on_a_full_disk(monkeypatch, capsys, tmp_path, out, ["--seed", 2, *argv]) == 24 + 1 + 24
         clean = tree_bytes(tmp_path / "clean")
         assert clean.keys() == before.keys() and all(data != before[name] for name, data in clean.items())
+
+    def test_split_failed_close_of_its_first_output_keeps_every_old_output(self, tmp_path, capsys, monkeypatch,
+                                                                          corpus_path):
+        out = tmp_path / "o"
+        argv = ["--out", out, "split", "--corpus", corpus_path, "--name", "s"]
+        assert run("--seed", 1, *argv) == 0
+        before = tree_bytes(out)
+        # the train side, opened first, finds the disk full as it is closed;
+        # seed 2 would change every output, so no mix of old and new may show
+        _on_a_full_disk(monkeypatch, {"write": None, "close": 0})
+        capsys.readouterr()
+        assert run("--seed", 2, *argv) == 3
+        assert capsys.readouterr().err.startswith("i/o error: [Errno 28]")
+        assert tree_bytes(out) == before
+        assert not list(out.glob(".*.tmp"))
 
     def test_gen_tasks_failed_write_keeps_every_old_output(self, tmp_path, capsys, monkeypatch, corpus_path):
         out, fewer = tmp_path / "o", tmp_path / "fewer.jsonl"
@@ -515,6 +551,33 @@ class TestErrors:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json}\n", "utf-8")
         assert run("--out", tmp_path / "o", "ingest", "--corpus", bad) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan", "--preset", "nope"], ["plan", "--preset", "continued_pretraining", "--ref", "bad"], ["eval"],
+         ["eval", "--logprobs", "bad.jsonl", "--predictions", "p.jsonl"]],
+        ids=["unknown-preset", "ref-without-path", "eval-without-inputs", "predictions-without-references"],
+    )
+    def test_a_usage_error_makes_no_output_directory(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.jsonl").write_text("{not json}\n", "utf-8")
+        (tmp_path / "p.jsonl").write_text('{"item_id": "i1", "prediction": "A."}\n', "utf-8")
+        assert run("--out", tmp_path / "o", *argv) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "gen-tasks", "gen-qa", "split", "plan", "eval", "stats"])
+    def test_an_out_under_a_regular_file_is_an_io_error(self, tmp_path, capsys, monkeypatch, workdir, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"a file, not a directory")
+        monkeypatch.chdir(workdir)
+        inputs = tree_bytes(workdir, exclude=())
+        # the inputs are whole, so only the output directory can fail
+        assert run("--out", blocker / "o", *COMMAND_ARGV[command][2:]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1, err
+        assert tree_bytes(workdir, exclude=()) == inputs
+        assert list(tmp_path.iterdir()) == [blocker]
 
     def test_io_error_exit_3(self, tmp_path, corpus_path):
         blocker = tmp_path / "blocked"
@@ -1800,23 +1863,24 @@ COMMAND_ARGV = {
 _PROBE = "import sys; from docstudy.cli import main; code = main(sys.argv[1:]); print(code, *sorted(sys.modules))"
 
 
-class TestImportBudget:
-    @pytest.fixture(scope="class")
-    def workdir(self, tmp_path_factory):
-        """Inputs for every command: a corpus, its tasks, a QA cache and eval rows."""
-        work = tmp_path_factory.mktemp("budget")
-        write_jsonl(synthetic_records(6, seed=1), work / "raw.jsonl")
-        assert run("--out", work, "ingest", "--corpus", work / "raw.jsonl", "--name", "c") == 0
-        assert run("--out", work, "gen-tasks", "--corpus", work / "c.jsonl", "--name", "c", "--reading") == 0
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(qagen, "_http_pool", lambda: FakePool(lambda payload: (200, _REPLY)))
-            assert run("--out", work, "gen-qa", "--corpus", work / "c.jsonl", "--task", "generation",
-                       "--name", "c", "--cache-dir", work / "qa_cache", "--endpoint", "http://chat.test") == 0
-        write_jsonl([{"item_id": "i1", "prediction": "A."}], work / "p.jsonl")
-        write_jsonl([{"item_id": "i1", "golds": ["A."]}], work / "r.jsonl")
-        write_jsonl([{"doc_id": "d1", "logprobs": [-0.5, -1.0]}], work / "l.jsonl")
-        return work
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """Inputs for every command: a corpus, its tasks, a QA cache and eval rows."""
+    work = tmp_path_factory.mktemp("budget")
+    write_jsonl(synthetic_records(6, seed=1), work / "raw.jsonl")
+    assert run("--out", work, "ingest", "--corpus", work / "raw.jsonl", "--name", "c") == 0
+    assert run("--out", work, "gen-tasks", "--corpus", work / "c.jsonl", "--name", "c", "--reading") == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qagen, "_http_pool", lambda: FakePool(lambda payload: (200, _REPLY)))
+        assert run("--out", work, "gen-qa", "--corpus", work / "c.jsonl", "--task", "generation",
+                   "--name", "c", "--cache-dir", work / "qa_cache", "--endpoint", "http://chat.test") == 0
+    write_jsonl([{"item_id": "i1", "prediction": "A."}], work / "p.jsonl")
+    write_jsonl([{"item_id": "i1", "golds": ["A."]}], work / "r.jsonl")
+    write_jsonl([{"doc_id": "d1", "logprobs": [-0.5, -1.0]}], work / "l.jsonl")
+    return work
 
+
+class TestImportBudget:
     @pytest.mark.parametrize("command", list(IMPORT_BUDGETS))
     def test_command_loads_only_what_it_runs(self, workdir, command):
         env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1])}

@@ -19,7 +19,7 @@ from docstudy.dataset import (
     write_manifest,
 )
 from docstudy.errors import DataError, UsageError
-from docstudy.jsonio import encode_line, read_json, write_json
+from docstudy.jsonio import encode_json, encode_line, read_json
 from docstudy.qagen import QAPair
 
 import _curriculum_oracle as oracle
@@ -136,7 +136,7 @@ class TestPresetCoverage:
         schema = plan_schema()
         for preset in ALL_PRESETS:
             built = plan(preset, REFS, seed=1)
-            write_json(tmp_path / "p.json", built)
+            (tmp_path / "p.json").write_bytes(encode_json(built))
             payload = json.loads((tmp_path / "p.json").read_text("utf-8"))
             jsonschema.validate(payload, schema)
 

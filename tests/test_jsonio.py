@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import json.encoder
@@ -36,16 +37,59 @@ class TestAtomicWrite:
             raise OSError("disk full")
 
         monkeypatch.setattr(jsonio.os, "replace", fail)
-        with pytest.raises(OSError, match="disk full"):
-            jsonio.atomic_write(target, b"new\n")
+        with pytest.raises(OSError, match="disk full"), jsonio.OutputSet() as outputs:
+            outputs.open(target).write(b"new\n")
         assert target.read_bytes() == b"old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
 
     def test_new_file_gets_the_permissions_of_a_plain_write(self, tmp_path):
-        jsonio.atomic_write(tmp_path / "sub" / "a.json", b"{}\n")
+        with jsonio.OutputSet() as outputs:
+            outputs.open(tmp_path / "sub" / "a.json").write(b"{}\n")
         (tmp_path / "b.json").write_bytes(b"{}\n")
         mode = os.stat(tmp_path / "sub" / "a.json").st_mode
         assert mode == os.stat(tmp_path / "b.json").st_mode
+
+    def test_an_exception_in_a_two_output_block_changes_neither_path(self, tmp_path):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_bytes(b"old a\n")
+        with pytest.raises(DataError, match="bad record"), jsonio.OutputSet() as outputs:
+            outputs.open(a).write(b"new a\n")
+            outputs.open(b).write(b"new b\n")
+            raise DataError("bad record")
+        assert a.read_bytes() == b"old a\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl"]
+
+    def test_a_failed_close_of_the_second_output_renames_neither(self, tmp_path, monkeypatch):
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        a.write_bytes(b"old a\n")
+        b.write_bytes(b"old b\n")
+        fdopen, opened = os.fdopen, []
+
+        class FullOnClose:
+            """A handle whose close closes the file, then reports a full disk, as a failed flush does."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, data):
+                return self.handle.write(data)
+
+            def close(self):
+                self.handle.close()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def second_fails(*args):
+            opened.append(fdopen(*args))
+            return opened[-1] if len(opened) == 1 else FullOnClose(opened[-1])
+
+        monkeypatch.setattr(jsonio.os, "fdopen", second_fails)
+        with pytest.raises(OSError) as err, jsonio.OutputSet() as outputs:
+            outputs.open(a).write(b"new a\n")
+            outputs.open(b).write(b"new b\n")
+        assert err.value.errno == errno.ENOSPC
+        assert (a.read_bytes(), b.read_bytes()) == (b"old a\n", b"old b\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "b.jsonl"]
+        assert all(handle.closed for handle in opened)
 
 
 class TestReaders:
