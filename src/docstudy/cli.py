@@ -148,6 +148,10 @@ def cmd_gen_qa(args, config) -> int:
     client = None
     if args.endpoint or os.environ.get(qagen.ENDPOINT_ENV):
         client = qagen.ChatClient(endpoint=args.endpoint, api_key=args.api_key)
+    log_path = cache_dir / f"{args.task}.jsonl"
+    if client is None and not log_path.exists():
+        # a usage error before any file is made, even on an empty corpus
+        raise UsageError(f"no chat endpoint configured (set {qagen.ENDPOINT_ENV}) and no response log at {log_path}")
 
     target = out / f"{_name(args)}_qa_{args.task}.jsonl"
     pairs = discarded = 0
@@ -162,7 +166,7 @@ def cmd_gen_qa(args, config) -> int:
     with OutputSet() as outputs:
         qa = outputs.open(target)
         open(args.corpus, "rb").close()  # a corpus that cannot be read fails before the log is made
-        with nullcontext() if client is None else client, qagen.ResponseLog(cache_dir / f"{args.task}.jsonl") as log:
+        with nullcontext() if client is None else client, qagen.ResponseLog(log_path) as log:
             failures = qagen.generate_corpus(iter_documents(args.corpus), args.task, client, log, settings, write, jobs)
         if failures:
             # no QA JSONL: raising the last failure drops the temp file, and
@@ -287,6 +291,8 @@ def cmd_eval(args, config) -> int:
         raise UsageError("eval needs --predictions/--references and/or --logprobs")
     if args.predictions and not args.references:
         raise UsageError("--predictions requires --references")
+    if args.references and not args.predictions:
+        raise UsageError("--references requires --predictions")
     target = _out(args, config) / f"{args.name}_report.json"
     with OutputSet() as outputs:
         report = outputs.open(target)

@@ -107,22 +107,25 @@ def _fault(record: dict, name: str, needs: str, key: str | None) -> str | None:
 class RefScan:
     """What rendering keeps of one ref's manifest after its first pass: the
     record count and checksum, whether its lines need the loss policy
-    stamped again, and, for a pairing stage, its lines by payload `doc_id`."""
+    stamped again, and, for a pairing stage, a doc ref's payload ids in
+    order or another ref's lines by payload `doc_id`."""
 
-    def __init__(self, path, count: int, checksum: str, restamp: bool, by_doc: dict | None):
+    def __init__(self, path, count: int, checksum: str, restamp: bool, by_doc: dict | None, doc_ids: list | None):
         self.path, self.count, self.checksum = path, count, checksum
-        self.restamp, self.by_doc = restamp, by_doc
+        self.restamp, self.by_doc, self.doc_ids = restamp, by_doc, doc_ids
 
 
 def scan_ref(name: str, path, pairing: bool = False) -> RefScan:
     """Check the manifest behind ref `name` as `ManifestReader` does, and
     refuse a record of another kind or one whose payload rendering cannot
-    read, holding no record; with `pairing`, index its lines by payload `doc_id`."""
+    read, holding no record; with `pairing`, keep a doc ref's payload ids in
+    order, or index another ref's lines by payload `doc_id`."""
     needs = REF_KINDS[name]
     key = _PAYLOAD_KEYS.get(needs)
     fault = None
     restamp = False
-    by_doc = {} if pairing else None
+    doc_ids = [] if pairing and needs == KIND_DOC else None
+    by_doc = {} if pairing and needs != KIND_DOC else None
     reader = ManifestReader(path)
     for index, (record, line) in enumerate(reader):
         if fault is not None:
@@ -133,7 +136,9 @@ def scan_ref(name: str, path, pairing: bool = False) -> RefScan:
             continue
         stamped = attach_loss_policy(record) is record
         restamp = restamp or not stamped
-        if by_doc is not None:
+        if doc_ids is not None:
+            doc_ids.append(record["payload"]["id"])
+        elif by_doc is not None:
             doc_id = record["payload"].get("doc_id")
             if not isinstance(doc_id, str):
                 fault = f"{path}: record {index} has no string payload 'doc_id'"
@@ -142,7 +147,7 @@ def scan_ref(name: str, path, pairing: bool = False) -> RefScan:
     # read on past a bad record: a fault of the manifest, which may show only at its end, comes first
     if fault is not None:
         raise DataError(fault)
-    return RefScan(path, reader.footer["count"], reader.footer["checksum"], restamp, by_doc)
+    return RefScan(path, reader.footer["count"], reader.footer["checksum"], restamp, by_doc, doc_ids)
 
 
 def scan_refs(stage_plan: dict, refs: dict) -> dict[str, RefScan]:
@@ -153,7 +158,7 @@ def scan_refs(stage_plan: dict, refs: dict) -> dict[str, RefScan]:
         if "replay" in stage:
             names.add(stage["replay"]["source"])
         if stage["mix"] == MIX_PREFIX_PAIR:
-            pairing.update(name for name in stage["refs"] if REF_KINDS[name] != KIND_DOC)
+            pairing.update(stage["refs"])
     return {name: scan_ref(name, refs[name], name in pairing) for name in sorted(names)}
 
 
@@ -191,13 +196,12 @@ def _lines(scan: RefScan):
 
 
 def _doc_lines(scan: RefScan):
-    """(doc id, line) for each line `_lines` yields from a doc ref."""
+    """(doc id, line) for each line `_lines` yields from a doc ref, with the
+    ids of the first pass: the checksum check that ends `_lines` proves the
+    lines are the ones that pass read."""
+    ids = iter(scan.doc_ids)
     for line in _lines(scan):
-        try:
-            doc_id = _verified(scan, line)["payload"]["id"]
-        except (LookupError, TypeError):
-            raise _changed(scan.path) from None
-        yield doc_id, line
+        yield next(ids), line
 
 
 def _pick(items, picks: list[int]):

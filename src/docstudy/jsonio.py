@@ -4,7 +4,13 @@ A canonical line keeps U+0085, U+2028 and U+2029 raw, so only "\\n" ends a
 line when reading (`str.splitlines` would split inside a record).
 
 The canonical codec is CPython's C encoder and scanner, each built once:
-`json.JSONEncoder.encode` builds a new C encoder on every call.
+`json.JSONEncoder.encode` builds a new C encoder on every call. There are
+two encoders, which give the same bytes. `_encode` quotes strings with C's
+`encode_basestring`, which reads every character twice; it writes every
+line and checks a line under 4,096 characters (`_LONG_LINE`). `_encode_long`
+checks a longer line: its quoter `_quote` escapes a string of 256
+characters or more (`_LONG_STRING`) with one `in` test per character JSON
+escapes, and a `replace` only for those present.
 """
 
 from __future__ import annotations
@@ -14,16 +20,42 @@ import os
 import re
 from contextlib import suppress
 from json.decoder import JSONDecoder
-from json.encoder import c_make_encoder, encode_basestring
+from json.encoder import ESCAPE_DCT, c_make_encoder, encode_basestring
 from pathlib import Path
 
 from .errors import DataError, MalformedLineError
 
-# the arguments JSONEncoder(sort_keys=True, ensure_ascii=False,
-# separators=(",", ":")).iterencode passes: markers, default, string encoder,
-# indent, key and item separators, sort_keys, skipkeys, allow_nan; no
-# circular-reference markers, because records are trees
-_encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring, None, ":", ",", True, False, True)
+
+def _c_encoder(quote):
+    # the arguments JSONEncoder(sort_keys=True, ensure_ascii=False,
+    # separators=(",", ":")).iterencode passes: markers, default, string
+    # encoder, indent, key and item separators, sort_keys, skipkeys,
+    # allow_nan; no circular-reference markers, because records are trees
+    return c_make_encoder(None, json.JSONEncoder().default, quote, None, ":", ",", True, False, True)
+
+
+_encode = _c_encoder(encode_basestring)
+# both set by timing: over perfbench's manifests, lines under 1,024
+# characters check faster with `_encode` and lines of 4,096 or more with
+# `_encode_long` (calling `_quote` costs each string a Python call); alone,
+# a string under 256 characters quotes faster in C than by 34 `in` tests
+_LONG_LINE = 4096
+_LONG_STRING = 256
+# backslash first, so no escape that adds one is escaped again
+_ESCAPES = sorted(ESCAPE_DCT.items(), key=lambda item: item[0] != "\\")
+
+
+def _quote(s: str) -> str:
+    """`encode_basestring(s)`, in fewer passes over a long `s` that needs few escapes."""
+    if len(s) < _LONG_STRING:
+        return encode_basestring(s)
+    for char, escape in _ESCAPES:
+        if char in s:
+            s = s.replace(char, escape)
+    return f'"{s}"'  # one copy, where '"' + s + '"' makes two
+
+
+_encode_long = _c_encoder(_quote)
 # json.loads without its whitespace regexes and wrapper frames
 _scan = JSONDecoder().scan_once
 # JSON's \u escapes can spell a lone surrogate, which UTF-8 cannot encode
@@ -45,7 +77,8 @@ def canonical_object(text: str) -> dict | None:
         obj, _ = _scan(text, 0)
     except (StopIteration, ValueError):
         return None
-    if isinstance(obj, dict) and "".join(_encode(obj, 0)) + "\n" == text:
+    encode = _encode_long if len(text) >= _LONG_LINE else _encode
+    if isinstance(obj, dict) and "".join(encode(obj, 0)) + "\n" == text:
         return obj
     return None
 

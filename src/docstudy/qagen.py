@@ -352,7 +352,9 @@ class ResponseLog:
     `{"discarded", "doc_id", "pairs", "request", "response"}`, is still read:
     it matches by its `request`, and only its `response` is used. A line is
     read back as any JSON object of either shape: an exact canonical check
-    would re-encode every line, which costs about five times its parse.
+    would re-encode every line, which costs about five times its parse on a
+    line under 4,096 characters (`jsonio` re-encodes a longer one in about
+    the time of its parse).
 
     Opening locks the log for the life of the object, so a second run on it
     fails at once, and reads it once, keeping only each doc id's last

@@ -152,10 +152,11 @@ MUTATIONS = {
 }
 
 
-def sample_records(n: int) -> list[dict]:
-    """Records every mutation applies to: several keys, an é and a 1.0."""
+def sample_records(n: int, pad: int = 0) -> list[dict]:
+    """Records every mutation applies to: several keys, an é and a 1.0; each
+    text ends in `pad` more characters."""
     return [
-        {"id": f"doc-{i}", "score": 1.0, "tags": ["café", i], "text": f"Écrit {i} suite\u0085."}
+        {"id": f"doc-{i}", "score": 1.0, "tags": ["café", i], "text": f"Écrit {i} suite\u0085.{'x' * pad}"}
         for i in range(n)
     ]
 
@@ -200,7 +201,7 @@ def random_object(rng: random.Random, depth: int = 0):
 
 def main(argv: list[str]) -> int:
     from docstudy.dataset import ManifestError, ManifestReader
-    from docstudy.jsonio import canonical_object, encode_line
+    from docstudy.jsonio import _LONG_LINE, canonical_object, encode_line
 
     rounds = int(argv[argv.index("--rounds") + 1]) if "--rounds" in argv else 2000
     failures = []
@@ -213,24 +214,26 @@ def main(argv: list[str]) -> int:
         elif not same(canonical_object(line.decode("utf-8")), obj):
             failures.append(f"canonical_object does not give back object {i}: {obj!r}")
 
-    body = [encode_line(record) for record in sample_records(5)]
-    footer = encode_line({"checksum": hashlib.sha256(b"".join(body)).hexdigest(), "count": len(body), "seed": 0})
     cases = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.jsonl"
-        for name in MUTATIONS:
-            for seed in range(20):
-                data = mutated_manifest(body, footer, name, seed)
-                path.write_bytes(data)
-                try:
-                    for _ in ManifestReader(path):
-                        pass
-                    verdict = None
-                except ManifestError as exc:
-                    verdict = exc.reason, exc.record
-                cases += 1
-                if verdict != old_verdict(data):
-                    failures.append(f"{name} seed {seed}: reader {verdict!r}, oracle {old_verdict(data)!r}")
+        # short lines, and lines long enough for the long-line encoder
+        for pad in (0, _LONG_LINE):
+            body = [encode_line(record) for record in sample_records(5, pad)]
+            footer = encode_line({"checksum": hashlib.sha256(b"".join(body)).hexdigest(), "count": len(body), "seed": 0})
+            for name in MUTATIONS:
+                for seed in range(20):
+                    data = mutated_manifest(body, footer, name, seed)
+                    path.write_bytes(data)
+                    try:
+                        for _ in ManifestReader(path):
+                            pass
+                        verdict = None
+                    except ManifestError as exc:
+                        verdict = exc.reason, exc.record
+                    cases += 1
+                    if verdict != old_verdict(data):
+                        failures.append(f"{name} pad {pad} seed {seed}: reader {verdict!r}, oracle {old_verdict(data)!r}")
     for failure in failures:
         print(failure)
     version = ".".join(map(str, sys.version_info[:3]))

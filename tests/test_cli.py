@@ -555,8 +555,10 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [["plan", "--preset", "nope"], ["plan", "--preset", "continued_pretraining", "--ref", "bad"], ["eval"],
-         ["eval", "--logprobs", "bad.jsonl", "--predictions", "p.jsonl"]],
-        ids=["unknown-preset", "ref-without-path", "eval-without-inputs", "predictions-without-references"],
+         ["eval", "--logprobs", "bad.jsonl", "--predictions", "p.jsonl"],
+         ["eval", "--logprobs", "bad.jsonl", "--references", "nonexistent.jsonl"]],
+        ids=["unknown-preset", "ref-without-path", "eval-without-inputs", "predictions-without-references",
+             "references-without-predictions"],
     )
     def test_a_usage_error_makes_no_output_directory(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -936,9 +938,11 @@ class TestRender:
             expected = [encode_line(attach_loss_policy(r)) for r in oracle.render_stage_inputs(stage, records)]
             assert lines[:-1] == expected
 
-    @pytest.mark.parametrize("change", ["edit", "truncate", "garble-restamped"])
+    @pytest.mark.parametrize("change", ["edit", "truncate", "garble-restamped", "edit-doc-id-under-pit"])
     def test_a_ref_that_changes_after_its_first_pass_is_refused(self, tmp_path, capsys, monkeypatch,
                                                                 corpus_path, change):
+        # pit pairs each train_doc line with the doc id its first pass read
+        preset, ref = ("pit", "train_doc") if change == "edit-doc-id-under-pit" else ("self_tuning", "train_qa")
         records = _ref_records(tmp_path, corpus_path)
         if change == "garble-restamped":
             for record in records["train_qa"]:
@@ -953,22 +957,54 @@ class TestRender:
 
         def scan_then_change(stage_plan, paths):
             scans = scan_refs(stage_plan, paths)
-            data = refs["train_qa"].read_bytes()
+            data = refs[ref].read_bytes()
             if change == "edit":
                 data = data.replace(b"Q3?", b"Q4?", 1)
+            elif change == "edit-doc-id-under-pit":
+                data = data.replace(b'"id":"', b'"id":"x', 1)
             elif change == "truncate":
                 data = data[: data.index(b"\n") + 1]
             else:
                 data = b"{" * data.index(b"\n") + data[data.index(b"\n"):]
-            refs["train_qa"].write_bytes(data)
+            refs[ref].write_bytes(data)
             return scans
 
         monkeypatch.setattr(curriculum, "scan_refs", scan_then_change)
         capsys.readouterr()
-        assert run("--seed", 1, "--out", out, *_render_argv("self_tuning", refs)) == 2
-        assert capsys.readouterr().err == f"data error: {refs['train_qa']}: changed since it was verified\n"
+        assert run("--seed", 1, "--out", out, *_render_argv(preset, refs)) == 2
+        assert capsys.readouterr().err == f"data error: {refs[ref]}: changed since it was verified\n"
+        # no stage file of the refused run, and no temp file
         assert not list(out.glob(".*.tmp"))
         assert tree_bytes(out) == before
+
+    def test_every_line_long_or_short_gets_the_c_encoders_verdict(self, tmp_path):
+        corpus = tmp_path / "raw.jsonl"
+        docs = [long_record(n, seed=n, doc_id=f"long-{n}") for n in (40, 90)] + synthetic_records(6, seed=3)
+        # characters the quoter must escape, or pass through, in a long string
+        docs[1]["body"] += ' Vera said "later" \\ é\u2028 \U0001f600 at 5 p.m.\tThen\nshe left.'
+        write_jsonl(docs, corpus)
+        # enough QA records for both presets' replay
+        refs = _write_refs(tmp_path, _ref_records(tmp_path, corpus, train=6, qa_per_doc=22))
+        for preset in ("pit", "self_tuning"):
+            assert run("--out", tmp_path / "o", *_render_argv(preset, refs)) == 0
+
+        def c_only(text):
+            try:
+                obj, _ = jsonio._scan(text, 0)
+            except (StopIteration, ValueError):
+                return None
+            return obj if isinstance(obj, dict) and "".join(jsonio._encode(obj, 0)) + "\n" == text else None
+
+        lengths = []
+        for path in sorted(tmp_path.rglob("*.jsonl")):
+            for raw in path.read_bytes().splitlines(keepends=True):
+                line = raw.decode("utf-8")
+                lengths.append(len(line))
+                # the line, and the line with its first and its last space escaped
+                first, last = line.find(" "), line.rfind(" ")
+                for text in (line, line[:first] + "\\u0020" + line[first + 1:], line[:last] + "\\u0020" + line[last + 1:]):
+                    assert jsonio.canonical_object(text) == c_only(text), (path.name, len(text))
+        assert min(lengths) < jsonio._LONG_LINE <= max(lengths)
 
     def test_render_encodes_each_ref_record_once(self, tmp_path, monkeypatch, corpus_path):
         refs = _write_refs(tmp_path, _ref_records(tmp_path, corpus_path))
@@ -1668,7 +1704,8 @@ class TestGenQa:
             run("--out", out, "gen-qa", "--corpus", corpus, "--task", "generation", "--endpoint", server.url)
         # the first reply is parsed and logged; the second request, still in flight, is dropped
         assert _log_ids(out) == [records[0]["id"]]
-        assert len(server.seen) == 2
+        # the server thread records the second request when it reads it, which may be after the interrupt
+        wait_for(lambda: len(server.seen) == 2)
         wait_for(lambda: server.closed == server.connections == 1)
 
     def test_an_interrupt_closes_the_kept_alive_connection(self, tmp_path, loopback_server, monkeypatch):
@@ -1820,16 +1857,22 @@ class TestGenQa:
 
     def test_a_missing_corpus_fails_before_the_log_is_made(self, tmp_path, capsys):
         out = tmp_path / "o"
-        assert run("--out", out, "gen-qa", "--corpus", tmp_path / "none.jsonl", "--task", "generation") == 3
+        # with no endpoint and no log, the run would be a usage error before it reads the corpus
+        assert run("--out", out, "gen-qa", "--corpus", tmp_path / "none.jsonl", "--task", "generation",
+                   "--endpoint", "http://chat.test") == 3
         assert capsys.readouterr().err.startswith("i/o error: [Errno 2] No such file or directory")
         assert list(out.iterdir()) == []
 
-    def test_without_endpoint_or_cache_is_usage_error(self, tmp_path, monkeypatch):
+    def test_without_endpoint_or_cache_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("DOCSTUDY_CHAT_ENDPOINT", raising=False)
-        corpus = tmp_path / "c.jsonl"
-        write_jsonl(synthetic_records(1), corpus)
-        code = run("--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "nli")
-        assert code == 1
+        # an empty corpus too: the run ends before it reads the corpus
+        for docs in (1, 0):
+            corpus = tmp_path / f"c{docs}.jsonl"
+            write_jsonl(synthetic_records(docs), corpus)
+            assert run("--out", tmp_path / "o", "gen-qa", "--corpus", corpus, "--task", "nli") == 1
+            assert capsys.readouterr().err.startswith("usage error: no chat endpoint configured")
+            # no output directory, so no empty response log in it
+            assert not (tmp_path / "o").exists()
 
 
 # modules each command must not load (as docstudy.<name>); gen-qa replays its

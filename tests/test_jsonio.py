@@ -4,6 +4,7 @@ import json
 import json.encoder
 import json.scanner
 import os
+from json.encoder import encode_basestring
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,19 @@ _SCALARS = (
 )
 _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3), max_leaves=6)
 _OBJECTS = st.dictionaries(_TEXT, _VALUES, max_size=4)
+# every character class the quoter escapes or passes through: controls,
+# quotes, backslashes, lone surrogates (category Cs) and astral characters
+_QUOTED = st.text(
+    st.characters(blacklist_categories=()) | st.sampled_from('\x00\x1f\n"\\/\x7f\ud800\udfff\U0001f600é\u2028'),
+    max_size=40,
+)
+
+
+def _long_line(template: str, length: int) -> str:
+    """`template` with its one %s filled by "x"s to `length` characters."""
+    line = template % ("x" * (length - len(template) + 2))
+    assert len(line) == length
+    return line
 
 
 class TestAtomicWrite:
@@ -157,6 +171,35 @@ class TestCanonicalCodec:
     def test_anything_but_the_canonical_line_is_refused(self, text):
         assert jsonio.canonical_object(text) is None
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_QUOTED, st.integers(jsonio._LONG_STRING - 40, jsonio._LONG_STRING + 40))
+    def test_quote_is_encode_basestring(self, text, pad):
+        for s in (text, text + "a" * pad, "a" * pad + text, text * pad):
+            assert jsonio._quote(s) == encode_basestring(s)
+
+    @pytest.mark.parametrize("length", [jsonio._LONG_LINE - 1, jsonio._LONG_LINE], ids=["short-path", "long-path"])
+    @pytest.mark.parametrize(
+        "template",
+        [
+            '{"a":"%s\\u0041"}\n',
+            '{"a":"%s\\/"}\n',
+            '{"a":"%s\\u001F"}\n',
+            '{"a":"%s\\u000a"}\n',
+            '{"a":"%s\\ud83d\\ude00"}\n',
+            '{"a": "%s"}\n',
+            '{"b":"%s","a":1}\n',
+            '{"a":"%s","a":"x"}\n',
+        ],
+        ids=["escaped-A", "escaped-slash", "upper-hex-control", "escaped-newline", "escaped-surrogate-pair",
+             "space-after-colon", "unsorted-keys", "duplicate-key"],
+    )
+    def test_a_non_canonical_long_line_is_refused(self, template, length):
+        text = _long_line(template, length)
+        assert jsonio.canonical_object(text) is None
+        # the object's own line is accepted, so only the spelling was refused
+        line = jsonio.encode_line(json.loads(text)).decode("utf-8")
+        assert jsonio.canonical_object(line) == json.loads(text)
+
     def test_canonical_line_gives_its_object(self):
         text = '{"a":[1,-0.0,1e+308,NaN,"\u2028é"],"b":{"c":null}}\n'
         obj = jsonio.canonical_object(text)
@@ -165,12 +208,14 @@ class TestCanonicalCodec:
 
     @pytest.mark.parametrize("name", sorted(oracle.MUTATIONS))
     def test_reader_refuses_a_mutated_line_as_the_two_step_check_did(self, tmp_path, name):
-        body = [jsonio.encode_line(record) for record in oracle.sample_records(5)]
-        footer = {"checksum": hashlib.sha256(b"".join(body)).hexdigest(), "count": len(body), "seed": 0}
         path = tmp_path / "m.jsonl"
-        for seed in range(20):
-            data = oracle.mutated_manifest(body, jsonio.encode_line(footer), name, seed)
-            path.write_bytes(data)
-            with pytest.raises(ManifestError) as err:
-                list(ManifestReader(path))
-            assert (err.value.reason, err.value.record) == oracle.old_verdict(data), seed
+        # short lines, and lines long enough for the long-line encoder
+        for pad in (0, jsonio._LONG_LINE):
+            body = [jsonio.encode_line(record) for record in oracle.sample_records(5, pad)]
+            footer = {"checksum": hashlib.sha256(b"".join(body)).hexdigest(), "count": len(body), "seed": 0}
+            for seed in range(20):
+                data = oracle.mutated_manifest(body, jsonio.encode_line(footer), name, seed)
+                path.write_bytes(data)
+                with pytest.raises(ManifestError) as err:
+                    list(ManifestReader(path))
+                assert (err.value.reason, err.value.record) == oracle.old_verdict(data), (pad, seed)
