@@ -2,7 +2,8 @@
 
 Rule-based replacements for statistical taggers so that task generation
 is reproducible bit-for-bit. All offsets are Unicode scalar offsets into
-the document body, never bytes.
+the document body, never bytes. ``analyze_document`` is the one entry
+point.
 
 Cost contract for ``analyze_document``: the body is segmented once and
 the date patterns run once over it, each a prefix scan that sre runs in C
@@ -19,12 +20,9 @@ two or more runs the greedy rule on itself. The rules keep a cluster to
 a handful of candidates, whatever the length of the body: at most a name
 run, the dates that chain from its last word ("Alice May 12 May 1990"),
 and the numbers, years and words inside them. Beyond the candidates and
-the sentence, entity and preposition lists it returns, memory is
+the sentence, entity and final-preposition lists it returns, memory is
 O(longest sentence). The packaged lexicon and abbreviations are read once
 per process.
-
-``sentence_tokens``, ``find_prepositions`` and ``extract_entities`` are
-built on the same scan.
 """
 
 from __future__ import annotations
@@ -127,12 +125,6 @@ class EntitySpan(namedtuple("EntitySpan", "start end surface kind")):
     __slots__ = ()
 
 
-class Token(namedtuple("Token", "start end core_start core_end core")):
-    """One whitespace-delimited token with its punctuation-stripped core."""
-
-    __slots__ = ()
-
-
 def _is_initial(word: str) -> bool:
     """One ASCII capital and a period, as in "W."."""
     return len(word) == 2 and word[1] == "." and "A" <= word[0] <= "Z"
@@ -144,7 +136,7 @@ _NAME_PART = (_CAPWORD, _INITIAL)
 _JOINER = (_INITIAL, _CONNECTOR)
 
 
-def _scan(text: str, heads: frozenset[str] = frozenset()) -> tuple[list[tuple], list[int], list[int]]:
+def _scan(text: str, heads: frozenset[str]) -> tuple[list[tuple], list[int], list[int]]:
     """The one pass over a sentence's tokens: each is read and classified once.
 
     Returns ``(tokens, marks, hits)``:
@@ -197,10 +189,6 @@ def _scan(text: str, heads: frozenset[str] = frozenset()) -> tuple[list[tuple], 
         )
         bare_end = core_end == end
     return tokens, marks, hits
-
-
-def sentence_tokens(text: str) -> list[Token]:
-    return [Token(*token[:5]) for token in _scan(text)[0]]
 
 
 def segment_sentences(body: str, abbreviations: frozenset[str] | None = None) -> list[SentenceSpan]:
@@ -374,18 +362,11 @@ def _greedy(cluster: list[tuple]) -> list[tuple]:
     return sorted(kept)
 
 
-def extract_entities(body: str, abbreviations: frozenset[str] | None = None) -> list[EntitySpan]:
-    """Entities per fixed rules; overlaps resolved longest-match, then leftmost."""
-    candidates = _date_candidates(body)
-    for span in segment_sentences(body, abbreviations=abbreviations):
-        tokens, marks, _ = _scan(body[span.start : span.end])
-        candidates.extend(_entity_candidates(span.start, tokens, marks))
-    return _resolve_overlaps(body, candidates)
-
-
-def _preposition_positions(tokens: list[tuple], hits: list[int], units: dict, singles: frozenset[str]) -> list[int]:
-    """Greedy left-to-right lexicon matching over a sentence's scan."""
-    positions = []
+def _final_preposition(tokens: list[tuple], hits: list[int], units: dict, singles: frozenset[str]) -> int | None:
+    """The position of a sentence's last preposition in its scan, or None:
+    greedy left-to-right lexicon matching, where a multiword unit ("as well
+    as") is one match at its final token and its words are not re-matched."""
+    final = None
     free = 0  # tokens before this one belong to a matched unit
     for i in hits:
         if i < free:
@@ -394,37 +375,21 @@ def _preposition_positions(tokens: list[tuple], hits: list[int], units: dict, si
         for unit in units.get(form, ()):
             k = len(unit)
             if [token[5] for token in tokens[i : i + k]] == unit:
-                positions.append(i + k - 1)
+                final = i + k - 1
                 free = i + k
                 break
         else:
             if form in singles:
-                positions.append(i)
-    return positions
+                final = i
+    return final
 
 
-def find_prepositions(sentence: str, lexicon: frozenset[str] | None = None) -> list[int]:
-    """Token positions of closed-class prepositions.
-
-    Multiword units ("as well as") match as one unit whose recorded
-    position is the final token; their member words are not re-matched.
-    """
-    lex = frozenset(lexicon) if lexicon is not None else load_lexicon()
-    units, singles, heads = _lexicon_split(lex)
-    tokens, _, hits = _scan(sentence, heads)
-    return _preposition_positions(tokens, hits, units, singles)
-
-
-class AnalyzedDocument(namedtuple("AnalyzedDocument", "doc sentences entities prepositions final_preposition_ends")):
+class AnalyzedDocument(namedtuple("AnalyzedDocument", "doc sentences entities final_preposition_ends")):
     """A document with its sentence and entity spans, and per sentence the
-    token positions of its prepositions and the end offset within the
-    sentence of its final preposition token (None without prepositions)."""
+    end offset within the sentence of its final preposition token (None
+    without prepositions)."""
 
     __slots__ = ()
-
-    def __new__(cls, doc: RawDocument, sentences=None, entities=None, prepositions=None, final_preposition_ends=None):
-        lists = (sentences, entities, prepositions, final_preposition_ends)
-        return tuple.__new__(cls, (doc, *([] if value is None else value for value in lists)))
 
     def entity_range(self, index: int) -> tuple[int, int]:
         """The [lo, hi) slice of ``entities`` inside sentence ``index``.
@@ -457,20 +422,17 @@ def analyze_document(
     units, singles, heads = _lexicon_split(lexicon)
     sentences = segment_sentences(body, abbreviations=abbreviations)
     candidates = _date_candidates(body)
-    prepositions: list[list[int]] = []
     final_preposition_ends: list[int | None] = []
-    # one scan of each sentence feeds its entity candidates and its
-    # prepositions; its tokens are dropped before the next sentence
+    # one scan of each sentence feeds its entity candidates and its final
+    # preposition; its tokens are dropped before the next sentence
     for span in sentences:
         tokens, marks, hits = _scan(body[span.start : span.end], heads)
         candidates.extend(_entity_candidates(span.start, tokens, marks))
-        positions = _preposition_positions(tokens, hits, units, singles)
-        prepositions.append(positions)
-        final_preposition_ends.append(tokens[positions[-1]][1] if positions else None)
+        final = _final_preposition(tokens, hits, units, singles)
+        final_preposition_ends.append(None if final is None else tokens[final][1])
     return AnalyzedDocument(
         doc=doc,
         sentences=sentences,
         entities=_resolve_overlaps(body, candidates),
-        prepositions=prepositions,
         final_preposition_ends=final_preposition_ends,
     )

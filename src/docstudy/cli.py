@@ -25,6 +25,7 @@ from .vocab import FULL_SEQUENCE, TASK_GENERATION, TASK_NLI
 SEED_ENV = "DOCSTUDY_SEED"
 JOBS_ENV = "DOCSTUDY_JOBS"
 OUT_ENV = "DOCSTUDY_OUT"
+CONFIG_KEYS = ("jobs", "out", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,6 +42,9 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config file {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(config) - set(CONFIG_KEYS))
+    if unknown:
+        raise UsageError(f"config file {path}: unknown keys {unknown}; valid keys: {', '.join(CONFIG_KEYS)}")
     return config
 
 
@@ -183,6 +187,10 @@ def cmd_split(args, config) -> int:
     from .corpus import iter_documents
 
     seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
+    if not 0 < args.fraction < 1:  # written so that NaN fails it too
+        raise UsageError(f"test fraction {args.fraction} outside (0,1)")
+    if args.ngram < 1:
+        raise UsageError(f"n-gram size {args.ngram} is not at least 1")
     out = _out(args, config)
     name = _name(args)
     with OutputSet() as outputs:

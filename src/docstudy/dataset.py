@@ -44,18 +44,15 @@ def split_corpus(
 ) -> tuple[list[RawDocument], list[RawDocument]]:
     """Partition by seeded shuffle; both sides keep the original order.
 
-    Ids and titles must be distinct, so no document or title lands on both sides.
+    ``split`` checks the fraction and ``iter_documents`` the ids; titles
+    must be distinct too, so no document or title lands on both sides.
     """
-    # written so that NaN fails it too
-    if not 0 < test_fraction < 1:
-        raise DataError(f"test fraction {test_fraction} outside (0,1)")
     n = len(docs)
     if n < 2:
         raise DegenerateSplitError("need at least 2 documents to split")
-    for what, values in (("ids", [doc.id for doc in docs]), ("titles", [doc.title for doc in docs])):
-        dupes = sorted(value for value, count in Counter(values).items() if count > 1)
-        if dupes:
-            raise DataError(f"duplicate {what} prevent a zero-overlap split: {dupes}")
+    dupes = sorted(title for title, count in Counter(doc.title for doc in docs).items() if count > 1)
+    if dupes:
+        raise DataError(f"duplicate titles prevent a zero-overlap split: {dupes}")
 
     n_test = math.ceil(test_fraction * n)
     if n_test >= n or n_test < 1:
@@ -82,12 +79,11 @@ def overlap_report(train: list[RawDocument], test: list[RawDocument], ngram_size
     body becomes its ids packed as fixed-width bytes, and an n-gram is one
     slice of them, exact because ids and test words are one-to-one. A train
     word the test side lacks packs as 0, which no test n-gram holds, so the
-    report's memory grows with the test side only.
+    report's memory grows with the test side only. ``ngram_size`` is at
+    least 1, as ``split`` checks.
     """
     from array import array  # only split builds the report, so no other command loads it
 
-    if ngram_size < 1:
-        raise DataError(f"n-gram size {ngram_size} is not at least 1")
     ids: dict[str, int] = {}
     step = array("I").itemsize
     width = ngram_size * step

@@ -4,7 +4,8 @@ EM/F1/Recall follow the open-QA convention (lowercase, strip punctuation,
 drop articles, whitespace-split); Rouge-L keeps articles and uses an
 LCS F-measure with equal precision/recall weighting. Perplexity pools
 token-level negative log-likelihood over all records. A report's mean of
-each score covers only the items that carry its gold.
+each score covers only the items that carry its gold. Reports come from
+``score_items`` and ``build_report``.
 """
 
 from __future__ import annotations
@@ -25,15 +26,11 @@ __all__ = [
     "aggregate_ppl",
     "build_report",
     "check_reference",
-    "exact_match",
     "lcs_length",
     "lcs_length_python",
-    "nli_accuracy",
     "normalize_answer",
     "rouge_l",
     "score_items",
-    "token_f1",
-    "token_recall",
 ]
 
 _ARTICLES = re.compile(r"\b(a|an|the)\b")
@@ -54,17 +51,6 @@ def _overlap_tokens(text: str) -> list[str]:
 def _rouge_tokens(text: str) -> list[str]:
     # articles stay: Rouge-L measures sequence overlap, not answer identity
     return " ".join(text.lower().translate(_PUNCT_TABLE).split()).split()
-
-
-def _require_golds(golds) -> list[str]:
-    golds = list(golds)
-    if not golds:
-        raise DataError("at least one gold answer is required")
-    return golds
-
-
-def _gold_tokens(golds) -> list[list[str]]:
-    return [_overlap_tokens(gold) for gold in _require_golds(golds)]
 
 
 def _precision_recall(pred_tokens, gold_tokens) -> tuple[float, float]:
@@ -90,18 +76,6 @@ def _overlap_scores(pred_tokens: list[str], gold_tokens: list[list[str]]) -> tup
             f1 = max(f1, 2 * precision * recall / (precision + recall))
         best_recall = max(best_recall, recall)
     return em, f1, best_recall
-
-
-def exact_match(pred: str, golds) -> int:
-    return _overlap_scores(_overlap_tokens(pred), _gold_tokens(golds))[0]
-
-
-def token_f1(pred: str, golds) -> float:
-    return _overlap_scores(_overlap_tokens(pred), _gold_tokens(golds))[1]
-
-
-def token_recall(pred: str, golds) -> float:
-    return _overlap_scores(_overlap_tokens(pred), _gold_tokens(golds))[2]
 
 
 def rouge_l(pred: str, gold: str) -> float:
@@ -135,16 +109,12 @@ def _find_subsequence(haystack: list[str], needle: tuple[str, ...]) -> int:
     return -1
 
 
-def parse_nli_prediction(pred: str) -> str | None:
-    """Map free-form output to one of the three labels, or None.
+def _parse_nli_tokens(tokens: list[str]) -> str | None:
+    """Map normalised free-form output to one of the three labels, or None.
 
     When extra words surround an option, the earliest occurrence wins;
     ties prefer the longer option string.
     """
-    return _parse_nli_tokens(_overlap_tokens(pred))
-
-
-def _parse_nli_tokens(tokens: list[str]) -> str | None:
     hits = []
     for label, forms in _LABEL_TOKEN_FORMS.items():
         for form in forms:
@@ -154,21 +124,6 @@ def _parse_nli_tokens(tokens: list[str]) -> str | None:
     if not hits:
         return None
     return min(hits)[3]
-
-
-def nli_accuracy(pred: str, gold_label: str, diagnostics: dict | None = None) -> int:
-    return _nli_score(_overlap_tokens(pred), gold_label, diagnostics)
-
-
-def _nli_score(pred_tokens: list[str], gold_label: str, diagnostics: dict | None) -> int:
-    if gold_label not in NLI_LABELS:
-        raise DataError(f"unknown gold label {gold_label!r}")
-    parsed = _parse_nli_tokens(pred_tokens)
-    if parsed is None:
-        if diagnostics is not None:
-            diagnostics["unparseable_nli"] = diagnostics.get("unparseable_nli", 0) + 1
-        return 0
-    return int(parsed == gold_label)
 
 
 # the largest x for which math.exp(x) is a finite float
@@ -246,10 +201,13 @@ def score_items(predictions: dict, references: dict) -> tuple[list[GenerationJud
         pred_tokens = _overlap_tokens(pred)
         em = f1 = recall = rouge = nli = None
         if golds:
-            em, f1, recall = _overlap_scores(pred_tokens, _gold_tokens(golds))
+            em, f1, recall = _overlap_scores(pred_tokens, [_overlap_tokens(gold) for gold in golds])
             rouge = max(rouge_l(pred, g) for g in golds)
         if gold_label is not None:
-            nli = _nli_score(pred_tokens, gold_label, diagnostics)
+            parsed = _parse_nli_tokens(pred_tokens)
+            if parsed is None:
+                diagnostics["unparseable_nli"] += 1
+            nli = int(parsed == gold_label)
         judgments.append(GenerationJudgment(item_id, em, f1, recall, rouge, nli))
     return judgments, diagnostics
 

@@ -14,8 +14,12 @@ up as a difference.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
-from docstudy.analysis import EntitySpan, Token, load_lexicon, segment_sentences
+from docstudy.analysis import EntitySpan, load_lexicon, segment_sentences
+
+# one whitespace-delimited token with its punctuation-stripped core
+Token = namedtuple("Token", "start end core_start core_end core")
 
 _MONTHS = (
     "January|February|March|April|May|June|July|August|September|October|November|December"

@@ -21,10 +21,8 @@ from docstudy.curriculum import plan, scan_refs, stage_lines
 from docstudy.dataset import ManifestReader, doc_record, qa_record, split_corpus, write_manifest
 from docstudy.metrics import (
     aggregate_ppl,
-    exact_match,
     rouge_l,
-    token_f1,
-    token_recall,
+    score_items,
     LogProbRecord,
 )
 from docstudy.qagen import QAPair, parse_qa_response
@@ -228,12 +226,17 @@ def test_criterion_3_metric_oracle_equivalence():
     with criterion("criterion 3: metrics vs brute-force reference, tol 1e-9; PPL exact"):
         rng = random.Random(2024)
         vocab = ["alpha", "beta", "the", "1946", "gamma", "delta", "a", "omega", "paris."]
-        for _ in range(200):
-            pred = " ".join(rng.choices(vocab, k=rng.randint(0, 10)))
-            gold = " ".join(rng.choices(vocab, k=rng.randint(1, 10)))
-            assert abs(exact_match(pred, [gold]) - _ref_em(pred, gold)) <= 1e-9
-            assert abs(token_f1(pred, [gold]) - _ref_f1(pred, gold)) <= 1e-9
-            assert abs(token_recall(pred, [gold]) - _ref_recall(pred, gold)) <= 1e-9
+        predictions, references = {}, {}
+        for i in range(200):
+            predictions[f"i{i:03d}"] = " ".join(rng.choices(vocab, k=rng.randint(0, 10)))
+            references[f"i{i:03d}"] = {"golds": [" ".join(rng.choices(vocab, k=rng.randint(1, 10)))]}
+        judgments, _ = score_items(predictions, references)
+        for judgment in judgments:
+            pred, (gold,) = predictions[judgment.item_id], references[judgment.item_id]["golds"]
+            assert abs(judgment.em - _ref_em(pred, gold)) <= 1e-9
+            assert abs(judgment.f1 - _ref_f1(pred, gold)) <= 1e-9
+            assert abs(judgment.recall - _ref_recall(pred, gold)) <= 1e-9
+            assert abs(judgment.rouge_l - _ref_rouge(pred, gold)) <= 1e-9
             assert abs(rouge_l(pred, gold) - _ref_rouge(pred, gold)) <= 1e-9
 
         import math

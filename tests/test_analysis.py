@@ -5,18 +5,24 @@ from hypothesis import strategies as st
 
 from conftest import MORITZ_BODY, ROBERT_BODY
 from docstudy import analysis
-from docstudy.analysis import (
-    analyze_document,
-    extract_entities,
-    find_prepositions,
-    segment_sentences,
-    sentence_tokens,
-)
+from docstudy.analysis import analyze_document, segment_sentences
 from docstudy.corpus import RawDocument, document_from_record
 from docstudy.vocab import tokenize_words
 
 import _analysis_oracle as oracle
 from _synth import synthetic_records
+
+def extract_entities(body: str):
+    """The entities `gen-tasks` reads: those `analyze_document` finds."""
+    return analyze_document(RawDocument(id="d", title="T", body=body)).entities
+
+
+def final_preposition_end(sentence: str, lexicon=None):
+    """The end offset of the last preposition of a one-sentence body."""
+    adoc = analyze_document(RawDocument(id="d", title="T", body=sentence), lexicon=lexicon)
+    assert len(adoc.sentences) == 1
+    return adoc.final_preposition_ends[0]
+
 
 ROBERT_ENTITIES = {
     "Robert Alexander Anderson",
@@ -168,23 +174,23 @@ class TestPrepositions:
             "Robert is known for painting portraits as well as designing "
             "United States postage stamps."
         )
-        tokens = sentence_tokens(sentence)
-        positions = find_prepositions(sentence)
-        final = positions[-1]
-        assert tokens[final].core == "as"
-        # the unit's first "as" is not separately matched
-        assert final - 2 not in positions
+        unit_end = sentence.index("as designing") + len("as")
+        assert final_preposition_end(sentence) == unit_end
+        # the unit's words are not matched again, so a unit that starts
+        # inside it, and would end later, is never found
+        assert final_preposition_end(sentence, frozenset({"as well as", "well as designing"})) == unit_end
 
     def test_no_prepositions(self):
-        assert find_prepositions("Nothing happened yesterday") == []
+        assert final_preposition_end("Nothing happened yesterday") is None
 
     def test_single_hit(self):
         sentence = "a book of poems"
-        positions = find_prepositions(sentence)
-        assert positions == [2]
+        assert final_preposition_end(sentence) == sentence.index(" poems")
 
     def test_punctuation_attached(self):
-        assert find_prepositions("he lived in, broadly, Paris") == [2]
+        # the end is the whole token's, its comma included
+        sentence = "he lived in, broadly, Paris"
+        assert final_preposition_end(sentence) == sentence.index(" broadly")
 
 
 class TestTokenizeWords:
@@ -209,7 +215,7 @@ class TestDeterminism:
     def test_analyze_document_structure(self):
         doc = RawDocument(id="x", title="T", body="Alice met Bob in Oslo. They toured the fjords.")
         adoc = analyze_document(doc)
-        assert len(adoc.prepositions) == len(adoc.sentences)
+        assert len(adoc.final_preposition_ends) == len(adoc.sentences)
 
 
 WORDS = st.sampled_from(
@@ -260,24 +266,22 @@ class TestLinearAnalysisEquivalence:
     # title-case, non-ASCII digit and punctuation-only tokens
     @example("Émile W. Ø. Becker of ǅemal met Ωmega ( \"Øresund\" — ٣ ² «Né» e.g. Inc.. ¡Hola!")
     def test_sweep_matches_quadratic_resolver(self, body):
-        entities = extract_entities(body)
+        adoc = analyze_document(RawDocument(id="p", title="P", body=body))
+        entities = adoc.entities
         assert entities == oracle.quadratic_entities(body)
         candidates = analysis._date_candidates(body)
         for span in segment_sentences(body):
-            tokens, marks, _ = analysis._scan(body[span.start : span.end])
+            tokens, marks, _ = analysis._scan(body[span.start : span.end], frozenset())
             candidates.extend(analysis._entity_candidates(span.start, tokens, marks))
         assert entities == oracle.occupancy_resolve(body, candidates)
 
-        adoc = analyze_document(RawDocument(id="p", title="P", body=body))
-        assert adoc.entities == entities
         assert adoc.sentences == segment_sentences(body)
         for span in adoc.sentences:
             text = body[span.start : span.end]
             tokens = oracle.sentence_tokens(text)
             positions = oracle.find_prepositions(text)
-            assert sentence_tokens(text) == tokens
-            assert find_prepositions(text) == positions
-            assert adoc.prepositions[span.index] == positions
+            assert [token[:5] for token in analysis._scan(text, frozenset())[0]] == [tuple(t) for t in tokens]
+            # the oracle's greedy matcher, compared through its last match
             assert adoc.final_preposition_ends[span.index] == (
                 tokens[positions[-1]].end if positions else None
             )

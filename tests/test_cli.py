@@ -255,16 +255,17 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "argv, reason",
-        [(["--fraction", "nan"], "test fraction nan outside (0,1)"), (["--ngram", "0"], "n-gram size 0 is not at least 1")],
-        ids=["fraction-nan", "ngram-0"],
+        [(["--fraction", "nan"], "test fraction nan outside (0,1)"), (["--ngram", "0"], "n-gram size 0 is not at least 1"),
+         (["--fraction", "0"], "test fraction 0.0 outside (0,1)"), (["--fraction", "1"], "test fraction 1.0 outside (0,1)")],
+        ids=["fraction-nan", "ngram-0", "fraction-0", "fraction-1"],
     )
     def test_split_bad_argument_keeps_old_outputs(self, tmp_path, capsys, corpus_path, argv, reason):
         out = tmp_path / "o"
         assert run("--seed", 2, "--out", out, "split", "--corpus", corpus_path, "--name", "s") == 0
         before = tree_bytes(out)
         capsys.readouterr()
-        assert run("--seed", 3, "--out", out, "split", "--corpus", corpus_path, "--name", "s", *argv) == 2
-        assert capsys.readouterr().err == f"data error: {reason}\n"
+        assert run("--seed", 3, "--out", out, "split", "--corpus", corpus_path, "--name", "s", *argv) == 1
+        assert capsys.readouterr().err == f"usage error: {reason}\n"
         assert tree_bytes(out) == before
 
     def test_split_failed_write_keeps_every_old_output(self, tmp_path, capsys, monkeypatch, corpus_path):
@@ -556,14 +557,17 @@ class TestErrors:
         "argv",
         [["plan", "--preset", "nope"], ["plan", "--preset", "continued_pretraining", "--ref", "bad"], ["eval"],
          ["eval", "--logprobs", "bad.jsonl", "--predictions", "p.jsonl"],
-         ["eval", "--logprobs", "bad.jsonl", "--references", "nonexistent.jsonl"]],
+         ["eval", "--logprobs", "bad.jsonl", "--references", "nonexistent.jsonl"],
+         ["split", "--corpus", "bad.jsonl", "--fraction", "nan"],
+         ["--config", "c.json", "ingest", "--corpus", "bad.jsonl"]],
         ids=["unknown-preset", "ref-without-path", "eval-without-inputs", "predictions-without-references",
-             "references-without-predictions"],
+             "references-without-predictions", "split-fraction-nan", "config-unknown-keys"],
     )
     def test_a_usage_error_makes_no_output_directory(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.jsonl").write_text("{not json}\n", "utf-8")
         (tmp_path / "p.jsonl").write_text('{"item_id": "i1", "prediction": "A."}\n', "utf-8")
+        (tmp_path / "c.json").write_text('{"sede": 5}', "utf-8")
         assert run("--out", tmp_path / "o", *argv) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not (tmp_path / "o").exists()
@@ -683,6 +687,8 @@ class TestErrors:
              "config key 'jobs': cannot read 2.9 as int"),
             ("config.json", '{"seed": true}', ["--config", "{file}", "ingest", "--corpus", "{corpus}"], 1,
              "config key 'seed': cannot read True as int"),
+            ("config.json", '{"sede": 5, "jobz": 3}', ["--config", "{file}", "ingest", "--corpus", "{corpus}"], 1,
+             "config file {file}: unknown keys ['jobz', 'sede']; valid keys: jobs, out, seed\n"),
             ("task.json", '{"option_cout": 5}', ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"],
              2, "{file}: unknown task config keys ['option_cout']"),
             ("task.json", '{"multiplicity": {"nil": 0}}',
@@ -695,8 +701,8 @@ class TestErrors:
              "{file}: not UTF-8"),
             ("words.txt", "\udcffDr.\n", ["gen-tasks", "--corpus", "{corpus}", "--abbreviations", "{file}"], 2,
              "{file}: not UTF-8"),
-            ("unused.txt", "", ["split", "--corpus", "{corpus}", "--ngram", "0"], 2, "n-gram size 0 "),
-            ("unused.txt", "", ["split", "--corpus", "{corpus}", "--ngram", "-3"], 2, "n-gram size -3 "),
+            ("unused.txt", "", ["split", "--corpus", "{corpus}", "--ngram", "0"], 1, "n-gram size 0 "),
+            ("unused.txt", "", ["split", "--corpus", "{corpus}", "--ngram", "-3"], 1, "n-gram size -3 "),
             ("qa.jsonl", '{"doc_id": "d1", "task": "generation", "question": "Q?", "answer": "A."}\n'
              '{"doc_id": "zzz", "task": "generation", "question": "Q?", "answer": "A."}\n',
              ["split", "--corpus", "{corpus}", "--qa", "{file}"], 2,
@@ -730,7 +736,7 @@ class TestErrors:
             "task-config-multiplicity-not-int", "task-config-template-not-str",
             "header-leaves-empty-title", "lone-surrogate-in-body", "lone-surrogate-in-qa-row",
             "task-config-option-count-float", "task-config-option-count-bool", "task-config-option-count-str",
-            "config-jobs-float", "config-seed-bool", "task-config-unknown-key",
+            "config-jobs-float", "config-seed-bool", "config-unknown-keys", "task-config-unknown-key",
             "task-config-multiplicity-unknown-kind", "task-config-template-unknown-kind",
             "task-config-multiplicity-negative", "lexicon-not-utf8", "abbreviations-not-utf8",
             "split-ngram-0", "split-ngram-negative", "qa-row-unknown-document",
@@ -830,11 +836,11 @@ class TestErrors:
         write_jsonl(synthetic_records(12, seed=4), good)
         lines = good.read_text("utf-8").splitlines(keepends=True)
         bad.write_text("".join(lines[:9]) + bad_line + "\n" + "".join(lines[9:]), "utf-8")
-        commands = (["ingest", "--name", "c"], ["gen-tasks", "--name", "c", "--reading"])
+        commands = (["ingest", "--name", "c"], ["gen-tasks", "--name", "c", "--reading"], ["split", "--name", "c"])
         for command in commands:
             assert run("--out", out, *command, "--corpus", good) == 0
         before = tree_bytes(out)
-        assert {"c.jsonl", "c_tasks.jsonl", "c_reading.jsonl"} <= set(before)
+        assert {"c.jsonl", "c_tasks.jsonl", "c_reading.jsonl", "c_train.jsonl"} <= set(before)
         # the tenth document fails after nine were written to the temp files
         for command in commands:
             assert run("--out", out, *command, "--corpus", bad) == 2

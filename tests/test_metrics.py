@@ -10,18 +10,30 @@ from docstudy.metrics import (
     LogProbRecord,
     aggregate_ppl,
     build_report,
-    exact_match,
     lcs_length,
     lcs_length_python,
-    nli_accuracy,
     normalize_answer,
-    parse_nli_prediction,
     rouge_l,
     score_items,
-    token_f1,
-    token_recall,
 )
 from docstudy.vocab import NLI_LABELS
+
+
+def judge(pred: str, golds=None, gold_label=None):
+    """One item scored as `eval` scores it: its judgment and the diagnostics."""
+    ref = {key: value for key, value in (("golds", golds), ("gold_label", gold_label)) if value is not None}
+    (judgment,), diagnostics = score_items({"item": pred}, {"item": ref})
+    return judgment, diagnostics
+
+
+def overlap(pred: str, golds) -> tuple:
+    """(EM, token F1, token recall) of one item, best over its golds."""
+    judgment, _ = judge(pred, golds)
+    return judgment.em, judgment.f1, judgment.recall
+
+
+def nli(pred: str, gold_label: str) -> int:
+    return judge(pred, gold_label=gold_label)[0].nli_acc
 
 
 class TestNormalize:
@@ -37,38 +49,37 @@ class TestNormalize:
 
 class TestExactMatch:
     def test_normalization_oracle(self):
-        assert exact_match("december 12 1997", ["December 12, 1997."]) == 1
+        assert judge("december 12 1997", ["December 12, 1997."])[0].em == 1
 
     def test_identical(self):
-        assert exact_match("same", ["same"]) == 1
+        assert judge("same", ["same"])[0].em == 1
 
     def test_mismatch(self):
-        assert exact_match("1998", ["1997"]) == 0
+        assert judge("1998", ["1997"])[0].em == 0
 
     def test_empty_golds_error(self):
-        with pytest.raises(DataError):
-            exact_match("x", [])
+        with pytest.raises(DataError, match="non-empty 'golds'"):
+            judge("x", [])
 
 
 class TestTokenOverlap:
     def test_hand_computed_f1_and_recall(self):
-        assert token_f1("born 1946 in texas", ["1946"]) == pytest.approx(0.4)
-        assert token_recall("born 1946 in texas", ["1946"]) == pytest.approx(1.0)
+        _, f1, recall = overlap("born 1946 in texas", ["1946"])
+        assert f1 == pytest.approx(0.4)
+        assert recall == pytest.approx(1.0)
 
     def test_identical(self):
-        assert token_f1("a b c", ["a b c"]) == 1.0
-        assert token_recall("a b c", ["a b c"]) == 1.0
+        assert overlap("a b c", ["a b c"])[1:] == (1.0, 1.0)
 
     def test_disjoint(self):
-        assert token_f1("x y", ["p q"]) == 0.0
+        assert overlap("x y", ["p q"])[1] == 0.0
 
     def test_empty_vs_empty(self):
-        assert token_f1("", [""]) == 1.0
-        assert token_recall("", [""]) == 1.0
+        assert overlap("", [""])[1:] == (1.0, 1.0)
 
     def test_empty_vs_nonempty(self):
-        assert token_f1("", ["x"]) == 0.0
-        assert token_f1("x", [""]) == 0.0
+        assert overlap("", ["x"])[1] == 0.0
+        assert overlap("x", [""])[1] == 0.0
 
     def test_max_over_golds_never_decreases(self):
         rng = random.Random(2)
@@ -76,9 +87,9 @@ class TestTokenOverlap:
         for _ in range(100):
             pred = " ".join(rng.choices(vocab, k=rng.randint(1, 6)))
             golds = [" ".join(rng.choices(vocab, k=rng.randint(1, 6)))]
-            before = (exact_match(pred, golds), token_f1(pred, golds), token_recall(pred, golds))
+            before = overlap(pred, golds)
             golds.append(" ".join(rng.choices(vocab, k=rng.randint(1, 6))))
-            after = (exact_match(pred, golds), token_f1(pred, golds), token_recall(pred, golds))
+            after = overlap(pred, golds)
             assert all(b <= a for b, a in zip(before, after))
 
     def test_dominance_em_le_f1_le_one(self):
@@ -87,9 +98,7 @@ class TestTokenOverlap:
         for _ in range(200):
             pred = " ".join(rng.choices(vocab, k=rng.randint(0, 5)))
             golds = [" ".join(rng.choices(vocab, k=rng.randint(1, 5)))]
-            em = exact_match(pred, golds)
-            f1 = token_f1(pred, golds)
-            recall = token_recall(pred, golds)
+            em, f1, recall = overlap(pred, golds)
             assert em <= f1 <= 1.0
             assert em <= recall <= 1.0
 
@@ -146,27 +155,30 @@ class TestLcsBackends:
 
 class TestNliAccuracy:
     def test_exact_labels(self):
-        assert nli_accuracy("Yes", "Yes") == 1
-        assert nli_accuracy("It's impossible to say", "Impossible") == 1
-        assert nli_accuracy("No", "No") == 1
+        assert nli("Yes", "Yes") == 1
+        assert nli("It's impossible to say", "Impossible") == 1
+        assert nli("No", "No") == 1
 
     def test_embedded_option(self):
-        assert nli_accuracy("The answer is Yes.", "Yes") == 1
+        assert nli("The answer is Yes.", "Yes") == 1
 
     def test_earliest_option_wins(self):
-        assert parse_nli_prediction("No, it's impossible to say") == "No"
+        pred = "No, it's impossible to say"
+        assert [nli(pred, label) for label in NLI_LABELS] == [int(label == "No") for label in NLI_LABELS]
 
     def test_impossible_alias(self):
-        assert parse_nli_prediction("Impossible") == "Impossible"
+        judgment, diagnostics = judge("Impossible", gold_label="Impossible")
+        assert judgment.nli_acc == 1
+        assert diagnostics == {"unparseable_nli": 0}
 
     def test_unparseable_counts_diagnostic(self):
-        diagnostics = {}
-        assert nli_accuracy("maybe", "No", diagnostics) == 0
-        assert diagnostics["unparseable_nli"] == 1
+        judgment, diagnostics = judge("maybe", gold_label="No")
+        assert judgment.nli_acc == 0
+        assert diagnostics == {"unparseable_nli": 1}
 
     def test_unknown_gold_label_rejected(self):
-        with pytest.raises(DataError):
-            nli_accuracy("Yes", "Sometimes")
+        with pytest.raises(DataError, match="unknown gold label 'Sometimes'"):
+            judge("Yes", gold_label="Sometimes")
 
 
 class TestPerplexity:
@@ -302,13 +314,13 @@ class TestReport:
             predictions[item_id], references[item_id] = pred, {}
             if kind != "nli":
                 references[item_id]["golds"] = [gold]
-                scores = {"em": exact_match(pred, [gold]), "f1": token_f1(pred, [gold]),
-                          "recall": token_recall(pred, [gold]), "rouge_l": rouge_l(pred, gold)}
+                em, f1, recall = overlap(pred, [gold])
+                scores = {"em": em, "f1": f1, "recall": recall, "rouge_l": rouge_l(pred, gold)}
                 for key, value in scores.items():
                     expected.setdefault(key, []).append(value)
             if kind != "generation":
                 references[item_id]["gold_label"] = label
-                expected.setdefault("nli_acc", []).append(nli_accuracy(pred, label))
+                expected.setdefault("nli_acc", []).append(nli(pred, label))
         judgments, diagnostics = score_items(predictions, references)
         report = build_report(judgments, diagnostics=diagnostics)
         assert report["metrics"] == {key: round(100.0 * sum(v) / len(v), 2) for key, v in expected.items()}
@@ -321,6 +333,6 @@ class TestReport:
         for _ in range(200):
             pred = " ".join(rng.choices(vocab, k=rng.randint(1, 5)))
             golds = [" ".join(rng.choices(vocab, k=rng.randint(1, 5)))]
-            if exact_match(pred, golds) == 1:
-                assert token_f1(pred, golds) == 1.0
-                assert token_recall(pred, golds) == 1.0
+            em, f1, recall = overlap(pred, golds)
+            if em == 1:
+                assert (f1, recall) == (1.0, 1.0)

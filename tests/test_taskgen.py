@@ -442,7 +442,7 @@ class TestFill:
 
 class TestAnalysisCallBudget:
     def test_segment_once_tokenize_each_sentence_at_most_once(self, monkeypatch):
-        calls = {"segment_sentences": 0, "sentence_tokens": 0, "load_lexicon": 0}
+        calls = {"segment_sentences": 0, "_scan": 0, "load_lexicon": 0}
 
         def counted(name):
             original = getattr(analysis, name)
@@ -462,7 +462,7 @@ class TestAnalysisCallBudget:
             build_suite(adoc, seed=1)
             sentences += len(adoc.sentences)
         assert calls["segment_sentences"] == len(docs)
-        assert calls["sentence_tokens"] <= sentences
+        assert calls["_scan"] == sentences
         assert calls["load_lexicon"] <= len(docs)
 
 
