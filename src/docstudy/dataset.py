@@ -79,11 +79,12 @@ def overlap_report(train: list[RawDocument], test: list[RawDocument], ngram_size
     body becomes its ids packed as fixed-width bytes, and an n-gram is one
     slice of them, exact because ids and test words are one-to-one. A train
     word the test side lacks packs as 0, which no test n-gram holds, so the
-    report's memory grows with the test side only. ``ngram_size`` is at
-    least 1, as ``split`` checks.
+    report's memory grows with the test side only.
     """
     from array import array  # only split builds the report, so no other command loads it
 
+    if ngram_size < 1:
+        raise DataError(f"n-gram size {ngram_size} is not at least 1")
     ids: dict[str, int] = {}
     step = array("I").itemsize
     width = ngram_size * step

@@ -82,6 +82,12 @@ class TestSplit:
         assert [d.id for d in train] == [i for i in original if i in ids(train)]
         assert [d.id for d in test] == [i for i in original if i in ids(test)]
 
+    @pytest.mark.parametrize("ngram_size", [0, -3])
+    def test_ngram_size_validated(self, ngram_size):
+        train, test = split_corpus(make_corpus(4), test_fraction=0.5, seed=1)
+        with pytest.raises(DataError, match=f"^n-gram size {ngram_size} is not at least 1$"):
+            overlap_report(train, test, ngram_size=ngram_size)
+
     def test_overlap_report_advisory(self):
         records = synthetic_records(6, seed=9)
         # force a shared 8-gram across the split by copying a long clause
