@@ -309,16 +309,17 @@ def _entity_candidates(offset: int, tokens: list[tuple], marks: list[int]) -> li
             else:
                 break
         resume = j
-        single = last == i
-        if single and i == 0:
-            continue  # every sentence starts with a capital
-        if not any(len(t[4]) >= 2 and t[6] != _INITIAL for t in tokens[i : last + 1]):
-            continue
-        end = offset + tokens[last][3]
-        if single and _ACRONYM.fullmatch(core):
-            candidates.append((offset + core_start, end, "acronym", 1))
-        else:
-            candidates.append((offset + core_start, end, "name", 2))
+        # a run needs a word of two or more characters that is not an
+        # initial; a run of one word settles that on the word itself
+        if last == i:
+            # every sentence starts with a capital
+            if i and len(core) >= 2 and kind != _INITIAL:
+                if _ACRONYM.fullmatch(core):
+                    candidates.append((offset + core_start, offset + core_end, "acronym", 1))
+                else:
+                    candidates.append((offset + core_start, offset + core_end, "name", 2))
+        elif any(len(t[4]) >= 2 and t[6] != _INITIAL for t in tokens[i : last + 1]):
+            candidates.append((offset + core_start, offset + tokens[last][3], "name", 2))
     return candidates
 
 
@@ -337,6 +338,8 @@ def _resolve_overlaps(body: str, candidates: list[tuple]) -> list[EntitySpan]:
     entities = []
     cluster: list[tuple] = []
     reach = 0
+    # tuple.__new__ skips the namedtuple's generated __new__, a Python call per entity
+    new = tuple.__new__
     for candidate in candidates:
         if candidate[0] < reach:
             cluster.append(candidate)
@@ -344,7 +347,7 @@ def _resolve_overlaps(body: str, candidates: list[tuple]) -> list[EntitySpan]:
                 reach = candidate[1]
             continue
         for start, end, kind, _ in _greedy(cluster) if len(cluster) > 1 else cluster:
-            entities.append(EntitySpan(start, end, body[start:end], kind))
+            entities.append(new(EntitySpan, (start, end, body[start:end], kind)))
         cluster = [candidate]
         reach = candidate[1]
     return entities

@@ -25,7 +25,8 @@ from .vocab import FULL_SEQUENCE, TASK_GENERATION, TASK_NLI
 SEED_ENV = "DOCSTUDY_SEED"
 JOBS_ENV = "DOCSTUDY_JOBS"
 OUT_ENV = "DOCSTUDY_OUT"
-CONFIG_KEYS = ("jobs", "out", "seed")
+# each --config key and the type its value is read as
+CONFIG_KEYS = {"jobs": int, "out": str, "seed": int}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,25 +46,31 @@ def _load_config(path: str | None) -> dict:
     unknown = sorted(set(config) - set(CONFIG_KEYS))
     if unknown:
         raise UsageError(f"config file {path}: unknown keys {unknown}; valid keys: {', '.join(CONFIG_KEYS)}")
-    return config
+    # every value is read here, so a bad one is refused even where a flag overrides it
+    return {key: _cast(f"config key {key!r}", value, CONFIG_KEYS[key]) for key, value in config.items()}
 
 
-def _resolve(flag_value, config: dict, key: str, env: str | None, default, cast):
-    """Precedence: command-line flag > config file > environment > default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        source, value = f"config key {key!r}", config[key]
-    elif env and os.environ.get(env):
-        source, value = env, os.environ[env]
-    else:
-        return default
+def _cast(source: str, value, cast):
+    """`value` read as `cast`; a usage error naming `source` if it cannot be."""
     try:
-        if cast is int and isinstance(value, (bool, float)):
-            raise ValueError  # int() would truncate 2.9 and read true as 1
+        # int() would truncate 2.9 and read true as 1, and str() reads any value
+        if (cast is int and isinstance(value, (bool, float))) or (cast is str and not isinstance(value, str)):
+            raise ValueError
         return cast(value)
     except (TypeError, ValueError):
         raise UsageError(f"{source}: cannot read {value!r} as {cast.__name__}") from None
+
+
+def _resolve(flag_value, config: dict, key: str, env: str | None, default, cast):
+    """Precedence: command-line flag > config file (read by `_load_config`) >
+    environment > default."""
+    if flag_value is not None:
+        return flag_value
+    if key in config:
+        return config[key]
+    if env and os.environ.get(env):
+        return _cast(env, os.environ[env], cast)
+    return default
 
 
 def _out(args, config) -> Path:
@@ -112,14 +119,22 @@ def cmd_gen_tasks(args, config) -> int:
         one thing that outlives its analysis, suite and reading text: they
         die here, before the next document is read."""
         suite = taskgen.build_suite(analysis.analyze_document(doc, **overrides), task_config, seed=seed)
+        # every record is built from the body, so its length picks the
+        # encoder; both records come with their loss policy stamped
+        length = len(doc.body)
         for example in suite.examples:
-            add_task(dataset.record_line(dataset.task_record(example)))
+            add_task(encode_line(dataset.task_record(example), length))
+        kind_counts = suite.counts
         if args.reading:
             text = taskgen.format_reading_comprehension(suite)
+            # the examples, most of them the body's size, die before the
+            # document's largest line is encoded: on a long document that
+            # line sets gen-tasks' peak memory
+            del suite
             reading = {"kind": dataset.KIND_DOC, "loss_policy": FULL_SEQUENCE,
                        "payload": {"id": doc.id, "title": doc.title, "body": text}}
-            add_reading(dataset.record_line(reading))
-        return suite.counts
+            add_reading(encode_line(reading, length))
+        return kind_counts
 
     # the manifests' footers are written inside the set, before it renames any output
     with OutputSet() as outputs:

@@ -155,7 +155,10 @@ def manifest_writer(handle, seed: int = 0):
     """Yield `add(line)`, which hashes and writes one canonical record line
     to the binary `handle`.
 
-    Give it `record_line(record)`, or a line already verified as that.
+    Give it `record_line(record)`, or a line known to equal it: the
+    `encode_line` of a record built with its policy stamped (as `doc_record`,
+    `task_record` and `qa_record` build them), or a line already verified
+    as that.
     `add` returns the footer so far; a clean exit gives it the checksum and
     writes it as the last line. Replacing the output is the caller's job,
     so a command can write every footer before its `OutputSet` renames any.

@@ -5,12 +5,20 @@ line when reading (`str.splitlines` would split inside a record).
 
 The canonical codec is CPython's C encoder and scanner, each built once:
 `json.JSONEncoder.encode` builds a new C encoder on every call. There are
-two encoders, which give the same bytes. `_encode` quotes strings with C's
-`encode_basestring`, which reads every character twice; it writes every
-line and checks a line under 4,096 characters (`_LONG_LINE`). `_encode_long`
-checks a longer line: its quoter `_quote` escapes a string of 256
-characters or more (`_LONG_STRING`) with one `in` test per character JSON
-escapes, and a `replace` only for those present.
+two encoders, which give the same bytes, and one rule picks between them:
+a line of 4,096 characters or more (`_LONG_LINE`) takes `_encode_long`,
+any other `_encode`. `_encode` quotes strings with C's `encode_basestring`,
+which reads every character twice. `_encode_long`'s quoter `_quote`
+escapes a string of 256 characters or more (`_LONG_STRING`) with one `in`
+test per character JSON escapes, and a `replace` only for those present.
+
+- Writing: `encode_line(obj, length)` takes the long encoder when the
+  text the line is built from holds at least `_LONG_LINE` characters.
+  `gen-tasks` passes the length of the document body that all of a
+  document's records are built from; every other line is written with
+  `_encode`, since calling `_quote` costs each short string a Python call.
+- Checking: `canonical_object` re-encodes the line it parsed with the
+  encoder its length picks, and compares.
 """
 
 from __future__ import annotations
@@ -62,9 +70,15 @@ _scan = JSONDecoder().scan_once
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
-def encode_line(obj) -> bytes:
-    """The canonical JSONL line of `obj`: sorted keys, no spaces, raw UTF-8, LF."""
-    return ("".join(_encode(obj, 0)) + "\n").encode("utf-8")
+def encode_line(obj, length: int = 0) -> bytes:
+    """The canonical JSONL line of `obj`: sorted keys, no spaces, raw UTF-8, LF.
+
+    `length`, when the caller knows it, is that of the text the line is built
+    from; it picks the encoder by the rule `canonical_object` uses, and
+    never changes the bytes.
+    """
+    encode = _encode_long if length >= _LONG_LINE else _encode
+    return ("".join(encode(obj, 0)) + "\n").encode("utf-8")
 
 
 def canonical_object(text: str) -> dict | None:
@@ -77,6 +91,7 @@ def canonical_object(text: str) -> dict | None:
         obj, _ = _scan(text, 0)
     except (StopIteration, ValueError):
         return None
+    # the rule encode_line picks its encoder by, on the line's own length
     encode = _encode_long if len(text) >= _LONG_LINE else _encode
     if isinstance(obj, dict) and "".join(encode(obj, 0)) + "\n" == text:
         return obj

@@ -8,6 +8,7 @@ across platforms and independent of Python's random module internals.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -21,12 +22,23 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
+# a purpose tag (a task kind, "split") recurs for every document, so it is
+# hashed once per process; a document id is used once and soon evicted
+@lru_cache(maxsize=64)
+def _tag_bits(tag: str) -> int:
+    """The first 64 bits of the sha256 of the tag's UTF-8."""
+    return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "big")
+
+
 def mix_key(seed: int, *tags: str) -> int:
-    """Fold a seed and any number of string tags into one 64-bit key."""
+    """Fold a seed and any number of string tags into one 64-bit key.
+
+    Tags fold one at a time, so ``mix_key(seed, a, b)`` is
+    ``mix_key(mix_key(seed, a), b)``.
+    """
     key = seed & _MASK
     for tag in tags:
-        digest = hashlib.sha256(tag.encode("utf-8")).digest()
-        key = _splitmix64(key ^ int.from_bytes(digest[:8], "big"))
+        key = _splitmix64(key ^ _tag_bits(tag))
     return key
 
 

@@ -2,9 +2,12 @@
 
 One record per kind per document (the NLI generator may add a corrupted
 false statement as a second record). `GENERATORS` declares each kind
-once, in `KIND_ORDER`: its generator, and whether that generator samples.
+once, in `KIND_ORDER`: its generator, whether that generator samples, and
+whether it reads the document's keywords (its unique entity surfaces).
 All sampling draws from per-document streams keyed by (corpus seed,
 doc id, kind), so suites are a pure function of (seed, document, config).
+`build_suite` folds the seed and doc id into a key once per document, and
+builds the keywords once for the three kinds that read them.
 A kind also fixes its loss policy (`vocab.loss_policy`).
 """
 
@@ -18,7 +21,7 @@ from operator import attrgetter
 from .analysis import AnalyzedDocument, EntitySpan
 from .errors import DataError
 from .jsonio import read_json
-from .rng import stream_for
+from .rng import mix_key, stream_for
 from .vocab import MEMORIZATION, NLI_OPTIONS, fill, loss_policy, options_block
 
 SUMMARIZATION = "summarization"
@@ -179,8 +182,12 @@ def gen_summarization(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFI
     )
 
 
-def gen_gist(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
-    keywords = _gist_keywords(adoc)
+def gen_gist(
+    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, *, keywords: list[str] | None = None,
+) -> TaskExample | None:
+    """`keywords`, if given, are `_gist_keywords(adoc)`, built by the caller."""
+    if keywords is None:
+        keywords = _gist_keywords(adoc)
     if not keywords:
         return None
     question = fill(config.template(GIST), document=render_document(adoc, config))
@@ -290,8 +297,12 @@ def gen_teaching(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) ->
     )
 
 
-def gen_flashcards(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
-    keywords = _gist_keywords(adoc)
+def gen_flashcards(
+    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, *, keywords: list[str] | None = None,
+) -> TaskExample | None:
+    """`keywords`, if given, are `_gist_keywords(adoc)`, built by the caller."""
+    if keywords is None:
+        keywords = _gist_keywords(adoc)
     if not keywords:
         return None
     question = fill(
@@ -326,12 +337,18 @@ def gen_cloze(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) 
     )
 
 
-def gen_multichoice(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
-    surfaces = _gist_keywords(adoc)
-    if len(surfaces) < config.option_count:
+def gen_multichoice(
+    adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG, *, keywords: list[str] | None = None,
+) -> TaskExample | None:
+    """`keywords`, if given, are `_gist_keywords(adoc)`, built by the caller;
+    they are not changed."""
+    if keywords is None:
+        keywords = _gist_keywords(adoc)
+    if len(keywords) < config.option_count:
         return None
     entity = adoc.entities[rng.below(len(adoc.entities))]
     # the distractor pool: surfaces are unique, so this takes out only the answer
+    surfaces = keywords.copy()
     surfaces.remove(entity.surface)
     picked = rng.sample_indices(len(surfaces), config.option_count - 1)
     options = [entity.surface] + [surfaces[i] for i in picked]
@@ -390,34 +407,36 @@ def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CON
     )
 
 
-# kind -> (generator, whether it samples from the kind's rng stream);
-# build_suite runs them in this order, which is KIND_ORDER
+# kind -> (generator, whether it samples from the kind's rng stream,
+# whether it reads the document's keywords); build_suite runs them in this
+# order, which is KIND_ORDER
 GENERATORS = {
-    MEMORIZATION: (gen_memorization, False),
-    SUMMARIZATION: (gen_summarization, False),
-    GIST: (gen_gist, False),
-    NLI: (gen_nli_pair, True),
-    TEACHING: (gen_teaching, False),
-    FLASHCARDS: (gen_flashcards, False),
-    CLOZE: (gen_cloze, True),
-    MULTICHOICE: (gen_multichoice, True),
-    COMPLETION: (gen_completion, True),
+    MEMORIZATION: (gen_memorization, False, False),
+    SUMMARIZATION: (gen_summarization, False, False),
+    GIST: (gen_gist, False, True),
+    NLI: (gen_nli_pair, True, False),
+    TEACHING: (gen_teaching, False, False),
+    FLASHCARDS: (gen_flashcards, False, True),
+    CLOZE: (gen_cloze, True, False),
+    MULTICHOICE: (gen_multichoice, True, True),
+    COMPLETION: (gen_completion, True, False),
 }
 
 
 def build_suite(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, seed: int = 0) -> TaskSuite:
     """Run every enabled generator in fixed order, honoring skip rules."""
     doc_id = adoc.doc.id
+    # a kind's stream key is mix_key(seed, doc_id, kind), that is mix_key(doc_key, kind)
+    doc_key = mix_key(seed, doc_id)
+    keywords = _gist_keywords(adoc)
     examples: list[TaskExample] = []
     counts = {kind: 0 for kind in config.enabled}
-    for kind, (generate, samples) in GENERATORS.items():
+    for kind, (generate, samples, reads_keywords) in GENERATORS.items():
         cap = config.cap(kind)
         if kind not in counts or cap < 1:
             continue
-        if samples:
-            produced = generate(adoc, stream_for(seed, doc_id, kind), config)
-        else:
-            produced = generate(adoc, config)
+        args = (adoc, stream_for(doc_key, kind), config) if samples else (adoc, config)
+        produced = generate(*args, keywords=keywords) if reads_keywords else generate(*args)
         # NLI yields a list; the others one example, or None on a skip
         if not isinstance(produced, list):
             produced = [] if produced is None else [produced]

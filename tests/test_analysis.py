@@ -139,6 +139,10 @@ class TestEntities:
         entities = extract_entities("Alice was born in 1980. Bob was born in 1991.")
         assert [e.surface for e in entities] == ["1980", "1991"]
 
+    def test_lone_initial_or_letter_is_not_a_name(self):
+        entities = extract_entities("Alice met J. at noon in Oslo with A and Bob.")
+        assert [e.surface for e in entities] == ["Oslo", "Bob"]
+
     def test_connector_runs(self):
         entities = extract_entities("She joined the University of Southern Mississippi choir.")
         assert "University of Southern Mississippi" in {e.surface for e in entities}

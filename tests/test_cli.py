@@ -559,15 +559,20 @@ class TestErrors:
          ["eval", "--logprobs", "bad.jsonl", "--predictions", "p.jsonl"],
          ["eval", "--logprobs", "bad.jsonl", "--references", "nonexistent.jsonl"],
          ["split", "--corpus", "bad.jsonl", "--fraction", "nan"],
-         ["--config", "c.json", "ingest", "--corpus", "bad.jsonl"]],
+         ["--config", "c.json", "ingest", "--corpus", "bad.jsonl"],
+         ["--config", "out-null.json", "ingest", "--corpus", "bad.jsonl"],
+         ["--config", "out-object.json", "ingest", "--corpus", "bad.jsonl"]],
         ids=["unknown-preset", "ref-without-path", "eval-without-inputs", "predictions-without-references",
-             "references-without-predictions", "split-fraction-nan", "config-unknown-keys"],
+             "references-without-predictions", "split-fraction-nan", "config-unknown-keys", "config-out-null",
+             "config-out-object"],
     )
     def test_a_usage_error_makes_no_output_directory(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.jsonl").write_text("{not json}\n", "utf-8")
         (tmp_path / "p.jsonl").write_text('{"item_id": "i1", "prediction": "A."}\n', "utf-8")
         (tmp_path / "c.json").write_text('{"sede": 5}', "utf-8")
+        (tmp_path / "out-null.json").write_text('{"out": null}', "utf-8")
+        (tmp_path / "out-object.json").write_text('{"out": {"x": 1}}', "utf-8")
         assert run("--out", tmp_path / "o", *argv) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not (tmp_path / "o").exists()
@@ -689,6 +694,10 @@ class TestErrors:
              "config key 'seed': cannot read True as int"),
             ("config.json", '{"sede": 5, "jobz": 3}', ["--config", "{file}", "ingest", "--corpus", "{corpus}"], 1,
              "config file {file}: unknown keys ['jobz', 'sede']; valid keys: jobs, out, seed\n"),
+            ("config.json", '{"out": null}', ["--config", "{file}", "ingest", "--corpus", "{corpus}"], 1,
+             "config key 'out': cannot read None as str\n"),
+            ("config.json", '{"out": {"x": 1}}', ["--config", "{file}", "ingest", "--corpus", "{corpus}"], 1,
+             "config key 'out': cannot read {{'x': 1}} as str\n"),
             ("task.json", '{"option_cout": 5}', ["gen-tasks", "--corpus", "{corpus}", "--task-config", "{file}"],
              2, "{file}: unknown task config keys ['option_cout']"),
             ("task.json", '{"multiplicity": {"nil": 0}}',
@@ -736,7 +745,8 @@ class TestErrors:
             "task-config-multiplicity-not-int", "task-config-template-not-str",
             "header-leaves-empty-title", "lone-surrogate-in-body", "lone-surrogate-in-qa-row",
             "task-config-option-count-float", "task-config-option-count-bool", "task-config-option-count-str",
-            "config-jobs-float", "config-seed-bool", "config-unknown-keys", "task-config-unknown-key",
+            "config-jobs-float", "config-seed-bool", "config-unknown-keys", "config-out-null", "config-out-object",
+            "task-config-unknown-key",
             "task-config-multiplicity-unknown-kind", "task-config-template-unknown-kind",
             "task-config-multiplicity-negative", "lexicon-not-utf8", "abbreviations-not-utf8",
             "split-ngram-0", "split-ngram-negative", "qa-row-unknown-document",

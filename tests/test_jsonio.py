@@ -4,7 +4,7 @@ import json
 import json.encoder
 import json.scanner
 import os
-from json.encoder import encode_basestring
+from json.encoder import ESCAPE_DCT, encode_basestring
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,21 @@ _OBJECTS = st.dictionaries(_TEXT, _VALUES, max_size=4)
 _QUOTED = st.text(
     st.characters(blacklist_categories=()) | st.sampled_from('\x00\x1f\n"\\/\x7f\ud800\udfff\U0001f600é\u2028'),
     max_size=40,
+)
+
+# strings for the long writer: every character JSON escapes, non-ASCII text,
+# U+0085 and U+2028, and runs of lengths around both thresholds
+_RUN_LENGTHS = [n + d for n in (jsonio._LONG_STRING, jsonio._LONG_LINE) for d in (-1, 0, 1)]
+_LONG_PIECES = st.sampled_from([*ESCAPE_DCT, "é", "漢字", "\U0001f600", "\u0085", "\u2028", "a"])
+_LONG_TEXT = st.lists(
+    _LONG_PIECES | st.builds(lambda piece, n: (piece * n)[:n], _LONG_PIECES, st.sampled_from(_RUN_LENGTHS)),
+    max_size=5,
+).map("".join)
+_LONG_OBJECTS = st.dictionaries(
+    _LONG_TEXT,
+    st.recursive(_LONG_TEXT, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_LONG_TEXT, inner, max_size=3),
+                 max_leaves=4),
+    max_size=3,
 )
 
 
@@ -176,6 +191,13 @@ class TestCanonicalCodec:
     def test_quote_is_encode_basestring(self, text, pad):
         for s in (text, text + "a" * pad, "a" * pad + text, text * pad):
             assert jsonio._quote(s) == encode_basestring(s)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_LONG_OBJECTS)
+    def test_the_long_writer_gives_encode_lines_bytes(self, obj):
+        line = jsonio.encode_line(obj, jsonio._LONG_LINE)
+        assert line == jsonio.encode_line(obj)
+        assert jsonio.canonical_object(line.decode("utf-8")) == obj
 
     @pytest.mark.parametrize("length", [jsonio._LONG_LINE - 1, jsonio._LONG_LINE], ids=["short-path", "long-path"])
     @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from docstudy.cli import main
 from docstudy.corpus import RawDocument, document_from_record
 from docstudy.errors import DataError
 from docstudy.rng import stream_for
-from docstudy import taskgen, vocab
+from docstudy import jsonio, rng, taskgen, vocab
 from docstudy.taskgen import (
     KIND_ORDER,
     TaskConfig,
@@ -466,6 +466,36 @@ class TestAnalysisCallBudget:
         assert calls["load_lexicon"] <= len(docs)
 
 
+class TestDocumentWorkBudget:
+    def test_one_doc_id_hash_and_one_keyword_list_per_document(self, monkeypatch):
+        hashed = []
+        keyword_lists = 0
+        sha256 = hashlib.sha256
+        gist_keywords = taskgen._gist_keywords
+
+        class CountingHashlib:
+            @staticmethod
+            def sha256(data):
+                hashed.append(data.decode("utf-8"))
+                return sha256(data)
+
+        def counted_keywords(adoc):
+            nonlocal keyword_lists
+            keyword_lists += 1
+            return gist_keywords(adoc)
+
+        monkeypatch.setattr(rng, "hashlib", CountingHashlib)
+        monkeypatch.setattr(taskgen, "_gist_keywords", counted_keywords)
+        rng._tag_bits.cache_clear()  # earlier tests may have hashed these ids
+        docs = [document_from_record(r) for r in golden_synth_records()]
+        for doc in docs:
+            build_suite(analysis.analyze_document(doc), seed=1)
+        kinds = [tag for tag in hashed if tag in KIND_ORDER]
+        assert sorted(tag for tag in hashed if tag not in KIND_ORDER) == sorted(doc.id for doc in docs)
+        assert len(kinds) == len(set(kinds))
+        assert keyword_lists == len(docs)
+
+
 def golden_synth_records() -> list[dict]:
     """The synthetic corpus plus two stress bodies built from it: one long
     many-sentence document and one giant sentence with every period gone."""
@@ -476,6 +506,22 @@ def golden_synth_records() -> list[dict]:
         {"id": "unpunctuated", "title": "Unpunctuated", "body": joined.replace(".", ""), "source": "synthetic"}
     )
     return records
+
+
+def escape_heavy_records() -> list[dict]:
+    """Two documents: a long body of Greek and Cyrillic text full of quotes,
+    backslashes and U+2028, past the long-line threshold in non-ASCII
+    characters alone, and a short one."""
+    sentences = []
+    for i in range(90):
+        sentences.append(
+            f'Σωκράτης Παπαδόπουλος {i} έγραψε "Ελληνικά \\ κείμενα" στην Αθήνα on {i % 28 + 1} May {1900 + i}. '
+            f'Иван Петров\u2028прочитал "книгу\\{i}" in Москва with Σωκράτης Παπαδόπουλος.'
+        )
+    return [
+        {"id": "escapes", "title": 'Ελληνικά "κείμενα" \\ Москва', "body": " ".join(sentences), "source": "synthetic"},
+        {"id": "short", "title": "Short", "body": 'Anna "Ann" Berg moved to Oslo in 1990 with \\ Ivan Holt.', "source": "synthetic"},
+    ]
 
 
 def gen_tasks_digests(tmp_path, corpus_path, seed) -> dict:
@@ -496,6 +542,12 @@ SYNTH_DIGESTS = {
     "g_tasks_stats.json": "d9fcbea9046aea453025029dad200b84939b7a534954d7cab6e8bcfa8693c91e",
 }
 
+ESCAPE_DIGESTS = {
+    "g_reading.jsonl": "c3a55625073863eda5c261a0beeff640733f421db9d8a938097f2040f3527614",
+    "g_tasks.jsonl": "7868f75566de1ff969e46a1bb545868fe5ad8908b8dc355c1fc4f5751314f7a3",
+    "g_tasks_stats.json": "70ab3236fe128c9ca69a3df0753005dc5749aa29768bf1f0e010a144d65150cf",
+}
+
 
 class TestGoldenOutputs:
     """`gen-tasks --reading` output bytes, pinned so that analyzer rewrites
@@ -508,3 +560,13 @@ class TestGoldenOutputs:
         path = tmp_path / "synth.jsonl"
         write_jsonl(golden_synth_records(), path)
         assert gen_tasks_digests(tmp_path, path, seed=4) == SYNTH_DIGESTS
+
+    def test_long_escape_heavy_document(self, tmp_path):
+        records = escape_heavy_records()
+        body = records[0]["body"]
+        assert sum(not char.isascii() for char in body) >= jsonio._LONG_LINE
+        assert '"' in body and "\\" in body and "\u2028" in body
+        assert len(records[1]["body"]) < jsonio._LONG_STRING
+        path = tmp_path / "escapes.jsonl"
+        write_jsonl(records, path)
+        assert gen_tasks_digests(tmp_path, path, seed=5) == ESCAPE_DIGESTS
