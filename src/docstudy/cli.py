@@ -73,6 +73,15 @@ def _resolve(flag_value, config: dict, key: str, env: str | None, default, cast)
     return default
 
 
+def _seed(args, config) -> int:
+    """The run's seed. Streams key on it as 64 bits, so a seed outside
+    0..2**64-1 would give the outputs of one inside; it is refused."""
+    seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
+    if not 0 <= seed < 1 << 64:
+        raise UsageError(f"seed {seed} is outside 0..2**64-1")
+    return seed
+
+
 def _out(args, config) -> Path:
     """The output directory; the first `OutputSet.open` in it makes it."""
     return Path(_resolve(args.out, config, "out", OUT_ENV, ".", str))
@@ -87,7 +96,7 @@ def cmd_ingest(args, config) -> int:
     from .corpus import iter_documents
 
     # the seed changes no ingested byte; it is resolved to refuse a bad value
-    _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
+    _seed(args, config)
     out = _out(args, config)
     target = out / f"{_name(args)}.jsonl"
     count = write_jsonl(target, (doc.to_record() for doc in iter_documents(args.corpus)))
@@ -99,7 +108,7 @@ def cmd_gen_tasks(args, config) -> int:
     from . import analysis, dataset, stats, taskgen
     from .corpus import iter_documents
 
-    seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
+    seed = _seed(args, config)
     out = _out(args, config)
     task_config = (
         taskgen.TaskConfig.from_file(args.task_config) if args.task_config else taskgen.DEFAULT_CONFIG
@@ -201,7 +210,7 @@ def cmd_split(args, config) -> int:
     from . import dataset, qapairs
     from .corpus import iter_documents
 
-    seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
+    seed = _seed(args, config)
     if not 0 < args.fraction < 1:  # written so that NaN fails it too
         raise UsageError(f"test fraction {args.fraction} outside (0,1)")
     if args.ngram < 1:
@@ -247,7 +256,7 @@ def _parse_refs(args) -> dict:
 def cmd_plan(args, config) -> int:
     from . import curriculum, dataset
 
-    seed = _resolve(args.seed, config, "seed", SEED_ENV, 0, int)
+    seed = _seed(args, config)
     out = _out(args, config)
     needed = curriculum.required_refs(args.preset, args.cross_domain)  # refuses an unknown preset
     refs = _parse_refs(args)

@@ -8,7 +8,6 @@ truncates bodies to their first paragraph.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import namedtuple
 
@@ -70,6 +69,8 @@ def normalize_text(text: str) -> str:
 
 def content_id(title: str, body: str) -> str:
     """Deterministic lowercase-hex id derived from title and body."""
+    import hashlib  # loads libcrypto, so a corpus whose records carry ids never pays for it
+
     digest = hashlib.sha256()
     digest.update(title.encode("utf-8"))
     digest.update(b"\x1e")

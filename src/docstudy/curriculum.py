@@ -9,7 +9,6 @@ its records. This package never trains anything.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 from functools import lru_cache
@@ -181,6 +180,8 @@ def _verified(scan: RefScan, line: bytes) -> dict:
 def _lines(scan: RefScan):
     """A ref's record lines read again, each hashed against the checksum of
     the first pass and stamped again if the ref needs it."""
+    import hashlib  # loads libcrypto, so only a command that hashes pays for it
+
     digest = hashlib.sha256()
     with open(scan.path, "rb") as handle:
         for line in islice(handle, scan.count):

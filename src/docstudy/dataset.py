@@ -8,7 +8,6 @@ between sides is reported, never enforced.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter
 from contextlib import contextmanager
@@ -163,6 +162,8 @@ def manifest_writer(handle, seed: int = 0):
     writes it as the last line. Replacing the output is the caller's job,
     so a command can write every footer before its `OutputSet` renames any.
     """
+    import hashlib  # loads libcrypto, so only a command that hashes pays for it
+
     digest = hashlib.sha256()
     footer = {"checksum": None, "count": 0, "seed": seed}
 
@@ -224,6 +225,8 @@ class ManifestReader:
         self.footer: dict | None = None
 
     def __iter__(self):
+        import hashlib
+
         path = self.path
         count = 0
         digest = hashlib.sha256()

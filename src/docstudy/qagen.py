@@ -11,7 +11,6 @@ its pairs the same way, and the pairs are handed on one document at a time.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import re
@@ -339,6 +338,8 @@ _ENTRY_SHAPE = (
 
 def request_sha256(request: dict) -> str:
     """The digest a log line records its request by: the sha256 of the request's canonical line."""
+    import hashlib  # loads libcrypto, so only a command that hashes pays for it
+
     return hashlib.sha256(encode_line(request)).hexdigest()
 
 

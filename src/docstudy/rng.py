@@ -7,7 +7,6 @@ across platforms and independent of Python's random module internals.
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
 
 _MASK = (1 << 64) - 1
@@ -27,6 +26,8 @@ def _splitmix64(x: int) -> int:
 @lru_cache(maxsize=64)
 def _tag_bits(tag: str) -> int:
     """The first 64 bits of the sha256 of the tag's UTF-8."""
+    import hashlib  # loads libcrypto, so only a command that hashes pays for it
+
     return int.from_bytes(hashlib.sha256(tag.encode("utf-8")).digest()[:8], "big")
 
 

@@ -561,10 +561,13 @@ class TestErrors:
          ["split", "--corpus", "bad.jsonl", "--fraction", "nan"],
          ["--config", "c.json", "ingest", "--corpus", "bad.jsonl"],
          ["--config", "out-null.json", "ingest", "--corpus", "bad.jsonl"],
-         ["--config", "out-object.json", "ingest", "--corpus", "bad.jsonl"]],
+         ["--config", "out-object.json", "ingest", "--corpus", "bad.jsonl"],
+         ["--seed", "18446744073709551616", "gen-tasks", "--corpus", "bad.jsonl"],
+         ["--seed", "-1", "plan", "--preset", "continued_pretraining", "--ref", "test_doc=bad.jsonl", "--render"],
+         ["--config", "seed-big.json", "split", "--corpus", "bad.jsonl"]],
         ids=["unknown-preset", "ref-without-path", "eval-without-inputs", "predictions-without-references",
              "references-without-predictions", "split-fraction-nan", "config-unknown-keys", "config-out-null",
-             "config-out-object"],
+             "config-out-object", "seed-above-64-bits", "seed-negative", "config-seed-above-64-bits"],
     )
     def test_a_usage_error_makes_no_output_directory(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -573,6 +576,7 @@ class TestErrors:
         (tmp_path / "c.json").write_text('{"sede": 5}', "utf-8")
         (tmp_path / "out-null.json").write_text('{"out": null}', "utf-8")
         (tmp_path / "out-object.json").write_text('{"out": {"x": 1}}', "utf-8")
+        (tmp_path / "seed-big.json").write_text('{"seed": 18446744073709551623}', "utf-8")
         assert run("--out", tmp_path / "o", *argv) == 1
         assert capsys.readouterr().err.startswith("usage error: ")
         assert not (tmp_path / "o").exists()
@@ -692,6 +696,14 @@ class TestErrors:
              "config key 'jobs': cannot read 2.9 as int"),
             ("config.json", '{"seed": true}', ["--config", "{file}", "ingest", "--corpus", "{corpus}"], 1,
              "config key 'seed': cannot read True as int"),
+            ("config.json", '{"seed": 18446744073709551623}',
+             ["--config", "{file}", "gen-tasks", "--corpus", "{corpus}"], 1,
+             "seed 18446744073709551623 is outside 0..2**64-1\n"),
+            ("unused.txt", "", ["--seed", "18446744073709551616", "ingest", "--corpus", "{corpus}"], 1,
+             "seed 18446744073709551616 is outside 0..2**64-1\n"),
+            ("unused.txt", "", ["--seed", "-1", "split", "--corpus", "{corpus}"], 1,
+             "seed -1 is outside 0..2**64-1\n"),
+            ("unused.txt", "", ["--seed", "-7", "plan", "--preset", "pit"], 1, "seed -7 is outside 0..2**64-1\n"),
             ("config.json", '{"sede": 5, "jobz": 3}', ["--config", "{file}", "ingest", "--corpus", "{corpus}"], 1,
              "config file {file}: unknown keys ['jobz', 'sede']; valid keys: jobs, out, seed\n"),
             ("config.json", '{"out": null}', ["--config", "{file}", "ingest", "--corpus", "{corpus}"], 1,
@@ -745,7 +757,8 @@ class TestErrors:
             "task-config-multiplicity-not-int", "task-config-template-not-str",
             "header-leaves-empty-title", "lone-surrogate-in-body", "lone-surrogate-in-qa-row",
             "task-config-option-count-float", "task-config-option-count-bool", "task-config-option-count-str",
-            "config-jobs-float", "config-seed-bool", "config-unknown-keys", "config-out-null", "config-out-object",
+            "config-jobs-float", "config-seed-bool", "config-seed-above-64-bits", "seed-above-64-bits",
+            "split-seed-negative", "plan-seed-negative", "config-unknown-keys", "config-out-null", "config-out-object",
             "task-config-unknown-key",
             "task-config-multiplicity-unknown-kind", "task-config-template-unknown-kind",
             "task-config-multiplicity-negative", "lexicon-not-utf8", "abbreviations-not-utf8",
@@ -776,6 +789,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: DOCSTUDY_SEED: ")
         assert "Traceback" not in err
+
+    # mix_key reads a seed as 64 bits: -1 would alias 2**64-1, and 2**64+7 would alias 7
+    @pytest.mark.parametrize("seed, code", [("-1", 1), ("18446744073709551616", 1), ("18446744073709551615", 0),
+                                            ("0", 0)])
+    def test_an_environment_seed_must_fit_64_bits(self, tmp_path, capsys, monkeypatch, corpus_path, seed, code):
+        monkeypatch.setenv("DOCSTUDY_SEED", seed)
+        assert run("--out", tmp_path / "o", "gen-tasks", "--corpus", corpus_path) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else f"usage error: seed {seed} is outside 0..2**64-1\n")
+        assert (tmp_path / "o").exists() == (code == 0)
 
     def test_unicode_line_breaks_survive_the_pipeline(self, tmp_path, capsys):
         # U+2028 and U+0085 stay raw inside canonical lines; only "\n" may end one
@@ -1919,7 +1942,22 @@ COMMAND_ARGV = {
     "verify": ["verify", "c_tasks.jsonl", "c_reading.jsonl"],
     "eval": ["--out", "eval", "eval", "--predictions", "p.jsonl", "--references", "r.jsonl", "--logprobs", "l.jsonl"],
 }
+# the commands that hash nothing, so load no libcrypto (its module is _hashlib):
+# ingest's records carry ids, and eval and stats write no checksum
+HASHLESS = {"ingest", "stats", "eval"}
 _PROBE = "import sys; from docstudy.cli import main; code = main(sys.argv[1:]); print(code, *sorted(sys.modules))"
+
+
+def probe_modules(cwd, argv, **env) -> set:
+    """The modules `main(argv)` loads in a fresh interpreter in `cwd`, with
+    no chat endpoint in its environment; the run must exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1]), **env}
+    env.pop("DOCSTUDY_CHAT_ENDPOINT", None)
+    result = subprocess.run([sys.executable, "-c", _PROBE, *map(str, argv)], cwd=cwd, env=env,
+                            capture_output=True, text=True, check=True)
+    code, *loaded = result.stdout.splitlines()[-1].split()
+    assert code == "0", result.stderr
+    return set(loaded)
 
 
 @pytest.fixture(scope="module")
@@ -1942,15 +1980,21 @@ def workdir(tmp_path_factory):
 class TestImportBudget:
     @pytest.mark.parametrize("command", list(IMPORT_BUDGETS))
     def test_command_loads_only_what_it_runs(self, workdir, command):
-        env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1])}
-        env.pop("DOCSTUDY_CHAT_ENDPOINT", None)
-        result = subprocess.run([sys.executable, "-c", _PROBE, *COMMAND_ARGV[command]], cwd=workdir, env=env,
-                                capture_output=True, text=True, check=True)
-        code, *loaded = result.stdout.splitlines()[-1].split()
-        assert code == "0", result.stderr
+        loaded = probe_modules(workdir, COMMAND_ARGV[command])
         forbidden = {f"docstudy.{name}" for name in IMPORT_BUDGETS[command]} | {
             "urllib.request", "http.client", "ssl", "email", "logging", "concurrent.futures", "dataclasses"}
-        assert sorted(forbidden & set(loaded)) == []
+        assert sorted(forbidden & loaded) == []
+        # every other command hashes, verify most of all, so the probe sees _hashlib when it loads
+        assert ("_hashlib" in loaded) == (command not in HASHLESS)
+
+    def test_ingest_hashes_a_record_without_an_id(self, tmp_path):
+        records = [{"title": r["title"], "body": r["body"]} for r in synthetic_records(3, seed=1)]
+        write_jsonl(records, tmp_path / "raw.jsonl")
+        assert "_hashlib" in probe_modules(tmp_path, COMMAND_ARGV["ingest"])
+        docs = [json.loads(line) for line in (tmp_path / "ingest" / "c.jsonl").read_text("utf-8").splitlines()]
+        assert len(docs) == len(records)
+        for doc in docs:
+            assert doc["id"] == hashlib.sha256(f"{doc['title']}\x1e{doc['body']}".encode("utf-8")).hexdigest()[:16]
 
     def test_no_module_loads_dataclasses(self):
         # every docstudy module at once, as perfbench's set-up probe loads them
@@ -1963,20 +2007,15 @@ class TestImportBudget:
                                     check=True).stdout.split())
         assert {"docstudy.cli", "docstudy.metrics", "docstudy.transport"} <= loaded
         assert "dataclasses" not in loaded
+        assert "_hashlib" not in loaded
 
     @staticmethod
     def cold_gen_qa(workdir, tmp_path, server, jobs=1, **env) -> set:
         """The modules a cold gen-qa against `server` loads, in a fresh interpreter."""
-        env = {**os.environ, "PYTHONPATH": str(Path(docstudy.__file__).parents[1]), **env}
-        env.pop("DOCSTUDY_CHAT_ENDPOINT", None)
-        endpoint = server.url if "http_proxy" not in env else "http://chat.test/v1/chat/completions"
+        endpoint = server.url if "http_proxy" not in {**os.environ, **env} else "http://chat.test/v1/chat/completions"
         argv = ["--jobs", jobs, "--out", tmp_path / "o", "gen-qa", "--corpus", "c.jsonl", "--task", "generation",
                 "--name", "c", "--cache-dir", tmp_path / "qa_cache", "--endpoint", endpoint]
-        result = subprocess.run([sys.executable, "-c", _PROBE, *map(str, argv)], cwd=workdir, env=env,
-                                capture_output=True, text=True, check=True)
-        code, *loaded = result.stdout.splitlines()[-1].split()
-        assert code == "0", result.stderr
-        return set(loaded)
+        return probe_modules(workdir, argv, **env)
 
     # a cold gen-qa loads the transport, and only what its route needs
     @pytest.mark.parametrize("route, needed", [("http", set()), ("http_proxy", {"urllib.request"}), ("https", {"ssl"})])

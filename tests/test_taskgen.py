@@ -473,18 +473,16 @@ class TestDocumentWorkBudget:
         sha256 = hashlib.sha256
         gist_keywords = taskgen._gist_keywords
 
-        class CountingHashlib:
-            @staticmethod
-            def sha256(data):
-                hashed.append(data.decode("utf-8"))
-                return sha256(data)
+        def counted_sha256(data):
+            hashed.append(data.decode("utf-8"))
+            return sha256(data)
 
         def counted_keywords(adoc):
             nonlocal keyword_lists
             keyword_lists += 1
             return gist_keywords(adoc)
 
-        monkeypatch.setattr(rng, "hashlib", CountingHashlib)
+        monkeypatch.setattr(hashlib, "sha256", counted_sha256)  # rng imports hashlib when it first hashes
         monkeypatch.setattr(taskgen, "_gist_keywords", counted_keywords)
         rng._tag_bits.cache_clear()  # earlier tests may have hashed these ids
         docs = [document_from_record(r) for r in golden_synth_records()]
