@@ -154,9 +154,17 @@ class LogProbRecord(namedtuple("LogProbRecord", "doc_id logprobs")):
 
 
 def aggregate_ppl(records) -> float:
-    """exp of pooled mean token NLL; invariant under re-partitioning."""
+    """exp of pooled mean token NLL; invariant under re-partitioning.
+
+    The pooled sum is ``math.fsum`` over every value, exactly rounded, so
+    neither how the values are split into records nor their order can
+    change a bit of it.
+    """
     records = list(records)
-    total = sum(sum(r.logprobs) for r in records)
+    try:
+        total = math.fsum(x for r in records for x in r.logprobs)
+    except OverflowError:  # the exact sum is past the float range: -inf, as plain addition gives
+        total = -math.inf
     count = sum(len(r.logprobs) for r in records)
     if count == 0:
         raise DataError("no tokens to aggregate")

@@ -318,3 +318,53 @@ class TestLinearAnalysisEquivalence:
         )
         assert len(segment_sentences(body)) == 1
         assert extract_entities(body) == oracle.quadratic_entities(body)
+
+
+class TestLexemeTable:
+    """The lexeme table is a memo of a pure function: what it holds never
+    changes a result, and its size has a fixed bound."""
+
+    OTHER_LEXICON = frozenset({"with", "of", "as well as", "alice", "may"})
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(BODIES)
+    def test_results_do_not_depend_on_what_the_table_holds(self, body):
+        doc = RawDocument(id="p", title="P", body=body)
+        table = analysis._LEXEMES
+        table.clear()
+        cold = analyze_document(doc)
+        seen = len(table)
+        table.clear()
+        cold_other = analyze_document(doc, lexicon=self.OTHER_LEXICON)
+        # warmed by other documents
+        for record in synthetic_records(3, seed=23):
+            analyze_document(document_from_record(record))
+        assert analyze_document(doc) == cold
+        # a table that fills up and is emptied halfway through the body's
+        # distinct tokens, then the body again just past that eviction
+        table.clear()
+        for i in range(analysis._LEXEMES_CAP - seen // 2):
+            analysis._learn(f"~{i}")
+        assert analyze_document(doc) == cold
+        assert len(table) < analysis._LEXEMES_CAP
+        assert analyze_document(doc) == cold
+        # two lexicons in turn over one table
+        assert analyze_document(doc, lexicon=self.OTHER_LEXICON) == cold_other
+        assert analyze_document(doc) == cold
+
+    def test_table_size_and_key_length_are_bounded(self):
+        table = analysis._LEXEMES
+        table.clear()
+        words = [f"W{i}" for i in range(analysis._LEXEMES_CAP + 100)]
+        over_long = [
+            "x" * (analysis._LEXEME_KEY_MAX + 1),
+            "(Supercalifragilisticexpialidocious-Extraordinary),",
+        ]
+        text = " ".join(words + over_long + over_long)
+        tokens = analysis._scan(text, frozenset())[0]
+        # the table filled up once, was emptied, and then took the last 100
+        assert len(table) == 100
+        assert max(map(len, table)) <= analysis._LEXEME_KEY_MAX
+        # an over-long token is still classified, every time it occurs
+        assert [token[:5] for token in tokens] == [tuple(t) for t in oracle.sentence_tokens(text)]
+        assert [token[6] for token in tokens[-4:]] == [analysis._OTHER, analysis._CAPWORD] * 2

@@ -195,6 +195,11 @@ class TestPerplexity:
         assert aggregate_ppl([record]) == pytest.approx(2 ** 1.5)
 
     def test_partition_invariance(self):
+        # summed per record and then over the records, these five read
+        # 256849276.999719 split after the first value, 256849276.999718 whole
+        pinned = [-4.26, -17.88, -16.92, -28.72, -29.04]
+        split = [LogProbRecord(doc_id="a", logprobs=pinned[:1]), LogProbRecord(doc_id="b", logprobs=pinned[1:])]
+        assert aggregate_ppl(split) == aggregate_ppl([LogProbRecord(doc_id="all", logprobs=pinned)])
         rng = random.Random(7)
         logprobs = [-rng.random() * 5 for _ in range(200)]
         pooled = aggregate_ppl([LogProbRecord(doc_id="all", logprobs=logprobs)])
@@ -205,7 +210,7 @@ class TestPerplexity:
             for cut in cuts + [200]:
                 parts.append(LogProbRecord(doc_id=f"p{prev}", logprobs=logprobs[prev:cut]))
                 prev = cut
-            assert aggregate_ppl(parts) == pytest.approx(pooled, abs=1e-12)
+            assert aggregate_ppl(parts) == pooled
 
     def test_positive_logprob_rejected(self):
         with pytest.raises(DataError):

@@ -465,6 +465,22 @@ class TestAnalysisCallBudget:
         assert calls["_scan"] == sentences
         assert calls["load_lexicon"] <= len(docs)
 
+    def test_each_distinct_token_text_classified_at_most_once(self, monkeypatch):
+        classified = {}
+        lexeme = analysis._lexeme
+
+        def counted(raw):
+            classified[raw] = classified.get(raw, 0) + 1
+            return lexeme(raw)
+
+        monkeypatch.setattr(analysis, "_lexeme", counted)
+        analysis._LEXEMES.clear()
+        records = golden_synth_records()
+        for record in records:
+            build_suite(analysis.analyze_document(document_from_record(record)), seed=1)
+        assert max(classified.values()) == 1
+        assert len(classified) < sum(len(record["body"].split()) for record in records)
+
 
 class TestDocumentWorkBudget:
     def test_one_doc_id_hash_and_one_keyword_list_per_document(self, monkeypatch):
