@@ -9,29 +9,26 @@ Cost contract for ``analyze_document``: the body is segmented once and
 the date patterns run once over it, each a prefix scan that sre runs in
 C (a match glued to a word character before it is dropped afterwards).
 Each sentence is then scanned once (``_scan``): every token is found
-with one ``str.find`` and looked up by its text in the lexeme table. So
-the per-token work of stripping punctuation, lowercasing and classifying
-(a capitalised word, an initial, a connector, a number or none of these)
-is done once per distinct token text while the table holds it, not once
-per occurrence. The table is shared by every call and its memory has a
-fixed bound whatever the corpus: at most 4,096 token texts of at most 32
-characters each, about 1.5 MB when full of ASCII tokens and under 4 MB
-in any case; a full table is emptied before its next entry. A longer
-token is classified at each occurrence. The lexicon is not in the table:
-each occurrence's form is tested against the lexicon passed to the call,
-so callers may pass different lexicons. The scan's one record per token
-feeds both the name-run state machine and preposition matching, which
-visit only the tokens the scan marked, and it is dropped before the next
-sentence. The E entity candidates are sorted once, O(E log E), and swept
-into clusters of candidates that overlap; a candidate alone in its
-cluster is kept as it is, and only a cluster of two or more runs the
-greedy rule on itself. The rules keep a cluster to a handful of
-candidates, whatever the length of the body: at most a name run, the
-dates that chain from its last word ("Alice May 12 May 1990"), and the
-numbers, years and words inside them. Beyond the candidates and the
-sentence, entity and final-preposition lists it returns, memory is
-O(longest sentence). The packaged lexicon and abbreviations are read
-once per process.
+with one ``str.find`` and looked up by its text in the lexeme table, a
+table of fixed size (see ``_LEXEMES_CAP``) shared by every call, which
+keeps the first short token texts the process meets. A token in it was
+stripped of its punctuation, lowercased and classified (a capitalised
+word, an initial, a connector, a number or none of these) once per
+process; any other token is classified at each occurrence. The lexicon
+is not in the table: each occurrence's form is tested against the
+lexicon passed to the call, so callers may pass different lexicons. The
+scan's one record per token feeds both the name-run state machine and
+preposition matching, which visit only the tokens the scan marked, and
+it is dropped before the next sentence. The E entity candidates are
+sorted once, O(E log E), and swept into clusters of candidates that
+overlap; a candidate alone in its cluster is kept as it is, and only a
+cluster of two or more runs the greedy rule on itself. The rules keep a
+cluster to a handful of candidates, whatever the length of the body: at
+most a name run, the dates that chain from its last word ("Alice May 12
+May 1990"), and the numbers, years and words inside them. Beyond the
+lexeme table and the candidates and the sentence, entity and
+final-preposition lists it returns, memory is O(longest sentence). The
+packaged lexicon and abbreviations are read once per process.
 """
 
 from __future__ import annotations
@@ -139,74 +136,35 @@ def _is_initial(word: str) -> bool:
     return len(word) == 2 and word[1] == "." and "A" <= word[0] <= "Z"
 
 
-# the class of a token text, set once by _lexeme
-_OTHER, _CAPWORD, _INITIAL, _CONNECTOR, _NUMERAL = range(5)
+# the class of a token, set by _scan; an entity may start at a token whose
+# class is _CAPWORD or above
+_OTHER, _CONNECTOR, _CAPWORD, _INITIAL, _NUMERAL = range(5)
 _NAME_PART = (_CAPWORD, _INITIAL)
 _JOINER = (_INITIAL, _CONNECTOR)
 
 
-def _lexeme(raw: str) -> tuple:
-    """What ``_scan`` reads off one whitespace-delimited token, from its text alone.
-
-    Returns ``(lead, stop, core, form, kind, mark, bare_start, bare_end)``:
-    ``core`` is ``raw[lead:stop]``, the token with its lead and trail
-    punctuation taken off, ``form`` its lowercase and ``kind`` its class;
-    ``mark`` says an entity may start at it (a capitalised word, an initial
-    or a number), and ``bare_start`` and ``bare_end`` that no punctuation
-    was taken off that side.
-    """
-    core = raw.lstrip(_LEAD_PUNCT)
-    lead = len(raw) - len(core)
-    core = core.rstrip(_TRAIL_PUNCT)
-    kind = _OTHER
-    if core[-1:] == ".":
-        # keep a final period only for initials ("W.") and dotted
-        # abbreviations ("U.S."), strip it from ordinary words
-        if _is_initial(core):
-            kind = _INITIAL
-        elif core.find(".") == len(core) - 1:
-            core = core[:-1]
-    stop = lead + len(core)
-    form = core.lower()
-    if kind == _OTHER:
-        first = core[:1]
-        if first.isalpha() and first.isupper():
-            kind = _CAPWORD
-        elif form in _CONNECTORS:
-            kind = _CONNECTOR
-        elif first.isdigit() and _NUMBER.fullmatch(core):
-            kind = _NUMERAL
-    mark = kind != _OTHER and kind != _CONNECTOR
-    return lead, stop, core, form, kind, mark, lead == 0, stop == len(raw)
-
-
-# The lexemes of the token texts seen since the table was last emptied,
-# shared by every document in the process: at most _LEXEMES_CAP entries,
-# each keyed by a token of at most _LEXEME_KEY_MAX characters, so the
-# table's memory has a fixed bound whatever the corpus. The lexicon is not
-# in it: a lexicon is a per-call argument, and its test stays in _scan.
+# The lexemes of the first _LEXEMES_CAP token texts of at most
+# _LEXEME_KEY_MAX characters that the process meets, shared by every
+# document. A full table stops growing and is never emptied, so a token
+# missing from it costs one lookup more than classifying it, never an
+# insertion or an eviction. Text meets its most frequent words early: the
+# first 256 kept serve 84 to 96% of the token occurrences of perfbench's
+# corpora and of tests/_synth.py's, and 32% of the 3.3 million tokens (253k
+# distinct) of the docstrings of CPython 3.11's standard library. Full, it
+# holds about 50 KB of such text (tracemalloc, about 200 B an entry) and
+# 109 KB of 32-character tokens of "İ", whose lowercase is longer, which
+# keeps gen-tasks' peak RSS within noise of classifying every occurrence;
+# 4,096 entries held 0.8 MB and served 60% of those docstrings' tokens.
+# The lexicon is not in it: a lexicon is a per-call argument, and its test
+# stays in _scan.
 _LEXEMES: dict[str, tuple] = {}
-_LEXEMES_CAP = 4096
+_LEXEMES_CAP = 256
 _LEXEME_KEY_MAX = 32
-
-
-def _learn(raw: str) -> tuple:
-    """``_lexeme(raw)``, kept in the table unless ``raw`` is too long to
-    keep. A full table is emptied first: dropping the oldest entry instead
-    costs a scan past every slot dropped before it, and a corpus with more
-    distinct tokens than the cap drops one per new token."""
-    lexeme = _lexeme(raw)
-    if len(raw) <= _LEXEME_KEY_MAX:
-        if len(_LEXEMES) >= _LEXEMES_CAP:
-            _LEXEMES.clear()
-        _LEXEMES[raw] = lexeme
-    return lexeme
 
 
 def _scan(text: str, heads: frozenset[str]) -> tuple[list[tuple], list[int], list[int]]:
     """The one pass over a sentence's tokens: each is read once, and each
-    distinct token text is classified once per process while it stays in
-    the lexeme table.
+    token text in the lexeme table was classified once per process.
 
     Returns ``(tokens, marks, hits)``:
       tokens: one ``(start, end, core_start, core_end, core, form, kind,
@@ -224,18 +182,59 @@ def _scan(text: str, heads: frozenset[str]) -> tuple[list[tuple], list[int], lis
     hits = []
     end = 0
     bare_end = False
-    known = _LEXEMES.get
+    table = _LEXEMES
+    known = table.get
+    room = _LEXEMES_CAP - len(table)
     for raw in text.split():
         # only whitespace lies between the previous token and this one
         start = text.find(raw, end)
         end = start + len(raw)
-        lead, stop, core, form, kind, mark, bare_start, next_bare_end = known(raw) or _learn(raw)
-        if mark:
+        lexeme = known(raw)
+        if lexeme is None:
+            # classify the token from its text alone
+            kind = _OTHER
+            if raw.isalnum():
+                # no punctuation to take off, as for most tokens
+                lead = 0
+                core = raw
+            else:
+                core = raw.lstrip(_LEAD_PUNCT)
+                lead = len(raw) - len(core)
+                core = core.rstrip(_TRAIL_PUNCT)
+                if core[-1:] == ".":
+                    # keep a final period only for initials ("W.") and dotted
+                    # abbreviations ("U.S."), strip it from ordinary words
+                    if _is_initial(core):
+                        kind = _INITIAL
+                    elif core.find(".") == len(core) - 1:
+                        core = core[:-1]
+            form = core.lower()
+            if kind == _OTHER:
+                first = core[:1]
+                if first.isalpha() and first.isupper():
+                    kind = _CAPWORD
+                elif form in _CONNECTORS:
+                    kind = _CONNECTOR
+                elif first.isdigit() and _NUMBER.fullmatch(core):
+                    kind = _NUMERAL
+            core_end = lead + len(core)
+            if room > 0 and len(raw) <= _LEXEME_KEY_MAX:
+                if form == core:
+                    # one string for both, to keep the table small
+                    form = core
+                table[raw] = (lead, core_end, core, form, kind)
+                # read afresh: threads that share the table may each add one
+                # entry past the cap, never more, and no result depends on it
+                room = _LEXEMES_CAP - len(table)
+        else:
+            lead, core_end, core, form, kind = lexeme
+        if kind >= _CAPWORD:
             marks.append(len(tokens))
         if form in heads:
             hits.append(len(tokens))
-        tokens.append((start, end, start + lead, start + stop, core, form, kind, bare_end and bare_start))
-        bare_end = next_bare_end
+        core_end += start
+        tokens.append((start, end, start + lead, core_end, core, form, kind, bare_end and not lead))
+        bare_end = core_end == end
     return tokens, marks, hits
 
 

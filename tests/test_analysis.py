@@ -340,17 +340,19 @@ class TestLexemeTable:
         for record in synthetic_records(3, seed=23):
             analyze_document(document_from_record(record))
         assert analyze_document(doc) == cold
-        # a table that fills up and is emptied halfway through the body's
-        # distinct tokens, then the body again just past that eviction
+        # a table that fills up halfway through the body's distinct tokens:
+        # the rest are classified at each occurrence
         table.clear()
-        for i in range(analysis._LEXEMES_CAP - seen // 2):
-            analysis._learn(f"~{i}")
+        filler = " ".join(f"~{i}" for i in range(analysis._LEXEMES_CAP - seen // 2))
+        analysis._scan(filler, frozenset())
         assert analyze_document(doc) == cold
-        assert len(table) < analysis._LEXEMES_CAP
+        assert len(table) == analysis._LEXEMES_CAP
         assert analyze_document(doc) == cold
         # two lexicons in turn over one table
         assert analyze_document(doc, lexicon=self.OTHER_LEXICON) == cold_other
         assert analyze_document(doc) == cold
+        # a full table stops growing, so leave none for the tests after this
+        table.clear()
 
     def test_table_size_and_key_length_are_bounded(self):
         table = analysis._LEXEMES
@@ -360,11 +362,13 @@ class TestLexemeTable:
             "x" * (analysis._LEXEME_KEY_MAX + 1),
             "(Supercalifragilisticexpialidocious-Extraordinary),",
         ]
-        text = " ".join(words + over_long + over_long)
+        text = " ".join(over_long + words + over_long)
         tokens = analysis._scan(text, frozenset())[0]
-        # the table filled up once, was emptied, and then took the last 100
-        assert len(table) == 100
-        assert max(map(len, table)) <= analysis._LEXEME_KEY_MAX
-        # an over-long token is still classified, every time it occurs
+        # the table kept the first tokens short enough to keep, up to its
+        # cap, and then stopped growing
+        assert list(table) == words[: analysis._LEXEMES_CAP]
+        # a token not kept is still classified, every time it occurs
         assert [token[:5] for token in tokens] == [tuple(t) for t in oracle.sentence_tokens(text)]
-        assert [token[6] for token in tokens[-4:]] == [analysis._OTHER, analysis._CAPWORD] * 2
+        ends = [analysis._OTHER, analysis._CAPWORD]
+        assert [token[6] for token in tokens] == ends + [analysis._CAPWORD] * len(words) + ends
+        table.clear()

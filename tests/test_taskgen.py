@@ -466,15 +466,17 @@ class TestAnalysisCallBudget:
         assert calls["load_lexicon"] <= len(docs)
 
     def test_each_distinct_token_text_classified_at_most_once(self, monkeypatch):
+        # _scan classifies a token exactly when the lexeme table misses it
         classified = {}
-        lexeme = analysis._lexeme
 
-        def counted(raw):
-            classified[raw] = classified.get(raw, 0) + 1
-            return lexeme(raw)
+        class CountedTable(dict):
+            def get(self, raw):
+                lexeme = dict.get(self, raw)
+                if lexeme is None:
+                    classified[raw] = classified.get(raw, 0) + 1
+                return lexeme
 
-        monkeypatch.setattr(analysis, "_lexeme", counted)
-        analysis._LEXEMES.clear()
+        monkeypatch.setattr(analysis, "_LEXEMES", CountedTable())
         records = golden_synth_records()
         for record in records:
             build_suite(analysis.analyze_document(document_from_record(record)), seed=1)
