@@ -38,6 +38,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 from .corpus import RawDocument
@@ -129,6 +130,9 @@ class EntitySpan(namedtuple("EntitySpan", "start end surface kind")):
     """``surface`` is ``body[start:end]``; ``kind`` is name, date, number, acronym or other."""
 
     __slots__ = ()
+
+
+_START, _END = itemgetter(0), itemgetter(1)  # an EntitySpan's start and end
 
 
 def _is_initial(word: str) -> bool:
@@ -277,14 +281,16 @@ def segment_sentences(body: str, abbreviations: frozenset[str] | None = None) ->
 
     spans = []
     cursor = 0
-    for end in boundaries + [len(body)]:
+    boundaries.append(len(body))
+    # tuple.__new__ skips the namedtuple's generated __new__, a Python call per span
+    new = tuple.__new__
+    for end in boundaries:
         chunk = body[cursor:end]
         lead = len(chunk) - len(chunk.lstrip())
-        trail = len(chunk) - len(chunk.rstrip())
-        if chunk.strip():
-            spans.append(
-                SentenceSpan(start=cursor + lead, end=end - trail, index=len(spans))
-            )
+        # a chunk of only whitespace is no sentence
+        if lead < len(chunk):
+            trail = len(chunk) - len(chunk.rstrip())
+            spans.append(new(SentenceSpan, (cursor + lead, end - trail, len(spans))))
         cursor = end
     return spans
 
@@ -313,12 +319,12 @@ def _date_candidates(body: str) -> list[tuple]:
     candidates = []
     for pattern in _DATE_PATTERNS:
         for match in pattern.finditer(body):
-            start = match.start()
+            start, end = match.span()
             if start:
                 before = body[start - 1]
                 if before.isalnum() or before == "_":
                     continue
-            candidates.append((start, match.end(), "date", 0))
+            candidates.append((start, end, "date", 0))
     return candidates
 
 
@@ -448,18 +454,8 @@ class AnalyzedDocument(namedtuple("AnalyzedDocument", "doc sentences entities fi
         none crosses a sentence boundary.
         """
         span = self.sentences[index]
-        lo = bisect_left(self.entities, span.start, key=lambda e: e.start)
-        return lo, bisect_right(self.entities, span.end, lo, key=lambda e: e.end)
-
-    def entities_in_sentence(self, index: int) -> list[EntitySpan]:
-        lo, hi = self.entity_range(index)
-        return self.entities[lo:hi]
-
-    def sentence_of_entity(self, entity: EntitySpan) -> int | None:
-        i = bisect_right(self.sentences, entity.start, key=lambda span: span.start) - 1
-        if i >= 0 and entity.end <= self.sentences[i].end:
-            return self.sentences[i].index
-        return None
+        lo = bisect_left(self.entities, span.start, key=_START)
+        return lo, bisect_right(self.entities, span.end, lo, key=_END)
 
 
 def analyze_document(
@@ -480,9 +476,4 @@ def analyze_document(
         candidates.extend(_entity_candidates(span.start, tokens, marks))
         final = _final_preposition(tokens, hits, units, singles)
         final_preposition_ends.append(None if final is None else tokens[final][1])
-    return AnalyzedDocument(
-        doc=doc,
-        sentences=sentences,
-        entities=_resolve_overlaps(body, candidates),
-        final_preposition_ends=final_preposition_ends,
-    )
+    return AnalyzedDocument(doc, sentences, _resolve_overlaps(body, candidates), final_preposition_ends)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import count, repeat
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
@@ -74,11 +74,13 @@ def overlap_report(train: list[RawDocument], test: list[RawDocument], ngram_size
     """Advisory report of word n-grams shared across the split: for each
     test document, how many of its distinct n-grams some train document holds.
 
-    Only the test side is indexed. Each test word gets an id from 1 up, a
-    body becomes its ids packed as fixed-width bytes, and an n-gram is one
-    slice of them, exact because ids and test words are one-to-one. A train
-    word the test side lacks packs as 0, which no test n-gram holds, so the
-    report's memory grows with the test side only.
+    Only the test side is indexed. Each distinct test word gets its own
+    positive id, the count of test words read when it first appears, so
+    ids need not be consecutive. A body becomes its ids packed as
+    fixed-width bytes, and an n-gram is one slice of them, exact because
+    ids and test words are one-to-one. A train word the test side lacks
+    packs as 0, which no test n-gram holds, so the report's memory grows
+    with the test side only.
     """
     from array import array  # only split builds the report, so no other command loads it
 
@@ -88,9 +90,10 @@ def overlap_report(train: list[RawDocument], test: list[RawDocument], ngram_size
     step = array("I").itemsize
     width = ngram_size * step
     test_grams = []
+    fresh = count(1)
     for doc in test:
-        words = tokenize_words(doc.body)
-        packed = array("I", [ids.setdefault(word, len(ids) + 1) for word in words]).tobytes()
+        # a word seen before keeps its id; the count moves on regardless
+        packed = array("I", map(ids.setdefault, tokenize_words(doc.body), fresh)).tobytes()
         test_grams.append(set(_grams(packed, width, step)))
     indexed = set().union(*test_grams)
     seen = set()
@@ -99,9 +102,9 @@ def overlap_report(train: list[RawDocument], test: list[RawDocument], ngram_size
         seen |= indexed.intersection(_grams(packed, width, step))
     shared = []
     for doc, grams in zip(test, test_grams):
-        count = len(grams & seen)
-        if count:
-            shared.append({"doc_id": doc.id, "count": count})
+        hits = len(grams & seen)
+        if hits:
+            shared.append({"doc_id": doc.id, "count": hits})
     return {
         "ngram_size": ngram_size,
         "documents_with_overlap": len(shared),

@@ -15,6 +15,7 @@ import re
 import string
 import sys
 from collections import Counter, namedtuple
+from itertools import repeat
 
 from ..errors import DataError
 from ..vocab import NLI_LABELS
@@ -130,14 +131,18 @@ def _parse_nli_tokens(tokens: list[str]) -> str | None:
 _MAX_EXP = math.log(sys.float_info.max)
 
 
+_NOT_LOGPROBS = (str, bytes, bytearray, bool)
+
+
 class LogProbRecord(namedtuple("LogProbRecord", "doc_id logprobs")):
     __slots__ = ()
 
     def __new__(cls, doc_id: str, logprobs):
+        # each check is one map over a builtin, so it runs in C
         try:
             values = tuple(logprobs)
             # float() also reads a numeric string or a bool, neither a log-probability
-            if any(isinstance(x, (str, bytes, bytearray, bool)) for x in values):
+            if any(map(isinstance, values, repeat(_NOT_LOGPROBS))):
                 raise TypeError("a string or a bool")
             values = tuple(map(float, values))
         except (TypeError, ValueError) as exc:
@@ -146,9 +151,9 @@ class LogProbRecord(namedtuple("LogProbRecord", "doc_id logprobs")):
             raise DataError(f"logprob record {doc_id!r} has a non-finite value") from None
         if not values:
             raise DataError(f"logprob record {doc_id!r} has no tokens")
-        if not all(math.isfinite(x) for x in values):
+        if not all(map(math.isfinite, values)):
             raise DataError(f"logprob record {doc_id!r} has a non-finite value")
-        if any(x > 0 for x in values):
+        if max(values) > 0:
             raise DataError(f"logprob record {doc_id!r} has positive values")
         return tuple.__new__(cls, (doc_id, values))
 

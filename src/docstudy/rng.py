@@ -14,11 +14,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _splitmix64(x: int) -> int:
-    x = (x + _GOLDEN) & _MASK
-    z = x
+    z = (x + _GOLDEN) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return (z ^ (z >> 31)) & _MASK
+    # z < 2**64, so this needs no mask
+    return z ^ (z >> 31)
 
 
 # a purpose tag (a task kind, "split") recurs for every document, so it is
@@ -46,25 +46,31 @@ def mix_key(seed: int, *tags: str) -> int:
 class Stream:
     """SplitMix64 sequence with unbiased-enough bounded draws."""
 
+    __slots__ = ("key", "_state")
+
     def __init__(self, key: int):
         self.key = key & _MASK
         self._state = self.key
 
     def next_u64(self) -> int:
-        value = _splitmix64(self._state)
-        self._state = (self._state + _GOLDEN) & _MASK
-        return value
+        # a draw below 2**64 is the whole 64-bit value
+        return self.below(_MASK + 1)
 
     def below(self, n: int) -> int:
         """Draw an integer in [0, n) via multiply-shift."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        return (self.next_u64() * n) >> 64
+        # _splitmix64 of the state, inline, so a draw is this one call
+        z = self._state = (self._state + _GOLDEN) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        return ((z ^ (z >> 31)) * n) >> 64
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates."""
+        below = self.below
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            j = below(i + 1)
             items[i], items[j] = items[j], items[i]
 
     def sample_indices(self, n: int, k: int) -> list[int]:
@@ -74,10 +80,11 @@ class Stream:
         # a partial Fisher-Yates over range(n) that stores only the swapped
         # positions, so memory is O(k) whatever n is
         swapped: dict[int, int] = {}
+        below = self.below
         for i in range(k):
-            j = i + self.below(n - i)
+            j = i + below(n - i)
             swapped[i], swapped[j] = swapped.get(j, j), swapped.get(i, i)
-        return sorted(swapped[i] for i in range(k))
+        return sorted(map(swapped.__getitem__, range(k)))
 
 
 def stream_for(seed: int, *tags: str) -> Stream:

@@ -2,13 +2,26 @@
 
 One record per kind per document (the NLI generator may add a corrupted
 false statement as a second record). `GENERATORS` declares each kind
-once, in `KIND_ORDER`: its generator, whether that generator samples, and
-whether it reads the document's keywords (its unique entity surfaces).
+once, in `KIND_ORDER`: its generator, and whether that generator samples.
 All sampling draws from per-document streams keyed by (corpus seed,
 doc id, kind), so suites are a pure function of (seed, document, config).
-`build_suite` folds the seed and doc id into a key once per document, and
-builds the keywords once for the three kinds that read them.
 A kind also fixes its loss policy (`vocab.loss_policy`).
+
+Cost contract for ``build_suite``:
+
+- once per run: the config's enabled kinds, caps and generators are
+  resolved into a plan, which is kept until a config that differs by value
+  comes; each kind's tag is hashed once per process (`rng.mix_key`). The
+  NLI options block is a constant.
+- once per document: the seed and doc id are folded into one key (one
+  sha256), and each sampling kind's stream is keyed from it. The document
+  is rendered once, and its keywords (unique entity surfaces) are listed
+  and joined once (`_Shared`), for every generator that reads them.
+- once per example: its question is filled from its template with one
+  printf-style ``%`` (`vocab.fill`, which converts each template once per
+  process), and `TaskExample` checks it. A draw is one call,
+  `Stream.below`. NLI counts its corruptions in O(E) for E entities, and
+  completion tests each sentence in place.
 """
 
 from __future__ import annotations
@@ -16,12 +29,12 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from itertools import chain, islice
-from operator import attrgetter
+from operator import itemgetter
 
 from .analysis import AnalyzedDocument, EntitySpan
 from .errors import DataError
 from .jsonio import read_json
-from .rng import mix_key, stream_for
+from .rng import Stream, mix_key
 from .vocab import MEMORIZATION, NLI_OPTIONS, fill, loss_policy, options_block
 
 SUMMARIZATION = "summarization"
@@ -74,6 +87,9 @@ class TaskConfig(namedtuple("TaskConfig", "enabled option_count multiplicity tem
         cls, enabled: tuple[str, ...] = KIND_ORDER, option_count: int = 4,
         multiplicity: dict | None = None, templates: dict | None = None,
     ):
+        # a tuple, so neither the checks below nor a later change to the
+        # caller's list can alter it: build_suite's plan compares it by value
+        enabled = tuple(enabled)
         multiplicity = {} if multiplicity is None else multiplicity
         templates = {} if templates is None else templates
         unknown = [k for k in (*enabled, *multiplicity, *templates) if k not in KIND_ORDER]
@@ -116,6 +132,9 @@ class TaskConfig(namedtuple("TaskConfig", "enabled option_count multiplicity tem
 DEFAULT_CONFIG = TaskConfig()
 
 
+_WITH_OPTIONS = (NLI, MULTICHOICE)
+
+
 class TaskExample(namedtuple("TaskExample", "kind question answer doc_id options provenance")):
     __slots__ = ()
 
@@ -125,8 +144,7 @@ class TaskExample(namedtuple("TaskExample", "kind question answer doc_id options
     ):
         if not answer:
             raise DataError(f"{kind} example for {doc_id} has empty answer")
-        wants_options = kind in (NLI, MULTICHOICE)
-        if wants_options != (options is not None):
+        if (kind in _WITH_OPTIONS) != (options is not None):
             raise DataError(f"options presence mismatch for kind {kind}")
         return tuple.__new__(cls, (kind, question, answer, doc_id, options, {} if provenance is None else provenance))
 
@@ -159,57 +177,66 @@ def render_document(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG)
     return fill(template, title=adoc.doc.title, body=adoc.doc.body)
 
 
+_SURFACE = itemgetter(2)  # an EntitySpan's surface
+
+
 def _gist_keywords(adoc: AnalyzedDocument) -> list[str]:
-    return list(dict.fromkeys(map(attrgetter("surface"), adoc.entities)))
+    return list(dict.fromkeys(map(_SURFACE, adoc.entities)))
 
 
-def gen_memorization(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample:
-    return TaskExample(
-        kind=MEMORIZATION,
-        question="",
-        answer=render_document(adoc, config),
-        doc_id=adoc.doc.id,
-    )
+class _Shared(namedtuple("_Shared", "rendered keywords joined")):
+    """What several generators read from one document: its rendering
+    (`render_document`), its keywords (`_gist_keywords`) and those joined
+    by "; ". `build_suite` builds it once per document."""
+
+    __slots__ = ()
 
 
-def gen_summarization(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample:
-    question = fill(config.template(SUMMARIZATION), document=render_document(adoc, config))
-    return TaskExample(
-        kind=SUMMARIZATION,
-        question=question,
-        answer=adoc.doc.title,
-        doc_id=adoc.doc.id,
-    )
+def _shared(adoc: AnalyzedDocument, config: TaskConfig) -> _Shared:
+    keywords = _gist_keywords(adoc)
+    return _Shared(render_document(adoc, config), keywords, "; ".join(keywords))
+
+
+def gen_memorization(
+    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
+) -> TaskExample:
+    if shared is None:
+        shared = _shared(adoc, config)
+    return TaskExample(MEMORIZATION, "", shared.rendered, adoc.doc.id)
+
+
+def gen_summarization(
+    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
+) -> TaskExample:
+    if shared is None:
+        shared = _shared(adoc, config)
+    doc = adoc.doc
+    question = fill(config.template(SUMMARIZATION), document=shared.rendered)
+    return TaskExample(SUMMARIZATION, question, doc.title, doc.id)
 
 
 def gen_gist(
-    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, *, keywords: list[str] | None = None,
+    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
 ) -> TaskExample | None:
-    """`keywords`, if given, are `_gist_keywords(adoc)`, built by the caller."""
-    if keywords is None:
-        keywords = _gist_keywords(adoc)
-    if not keywords:
+    if shared is None:
+        shared = _shared(adoc, config)
+    if not shared.keywords:
         return None
-    question = fill(config.template(GIST), document=render_document(adoc, config))
-    return TaskExample(
-        kind=GIST,
-        question=question,
-        answer="; ".join(keywords),
-        doc_id=adoc.doc.id,
-    )
+    question = fill(config.template(GIST), document=shared.rendered)
+    return TaskExample(GIST, question, shared.joined, adoc.doc.id)
 
 
-def _nli_question(adoc, statement, config):
-    return fill(
-        config.template(NLI),
-        document=render_document(adoc, config),
-        title=adoc.doc.title,
-        statement=statement,
-        options=options_block(NLI_OPTIONS),
-    )
+# every NLI question lists the same options
+_NLI_BLOCK = options_block(NLI_OPTIONS)
 
 
-def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> list[TaskExample]:
+def _nli_question(template: str, rendered: str, title: str, statement: str) -> str:
+    return fill(template, document=rendered, title=title, statement=statement, options=_NLI_BLOCK)
+
+
+def gen_nli_pair(
+    adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
+) -> list[TaskExample]:
     """True statement from a sampled sentence, plus a corrupted false one
     when a same-kind entity from another sentence can substitute in.
 
@@ -219,40 +246,41 @@ def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFI
     The pairs are counted per target, not listed, and the draw walks to
     the chosen one: O(E) for E entities, whatever the sentence holds.
     """
-    if not adoc.sentences:
+    sentences = adoc.sentences
+    if not sentences:
         return []
-    sent_index = rng.below(len(adoc.sentences))
-    span = adoc.sentences[sent_index]
-    statement = adoc.doc.body[span.start : span.end]
+    doc = adoc.doc
+    template = config.template(NLI)
+    if shared is None:
+        shared = _shared(adoc, config)
+    rendered = shared.rendered
+    sent_index = rng.below(len(sentences))
+    span = sentences[sent_index]
+    statement = doc.body[span.start : span.end]
 
     examples = [
         TaskExample(
-            kind=NLI,
-            question=_nli_question(adoc, statement, config),
-            answer="Yes",
-            doc_id=adoc.doc.id,
-            options=NLI_OPTIONS,
-            provenance={"sentence_index": sent_index, "corrupted": False},
+            NLI, _nli_question(template, rendered, doc.title, statement), "Yes", doc.id, NLI_OPTIONS,
+            {"sentence_index": sent_index, "corrupted": False},
         )
     ]
 
     lo, hi = adoc.entity_range(sent_index)
-    if len(adoc.sentences) < 2 or lo == hi:
+    if len(sentences) < 2 or lo == hi:
         return examples
     entities = adoc.entities
     inside = entities[lo:hi]
     # the entities outside the sentence, counted per kind, and per (kind,
     # surface) for the targets' surfaces only
-    surfaces = {target.surface for target in inside}
+    surfaces = set(map(_SURFACE, inside))
     by_kind: dict[str, int] = {}
     by_surface: dict[tuple[str, str], int] = {}
-    for entity in chain(islice(entities, lo), islice(entities, hi, None)):
-        kind = entity.kind
+    for _, _, surface, kind in chain(islice(entities, lo), islice(entities, hi, None)):
         by_kind[kind] = by_kind.get(kind, 0) + 1
-        if entity.surface in surfaces:
-            key = kind, entity.surface
+        if surface in surfaces:
+            key = kind, surface
             by_surface[key] = by_surface.get(key, 0) + 1
-    weights = [by_kind.get(t.kind, 0) - by_surface.get((t.kind, t.surface), 0) for t in inside]
+    weights = [by_kind.get(kind, 0) - by_surface.get((kind, surface), 0) for _, _, surface, kind in inside]
     total = sum(weights)
     if total:
         pick = rng.below(total)
@@ -260,8 +288,9 @@ def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFI
             if pick < weight:
                 break
             pick -= weight
+        _, _, surface, kind = target
         for repl in chain(islice(entities, lo), islice(entities, hi, None)):
-            if repl.kind == target.kind and repl.surface != target.surface:
+            if repl[3] == kind and repl[2] != surface:
                 if not pick:
                     break
                 pick -= 1
@@ -270,12 +299,8 @@ def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFI
         corrupted = statement[:rel_start] + repl.surface + statement[rel_end:]
         examples.append(
             TaskExample(
-                kind=NLI,
-                question=_nli_question(adoc, corrupted, config),
-                answer="No",
-                doc_id=adoc.doc.id,
-                options=NLI_OPTIONS,
-                provenance={
+                NLI, _nli_question(template, rendered, doc.title, corrupted), "No", doc.id, NLI_OPTIONS,
+                {
                     "sentence_index": sent_index,
                     "corrupted": True,
                     "target_start": rel_start,
@@ -288,32 +313,23 @@ def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFI
     return examples
 
 
-def gen_teaching(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample:
-    return TaskExample(
-        kind=TEACHING,
-        question=fill(config.template(TEACHING), title=adoc.doc.title),
-        answer=adoc.doc.body,
-        doc_id=adoc.doc.id,
-    )
+def gen_teaching(
+    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
+) -> TaskExample:
+    doc = adoc.doc
+    return TaskExample(TEACHING, fill(config.template(TEACHING), title=doc.title), doc.body, doc.id)
 
 
 def gen_flashcards(
-    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, *, keywords: list[str] | None = None,
+    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
 ) -> TaskExample | None:
-    """`keywords`, if given, are `_gist_keywords(adoc)`, built by the caller."""
-    if keywords is None:
-        keywords = _gist_keywords(adoc)
-    if not keywords:
+    if shared is None:
+        shared = _shared(adoc, config)
+    if not shared.keywords:
         return None
-    question = fill(
-        config.template(FLASHCARDS), title=adoc.doc.title, keywords="; ".join(keywords)
-    )
-    return TaskExample(
-        kind=FLASHCARDS,
-        question=question,
-        answer=adoc.doc.body,
-        doc_id=adoc.doc.id,
-    )
+    doc = adoc.doc
+    question = fill(config.template(FLASHCARDS), title=doc.title, keywords=shared.joined)
+    return TaskExample(FLASHCARDS, question, doc.body, doc.id)
 
 
 def _blank_body(adoc: AnalyzedDocument, entity: EntitySpan) -> str:
@@ -321,7 +337,9 @@ def _blank_body(adoc: AnalyzedDocument, entity: EntitySpan) -> str:
     return body[: entity.start] + BLANK + body[entity.end :]
 
 
-def gen_cloze(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
+def gen_cloze(
+    adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
+) -> TaskExample | None:
     if not adoc.entities:
         return None
     entity = adoc.entities[rng.below(len(adoc.entities))]
@@ -329,21 +347,18 @@ def gen_cloze(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) 
         config.template(CLOZE), title=adoc.doc.title, blanked=_blank_body(adoc, entity)
     )
     return TaskExample(
-        kind=CLOZE,
-        question=question,
-        answer=entity.surface,
-        doc_id=adoc.doc.id,
-        provenance={"entity_start": entity.start, "entity_end": entity.end},
+        CLOZE, question, entity.surface, adoc.doc.id, None,
+        {"entity_start": entity.start, "entity_end": entity.end},
     )
 
 
 def gen_multichoice(
-    adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG, *, keywords: list[str] | None = None,
+    adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
 ) -> TaskExample | None:
-    """`keywords`, if given, are `_gist_keywords(adoc)`, built by the caller;
-    they are not changed."""
-    if keywords is None:
-        keywords = _gist_keywords(adoc)
+    """`shared.keywords` are not changed."""
+    if shared is None:
+        shared = _shared(adoc, config)
+    keywords = shared.keywords
     if len(keywords) < config.option_count:
         return None
     entity = adoc.entities[rng.below(len(adoc.entities))]
@@ -360,16 +375,14 @@ def gen_multichoice(
         options=options_block(options),
     )
     return TaskExample(
-        kind=MULTICHOICE,
-        question=question,
-        answer=entity.surface,
-        doc_id=adoc.doc.id,
-        options=tuple(options),
-        provenance={"entity_start": entity.start, "entity_end": entity.end},
+        MULTICHOICE, question, entity.surface, adoc.doc.id, tuple(options),
+        {"entity_start": entity.start, "entity_end": entity.end},
     )
 
 
-def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
+def gen_completion(
+    adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
+) -> TaskExample | None:
     """A sentence cut after its final preposition, drawn uniformly from the
     sentences that read back as ``prefix + " " + answer + "."`` with a
     one-line, non-blank answer.
@@ -380,16 +393,16 @@ def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CON
     body = adoc.doc.body
     ends = adoc.final_preposition_ends
     qualifying = []
-    for span in adoc.sentences:
-        cut = ends[span.index]
-        if cut is None or body[span.end - 1] != ".":
+    for span, cut in zip(adoc.sentences, ends):
+        start, end, _ = span
+        if cut is None or body[end - 1] != ".":
             continue
-        cut += span.start
+        cut += start
         # a space after the preposition, no line break, and something to answer
         if (
-            body.startswith(" ", cut, span.end)
-            and body.find("\n", cut, span.end) == -1
-            and _NON_BLANK.search(body, cut + 1, span.end - 1)
+            body.startswith(" ", cut, end)
+            and body.find("\n", cut, end) == -1
+            and _NON_BLANK.search(body, cut + 1, end - 1)
         ):
             qualifying.append(span)
     if not qualifying:
@@ -399,51 +412,78 @@ def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CON
     sentence = body[span.start : span.end]
     question = fill(config.template(COMPLETION), title=adoc.doc.title, prefix=sentence[:cut])
     return TaskExample(
-        kind=COMPLETION,
-        question=question,
-        answer=sentence[cut + 1 : -1],
-        doc_id=adoc.doc.id,
-        provenance={"sentence_index": span.index, "split_offset": cut},
+        COMPLETION, question, sentence[cut + 1 : -1], adoc.doc.id, None,
+        {"sentence_index": span.index, "split_offset": cut},
     )
 
 
-# kind -> (generator, whether it samples from the kind's rng stream,
-# whether it reads the document's keywords); build_suite runs them in this
-# order, which is KIND_ORDER
+# kind -> (generator, whether it samples from the kind's rng stream);
+# build_suite runs them in this order, which is KIND_ORDER. A generator
+# takes (adoc, [rng,] config, shared), where shared is the document's
+# _Shared values, or None to build what it reads of them itself.
 GENERATORS = {
-    MEMORIZATION: (gen_memorization, False, False),
-    SUMMARIZATION: (gen_summarization, False, False),
-    GIST: (gen_gist, False, True),
-    NLI: (gen_nli_pair, True, False),
-    TEACHING: (gen_teaching, False, False),
-    FLASHCARDS: (gen_flashcards, False, True),
-    CLOZE: (gen_cloze, True, False),
-    MULTICHOICE: (gen_multichoice, True, True),
-    COMPLETION: (gen_completion, True, False),
+    MEMORIZATION: (gen_memorization, False),
+    SUMMARIZATION: (gen_summarization, False),
+    GIST: (gen_gist, False),
+    NLI: (gen_nli_pair, True),
+    TEACHING: (gen_teaching, False),
+    FLASHCARDS: (gen_flashcards, False),
+    CLOZE: (gen_cloze, True),
+    MULTICHOICE: (gen_multichoice, True),
+    COMPLETION: (gen_completion, True),
 }
+
+# a copy of the last config build_suite was given, and its plan: a run
+# passes one config for every document, so that is resolved once. One
+# tuple, read and replaced whole, so threads that race can only resolve a
+# config again, never pair one config with another's plan.
+_PLAN: tuple = ((), ((), {}))
+
+
+def _plan(config: TaskConfig) -> tuple[tuple, dict]:
+    """The config's (kind, generator, samples, cap) steps, one for each
+    enabled kind whose cap is at least 1, in KIND_ORDER, and its zero
+    counts. The last config is compared by value, so one whose dicts were
+    changed in place is resolved again."""
+    global _PLAN
+    copy, plan = _PLAN
+    if config != copy:
+        enabled = config.enabled
+        steps = []
+        for kind, (generate, samples) in GENERATORS.items():
+            cap = config.cap(kind)
+            if kind in enabled and cap >= 1:
+                steps.append((kind, generate, samples, cap))
+        plan = tuple(steps), dict.fromkeys(enabled, 0)
+        _PLAN = (enabled, config.option_count, dict(config.multiplicity), dict(config.templates)), plan
+    return plan
 
 
 def build_suite(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, seed: int = 0) -> TaskSuite:
     """Run every enabled generator in fixed order, honoring skip rules."""
+    steps, counts = _plan(config)
     doc_id = adoc.doc.id
     # a kind's stream key is mix_key(seed, doc_id, kind), that is mix_key(doc_key, kind)
     doc_key = mix_key(seed, doc_id)
-    keywords = _gist_keywords(adoc)
+    shared = _shared(adoc, config)
     examples: list[TaskExample] = []
-    counts = {kind: 0 for kind in config.enabled}
-    for kind, (generate, samples, reads_keywords) in GENERATORS.items():
-        cap = config.cap(kind)
-        if kind not in counts or cap < 1:
-            continue
-        args = (adoc, stream_for(doc_key, kind), config) if samples else (adoc, config)
-        produced = generate(*args, keywords=keywords) if reads_keywords else generate(*args)
+    counts = counts.copy()
+    for kind, generate, samples, cap in steps:
+        if samples:
+            produced = generate(adoc, Stream(mix_key(doc_key, kind)), config, shared)
+        else:
+            produced = generate(adoc, config, shared)
         # NLI yields a list; the others one example, or None on a skip
-        if not isinstance(produced, list):
-            produced = [] if produced is None else [produced]
-        produced = produced[:cap]
-        examples.extend(produced)
-        counts[kind] = len(produced)
-    return TaskSuite(doc_id=doc_id, examples=tuple(examples), counts=counts)
+        if produced is None:
+            continue
+        if type(produced) is list:
+            produced = produced[:cap]
+            examples += produced
+            counts[kind] = len(produced)
+        else:
+            examples.append(produced)
+            counts[kind] = 1
+    return TaskSuite(doc_id, tuple(examples), counts)
 
 
 READING_PREAMBLE = "Answer the questions based on the article:"

@@ -25,6 +25,9 @@ NLI_OPTIONS = ("Yes", "It's impossible to say", "No")
 NLI_LABELS = ("Yes", "Impossible", "No")
 
 _WORD = re.compile(r"[^\W_]+")
+# _WORD on lowercased ASCII text, which sre scans faster; left to re's
+# cache, so a command that never tokenizes never compiles it
+_ASCII_WORD = r"[a-z0-9]+"
 _PLACEHOLDER = re.compile(r"\{(\w+)\}")
 
 
@@ -44,27 +47,40 @@ def tokenize_words(text: str) -> list[str]:
     first, and each match is lowercased alone.
     """
     if text.isascii():
-        return _WORD.findall(text.lower())
+        return re.findall(_ASCII_WORD, text.lower())
     return [word.lower() for word in _WORD.findall(text)]
 
 
 # templates come from the task config and the packaged prompts, so a few
 # dozen entries hold them all
 @functools.lru_cache(maxsize=64)
-def _template_parts(template: str) -> tuple[str, ...]:
-    """Literal text at even indices, placeholder names at odd ones."""
-    return tuple(_PLACEHOLDER.split(template))
+def _printf_form(template: str) -> str:
+    """The template as a printf-style format: each placeholder becomes
+    ``%(name)s`` and each literal ``%`` is doubled, so one ``%`` fills it in C."""
+    parts = _PLACEHOLDER.split(template)
+    parts[::2] = [text.replace("%", "%%") for text in parts[::2]]
+    parts[1::2] = [f"%({name})s" for name in parts[1::2]]
+    return "".join(parts)
+
+
+class _KeepMissing(dict):
+    """Values under which a placeholder without one reads as written."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> str:
+        return f"{{{name}}}"
 
 
 def fill(template: str, **values) -> str:
     """Single-pass placeholder substitution; braces in values stay literal,
     and a placeholder without a value stays as written."""
-    parts = list(_template_parts(template))
-    for i in range(1, len(parts), 2):
-        name = parts[i]
-        parts[i] = str(values[name]) if name in values else f"{{{name}}}"
-    return "".join(parts)
+    form = _printf_form(template)
+    try:
+        return form % values
+    except KeyError:
+        return form % _KeepMissing(values)
 
 
 def options_block(options) -> str:
-    return "\n".join(f"- {opt}" for opt in options)
+    return "\n".join(map("- {}".format, options))

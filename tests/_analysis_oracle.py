@@ -8,12 +8,15 @@ on each pattern, and the greedy resolver over an occupancy map of one byte
 per body character. It is kept only to check the library against, the way
 the two-row LCS DP is kept beside the bit-parallel kernel. Its rules are
 copied, not imported, so a change to a rule in `docstudy.analysis` shows
-up as a difference.
+up as a difference. `entities_in_sentence` and `sentence_of_entity` map
+entities and sentences to each other for the tests; no library code needs
+them.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import namedtuple
 
 from docstudy.analysis import EntitySpan, load_lexicon, segment_sentences
@@ -214,3 +217,15 @@ def quadratic_entities(body: str) -> list[EntitySpan]:
         chosen.append((start, end, kind))
     chosen.sort()
     return [EntitySpan(start=s, end=e, surface=body[s:e], kind=k) for s, e, k in chosen]
+
+
+def entities_in_sentence(adoc, index: int) -> list[EntitySpan]:
+    lo, hi = adoc.entity_range(index)
+    return adoc.entities[lo:hi]
+
+
+def sentence_of_entity(adoc, entity: EntitySpan) -> int | None:
+    i = bisect_right(adoc.sentences, entity.start, key=lambda span: span.start) - 1
+    if i >= 0 and entity.end <= adoc.sentences[i].end:
+        return adoc.sentences[i].index
+    return None

@@ -7,10 +7,14 @@ target and walks to the drawn one; this module builds every pair.
 filters the option pool instead of removing the answer from it. The three
 generators are copied, not imported, so a change to a draw in
 `docstudy.taskgen` shows up as a difference; the unchanged helpers and
-value types are imported.
+value types are imported. An NLI question here renders its document and
+its options block anew, as every NLI question once did. `fill_by_parts`
+is `vocab.fill` as it was before it became one printf-style format.
 """
 
 from __future__ import annotations
+
+import re
 
 from docstudy.analysis import AnalyzedDocument
 from docstudy.taskgen import (
@@ -21,9 +25,27 @@ from docstudy.taskgen import (
     TaskConfig,
     TaskExample,
     _blank_body,
-    _nli_question,
+    render_document,
 )
 from docstudy.vocab import NLI_OPTIONS, fill, options_block
+
+
+def fill_by_parts(template: str, **values) -> str:
+    parts = re.split(r"\{(\w+)\}", template)
+    for i in range(1, len(parts), 2):
+        name = parts[i]
+        parts[i] = str(values[name]) if name in values else f"{{{name}}}"
+    return "".join(parts)
+
+
+def _nli_question(adoc, statement, config):
+    return fill(
+        config.template(NLI),
+        document=render_document(adoc, config),
+        title=adoc.doc.title,
+        statement=statement,
+        options=options_block(NLI_OPTIONS),
+    )
 
 
 def _gist_keywords(adoc: AnalyzedDocument) -> list[str]:

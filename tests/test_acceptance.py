@@ -28,6 +28,7 @@ from docstudy.metrics import (
 from docstudy.qagen import QAPair, parse_qa_response
 from docstudy.taskgen import build_suite
 
+import _analysis_oracle as analysis_oracle
 import _curriculum_oracle as oracle
 from _curriculum_oracle import fairness_epochs, preset_ids
 from _synth import synthetic_records, write_jsonl
@@ -141,7 +142,7 @@ def test_criterion_2_reconstruction_suite():
                 assert stmt[ts + len(repl):] == original[te:]
                 assert repl != prov["original_surface"]
                 homes = {
-                    adoc.sentence_of_entity(e)
+                    analysis_oracle.sentence_of_entity(adoc, e)
                     for e in adoc.entities
                     if e.surface == repl
                 }

@@ -289,14 +289,14 @@ class TestLinearAnalysisEquivalence:
             assert adoc.final_preposition_ends[span.index] == (
                 tokens[positions[-1]].end if positions else None
             )
-            assert adoc.entities_in_sentence(span.index) == [
+            assert oracle.entities_in_sentence(adoc, span.index) == [
                 e for e in entities if span.start <= e.start and e.end <= span.end
             ]
         for entity in entities:
             homes = [
                 s.index for s in adoc.sentences if s.start <= entity.start and entity.end <= s.end
             ]
-            assert [adoc.sentence_of_entity(entity)] == homes
+            assert [oracle.sentence_of_entity(adoc, entity)] == homes
 
     # dates glued to what comes before them, and digits and letters that
     # are word characters outside ASCII

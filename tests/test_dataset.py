@@ -106,13 +106,15 @@ class TestSplit:
 _TOKENS = ["a", "b", "Ab", "42", "x9", "a_b", "_", "é", "e\u0301", "ß", "STRASSE", "straße", "İ", "İstanbul",
            "Σ", "ΟΔΟΣ", "ΟΔΟΣ'Α", "ᾼ", "ǅ"]
 _SEPARATORS = [" ", ", ", ". ", "'", "-", "\n"]
+_ASCII_TOKENS = ["a", "b", "Ab", "AB", "42", "x9", "Q0q", "a_b", "_", "__x", "Z"]
+_ASCII_SEPARATORS = [" ", ", ", ". ", "'", "-", "\n", "\t", "_", "!?", "~"]
 
 
 @st.composite
-def _bodies(draw):
+def _bodies(draw, tokens=_TOKENS, separators=_SEPARATORS):
     """Text from a small vocabulary, so n-grams repeat within and across bodies."""
-    words = draw(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=14))
-    seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(words), max_size=len(words)))
+    words = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=14))
+    seps = draw(st.lists(st.sampled_from(separators), min_size=len(words), max_size=len(words)))
     text = "".join(word + sep for word, sep in zip(words, seps))
     return text * draw(st.integers(1, 3))
 
@@ -133,6 +135,23 @@ class TestOverlapReport:
     @given(st.one_of(_bodies(), st.text()))
     def test_tokenize_words_equals_the_per_match_oracle(self, text):
         assert tokenize_words(text) == dataset_oracle.tokenize_words(text)
+
+    # ASCII text is scanned with [a-z0-9]+ and test bodies are packed with
+    # map; both against the code they replaced
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(st.one_of(_bodies(_ASCII_TOKENS, _ASCII_SEPARATORS), st.text(st.characters(max_codepoint=127))))
+    def test_ascii_tokenize_words_equals_the_findall_oracle(self, text):
+        assert tokenize_words(text) == dataset_oracle.findall_tokenize_words(text)
+        assert tokenize_words(text) == dataset_oracle.tokenize_words(text)
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(train=st.lists(st.one_of(_bodies(_ASCII_TOKENS, _ASCII_SEPARATORS), _bodies()), max_size=5),
+           test=st.lists(st.one_of(_bodies(_ASCII_TOKENS, _ASCII_SEPARATORS), _bodies()), min_size=1, max_size=5),
+           ngram_size=st.integers(1, 6))
+    def test_report_equals_the_consecutive_id_oracle(self, train, test, ngram_size):
+        train, test = _docs("r", train), _docs("t", test)
+        expected = dataset_oracle.consecutive_id_report(train, test, ngram_size)
+        assert overlap_report(train, test, ngram_size) == expected
 
     @pytest.mark.parametrize("text, words", [
         ("ΟΔΟΣ'Α", ["οδος", "α"]),

@@ -18,6 +18,8 @@ from docstudy.metrics import (
 )
 from docstudy.vocab import NLI_LABELS
 
+import _metrics_oracle as metrics_oracle
+
 
 def judge(pred: str, golds=None, gold_label=None):
     """One item scored as `eval` scores it: its judgment and the diagnostics."""
@@ -224,6 +226,23 @@ class TestPerplexity:
     def test_non_numeric_logprob_rejected(self, value):
         with pytest.raises(DataError, match="non-numeric"):
             LogProbRecord(doc_id="d", logprobs=[-0.2, value])
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.integers(-10**400, 10), st.floats(max_value=1.0), st.booleans(), st.text(max_size=3),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.5, 2, -0.0, -(10**400), 10**309, b"-1", None]),
+    ), max_size=8))
+    def test_same_record_or_message_as_the_oracle(self, logprobs):
+        try:
+            expected = metrics_oracle.logprob_record("d", logprobs)
+        except DataError as exc:
+            with pytest.raises(DataError) as caught:
+                LogProbRecord("d", logprobs)
+            assert str(caught.value) == str(exc)
+        else:
+            record = LogProbRecord("d", logprobs)
+            assert tuple(record) == expected
+            assert list(map(type, record.logprobs)) == [float] * len(logprobs)
 
     def test_int_logprobs_are_floats(self):
         assert LogProbRecord(doc_id="d", logprobs=[-1, 0, -0.5]).logprobs == (-1.0, 0.0, -0.5)

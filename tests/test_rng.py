@@ -3,6 +3,7 @@ import tracemalloc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from docstudy import rng
 from docstudy.rng import Stream
 
 
@@ -13,6 +14,25 @@ def sample_indices_oracle(stream: Stream, n: int, k: int) -> list[int]:
         j = i + stream.below(n - i)
         pool[i], pool[j] = pool[j], pool[i]
     return sorted(pool[:k])
+
+
+def draws_oracle(key: int, bounds: list[int]) -> list[int]:
+    """`Stream.below` as it was: the i-th draw scales `_splitmix64` of the
+    key plus i golden steps."""
+    draws = []
+    for n in bounds:
+        draws.append((rng._splitmix64(key) * n) >> 64)
+        key = (key + rng._GOLDEN) & rng._MASK
+    return draws
+
+
+class TestBelow:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**64 - 1), st.lists(st.integers(1, 2**70), max_size=20))
+    def test_each_draw_scales_the_next_splitmix64(self, key, bounds):
+        stream = Stream(key)
+        assert [stream.below(n) for n in bounds] == draws_oracle(key, bounds)
+        assert stream.next_u64() == draws_oracle(key, [*bounds, 2**64])[-1]
 
 
 class TestSampleIndices:

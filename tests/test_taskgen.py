@@ -11,7 +11,7 @@ from docstudy.cli import main
 from docstudy.corpus import RawDocument, document_from_record
 from docstudy.errors import DataError
 from docstudy.rng import stream_for
-from docstudy import jsonio, rng, taskgen, vocab
+from docstudy import dataset, jsonio, rng, taskgen, vocab
 from docstudy.taskgen import (
     KIND_ORDER,
     TaskConfig,
@@ -28,6 +28,7 @@ from docstudy.taskgen import (
     gen_teaching,
 )
 
+import _analysis_oracle as analysis_oracle
 import _taskgen_oracle as oracle
 from _synth import long_record, synthetic_records, write_jsonl
 from test_analysis import BODIES
@@ -166,7 +167,7 @@ class TestNli:
             assert stmt == rebuilt
             # replacement surface really lives in a different sentence
             homes = {
-                adoc.sentence_of_entity(e)
+                analysis_oracle.sentence_of_entity(adoc, e)
                 for e in adoc.entities
                 if e.surface == prov["replacement_surface"]
             }
@@ -358,6 +359,16 @@ class TestBuildSuite:
         example = build_suite(robert_adoc, config, seed=0).by_kind("multichoice")[0]
         assert len(example.options) == 5
 
+    def test_enabled_kinds_are_copied(self, robert_adoc):
+        kinds = ["cloze", "teaching"]
+        config = TaskConfig(enabled=kinds)
+        before = build_suite(robert_adoc, config, seed=2)
+        kinds.append("nli")
+        assert config.enabled == ("cloze", "teaching")
+        assert build_suite(robert_adoc, config, seed=2) == before
+        assert before.counts == {"cloze": 1, "teaching": 1}
+        assert TaskConfig(enabled=iter(kinds)).enabled == ("cloze", "teaching", "nli")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(DataError):
             TaskConfig(enabled=("memorization", "bogus"))
@@ -439,6 +450,20 @@ class TestFill:
     def test_unknown_placeholder_left_alone(self):
         assert vocab.fill("keep {unknown}", title="x") == "keep {unknown}"
 
+    # names include digits and non-ASCII word characters; text holds stray
+    # braces and printf specs
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.one_of(st.sampled_from(["{a}", "{b}", "{0}", "{é_1}", "{}", "{a", "a}", "{{a}}", "{ a}"]),
+                           st.sampled_from(["%", "%s", "%(a)s", "%%", "%d", " ", "x"]), st.text(max_size=4)),
+                 max_size=8).map("".join),
+        st.dictionaries(st.sampled_from(["a", "b", "0", "é_1", "c"]),
+                        st.one_of(st.text(max_size=5), st.integers(), st.sampled_from(["%s", "{a}", "%(b)s"])),
+                        max_size=4),
+    )
+    def test_matches_part_by_part_substitution(self, template, values):
+        assert vocab.fill(template, **values) == oracle.fill_by_parts(template, **values)
+
 
 class TestAnalysisCallBudget:
     def test_segment_once_tokenize_each_sentence_at_most_once(self, monkeypatch):
@@ -485,6 +510,43 @@ class TestAnalysisCallBudget:
 
 
 class TestDocumentWorkBudget:
+    def test_one_rendering_and_one_plan_per_run(self, monkeypatch):
+        renders = 0
+        blocks = []
+        caps = 0
+        render_document, options_block, cap = taskgen.render_document, taskgen.options_block, TaskConfig.cap
+
+        def counted_render(adoc, config):
+            nonlocal renders
+            renders += 1
+            return render_document(adoc, config)
+
+        def counted_block(options):
+            blocks.append(tuple(options))
+            return options_block(options)
+
+        def counted_cap(self, kind):
+            nonlocal caps
+            caps += 1
+            return cap(self, kind)
+
+        monkeypatch.setattr(taskgen, "render_document", counted_render)
+        monkeypatch.setattr(taskgen, "options_block", counted_block)
+        monkeypatch.setattr(TaskConfig, "cap", counted_cap)
+        monkeypatch.setattr(taskgen, "_PLAN", ((), ((), {})))  # as in a new process
+        docs = [document_from_record(r) for r in golden_synth_records()]
+        multichoice = 0
+        for doc in docs:
+            suite = build_suite(analysis.analyze_document(doc), seed=1)
+            multichoice += suite.counts["multichoice"]
+        assert renders == len(docs)
+        # the NLI options block is never rebuilt; each multichoice builds its own
+        assert len(blocks) == multichoice and vocab.NLI_OPTIONS not in blocks
+        # one cap per kind for the whole run, and again for a new config
+        assert caps == len(KIND_ORDER)
+        build_suite(analysis.analyze_document(docs[0]), TaskConfig(option_count=3), seed=1)
+        assert caps == 2 * len(KIND_ORDER)
+
     def test_one_doc_id_hash_and_one_keyword_list_per_document(self, monkeypatch):
         hashed = []
         keyword_lists = 0
@@ -510,6 +572,73 @@ class TestDocumentWorkBudget:
         assert sorted(tag for tag in hashed if tag not in KIND_ORDER) == sorted(doc.id for doc in docs)
         assert len(kinds) == len(set(kinds))
         assert keyword_lists == len(docs)
+
+
+# templates that read every value some generator passes, one no generator
+# passes, and none
+_TEMPLATES = [
+    "{title}: {body}", "Q {document}", "{title}|{statement}|{options}", "{keywords}!",
+    "<{title}> {blanked}\n{options}", "{prefix}?", "{unknown} {title}", "plain",
+]
+_CONFIGS = st.one_of(
+    st.just(taskgen.DEFAULT_CONFIG),
+    st.builds(
+        TaskConfig,
+        enabled=st.lists(st.sampled_from(KIND_ORDER), unique=True, max_size=9).map(tuple),
+        option_count=st.integers(2, 5),
+        multiplicity=st.dictionaries(st.sampled_from(KIND_ORDER), st.integers(0, 3), max_size=4),
+        templates=st.dictionaries(st.sampled_from(KIND_ORDER), st.sampled_from(_TEMPLATES), max_size=4),
+    ),
+)
+_POOL = synthetic_records(6, seed=19)
+
+
+def _suite_lines(body, config, seed) -> list[bytes]:
+    """A document's task lines and its reading text, as gen-tasks encodes them."""
+    doc = RawDocument(id=f"doc-{len(body)}", title="T", body=body)
+    suite = build_suite(analyze_document(doc), config, seed)
+    lines = [jsonio.encode_line(dataset.task_record(example)) for example in suite.examples]
+    if suite.examples and suite.examples[0].kind == "memorization":
+        lines.append(jsonio.encode_line(format_reading_comprehension(suite)))
+    return lines
+
+
+def _as_in_a_new_process():
+    """Empty what build_suite and analysis keep between calls."""
+    taskgen._PLAN = ((), ((), {}))
+    analysis._LEXEMES.clear()
+    rng._tag_bits.cache_clear()
+
+
+class TestSuiteIndependence:
+    """A suite is a pure function of (seed, document, config): nothing kept
+    once per run or per process changes it."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([r["body"] for r in _POOL]), BODIES),
+                              _CONFIGS, st.integers(0, 2**64 - 1)), min_size=2, max_size=5))
+    def test_lines_do_not_depend_on_what_was_built_before(self, jobs):
+        try:
+            first = []
+            for job in jobs:
+                _as_in_a_new_process()
+                first.append(_suite_lines(*job))
+            _as_in_a_new_process()
+            assert [_suite_lines(*job) for job in jobs] == first
+            assert [_suite_lines(*job) for job in reversed(jobs)] == first[::-1]
+        finally:
+            _as_in_a_new_process()
+
+    def test_a_config_changed_in_place_is_resolved_again(self, robert_adoc):
+        config = TaskConfig(multiplicity={"nli": 2}, templates={"teaching": "Describe {title}."})
+        before = build_suite(robert_adoc, config, seed=3)
+        config.multiplicity["cloze"] = 0
+        config.templates["teaching"] = "About {title}."
+        after = build_suite(robert_adoc, config, seed=3)
+        fresh = build_suite(robert_adoc, TaskConfig(multiplicity={"nli": 2, "cloze": 0},
+                                                    templates={"teaching": "About {title}."}), seed=3)
+        assert after == fresh and after != before
+        assert after.counts["cloze"] == 0 and after.by_kind("teaching")[0].question == "About Robert Anderson (artist)."
 
 
 def golden_synth_records() -> list[dict]:
