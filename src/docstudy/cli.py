@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import DataError, MalformedLineError, UsageError
 from .jsonio import OutputSet, encode_json, encode_line, iter_jsonl, read_json, write_jsonl
-from .vocab import FULL_SEQUENCE, TASK_GENERATION, TASK_NLI
+from .vocab import FULL_SEQUENCE, MEMORIZATION, TASK_GENERATION, TASK_NLI
 
 SEED_ENV = "DOCSTUDY_SEED"
 JOBS_ENV = "DOCSTUDY_JOBS"
@@ -113,6 +113,9 @@ def cmd_gen_tasks(args, config) -> int:
     task_config = (
         taskgen.TaskConfig.from_file(args.task_config) if args.task_config else taskgen.DEFAULT_CONFIG
     )
+    # a reading text opens with the document's memorization example
+    if args.reading and all(kind != MEMORIZATION for kind, *_ in taskgen.suite_plan(task_config).steps):
+        raise DataError(f"{args.task_config}: --reading needs memorization enabled with a cap of at least 1")
     overrides = {}
     if args.lexicon:
         overrides["lexicon"] = analysis.load_lexicon(args.lexicon)

@@ -52,10 +52,6 @@ class Stream:
         self.key = key & _MASK
         self._state = self.key
 
-    def next_u64(self) -> int:
-        # a draw below 2**64 is the whole 64-bit value
-        return self.below(_MASK + 1)
-
     def below(self, n: int) -> int:
         """Draw an integer in [0, n) via multiply-shift."""
         if n <= 0:

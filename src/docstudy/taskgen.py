@@ -2,21 +2,24 @@
 
 One record per kind per document (the NLI generator may add a corrupted
 false statement as a second record). `GENERATORS` declares each kind
-once, in `KIND_ORDER`: its generator, and whether that generator samples.
-All sampling draws from per-document streams keyed by (corpus seed,
-doc id, kind), so suites are a pure function of (seed, document, config).
-A kind also fixes its loss policy (`vocab.loss_policy`).
+once, in `KIND_ORDER`. Every generator is ``generate(ctx, template)``: it
+reads the document's `DocumentContext` and fills its kind's template,
+and returns a list of examples, empty when the kind is skipped. A
+generator that samples keys its own stream, ``Stream(mix_key(ctx.key,
+kind))``, that is ``stream_for(seed, doc_id, kind)``, so suites are a pure
+function of (seed, document, config). A kind also fixes its loss policy
+(`vocab.loss_policy`).
 
 Cost contract for ``build_suite``:
 
-- once per run: the config's enabled kinds, caps and generators are
-  resolved into a plan, which is kept until a config that differs by value
-  comes; each kind's tag is hashed once per process (`rng.mix_key`). The
-  NLI options block is a constant.
-- once per document: the seed and doc id are folded into one key (one
-  sha256), and each sampling kind's stream is keyed from it. The document
-  is rendered once, and its keywords (unique entity surfaces) are listed
-  and joined once (`_Shared`), for every generator that reads them.
+- once per distinct config value: `suite_plan` resolves the config into
+  (kind, generator, template, cap) steps, one for each enabled kind whose
+  cap is at least 1, plus the template every document is rendered with. Each kind's tag is hashed once per process
+  (`rng.mix_key`). The NLI options block is a constant.
+- once per document: `SuitePlan.context` folds the seed and doc id into
+  one key (one sha256), renders the document, and lists and joins its
+  keywords (unique entity surfaces). Only a kind that samples keys a
+  stream from that key.
 - once per example: its question is filled from its template with one
   printf-style ``%`` (`vocab.fill`, which converts each template once per
   process), and `TaskExample` checks it. A draw is one call,
@@ -28,14 +31,16 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from functools import lru_cache
 from itertools import chain, islice
 from operator import itemgetter
+from types import MappingProxyType
 
 from .analysis import AnalyzedDocument, EntitySpan
 from .errors import DataError
 from .jsonio import read_json
 from .rng import Stream, mix_key
-from .vocab import MEMORIZATION, NLI_OPTIONS, fill, loss_policy, options_block
+from .vocab import MEMORIZATION, NLI_OPTIONS, fill, options_block
 
 SUMMARIZATION = "summarization"
 GIST = "gist"
@@ -81,17 +86,18 @@ TEMPLATES = {
 
 
 class TaskConfig(namedtuple("TaskConfig", "enabled option_count multiplicity templates")):
+    """Read-only once made: `enabled` is a tuple and `multiplicity` and
+    `templates` are read-only copies, so equal configs share one plan."""
+
     __slots__ = ()
 
     def __new__(
         cls, enabled: tuple[str, ...] = KIND_ORDER, option_count: int = 4,
         multiplicity: dict | None = None, templates: dict | None = None,
     ):
-        # a tuple, so neither the checks below nor a later change to the
-        # caller's list can alter it: build_suite's plan compares it by value
         enabled = tuple(enabled)
-        multiplicity = {} if multiplicity is None else multiplicity
-        templates = {} if templates is None else templates
+        multiplicity = MappingProxyType(dict(multiplicity or {}))
+        templates = MappingProxyType(dict(templates or {}))
         unknown = [k for k in (*enabled, *multiplicity, *templates) if k not in KIND_ORDER]
         if unknown:
             raise DataError(f"unknown task kinds in config: {unknown}")
@@ -103,6 +109,10 @@ class TaskConfig(namedtuple("TaskConfig", "enabled option_count multiplicity tem
         if not all(isinstance(template, str) for template in templates.values()):
             raise DataError("templates must be strings")
         return tuple.__new__(cls, (enabled, option_count, multiplicity, templates))
+
+    def __hash__(self) -> int:
+        return hash((self.enabled, self.option_count,
+                     frozenset(self.multiplicity.items()), frozenset(self.templates.items())))
 
     def template(self, kind: str) -> str:
         return self.templates.get(kind, TEMPLATES[kind])
@@ -118,14 +128,15 @@ class TaskConfig(namedtuple("TaskConfig", "enabled option_count multiplicity tem
         unknown = sorted(set(raw) - set(cls._fields))
         if unknown:
             raise DataError(f"{path}: unknown task config keys {unknown}")
+        enabled = raw.get("enabled", [])
+        if not (isinstance(enabled, list) and all(isinstance(kind, str) for kind in enabled)):
+            raise DataError(f"{path}: task config key 'enabled' must be a list of strings")
+        for key in ("multiplicity", "templates"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise DataError(f"{path}: task config key {key!r} must be a JSON object")
         try:
-            return cls(
-                enabled=tuple(raw.get("enabled", KIND_ORDER)),
-                option_count=raw.get("option_count", 4),
-                multiplicity=dict(raw.get("multiplicity", {})),
-                templates=dict(raw.get("templates", {})),
-            )
-        except (TypeError, ValueError, DataError) as exc:
+            return cls(**raw)
+        except DataError as exc:
             raise DataError(f"{path}: bad task config ({exc})") from exc
 
 
@@ -148,10 +159,6 @@ class TaskExample(namedtuple("TaskExample", "kind question answer doc_id options
             raise DataError(f"options presence mismatch for kind {kind}")
         return tuple.__new__(cls, (kind, question, answer, doc_id, options, {} if provenance is None else provenance))
 
-    @property
-    def loss_policy(self) -> str:
-        return loss_policy(self.kind)
-
     def to_record(self) -> dict:
         record = {
             "kind": self.kind,
@@ -172,11 +179,6 @@ class TaskSuite(namedtuple("TaskSuite", "doc_id examples counts")):
         return [ex for ex in self.examples if ex.kind == kind]
 
 
-def render_document(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG) -> str:
-    template = config.template(MEMORIZATION)
-    return fill(template, title=adoc.doc.title, body=adoc.doc.body)
-
-
 _SURFACE = itemgetter(2)  # an EntitySpan's surface
 
 
@@ -184,46 +186,29 @@ def _gist_keywords(adoc: AnalyzedDocument) -> list[str]:
     return list(dict.fromkeys(map(_SURFACE, adoc.entities)))
 
 
-class _Shared(namedtuple("_Shared", "rendered keywords joined")):
-    """What several generators read from one document: its rendering
-    (`render_document`), its keywords (`_gist_keywords`) and those joined
-    by "; ". `build_suite` builds it once per document."""
+class DocumentContext(namedtuple("DocumentContext", "adoc key rendered keywords joined option_count")):
+    """What generators read of one document: the analysed document, its
+    stream key ``mix_key(seed, doc_id)``, its rendering, its keywords
+    (`_gist_keywords`) and those joined by "; ", and the config's
+    `option_count`. `SuitePlan.context` builds it once per document."""
 
     __slots__ = ()
 
 
-def _shared(adoc: AnalyzedDocument, config: TaskConfig) -> _Shared:
-    keywords = _gist_keywords(adoc)
-    return _Shared(render_document(adoc, config), keywords, "; ".join(keywords))
+def gen_memorization(ctx: DocumentContext, template: str) -> list[TaskExample]:
+    """The rendering, which the memorization template already filled."""
+    return [TaskExample(MEMORIZATION, "", ctx.rendered, ctx.adoc.doc.id)]
 
 
-def gen_memorization(
-    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
-) -> TaskExample:
-    if shared is None:
-        shared = _shared(adoc, config)
-    return TaskExample(MEMORIZATION, "", shared.rendered, adoc.doc.id)
+def gen_summarization(ctx: DocumentContext, template: str) -> list[TaskExample]:
+    doc = ctx.adoc.doc
+    return [TaskExample(SUMMARIZATION, fill(template, document=ctx.rendered), doc.title, doc.id)]
 
 
-def gen_summarization(
-    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
-) -> TaskExample:
-    if shared is None:
-        shared = _shared(adoc, config)
-    doc = adoc.doc
-    question = fill(config.template(SUMMARIZATION), document=shared.rendered)
-    return TaskExample(SUMMARIZATION, question, doc.title, doc.id)
-
-
-def gen_gist(
-    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
-) -> TaskExample | None:
-    if shared is None:
-        shared = _shared(adoc, config)
-    if not shared.keywords:
-        return None
-    question = fill(config.template(GIST), document=shared.rendered)
-    return TaskExample(GIST, question, shared.joined, adoc.doc.id)
+def gen_gist(ctx: DocumentContext, template: str) -> list[TaskExample]:
+    if not ctx.keywords:
+        return []
+    return [TaskExample(GIST, fill(template, document=ctx.rendered), ctx.joined, ctx.adoc.doc.id)]
 
 
 # every NLI question lists the same options
@@ -234,9 +219,7 @@ def _nli_question(template: str, rendered: str, title: str, statement: str) -> s
     return fill(template, document=rendered, title=title, statement=statement, options=_NLI_BLOCK)
 
 
-def gen_nli_pair(
-    adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
-) -> list[TaskExample]:
+def gen_nli_pair(ctx: DocumentContext, template: str) -> list[TaskExample]:
     """True statement from a sampled sentence, plus a corrupted false one
     when a same-kind entity from another sentence can substitute in.
 
@@ -246,14 +229,13 @@ def gen_nli_pair(
     The pairs are counted per target, not listed, and the draw walks to
     the chosen one: O(E) for E entities, whatever the sentence holds.
     """
+    adoc = ctx.adoc
     sentences = adoc.sentences
     if not sentences:
         return []
     doc = adoc.doc
-    template = config.template(NLI)
-    if shared is None:
-        shared = _shared(adoc, config)
-    rendered = shared.rendered
+    rendered = ctx.rendered
+    rng = Stream(mix_key(ctx.key, NLI))
     sent_index = rng.below(len(sentences))
     span = sentences[sent_index]
     statement = doc.body[span.start : span.end]
@@ -313,23 +295,16 @@ def gen_nli_pair(
     return examples
 
 
-def gen_teaching(
-    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
-) -> TaskExample:
-    doc = adoc.doc
-    return TaskExample(TEACHING, fill(config.template(TEACHING), title=doc.title), doc.body, doc.id)
+def gen_teaching(ctx: DocumentContext, template: str) -> list[TaskExample]:
+    doc = ctx.adoc.doc
+    return [TaskExample(TEACHING, fill(template, title=doc.title), doc.body, doc.id)]
 
 
-def gen_flashcards(
-    adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
-) -> TaskExample | None:
-    if shared is None:
-        shared = _shared(adoc, config)
-    if not shared.keywords:
-        return None
-    doc = adoc.doc
-    question = fill(config.template(FLASHCARDS), title=doc.title, keywords=shared.joined)
-    return TaskExample(FLASHCARDS, question, doc.body, doc.id)
+def gen_flashcards(ctx: DocumentContext, template: str) -> list[TaskExample]:
+    if not ctx.keywords:
+        return []
+    doc = ctx.adoc.doc
+    return [TaskExample(FLASHCARDS, fill(template, title=doc.title, keywords=ctx.joined), doc.body, doc.id)]
 
 
 def _blank_body(adoc: AnalyzedDocument, entity: EntitySpan) -> str:
@@ -337,52 +312,43 @@ def _blank_body(adoc: AnalyzedDocument, entity: EntitySpan) -> str:
     return body[: entity.start] + BLANK + body[entity.end :]
 
 
-def gen_cloze(
-    adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
-) -> TaskExample | None:
+def gen_cloze(ctx: DocumentContext, template: str) -> list[TaskExample]:
+    adoc = ctx.adoc
     if not adoc.entities:
-        return None
-    entity = adoc.entities[rng.below(len(adoc.entities))]
-    question = fill(
-        config.template(CLOZE), title=adoc.doc.title, blanked=_blank_body(adoc, entity)
-    )
-    return TaskExample(
+        return []
+    entity = adoc.entities[Stream(mix_key(ctx.key, CLOZE)).below(len(adoc.entities))]
+    question = fill(template, title=adoc.doc.title, blanked=_blank_body(adoc, entity))
+    return [TaskExample(
         CLOZE, question, entity.surface, adoc.doc.id, None,
         {"entity_start": entity.start, "entity_end": entity.end},
-    )
+    )]
 
 
-def gen_multichoice(
-    adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
-) -> TaskExample | None:
-    """`shared.keywords` are not changed."""
-    if shared is None:
-        shared = _shared(adoc, config)
-    keywords = shared.keywords
-    if len(keywords) < config.option_count:
-        return None
+def gen_multichoice(ctx: DocumentContext, template: str) -> list[TaskExample]:
+    """`ctx.keywords` are not changed."""
+    keywords = ctx.keywords
+    option_count = ctx.option_count
+    if len(keywords) < option_count:
+        return []
+    adoc = ctx.adoc
+    rng = Stream(mix_key(ctx.key, MULTICHOICE))
     entity = adoc.entities[rng.below(len(adoc.entities))]
     # the distractor pool: surfaces are unique, so this takes out only the answer
     surfaces = keywords.copy()
     surfaces.remove(entity.surface)
-    picked = rng.sample_indices(len(surfaces), config.option_count - 1)
+    picked = rng.sample_indices(len(surfaces), option_count - 1)
     options = [entity.surface] + [surfaces[i] for i in picked]
     rng.shuffle(options)
     question = fill(
-        config.template(MULTICHOICE),
-        title=adoc.doc.title,
-        blanked=_blank_body(adoc, entity),
-        options=options_block(options),
+        template, title=adoc.doc.title, blanked=_blank_body(adoc, entity), options=options_block(options)
     )
-    return TaskExample(
+    return [TaskExample(
         MULTICHOICE, question, entity.surface, adoc.doc.id, tuple(options),
         {"entity_start": entity.start, "entity_end": entity.end},
-    )
+    )]
 
 
-def gen_completion(
-    adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG, shared: _Shared | None = None,
-) -> TaskExample | None:
+def gen_completion(ctx: DocumentContext, template: str) -> list[TaskExample]:
     """A sentence cut after its final preposition, drawn uniformly from the
     sentences that read back as ``prefix + " " + answer + "."`` with a
     one-line, non-blank answer.
@@ -390,6 +356,7 @@ def gen_completion(
     Each sentence is tested in place in the body, and only the drawn one
     is sliced.
     """
+    adoc = ctx.adoc
     body = adoc.doc.body
     ends = adoc.final_preposition_ends
     qualifying = []
@@ -406,84 +373,72 @@ def gen_completion(
         ):
             qualifying.append(span)
     if not qualifying:
-        return None
-    span = qualifying[rng.below(len(qualifying))]
+        return []
+    span = qualifying[Stream(mix_key(ctx.key, COMPLETION)).below(len(qualifying))]
     cut = ends[span.index]
     sentence = body[span.start : span.end]
-    question = fill(config.template(COMPLETION), title=adoc.doc.title, prefix=sentence[:cut])
-    return TaskExample(
+    question = fill(template, title=adoc.doc.title, prefix=sentence[:cut])
+    return [TaskExample(
         COMPLETION, question, sentence[cut + 1 : -1], adoc.doc.id, None,
         {"sentence_index": span.index, "split_offset": cut},
-    )
+    )]
 
 
-# kind -> (generator, whether it samples from the kind's rng stream);
-# build_suite runs them in this order, which is KIND_ORDER. A generator
-# takes (adoc, [rng,] config, shared), where shared is the document's
-# _Shared values, or None to build what it reads of them itself.
+# kind -> generator, each called as generate(ctx, template) and returning
+# a list, empty on a skip; build_suite runs them in this order, which is
+# KIND_ORDER
 GENERATORS = {
-    MEMORIZATION: (gen_memorization, False),
-    SUMMARIZATION: (gen_summarization, False),
-    GIST: (gen_gist, False),
-    NLI: (gen_nli_pair, True),
-    TEACHING: (gen_teaching, False),
-    FLASHCARDS: (gen_flashcards, False),
-    CLOZE: (gen_cloze, True),
-    MULTICHOICE: (gen_multichoice, True),
-    COMPLETION: (gen_completion, True),
+    MEMORIZATION: gen_memorization,
+    SUMMARIZATION: gen_summarization,
+    GIST: gen_gist,
+    NLI: gen_nli_pair,
+    TEACHING: gen_teaching,
+    FLASHCARDS: gen_flashcards,
+    CLOZE: gen_cloze,
+    MULTICHOICE: gen_multichoice,
+    COMPLETION: gen_completion,
 }
 
-# a copy of the last config build_suite was given, and its plan: a run
-# passes one config for every document, so that is resolved once. One
-# tuple, read and replaced whole, so threads that race can only resolve a
-# config again, never pair one config with another's plan.
-_PLAN: tuple = ((), ((), {}))
+
+class SuitePlan(namedtuple("SuitePlan", "steps rendering option_count")):
+    """A config resolved for `build_suite`: its (kind, generator, template,
+    cap) steps, one for each enabled kind whose cap is at least 1, in
+    KIND_ORDER; the memorization template, which renders every document;
+    and its `option_count`."""
+
+    __slots__ = ()
+
+    def context(self, adoc: AnalyzedDocument, seed: int = 0) -> DocumentContext:
+        doc = adoc.doc
+        keywords = _gist_keywords(adoc)
+        return DocumentContext(
+            adoc, mix_key(seed, doc.id), fill(self.rendering, title=doc.title, body=doc.body),
+            keywords, "; ".join(keywords), self.option_count,
+        )
 
 
-def _plan(config: TaskConfig) -> tuple[tuple, dict]:
-    """The config's (kind, generator, samples, cap) steps, one for each
-    enabled kind whose cap is at least 1, in KIND_ORDER, and its zero
-    counts. The last config is compared by value, so one whose dicts were
-    changed in place is resolved again."""
-    global _PLAN
-    copy, plan = _PLAN
-    if config != copy:
-        enabled = config.enabled
-        steps = []
-        for kind, (generate, samples) in GENERATORS.items():
-            cap = config.cap(kind)
-            if kind in enabled and cap >= 1:
-                steps.append((kind, generate, samples, cap))
-        plan = tuple(steps), dict.fromkeys(enabled, 0)
-        _PLAN = (enabled, config.option_count, dict(config.multiplicity), dict(config.templates)), plan
-    return plan
+# a run passes one config for every document, so it is resolved once
+@lru_cache(maxsize=16)
+def suite_plan(config: TaskConfig) -> SuitePlan:
+    steps = []
+    for kind, generate in GENERATORS.items():
+        cap = config.cap(kind)
+        if kind in config.enabled and cap >= 1:
+            steps.append((kind, generate, config.template(kind), cap))
+    return SuitePlan(tuple(steps), config.template(MEMORIZATION), config.option_count)
 
 
 def build_suite(adoc: AnalyzedDocument, config: TaskConfig = DEFAULT_CONFIG, seed: int = 0) -> TaskSuite:
-    """Run every enabled generator in fixed order, honoring skip rules."""
-    steps, counts = _plan(config)
-    doc_id = adoc.doc.id
-    # a kind's stream key is mix_key(seed, doc_id, kind), that is mix_key(doc_key, kind)
-    doc_key = mix_key(seed, doc_id)
-    shared = _shared(adoc, config)
+    """Run every planned generator in order, each up to its kind's cap."""
+    plan = suite_plan(config)
+    ctx = plan.context(adoc, seed)
     examples: list[TaskExample] = []
-    counts = counts.copy()
-    for kind, generate, samples, cap in steps:
-        if samples:
-            produced = generate(adoc, Stream(mix_key(doc_key, kind)), config, shared)
-        else:
-            produced = generate(adoc, config, shared)
-        # NLI yields a list; the others one example, or None on a skip
-        if produced is None:
-            continue
-        if type(produced) is list:
-            produced = produced[:cap]
-            examples += produced
-            counts[kind] = len(produced)
-        else:
-            examples.append(produced)
-            counts[kind] = 1
-    return TaskSuite(doc_id, tuple(examples), counts)
+    counts = dict.fromkeys(config.enabled, 0)
+    for kind, generate, template, cap in plan.steps:
+        produced = generate(ctx, template)[:cap]
+        examples += produced
+        counts[kind] = len(produced)
+    return TaskSuite(adoc.doc.id, tuple(examples), counts)
 
 
 READING_PREAMBLE = "Answer the questions based on the article:"

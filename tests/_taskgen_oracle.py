@@ -7,9 +7,11 @@ target and walks to the drawn one; this module builds every pair.
 filters the option pool instead of removing the answer from it. The three
 generators are copied, not imported, so a change to a draw in
 `docstudy.taskgen` shows up as a difference; the unchanged helpers and
-value types are imported. An NLI question here renders its document and
-its options block anew, as every NLI question once did. `fill_by_parts`
-is `vocab.fill` as it was before it became one printf-style format.
+value types are imported. They take a stream and a config, not a
+document context, and return a list, empty on a skip, as the library's
+generators do. An NLI question here renders its document and its options
+block anew, as every NLI question once did. `fill_by_parts` is
+`vocab.fill` as it was before it became one printf-style format.
 """
 
 from __future__ import annotations
@@ -20,12 +22,12 @@ from docstudy.analysis import AnalyzedDocument
 from docstudy.taskgen import (
     COMPLETION,
     DEFAULT_CONFIG,
+    MEMORIZATION,
     MULTICHOICE,
     NLI,
     TaskConfig,
     TaskExample,
     _blank_body,
-    render_document,
 )
 from docstudy.vocab import NLI_OPTIONS, fill, options_block
 
@@ -41,7 +43,7 @@ def fill_by_parts(template: str, **values) -> str:
 def _nli_question(adoc, statement, config):
     return fill(
         config.template(NLI),
-        document=render_document(adoc, config),
+        document=fill(config.template(MEMORIZATION), title=adoc.doc.title, body=adoc.doc.body),
         title=adoc.doc.title,
         statement=statement,
         options=options_block(NLI_OPTIONS),
@@ -106,10 +108,10 @@ def gen_nli_pair(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFI
     return examples
 
 
-def gen_multichoice(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
+def gen_multichoice(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> list[TaskExample]:
     surfaces = _gist_keywords(adoc)
     if len(surfaces) < config.option_count:
-        return None
+        return []
     entity = adoc.entities[rng.below(len(adoc.entities))]
     pool = [s for s in surfaces if s != entity.surface]
     picked = rng.sample_indices(len(pool), config.option_count - 1)
@@ -121,14 +123,14 @@ def gen_multichoice(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CO
         blanked=_blank_body(adoc, entity),
         options=options_block(options),
     )
-    return TaskExample(
+    return [TaskExample(
         kind=MULTICHOICE,
         question=question,
         answer=entity.surface,
         doc_id=adoc.doc.id,
         options=tuple(options),
         provenance={"entity_start": entity.start, "entity_end": entity.end},
-    )
+    )]
 
 
 def _completion_split(sentence: str, prep_end: int | None) -> tuple[int, str] | None:
@@ -149,7 +151,7 @@ def _completion_split(sentence: str, prep_end: int | None) -> tuple[int, str] | 
     return prep_end, answer
 
 
-def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> TaskExample | None:
+def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CONFIG) -> list[TaskExample]:
     qualifying = []
     for span in adoc.sentences:
         sentence = adoc.doc.body[span.start : span.end]
@@ -157,13 +159,13 @@ def gen_completion(adoc: AnalyzedDocument, rng, config: TaskConfig = DEFAULT_CON
         if split is not None:
             qualifying.append((span.index, sentence, split))
     if not qualifying:
-        return None
+        return []
     sent_index, sentence, (cut, answer) = qualifying[rng.below(len(qualifying))]
     question = fill(config.template(COMPLETION), title=adoc.doc.title, prefix=sentence[:cut])
-    return TaskExample(
+    return [TaskExample(
         kind=COMPLETION,
         question=question,
         answer=answer,
         doc_id=adoc.doc.id,
         provenance={"sentence_index": sent_index, "split_offset": cut},
-    )
+    )]

@@ -783,6 +783,35 @@ class TestErrors:
         assert err.startswith(("usage" if code == 1 else "data") + " error: " + where.format(**fill))
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "content, key",
+        [('{"enabled": {"cloze": 1}}', "enabled"), ('{"multiplicity": [["nli", 1]]}', "multiplicity"),
+         ('{"enabled": "cloze"}', "enabled"), ('{"enabled": null}', "enabled")],
+        ids=["enabled-object", "multiplicity-pairs", "enabled-string", "enabled-null"],
+    )
+    def test_a_mistyped_task_config_field_is_refused(self, tmp_path, capsys, corpus_path, content, key):
+        path = tmp_path / "task.json"
+        path.write_text(content, "utf-8")
+        assert run("--out", tmp_path / "o", "gen-tasks", "--corpus", corpus_path, "--task-config", path) == 2
+        kind = "a list of strings" if key == "enabled" else "a JSON object"
+        assert capsys.readouterr().err == f"data error: {path}: task config key {key!r} must be {kind}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", ['{"enabled": ["cloze", "nli"]}', '{"multiplicity": {"memorization": 0}}'],
+                             ids=["memorization-disabled", "memorization-capped-at-0"])
+    def test_reading_without_memorization_is_refused_before_any_output(self, tmp_path, capsys, corpus_path, content):
+        path = tmp_path / "task.json"
+        path.write_text(content, "utf-8")
+        out = tmp_path / "o"
+        argv = ["--out", out, "gen-tasks", "--corpus", corpus_path, "--task-config", path]
+        assert run(*argv, "--reading") == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: --reading needs memorization enabled with a cap of at least 1\n"
+        )
+        assert not out.exists()
+        # without --reading the same config runs
+        assert run(*argv) == 0
+
     def test_environment_seed_not_int_is_usage_error(self, tmp_path, capsys, monkeypatch, corpus_path):
         monkeypatch.setenv("DOCSTUDY_SEED", "abc")
         assert run("--out", tmp_path / "o", "ingest", "--corpus", corpus_path) == 1

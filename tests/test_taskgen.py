@@ -14,6 +14,7 @@ from docstudy.rng import stream_for
 from docstudy import dataset, jsonio, rng, taskgen, vocab
 from docstudy.taskgen import (
     KIND_ORDER,
+    TEMPLATES,
     TaskConfig,
     build_suite,
     format_reading_comprehension,
@@ -44,6 +45,11 @@ def _adoc(body, title="T", doc_id="d1"):
     return analyze_document(RawDocument(id=doc_id, title=title, body=body))
 
 
+def _ctx(adoc, seed=0, config=taskgen.DEFAULT_CONFIG):
+    """The document context build_suite hands each generator."""
+    return taskgen.suite_plan(config).context(adoc, seed)
+
+
 def synth_adocs(n, seed=0):
     return [
         analyze_document(document_from_record(r)) for r in synthetic_records(n, seed=seed)
@@ -52,54 +58,54 @@ def synth_adocs(n, seed=0):
 
 class TestFixtureRendering:
     def test_memorization_text(self, robert_adoc):
-        example = gen_memorization(robert_adoc)
+        [example] = gen_memorization(_ctx(robert_adoc), TEMPLATES["memorization"])
         assert example.answer == ROBERT_DOC_TEXT
         assert example.question == ""
-        assert example.loss_policy == "full_sequence"
+        assert vocab.loss_policy(example.kind) == "full_sequence"
 
     def test_memorization_trivial_template(self):
-        example = gen_memorization(_adoc("B.", title="T"))
+        [example] = gen_memorization(_ctx(_adoc("B.", title="T")), TEMPLATES["memorization"])
         assert example.answer == "<T - Wikipedia> B."
 
     def test_summarization(self, robert_adoc):
-        example = gen_summarization(robert_adoc)
+        [example] = gen_summarization(_ctx(robert_adoc), TEMPLATES["summarization"])
         assert example.question == f"Write a title: {ROBERT_DOC_TEXT}"
         assert example.answer == ROBERT_TITLE
 
     def test_summarization_answer_depends_only_on_title(self):
-        a = gen_summarization(_adoc("Same body.", title="A"))
-        b = gen_summarization(_adoc("Same body.", title="B"))
+        [a] = gen_summarization(_ctx(_adoc("Same body.", title="A")), TEMPLATES["summarization"])
+        [b] = gen_summarization(_ctx(_adoc("Same body.", title="B")), TEMPLATES["summarization"])
         assert a.answer == "A" and b.answer == "B"
 
     def test_gist_answer(self, robert_adoc):
-        example = gen_gist(robert_adoc)
+        [example] = gen_gist(_ctx(robert_adoc), TEMPLATES["gist"])
         assert example.answer == GIST_ANSWER
         assert example.question == (
             f"Highlight the key information within the article: {ROBERT_DOC_TEXT}"
         )
 
     def test_gist_single_entity(self):
-        example = gen_gist(_adoc("it happened in 1946 again"))
+        [example] = gen_gist(_ctx(_adoc("it happened in 1946 again")), TEMPLATES["gist"])
         assert example.answer == "1946"
 
     def test_gist_skip_without_entities(self):
-        assert gen_gist(_adoc("nothing to see here")) is None
+        assert gen_gist(_ctx(_adoc("nothing to see here")), TEMPLATES["gist"]) == []
 
     def test_teaching(self, robert_adoc):
-        example = gen_teaching(robert_adoc)
+        [example] = gen_teaching(_ctx(robert_adoc), TEMPLATES["teaching"])
         assert example.question == "Tell me about Robert Anderson (artist)."
         assert example.answer == ROBERT_BODY
 
     def test_teaching_answer_is_body_over_corpus(self):
         for adoc in synth_adocs(100, seed=23):
-            example = gen_teaching(adoc)
-            memorization = gen_memorization(adoc)
+            [example] = gen_teaching(_ctx(adoc), TEMPLATES["teaching"])
+            [memorization] = gen_memorization(_ctx(adoc), TEMPLATES["memorization"])
             header = f"<{adoc.doc.title} - Wikipedia> "
             assert example.answer == adoc.doc.body
             assert memorization.answer == header + example.answer
 
     def test_flashcards(self, robert_adoc):
-        example = gen_flashcards(robert_adoc)
+        [example] = gen_flashcards(_ctx(robert_adoc), TEMPLATES["flashcards"])
         assert example.question == (
             "Generate a concrete description about Robert Anderson (artist) "
             f"based on the following keywords:\n{GIST_ANSWER}"
@@ -108,17 +114,17 @@ class TestFixtureRendering:
 
     def test_flashcards_keywords_equal_gist_answer(self):
         for adoc in synth_adocs(60, seed=29):
-            gist = gen_gist(adoc)
-            flash = gen_flashcards(adoc)
+            [gist] = gen_gist(_ctx(adoc), TEMPLATES["gist"])
+            [flash] = gen_flashcards(_ctx(adoc), TEMPLATES["flashcards"])
             assert flash.question.endswith("\n" + gist.answer)
 
     def test_flashcards_skip_without_entities(self):
-        assert gen_flashcards(_adoc("no names at all")) is None
+        assert gen_flashcards(_ctx(_adoc("no names at all")), TEMPLATES["flashcards"]) == []
 
 
 class TestNli:
     def test_single_sentence_doc_yields_true_only(self, robert_adoc):
-        examples = gen_nli_pair(robert_adoc, stream_for(0, "ra", "nli"))
+        examples = gen_nli_pair(_ctx(robert_adoc, 0), TEMPLATES["nli"])
         assert len(examples) == 1
         example = examples[0]
         assert example.answer == "Yes"
@@ -138,7 +144,7 @@ class TestNli:
         }
         seen = set()
         for seed in range(40):
-            examples = gen_nli_pair(adoc, stream_for(seed, "d1", "nli"))
+            examples = gen_nli_pair(_ctx(adoc, seed), TEMPLATES["nli"])
             assert len(examples) == 2
             false = examples[1]
             sent = false.provenance["sentence_index"]
@@ -151,7 +157,7 @@ class TestNli:
 
     def test_false_statement_differs_in_exactly_one_span(self):
         for adoc in synth_adocs(120, seed=31):
-            examples = gen_nli_pair(adoc, stream_for(5, adoc.doc.id, "nli"))
+            examples = gen_nli_pair(_ctx(adoc, 5), TEMPLATES["nli"])
             if len(examples) < 2:
                 continue
             false = examples[1]
@@ -175,14 +181,14 @@ class TestNli:
 
     def test_single_entity_single_sentence_no_corruption(self):
         adoc = _adoc("only 1980 matters here")
-        examples = gen_nli_pair(adoc, stream_for(1, "d1", "nli"))
+        examples = gen_nli_pair(_ctx(adoc, 1), TEMPLATES["nli"])
         assert len(examples) == 1
 
 
 class TestCloze:
     def test_reconstruction_oracle(self):
         for adoc in synth_adocs(100, seed=37):
-            example = gen_cloze(adoc, stream_for(2, adoc.doc.id, "cloze"))
+            [example] = gen_cloze(_ctx(adoc, 2), TEMPLATES["cloze"])
             blanked = example.question.removeprefix(f"<{adoc.doc.title}> ")
             s, e = example.provenance["entity_start"], example.provenance["entity_end"]
             assert adoc.doc.body[s:e] == example.answer
@@ -191,17 +197,17 @@ class TestCloze:
 
     def test_forced_choice_single_entity(self):
         adoc = _adoc("the year 1980 was notable")
-        example = gen_cloze(adoc, stream_for(0, "d1", "cloze"))
+        [example] = gen_cloze(_ctx(adoc, 0), TEMPLATES["cloze"])
         assert example.answer == "1980"
 
     def test_skip_without_entities(self):
-        assert gen_cloze(_adoc("no caps"), stream_for(0, "d1", "cloze")) is None
+        assert gen_cloze(_ctx(_adoc("no caps"), 0), TEMPLATES["cloze"]) == []
 
 
 class TestMultichoice:
     def test_option_soundness(self, robert_adoc):
         for seed in range(25):
-            example = gen_multichoice(robert_adoc, stream_for(seed, "ra", "multichoice"))
+            [example] = gen_multichoice(_ctx(robert_adoc, seed), TEMPLATES["multichoice"])
             assert len(example.options) == 4
             assert len(set(example.options)) == 4
             assert example.options.count(example.answer) == 1
@@ -212,35 +218,35 @@ class TestMultichoice:
         adoc = _adoc("Elena Fontaine met Hugo Keller and Petra Novak when visiting Oslo today.")
         surfaces = {e.surface for e in adoc.entities}
         assert len(surfaces) == 4
-        example = gen_multichoice(adoc, stream_for(3, "d1", "multichoice"))
+        [example] = gen_multichoice(_ctx(adoc, 3), TEMPLATES["multichoice"])
         assert set(example.options) == surfaces
 
     def test_skip_below_four_entities(self):
         adoc = _adoc("Alice Becker stayed in Oslo with Hugo Keller briefly")
         assert len({e.surface for e in adoc.entities}) == 3
-        assert gen_multichoice(adoc, stream_for(0, "d1", "multichoice")) is None
+        assert gen_multichoice(_ctx(adoc, 0), TEMPLATES["multichoice"]) == []
 
     def test_blank_in_question(self, robert_adoc):
-        example = gen_multichoice(robert_adoc, stream_for(1, "ra", "multichoice"))
+        [example] = gen_multichoice(_ctx(robert_adoc, 1), TEMPLATES["multichoice"])
         assert example.question.count("--") == 1
         assert "\nOptions:\n- " in example.question
 
 
 class TestCompletion:
     def test_fixture_final_preposition(self, robert_adoc):
-        example = gen_completion(robert_adoc, stream_for(0, "ra", "completion"))
+        [example] = gen_completion(_ctx(robert_adoc, 0), TEMPLATES["completion"])
         assert example.question.endswith("as well as:")
         assert example.answer == "designing United States postage stamps"
 
     def test_trivial_single_preposition(self):
         adoc = _adoc("A book of poems.", title="T")
-        example = gen_completion(adoc, stream_for(0, "d1", "completion"))
+        [example] = gen_completion(_ctx(adoc, 0), TEMPLATES["completion"])
         assert example.question == "<T> A book of:"
         assert example.answer == "poems"
 
     def test_reconstruction_oracle(self):
         for adoc in synth_adocs(100, seed=41):
-            example = gen_completion(adoc, stream_for(4, adoc.doc.id, "completion"))
+            [example] = gen_completion(_ctx(adoc, 4), TEMPLATES["completion"])
             span = adoc.sentences[example.provenance["sentence_index"]]
             sentence = adoc.doc.body[span.start : span.end]
             prefix = example.question.removeprefix(f"<{adoc.doc.title}> ").removesuffix(":")
@@ -248,7 +254,7 @@ class TestCompletion:
 
     def test_skip_without_qualifying_sentence(self):
         adoc = _adoc("Nothing happened yesterday.")
-        assert gen_completion(adoc, stream_for(0, "d1", "completion")) is None
+        assert gen_completion(_ctx(adoc, 0), TEMPLATES["completion"]) == []
 
 
 DRAWS = (
@@ -263,7 +269,7 @@ def _assert_draws_match_oracle(adoc, seed):
         for option_count in (2, 4):
             config = TaskConfig(option_count=option_count)
             expected = reference(adoc, stream_for(seed, adoc.doc.id, kind), config)
-            assert library(adoc, stream_for(seed, adoc.doc.id, kind), config) == expected, kind
+            assert library(_ctx(adoc, seed, config), config.template(kind)) == expected, kind
 
 
 class TestDrawsMatchOracle:
@@ -341,7 +347,7 @@ class TestBuildSuite:
         for adoc in synth_adocs(20, seed=53):
             for ex in build_suite(adoc, seed=5).examples:
                 expected = "full_sequence" if ex.kind == "memorization" else "answer_only"
-                assert ex.loss_policy == expected
+                assert vocab.loss_policy(ex.kind) == expected
 
     def test_disabling_one_kind_leaves_others_unchanged(self, robert_adoc):
         full = build_suite(robert_adoc, seed=9)
@@ -513,13 +519,14 @@ class TestDocumentWorkBudget:
     def test_one_rendering_and_one_plan_per_run(self, monkeypatch):
         renders = 0
         blocks = []
-        caps = 0
-        render_document, options_block, cap = taskgen.render_document, taskgen.options_block, TaskConfig.cap
+        caps = templates = 0
+        fill, options_block = taskgen.fill, taskgen.options_block
+        cap, template = TaskConfig.cap, TaskConfig.template
 
-        def counted_render(adoc, config):
+        def counted_fill(form, **values):
             nonlocal renders
-            renders += 1
-            return render_document(adoc, config)
+            renders += form == TEMPLATES["memorization"]
+            return fill(form, **values)
 
         def counted_block(options):
             blocks.append(tuple(options))
@@ -530,10 +537,16 @@ class TestDocumentWorkBudget:
             caps += 1
             return cap(self, kind)
 
-        monkeypatch.setattr(taskgen, "render_document", counted_render)
+        def counted_template(self, kind):
+            nonlocal templates
+            templates += 1
+            return template(self, kind)
+
+        monkeypatch.setattr(taskgen, "fill", counted_fill)
         monkeypatch.setattr(taskgen, "options_block", counted_block)
         monkeypatch.setattr(TaskConfig, "cap", counted_cap)
-        monkeypatch.setattr(taskgen, "_PLAN", ((), ((), {})))  # as in a new process
+        monkeypatch.setattr(TaskConfig, "template", counted_template)
+        taskgen.suite_plan.cache_clear()  # as in a new process
         docs = [document_from_record(r) for r in golden_synth_records()]
         multichoice = 0
         for doc in docs:
@@ -542,10 +555,11 @@ class TestDocumentWorkBudget:
         assert renders == len(docs)
         # the NLI options block is never rebuilt; each multichoice builds its own
         assert len(blocks) == multichoice and vocab.NLI_OPTIONS not in blocks
-        # one cap per kind for the whole run, and again for a new config
-        assert caps == len(KIND_ORDER)
+        # one cap and one template per kind for the whole run (and the
+        # rendering's), and again for a new config
+        assert caps == len(KIND_ORDER) and templates == len(KIND_ORDER) + 1
         build_suite(analysis.analyze_document(docs[0]), TaskConfig(option_count=3), seed=1)
-        assert caps == 2 * len(KIND_ORDER)
+        assert caps == 2 * len(KIND_ORDER) and templates == 2 * (len(KIND_ORDER) + 1)
 
     def test_one_doc_id_hash_and_one_keyword_list_per_document(self, monkeypatch):
         hashed = []
@@ -605,7 +619,7 @@ def _suite_lines(body, config, seed) -> list[bytes]:
 
 def _as_in_a_new_process():
     """Empty what build_suite and analysis keep between calls."""
-    taskgen._PLAN = ((), ((), {}))
+    taskgen.suite_plan.cache_clear()
     analysis._LEXEMES.clear()
     rng._tag_bits.cache_clear()
 
@@ -629,16 +643,26 @@ class TestSuiteIndependence:
         finally:
             _as_in_a_new_process()
 
-    def test_a_config_changed_in_place_is_resolved_again(self, robert_adoc):
-        config = TaskConfig(multiplicity={"nli": 2}, templates={"teaching": "Describe {title}."})
-        before = build_suite(robert_adoc, config, seed=3)
-        config.multiplicity["cloze"] = 0
-        config.templates["teaching"] = "About {title}."
-        after = build_suite(robert_adoc, config, seed=3)
-        fresh = build_suite(robert_adoc, TaskConfig(multiplicity={"nli": 2, "cloze": 0},
-                                                    templates={"teaching": "About {title}."}), seed=3)
-        assert after == fresh and after != before
-        assert after.counts["cloze"] == 0 and after.by_kind("teaching")[0].question == "About Robert Anderson (artist)."
+    def test_a_config_is_read_only_and_equal_configs_share_one_plan(self, robert_adoc):
+        multiplicity, templates = {"nli": 2, "cloze": 0}, {"teaching": "Describe {title}.", "gist": "G {document}"}
+        config = TaskConfig(multiplicity=multiplicity, templates=templates)
+        with pytest.raises(TypeError):
+            config.multiplicity["cloze"] = 1
+        with pytest.raises(TypeError):
+            del config.templates["teaching"]
+        # the caller's dicts were copied
+        multiplicity["cloze"] = 1
+        templates["teaching"] = "About {title}."
+        assert config.multiplicity == {"nli": 2, "cloze": 0}
+        assert config.templates == {"teaching": "Describe {title}.", "gist": "G {document}"}
+        # equal in value, built in another order: one plan and one suite
+        twin = TaskConfig(multiplicity={"cloze": 0, "nli": 2},
+                          templates={"gist": "G {document}", "teaching": "Describe {title}."})
+        assert twin == config and hash(twin) == hash(config)
+        assert taskgen.suite_plan(twin) is taskgen.suite_plan(config)
+        suite = build_suite(robert_adoc, twin, seed=3)
+        assert suite == build_suite(robert_adoc, config, seed=3)
+        assert suite.counts["cloze"] == 0 and suite.by_kind("teaching")[0].question == "Describe Robert Anderson (artist)."
 
 
 def golden_synth_records() -> list[dict]:
